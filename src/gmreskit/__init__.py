@@ -14,22 +14,18 @@ from .linalg import (
     back_substitute,
     dense_eig_general,
     dense_eig_symmetric,
-    hessenberg_lsq_step,
     make_givens,
     mm_read,
     mm_write,
-    spmv,
 )
 from .ortho import (
     ArnoldiDecomposition,
     ArnoldiProcess,
-    IcwyState,
     OrthogonalizationBreakdown,
     OrthoScheme,
     ReductionCounter,
     arnoldi,
     householder_arnoldi,
-    icwy_project,
 )
 from .solvers import (
     BreakdownError,

@@ -9,15 +9,15 @@ computable inner products, one TSQR tree = one reduction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .deflation import leja_order
 from .linalg import HessenbergLsState, as_matvec, householder_qr
 from .ortho import OrthoScheme, arnoldi
-from .solvers import (GmresOptions, _clone_options, _cycle_driver,
-                      _reject_precond, _reject_weight, _restarted_engine)
+from .solvers import (GmresOptions, _arnoldi_cycles, _reject_precond, _reject_weight,
+                      _restart_driver)
 from .linalg import dense_eig_general
 
 __all__ = [
@@ -365,21 +365,21 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None, nblocks=4):
     _reject_weight(opts, "sstep_gmres")
     if s < 1 or t < 1:
         raise ValueError("need s >= 1 and t >= 1")
-    if spec is None:
-        spec = newton_basis_from_warmup(A, b, s) if s > 1 else MonomialBasis()
-    opts = _clone_options(opts, restart=s * t,
-                          max_iter=opts.max_iter if opts.max_iter is not None else len(b))
-    diagnostics = {"basis": type(spec).__name__, "s": s, "t": t}
+    diagnostics = {"basis": None, "s": s, "t": t}
 
-    def cycle(tally, r, budget, tol_abs, total_iter):
-        return _sstep_cycle(tally, r, s, t, spec, nblocks, budget, tol_abs,
-                            opts, total_iter, diagnostics)
+    def make_cycle(run):
+        basis = spec
+        if basis is None:
+            basis = newton_basis_from_warmup(A, b, s) if s > 1 else MonomialBasis()
+        diagnostics["basis"] = type(basis).__name__
+        return lambda r, budget: _sstep_cycle(run, r, s, t, basis, nblocks, budget)
 
-    return _cycle_driver(A, b, x0, opts, cycle, diagnostics)
+    return _restart_driver(A, b, x0, replace(opts, restart=s * t), make_cycle,
+                           diagnostics=diagnostics)
 
 
-def _sstep_cycle(tally, r, s, t, spec, nblocks, budget, tol_abs, opts,
-                 iter_offset, diagnostics=None):
+def _sstep_cycle(run, r, s, t, spec, nblocks, budget):
+    counter = run.counter
     N = len(r)
     beta = float(np.linalg.norm(r))
     blocks = min(t, max(1, -(-budget // s)))
@@ -399,20 +399,20 @@ def _sstep_cycle(tally, r, s, t, spec, nblocks, budget, tol_abs, opts,
         return None
 
     for j in range(blocks):
-        tally.counter.begin_step()
+        counter.begin_step()
         grade_hit = False
         if j == 0:
-            tally.counter.count()       # entry normalization of the cycle
-            W, conv = build_basis(tally, r / beta, s, spec)
+            counter.count()             # entry normalization of the cycle
+            W, conv = build_basis(run.op, r / beta, s, spec)
             tree = tsqr(W, min(nblocks, max(1, N // (s + 1))))
-            tally.counter.count()       # one TSQR tree
+            counter.count()             # one TSQR tree
             cut = diag_cut(tree.R)
             # a vanishing diagonal at c means basis vector c is dependent:
             # the assembled columns then end with a ~0 subdiagonal (grade)
             p = s if cut is None else cut
             grade_hit = p < s
             if p == 0:
-                tally.counter.end_step()
+                counter.end_step()
                 status = "breakdown"
                 break
             Q = tree.q_explicit()
@@ -422,11 +422,11 @@ def _sstep_cycle(tally, r, s, t, spec, nblocks, budget, tol_abs, opts,
             fH = _assemble_sstep_hessenberg(None, None, Twin, Bblock, None)
         else:
             start = fV[:, -1]
-            W, conv = build_basis(tally, start, s, spec)
+            W, conv = build_basis(run.op, start, s, spec)
             Wacc = W[:, 1:]
-            Racc, Wacc = bgs_project(fV, Wacc, tally.counter)
+            Racc, Wacc = bgs_project(fV, Wacc, counter)
             tree = tsqr(Wacc, min(nblocks, max(1, N // max(s, 1))))
-            tally.counter.count()
+            counter.count()
             cut = diag_cut(tree.R)
             # here the block start already sits in the basis, so a dependency
             # at c still yields c+1 assembled columns, the last with a ~0
@@ -440,15 +440,11 @@ def _sstep_cycle(tally, r, s, t, spec, nblocks, budget, tol_abs, opts,
             eta = fH[n, n - 1]
             fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, eta)
             fV = np.hstack([fV, Q])
-        tally.counter.end_step()
+        counter.end_step()
         new_n = fH.shape[1]
         for c in range(n, new_n):
-            rho = ls.push_column(fH[: c + 2, c])
-            rhos.append(rho)
-            tally.counter.mark()
-            if opts.iteration_callback is not None:
-                opts.iteration_callback(iter_offset + len(rhos), rho / beta)
-            if rho <= tol_abs:
+            rhos.append(ls.push_column(fH[: c + 2, c]))
+            if run.emit(rhos[-1]):
                 status = "converged"
                 break
             if len(rhos) >= budget:
@@ -462,11 +458,10 @@ def _sstep_cycle(tally, r, s, t, spec, nblocks, budget, tol_abs, opts,
                 "use a smaller s or a better-conditioned basis")
         if n >= budget:
             break
-    if diagnostics is not None and fH is not None:
-        diagnostics["hessenberg"] = fH
-        diagnostics["basis_matrix"] = fV
-    y = ls.solve(n) if n else np.zeros(0)
-    update = fV[:, :n] @ y if n else np.zeros(N)
+    if fH is not None:
+        run.diagnostics["hessenberg"] = fH
+        run.diagnostics["basis_matrix"] = fV
+    update = fV[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status
 
 
@@ -518,46 +513,46 @@ def pipelined_gmres(A, b, x0=None, opts=None, theta=None):
     opts = opts if opts is not None else GmresOptions()
     _reject_precond(opts, "pipelined_gmres")
     _reject_weight(opts, "pipelined_gmres")
-    if theta is None:
-        ritz = warmup_ritz_values(A, b, min(5, max(2, len(b) - 1)))
-        theta = float(np.mean(ritz).real)
     diagnostics = {"theta": theta, "reorthogonalizations": 0}
 
-    def cycle(tally, r, budget, tol_abs, total_iter):
-        return _pipelined_cycle(tally, r, budget, theta, tol_abs, opts,
-                                total_iter, diagnostics)
+    def make_cycle(run):
+        if diagnostics["theta"] is None:
+            ritz = warmup_ritz_values(A, b, min(5, max(2, len(b) - 1)))
+            diagnostics["theta"] = float(np.mean(ritz).real)
+        return lambda r, budget: _pipelined_cycle(run, r, budget, diagnostics["theta"])
 
-    return _cycle_driver(A, b, x0, opts, cycle, diagnostics)
+    return _restart_driver(A, b, x0, opts, make_cycle, diagnostics=diagnostics)
 
 
-def _pipelined_cycle(tally, r, m, theta, tol_abs, opts, iter_offset, state):
+def _pipelined_cycle(run, r, m, theta):
+    counter = run.counter
     N = len(r)
     beta = float(np.linalg.norm(r))
-    tally.counter.count()
+    counter.count()
     V = np.zeros((N, m + 1))
     W = np.zeros((N, m + 1))
     V[:, 0] = r / beta
-    W[:, 0] = tally(V[:, 0]) - theta * V[:, 0]
+    W[:, 0] = run.op(V[:, 0]) - theta * V[:, 0]
     H = np.zeros((m + 1, m))
     ls = HessenbergLsState(m, beta)
     rhos = []
     status = "exhausted"
     n = 0
     for j in range(m):
-        tally.counter.begin_step()
+        counter.begin_step()
         c = V[:, : j + 1].T @ W[:, j]
         sig = float(W[:, j] @ W[:, j])
-        tally.counter.count()           # merged projections + squared norm
-        tally.counter.end_step()
-        u = tally(W[:, j])              # next product, overlappable
+        counter.count()                 # merged projections + squared norm
+        counter.end_step()
+        u = run.op(W[:, j])             # next product, overlappable
         radicand = sig - float(c @ c)
         floor = sig * max(64.0 * (j + 2) * float(np.finfo(np.float64).eps), 1e-8)
         if radicand < floor:
             # the radicand cannot be resolved (or went negative as the basis
             # degrades): retry this step once with a reorthogonalization; a
             # vanishing recomputed norm is the happy breakdown
-            c, h_sub = _cgs2_coefficients(tally, V[:, : j + 1], W[:, j])
-            state["reorthogonalizations"] += 1
+            c, h_sub = _cgs2_coefficients(counter, V[:, : j + 1], W[:, j])
+            run.diagnostics["reorthogonalizations"] += 1
             if not math.isfinite(h_sub):
                 status = "breakdown"
                 break
@@ -566,15 +561,11 @@ def _pipelined_cycle(tally, r, m, theta, tol_abs, opts, iter_offset, state):
         H[: j + 1, j] = c
         H[j, j] += theta                # undo the shift on the diagonal entry
         col_scale = float(np.linalg.norm(H[: j + 1, j])) + h_sub
-        breakdown = h_sub <= opts.breakdown_rel * col_scale
+        breakdown = h_sub <= run.opts.breakdown_rel * col_scale
         H[j + 1, j] = 0.0 if breakdown else h_sub
-        rho = ls.push_column(H[: j + 2, j])
-        rhos.append(rho)
-        tally.counter.mark()
+        rhos.append(ls.push_column(H[: j + 2, j]))
         n = j + 1
-        if opts.iteration_callback is not None:
-            opts.iteration_callback(iter_offset + n, rho / beta)
-        if rho <= tol_abs:
+        if run.emit(rhos[-1]):
             status = "converged"
             break
         if breakdown:
@@ -582,21 +573,20 @@ def _pipelined_cycle(tally, r, m, theta, tol_abs, opts, iter_offset, state):
             break
         V[:, j + 1] = (W[:, j] - V[:, : j + 1] @ c) / h_sub
         W[:, j + 1] = (u - W[:, : j + 1] @ H[: j + 1, j]) / h_sub
-    y = ls.solve(n) if n else np.zeros(0)
-    update = V[:, :n] @ y if n else np.zeros(N)
+    update = V[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status
 
 
-def _cgs2_coefficients(tally, V, w):
+def _cgs2_coefficients(counter, V, w):
     """Classical reorthogonalization fallback for a failed radicand."""
     h1 = V.T @ w
-    tally.counter.count()
+    counter.count()
     w1 = w - V @ h1
     h2 = V.T @ w1
-    tally.counter.count()
+    counter.count()
     w1 = w1 - V @ h2
     h_sub = float(np.linalg.norm(w1))
-    tally.counter.count()
+    counter.count()
     return h1 + h2, h_sub
 
 
@@ -611,5 +601,5 @@ def lowsync_gmres(A, b, x0=None, opts=None):
     suffices.  A vanishing deferred norm surfaces as a breakdown exit.
     """
     opts = opts if opts is not None else GmresOptions()
-    opts = _clone_options(opts, scheme=OrthoScheme.ICWY)
-    return _restarted_engine(A, b, x0, opts)
+    return _restart_driver(A, b, x0, replace(opts, scheme=OrthoScheme.ICWY),
+                           _arnoldi_cycles)

@@ -19,12 +19,11 @@ from .ortho import OrthoScheme, arnoldi
 from .solvers import (
     FunctionPreconditioner,
     GmresOptions,
-    _Tally,
-    _finalize_restarts,
+    _augmented_options,
     _flexible_cycle,
     _reject_precond,
     _reject_weight,
-    _zero_rhs_report,
+    _restart_driver,
 )
 
 __all__ = [
@@ -299,79 +298,44 @@ def gmres_e(A, b, x0=None, m1=20, m2=2, opts=None):
     opts = opts if opts is not None else GmresOptions()
     _reject_precond(opts, "gmres_e")
     _reject_weight(opts, "gmres_e")
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
-    tol_abs = opts.rtol * bnorm
-    m = m1 + m2
-    max_iter = opts.max_iter if opts.max_iter is not None else max(N, m)
+    opts = _augmented_options(opts, len(b), m1 + m2)
 
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - tally(x)
-    history = [float(np.linalg.norm(r))]
-    checkpoints = []
-    aug = []            # harmonic Ritz vectors carried to the next cycle
-    dropped_total = 0
-    total_iter = 0
-    restarts = 0
-    status = "exhausted"
-    if history[0] <= tol_abs:
-        return _finalize_restarts(x, history, "converged", opts=opts, tally=tally,
-                                  restarts=0, checkpoints=[(0, history[0])],
-                                  est_checkpoints=[(0, history[0])],
-                                  diagnostics={"dropped_augmentations": 0})
+    def make_cycle(run):
+        aug = []            # harmonic Ritz vectors carried to the next cycle
+        last = None         # (Hbar, Z) of the previous cycle
 
-    while total_iter < max_iter:
-        rho_start = history[-1]
-        budget = min(m, max_iter - total_iter)
+        def cycle(r, budget):
+            nonlocal aug, last
+            if last is not None:
+                # the driver restarted: harvest the previous cycle's vectors
+                H, Z = last
+                n_used = H.shape[1]
+                if m2 > 0 and n_used > 1:
+                    h_next = H[n_used, n_used - 1] if H.shape[0] > n_used else 0.0
+                    hr = harmonic_ritz(H[:n_used, :n_used], h_next)
+                    aug = []
+                    for y in _real_vectors_from_pairs(hr.values, hr.vectors, m2):
+                        u = Z[:, :n_used] @ y
+                        nu = np.linalg.norm(u)
+                        if nu > 0:
+                            aug.append(u / nu)
 
-        def direction(j, slot, V, aug=aug):
-            n_aug = len(aug)
-            if slot < budget - n_aug:
-                return V[:, j], "krylov"
-            idx = slot - (budget - n_aug)
-            if idx >= n_aug:
-                return None
-            return aug[idx], "aug"
+            def direction(j, slot, V):
+                n_aug = len(aug)
+                if slot < budget - n_aug:
+                    return V[:, j], "krylov"
+                idx = slot - (budget - n_aug)
+                if idx >= n_aug:
+                    return None
+                return aug[idx], "aug"
 
-        update, rhos, status, V, H, Z, dropped = _flexible_cycle(
-            tally, r, budget, tol_abs, opts, direction,
-            iter_offset=total_iter, tol_ref=bnorm)
-        dropped_total += dropped
-        x = x + update
-        history.extend(rhos)
-        total_iter += len(rhos)
-        r = b - tally(x)
-        rho_true = float(np.linalg.norm(r))
-        checkpoints.append((total_iter, rho_true))
-        if status == "converged" or rho_true <= tol_abs:
-            status = "converged"
-            break
-        if status == "breakdown" or total_iter >= max_iter:
-            break
-        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
-            status = "stagnation"
-            break
-        # harvest deflation vectors for the next cycle
-        n_used = H.shape[1]
-        if m2 > 0 and n_used > 1:
-            Hsq = H[:n_used, :n_used]
-            h_next = H[n_used, n_used - 1] if H.shape[0] > n_used else 0.0
-            hr = harmonic_ritz(Hsq, h_next)
-            coords = _real_vectors_from_pairs(hr.values, hr.vectors, m2)
-            aug = []
-            for y in coords:
-                u = Z[:, :n_used] @ y
-                nu = np.linalg.norm(u)
-                if nu > 0:
-                    aug.append(u / nu)
-        restarts += 1
+            update, rhos, status, _, H, Z, dropped = _flexible_cycle(
+                run, r, budget, direction)
+            run.diagnostics["dropped_augmentations"] += dropped
+            last = (H, Z)
+            return update, rhos, status
 
-    return _finalize_restarts(x, history, status, opts=opts, tally=tally,
-                              restarts=restarts, checkpoints=checkpoints,
-                              est_checkpoints=list(checkpoints),
-                              diagnostics={"dropped_augmentations": dropped_total})
+        return cycle
+
+    return _restart_driver(A, b, x0, opts, make_cycle,
+                           diagnostics={"dropped_augmentations": 0})

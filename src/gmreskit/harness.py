@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -289,8 +289,7 @@ def _with_preconditioner(A, b, opts, options):
         M = polynomial_preconditioner(A, poly)
     else:
         raise ConfigError(f"preconditioner.kind: unknown kind {kind!r}")
-    from .solvers import _clone_options
-    return _clone_options(opts, precond_side=side, preconditioner=M)
+    return replace(opts, precond_side=side, preconditioner=M)
 
 
 def _operator_diagonal(A):
@@ -315,8 +314,7 @@ def _run_variant(A, b, variant, callback=None):
     if solver == "gmres":
         return gmres(A, b, opts=opts)
     if solver == "gmres-restarted":
-        from .solvers import _clone_options
-        return gmres_restarted(A, b, opts=_clone_options(
+        return gmres_restarted(A, b, opts=replace(
             opts, restart=options.get("restart", 30)))
     if solver == "hh-gmres":
         return hh_gmres(A, b, opts=opts)

@@ -20,9 +20,7 @@ __all__ = [
     "MatrixMarketError",
     "SingularMatrixError",
     "EigenConvergenceError",
-    "spmv",
     "make_givens",
-    "hessenberg_lsq_step",
     "back_substitute",
     "forward_substitute_unit",
     "householder_qr",
@@ -140,11 +138,6 @@ class CsrMatrix:
                          self.values.astype(dtype))
 
 
-def spmv(A: CsrMatrix, v):
-    """Sparse matrix-vector product ``A @ v`` with per-row accumulation in storage order."""
-    return A.matvec(v)
-
-
 @dataclass(frozen=True)
 class GivensRotation:
     """Plane rotation (c, s) with c**2 + s**2 == 1."""
@@ -218,18 +211,6 @@ class HessenbergLsState:
         if n is None:
             n = self.ncols
         return back_substitute(self.R[:n, :n], self.g[:n])
-
-
-def hessenberg_lsq_step(state: HessenbergLsState, new_col, j=None):
-    """Apply stored rotations plus one new rotation to column j of the Hessenberg matrix.
-
-    ``j`` is the 1-based column position and must match the state's progress;
-    after the call ``state.rho`` equals min_y ||beta e1 - Hbar_j y||.
-    """
-    if j is not None and j != state.ncols + 1:
-        raise ValueError(f"expected column {state.ncols + 1}, got {j}")
-    state.push_column(new_col)
-    return state
 
 
 def back_substitute(R, g):

@@ -9,13 +9,14 @@ constructor enforces that rule, so invalid combinations are unrepresentable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .linalg import CsrMatrix, SingularMatrixError, as_matvec
-from .solvers import GmresOptions, SolveReport, _restarted_engine, _zero_rhs_report
+from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _restart_driver,
+                      _zero_rhs_report)
 
 __all__ = [
     "Precision",
@@ -290,6 +291,6 @@ def gmres_two_precision(A, b, x0=None, opts=None, policy=None):
     policy = policy if policy is not None else PrecisionPolicy.two_precision()
     opts = opts if opts is not None else GmresOptions()
     if opts.restart is None:
-        from .solvers import _clone_options
-        opts = _clone_options(opts, restart=50)
-    return _restarted_engine(A, b, x0, opts, policy=policy)
+        opts = replace(opts, restart=50)
+    return _restart_driver(A, b, x0, opts, _arnoldi_cycles,
+                           dtype=policy.dtype_of("working"))

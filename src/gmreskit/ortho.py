@@ -30,11 +30,9 @@ __all__ = [
     "ReductionCounter",
     "ArnoldiDecomposition",
     "ArnoldiProcess",
-    "IcwyState",
     "OrthogonalizationBreakdown",
     "arnoldi",
     "householder_arnoldi",
-    "icwy_project",
 ]
 
 BREAKDOWN_REL = 1e-14
@@ -108,32 +106,6 @@ class ArnoldiDecomposition:
         """2-norm of V^T V - I (loss of orthogonality)."""
         G = self.V.T @ self.V
         return float(np.linalg.norm(G - np.eye(G.shape[0]), 2))
-
-
-@dataclass
-class IcwyState:
-    """Strictly lower triangular correction matrix of the inverse compact WY form."""
-
-    L: np.ndarray
-
-    def __post_init__(self):
-        L = np.asarray(self.L, dtype=np.float64)
-        if np.any(np.triu(L) != 0.0):
-            raise ValueError("L must be strictly lower triangular")
-        self.L = L
-
-
-def icwy_project(state: IcwyState, V, w):
-    """Projection coefficients h = (I + L)^{-1} (V^T w) by one forward substitution.
-
-    Equals the sequential MGS coefficients in exact arithmetic.
-    """
-    V = np.asarray(V)
-    k = V.shape[1]
-    if state.L.shape[0] < k:
-        raise ValueError("correction matrix smaller than the basis")
-    rhs = V.T @ np.asarray(w)
-    return forward_substitute_unit(state.L[:k, :k], rhs)
 
 
 class ArnoldiProcess:

@@ -4,12 +4,39 @@ All solvers return a SolveReport carrying the iterate, the per-iteration
 residual-norm estimates, explicitly recomputed residual checkpoints, and the
 matvec / global-reduction counters.  One solve owns its state; operators and
 preconditioners are only read.
+
+Every solver of the family except gmres_ir runs through one restart driver,
+_restart_driver, and supplies only its cycle.  The driver owns:
+
+- coercion of A, b and x0, the counted products and the reduction counter;
+- the zero right-hand side, which returns x = 0, converged, 0 iterations;
+- the operator the cycles iterate on and the tolerance reference for each
+  preconditioning side (none, left, right) and for the weighted norm,
+  including a per-cycle weight refresh such as Essai's;
+- the initial residual, with an early converged exit at iteration 0 when x0
+  already meets the tolerance;
+- the restart loop: the iteration budget, the right-preconditioner map-back
+  of each update, the explicit residual recompute after every cycle (true
+  and estimate-norm checkpoints), stagnation, the restart count and the
+  termination;
+- the SolveReport.
+
+make_cycle(run) is called once per solve, after the zero right-hand side
+exit and before the first product, and returns cycle(r, budget) ->
+(update, rhos, status): one cycle of at most budget iterations from the
+residual r, returning the correction before any right preconditioner, the
+cycle's residual estimates and one of converged / exhausted / breakdown.
+Each estimate is emitted as soon as it exists: run.emit(rho) marks the
+reduction counter, calls opts.iteration_callback(k, rho / tol_ref) with the
+global iteration k, and returns whether rho meets the tolerance.  State a
+solver carries from cycle to cycle lives in the closure of make_cycle; a
+cycle is called again only when the driver restarts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +54,6 @@ __all__ = [
     "SolveReport",
     "FunctionPreconditioner",
     "DiagonalPreconditioner",
-    "DenseSolvePreconditioner",
     "BreakdownError",
     "FgmresBreakdownError",
     "backward_error",
@@ -143,16 +169,6 @@ class DiagonalPreconditioner:
         return v / self.diag
 
 
-class DenseSolvePreconditioner:
-    """Apply M^{-1} through a cached dense inverse (desk scale only)."""
-
-    def __init__(self, M):
-        self._inv = np.linalg.inv(np.asarray(M, dtype=np.float64))
-
-    def apply(self, v):
-        return self._inv @ v
-
-
 def _apply_precond(M, v):
     if M is None:
         return v
@@ -173,7 +189,7 @@ def backward_error(A, x, b):
 
 
 # ---------------------------------------------------------------------------
-# Shared bookkeeping
+# The restart driver
 
 
 class _Tally:
@@ -189,8 +205,44 @@ class _Tally:
         return self.base(v)
 
 
-def _zero_rhs_report(N, dtype=np.float64):
-    return SolveReport(x=np.zeros(N, dtype=dtype), residual_history=[0.0],
+class _Run:
+    """One solve as its cycle sees it; built by _restart_driver.
+
+    op is the operator the cycles iterate on (the counted product, with the
+    preconditioner on its side and in the working dtype), counter takes the
+    modeled reductions, and weight, tol_ref and tol_abs hold the current
+    cycle's norm and tolerance.  diagnostics becomes the report's.  A cycle
+    factory may set finish() -> dict, which runs once after the last cycle,
+    before the report reads the counters, and adds to the diagnostics.
+    No attribute may refer back to the run (a closure over it, or the run
+    itself): the reference cycle would keep a finished solve's arrays alive
+    until the cyclic garbage collector runs.
+    """
+
+    def __init__(self, tally, opts, diagnostics=None):
+        self.op = tally
+        self.counter = tally.counter
+        self.opts = opts
+        self.dtype = np.dtype(np.float64)
+        self.weight = None
+        self.tol_ref = 1.0
+        self.tol_abs = 0.0
+        self.iterations = 0
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.finish = None
+
+    def emit(self, rho):
+        """Deliver the next iteration's residual estimate; True once it meets
+        the tolerance."""
+        self.iterations += 1
+        self.counter.mark()
+        if self.opts.iteration_callback is not None:
+            self.opts.iteration_callback(self.iterations, rho / self.tol_ref)
+        return rho <= self.tol_abs
+
+
+def _zero_rhs_report(N):
+    return SolveReport(x=np.zeros(N), residual_history=[0.0],
                        iterations=0, termination="converged")
 
 
@@ -211,69 +263,104 @@ def _weighted_norm(v, weight):
     return float(math.sqrt(abs(np.dot(v, weight * v))))
 
 
-# ---------------------------------------------------------------------------
-# Arnoldi-based cycle shared by gmres / weighted / restarted / two-precision
+def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
+                    weight_refresh=None, dtype=np.float64):
+    """Run a solver's cycles under the shared restart loop (module docstring).
 
-
-def _gmres_cycle(op, r0, m, tol_abs, opts, tally, *, weight=None, dtype=None,
-                 iter_offset=0, tol_ref=1.0):
-    """Run one (restart) cycle of Arnoldi + Givens; returns cycle results.
-
-    status is one of converged / exhausted / breakdown.  rhos holds the
-    per-iteration residual estimates of this cycle (excluding the entry rho).
+    diagnostics seeds the report's diagnostics.  weight_refresh(r) -> weights,
+    when given, replaces opts.weight: it is applied to the initial residual
+    and again before every cycle.  A dtype other than binary64 carries the
+    cycle products out in that format (mixedprec.low_operator); residuals
+    and solution updates stay binary64.
     """
-    proc = ArnoldiProcess(op, r0, m, opts.scheme, weight=weight,
-                          counter=tally.counter, dtype=dtype,
-                          breakdown_rel=opts.breakdown_rel)
-    ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
-    rhos = []
+    b = np.asarray(b, dtype=np.float64)
+    N = len(b)
+    matvec, _ = as_matvec(A, n=N)
+    tally = _Tally(matvec)
+    run = _Run(tally, opts, diagnostics)
+    if np.linalg.norm(b) == 0.0:
+        return _zero_rhs_report(N)
+
+    product = tally
+    run.dtype = np.dtype(dtype)
+    if run.dtype != np.float64:
+        from .mixedprec import low_operator
+        low_matvec = low_operator(A, run.dtype, n=N)
+
+        def product(v):
+            tally.matvecs += 1
+            return low_matvec(v)
+
+    M = opts.preconditioner
+    side = opts.precond_side
+    if side == "right":
+        run.op = lambda v: product(_apply_precond(M, v))
+    elif side == "left":
+        run.op = lambda v: _apply_precond(M, product(v))
+    else:
+        run.op = product
+
+    def precond_residual(r):
+        return _apply_precond(M, r) if side == "left" else r
+
+    cycle = make_cycle(run)
+    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    r_true = b - tally(x)
+    r = precond_residual(r_true)
+    weight = opts.weight if weight_refresh is None else weight_refresh(r_true)
+    tol_ref = _weighted_norm(precond_residual(b), weight)
+    history = [_weighted_norm(r, weight)]
+    checkpoints = []
+    est_checkpoints = []
+    restarts = 0
     status = "exhausted"
+    if history[0] <= opts.rtol * tol_ref:
+        status = "converged"
+        checkpoints.append((0, float(np.linalg.norm(r_true))))
+        est_checkpoints.append((0, history[0]))
 
-    def _push_through(limit):
-        nonlocal status
-        for c in range(ls.ncols, limit):
-            rho = ls.push_column(proc.H[: c + 2, c])
-            rhos.append(rho)
-            tally.counter.mark()
-            if opts.iteration_callback is not None:
-                opts.iteration_callback(iter_offset + len(rhos), rho / tol_ref)
-            if rho <= tol_abs:
-                status = "converged"
-                return
-
-    while proc.steps < proc.max_steps:
-        try:
-            proc.step()
-        except OrthogonalizationBreakdown:
-            # instability breakdown is a reported exit at the solver level
-            status = "breakdown"
+    max_iter = opts.max_iter if opts.max_iter is not None else N
+    m = opts.restart if opts.restart is not None else max_iter
+    while status != "converged":
+        budget = min(m, max_iter - (len(history) - 1))
+        if budget <= 0:
             break
-        _push_through(proc.completed)
-        if status == "converged":
-            break
-        if proc.breakdown_at is not None:
-            status = "breakdown"
-            break
-    if status == "exhausted" and proc.completed < proc.steps:
-        proc.finish()  # deferred ICWY normalization completes the last column
-        _push_through(proc.completed)
-        if status != "converged" and proc.breakdown_at is not None:
-            status = "breakdown"
-    n = ls.ncols
-    y = ls.solve(n) if n else np.zeros(0, dtype=proc.dtype)
-    update = proc.V[:, :n] @ y if n else np.zeros(proc.N, dtype=proc.dtype)
-    return update, rhos, status, proc, ls
+        if weight_refresh is not None:
+            # the refreshed reference measures b without the preconditioner
+            weight = weight_refresh(r)
+            tol_ref = _weighted_norm(b, weight)
+        run.weight, run.tol_ref, run.tol_abs = weight, tol_ref, opts.rtol * tol_ref
+        rho_start = history[-1]
+        update, rhos, status = cycle(r, budget)
+        if side == "right":
+            update = _apply_precond(M, update)
+        x = x + update
+        history.extend(rhos)
+        total_iter = len(history) - 1
 
+        r_true = b - tally(x)
+        r = precond_residual(r_true)
+        rho_true = _weighted_norm(r, weight)
+        checkpoints.append((total_iter, float(np.linalg.norm(r_true))))
+        est_checkpoints.append((total_iter, rho_true))
+        if status == "converged" or rho_true <= run.tol_abs:
+            status = "converged"
+            break
+        if status == "breakdown" or total_iter >= max_iter:
+            break
+        # the next cycle restarts from the explicit residual
+        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
+            status = "stagnation"
+            break
+        restarts += 1
 
-def _finalize_restarts(x, history, status, *, opts, tally, restarts, checkpoints,
-                       est_checkpoints, diagnostics):
-    termination = {"converged": "converged", "breakdown": "breakdown",
-                   "exhausted": "maxiter", "stagnation": "stagnation"}[status]
+    if run.finish is not None:
+        run.diagnostics.update(run.finish())
     return SolveReport(
         x=x,
         residual_history=history,
         iterations=len(history) - 1,
-        termination=termination,
+        termination="maxiter" if status == "exhausted" else status,
         restarts=restarts,
         reductions=tally.counter.total,
         matvecs=tally.matvecs,
@@ -281,8 +368,62 @@ def _finalize_restarts(x, history, status, *, opts, tally, restarts, checkpoints
         estimated_norm_checkpoints=est_checkpoints,
         reduction_log=list(tally.counter.per_step),
         reduction_marks=list(tally.counter.marks),
-        diagnostics=diagnostics,
+        diagnostics=run.diagnostics,
     )
+
+
+# ---------------------------------------------------------------------------
+# Arnoldi + Givens cycle shared by gmres / restarted / weighted / low-sync /
+# two-precision
+
+
+def _arnoldi_cycles(run):
+    """Cycles of Arnoldi in opts.scheme with a running Givens QR of the
+    Hessenberg factor, in the run's weight and working dtype."""
+    opts = run.opts
+
+    def cycle(r, budget):
+        proc = ArnoldiProcess(run.op, r, budget, opts.scheme, weight=run.weight,
+                              counter=run.counter, dtype=run.dtype,
+                              breakdown_rel=opts.breakdown_rel)
+        ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
+        rhos = []
+
+        def push_through(limit):
+            # emit the columns that became final; True once converged
+            for c in range(ls.ncols, limit):
+                rhos.append(ls.push_column(proc.H[: c + 2, c]))
+                if run.emit(rhos[-1]):
+                    return True
+            return False
+
+        status = "exhausted"
+        while proc.steps < proc.max_steps:
+            try:
+                proc.step()
+            except OrthogonalizationBreakdown:
+                # instability breakdown is a reported exit at the solver level
+                status = "breakdown"
+                break
+            if push_through(proc.completed):
+                status = "converged"
+                break
+            if proc.breakdown_at is not None:
+                status = "breakdown"
+                break
+        if status == "exhausted" and proc.completed < proc.steps:
+            proc.finish()  # deferred ICWY normalization completes the last column
+            if push_through(proc.completed):
+                status = "converged"
+            elif proc.breakdown_at is not None:
+                status = "breakdown"
+        n = ls.ncols
+        update = proc.V[:, :n] @ ls.solve(n) if n else np.zeros(proc.N, dtype=proc.dtype)
+        run.diagnostics["arnoldi"] = proc.decomposition()
+        run.diagnostics["hessenberg_beta"] = proc.beta
+        return np.asarray(update, dtype=np.float64), rhos, status
+
+    return cycle
 
 
 def gmres(A, b, x0=None, opts=None):
@@ -321,7 +462,7 @@ def gmres(A, b, x0=None, opts=None):
     surfaces as convergence at the grade.
     """
     opts = opts if opts is not None else GmresOptions()
-    return _restarted_engine(A, b, x0, opts)
+    return _restart_driver(A, b, x0, opts, _arnoldi_cycles)
 
 
 def gmres_restarted(A, b, x0=None, opts=None):
@@ -329,179 +470,7 @@ def gmres_restarted(A, b, x0=None, opts=None):
     opts = opts if opts is not None else GmresOptions(restart=30)
     if opts.restart is None:
         raise ValueError("gmres_restarted needs opts.restart")
-    return _restarted_engine(A, b, x0, opts)
-
-
-def _restarted_engine(A, b, x0, opts, *, policy=None):
-    """Driver for full and restarted GMRES, shared with the two-precision path.
-
-    policy of None runs everything in binary64; a PrecisionPolicy with
-    working=Low runs the inner cycles in the low format while residuals and
-    solution updates stay in binary64 (the same code path, so an all-High
-    policy reproduces the plain run bit for bit).
-    """
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    weight = opts.weight
-    refresh_weight = bool(getattr(opts, "_weight_refresh", False))
-
-    work_low = policy is not None and policy.is_low("working")
-    if work_low:
-        from .mixedprec import low_operator
-        low_matvec = low_operator(A, policy.dtype_of("working"), n=N)
-
-        def base_matvec(v):
-            tally.matvecs += 1
-            return low_matvec(v)
-    else:
-        base_matvec = tally
-    work_dtype = policy.dtype_of("working") if policy is not None else np.float64
-
-    M = opts.preconditioner
-    side = opts.precond_side
-    if side == "right":
-        cycle_matvec = lambda v: base_matvec(_apply_precond(M, v))
-    elif side == "left":
-        cycle_matvec = lambda v: _apply_precond(M, base_matvec(v))
-    else:
-        cycle_matvec = base_matvec
-
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
-
-    def precond_residual(r):
-        return _apply_precond(M, r) if side == "left" else r
-
-    r_true = b - tally(x)
-    r = precond_residual(r_true)
-    if side == "left":
-        tol_ref = _weighted_norm(precond_residual(b), weight)
-    else:
-        tol_ref = _weighted_norm(b, weight)
-    tol_abs = opts.rtol * tol_ref
-
-    max_iter = opts.max_iter if opts.max_iter is not None else N
-    m = opts.restart if opts.restart is not None else max_iter
-
-    history = [_weighted_norm(r, weight)]
-    checkpoints = []
-    est_checkpoints = []
-    diagnostics = {}
-    restarts = 0
-    total_iter = 0
-    status = "exhausted"
-    if history[0] <= tol_abs:
-        status = "converged"
-        checkpoints.append((0, float(np.linalg.norm(r_true))))
-        est_checkpoints.append((0, history[0]))
-
-    while status != "converged":
-        if refresh_weight:
-            weight = _essai_weights(r)
-            tol_ref = _weighted_norm(b, weight)
-            tol_abs = opts.rtol * tol_ref
-        budget = min(m, max_iter - total_iter)
-        if budget <= 0:
-            status = "exhausted"
-            break
-        rho_start = history[-1]
-        cycle_r = np.asarray(r, dtype=work_dtype)
-        update, rhos, status, proc, ls = _gmres_cycle(
-            cycle_matvec, cycle_r, budget, tol_abs, opts, tally, weight=weight,
-            dtype=work_dtype, iter_offset=total_iter, tol_ref=tol_ref)
-        update = np.asarray(update, dtype=np.float64)
-        if side == "right":
-            update = _apply_precond(M, update)
-        x = x + update
-        history.extend(rhos)
-        total_iter += len(rhos)
-        diagnostics["arnoldi"] = proc.decomposition()
-        diagnostics["hessenberg_beta"] = proc.beta
-
-        r_true = b - tally(x)
-        r = precond_residual(r_true)
-        rho_true = _weighted_norm(r, weight)
-        checkpoints.append((total_iter, float(np.linalg.norm(r_true))))
-        est_checkpoints.append((total_iter, rho_true))
-        if status == "converged" or rho_true <= tol_abs:
-            status = "converged"
-            break
-        if status == "breakdown":
-            break
-        if total_iter >= max_iter:
-            status = "exhausted"
-            break
-        # the next cycle restarts from the explicit residual
-        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
-            status = "stagnation"
-            break
-        restarts += 1
-
-    return _finalize_restarts(x, history, status, opts=opts, tally=tally,
-                              restarts=restarts, checkpoints=checkpoints,
-                              est_checkpoints=est_checkpoints,
-                              diagnostics=diagnostics)
-
-
-def _cycle_driver(A, b, x0, opts, cycle_fn, diagnostics=None):
-    """Restart skeleton shared by solvers with bespoke cycles.
-
-    cycle_fn(tally, r, budget, tol_abs, total_iter) -> (update, rhos, status)
-    runs one cycle from the residual r and returns the additive correction.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    diagnostics = diagnostics if diagnostics is not None else {}
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
-    tol_abs = opts.rtol * bnorm
-    max_iter = opts.max_iter if opts.max_iter is not None else N
-    m = opts.restart if opts.restart is not None else max_iter
-
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - tally(x)
-    history = [float(np.linalg.norm(r))]
-    checkpoints = []
-    restarts = 0
-    total_iter = 0
-    status = "exhausted"
-    if history[0] <= tol_abs:
-        return _finalize_restarts(x, history, "converged", opts=opts, tally=tally,
-                                  restarts=0, checkpoints=[(0, history[0])],
-                                  est_checkpoints=[(0, history[0])],
-                                  diagnostics=diagnostics)
-    while True:
-        budget = min(m, max_iter - total_iter)
-        if budget <= 0:
-            break
-        rho_start = history[-1]
-        update, rhos, status = cycle_fn(tally, r, budget, tol_abs, total_iter)
-        x = x + update
-        history.extend(rhos)
-        total_iter += len(rhos)
-        r = b - tally(x)
-        rho_true = float(np.linalg.norm(r))
-        checkpoints.append((total_iter, rho_true))
-        if status == "converged" or rho_true <= tol_abs:
-            status = "converged"
-            break
-        if status == "breakdown" or total_iter >= max_iter:
-            break
-        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
-            status = "stagnation"
-            break
-        restarts += 1
-    return _finalize_restarts(x, history, status, opts=opts, tally=tally,
-                              restarts=restarts, checkpoints=checkpoints,
-                              est_checkpoints=list(checkpoints),
-                              diagnostics=diagnostics)
+    return _restart_driver(A, b, x0, opts, _arnoldi_cycles)
 
 
 def _essai_weights(r):
@@ -522,27 +491,8 @@ def weighted_gmres(A, b, x0=None, opts=None):
     below at 1e-10.
     """
     opts = opts if opts is not None else GmresOptions()
-    if opts.weight is None:
-        b_arr = np.asarray(b, dtype=np.float64)
-        x_arr = np.zeros_like(b_arr) if x0 is None else np.asarray(x0, dtype=np.float64)
-        matvec, _ = as_matvec(A, n=len(b_arr))
-        r0 = b_arr - matvec(x_arr)
-        opts = _clone_options(opts, weight=_essai_weights(r0))
-        opts._weight_refresh = True
-    return _restarted_engine(A, b, x0, opts)
-
-
-def _clone_options(opts, **overrides):
-    fields = dict(
-        rtol=opts.rtol, max_iter=opts.max_iter, restart=opts.restart,
-        scheme=opts.scheme, precond_side=opts.precond_side,
-        preconditioner=opts.preconditioner, weight=opts.weight,
-        simpler_omega=opts.simpler_omega, breakdown_rel=opts.breakdown_rel,
-        stagnation_rel=opts.stagnation_rel,
-        iteration_callback=opts.iteration_callback,
-    )
-    fields.update(overrides)
-    return GmresOptions(**fields)
+    refresh = _essai_weights if opts.weight is None else None
+    return _restart_driver(A, b, x0, opts, _arnoldi_cycles, weight_refresh=refresh)
 
 
 # ---------------------------------------------------------------------------
@@ -557,99 +507,40 @@ def hh_gmres(A, b, x0=None, opts=None):
     """
     opts = opts if opts is not None else GmresOptions()
     _reject_weight(opts, "hh_gmres")
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
 
-    M = opts.preconditioner
-    side = opts.precond_side
-    if side == "right":
-        cycle_matvec = lambda v: tally(_apply_precond(M, v))
-    elif side == "left":
-        cycle_matvec = lambda v: _apply_precond(M, tally(v))
-    else:
-        cycle_matvec = tally
-    precond_residual = (lambda r: _apply_precond(M, r)) if side == "left" \
-        else (lambda r: r)
+    def make_cycle(run):
+        last = None
 
-    tol_ref = float(np.linalg.norm(precond_residual(b)))
-    tol_abs = opts.rtol * tol_ref
-    max_iter = opts.max_iter if opts.max_iter is not None else N
-    m = opts.restart if opts.restart is not None else max_iter
+        def cycle(r, budget):
+            nonlocal last
+            proc = last = HouseholderArnoldi(run.op, r, budget, counter=run.counter,
+                                             breakdown_rel=opts.breakdown_rel, n=len(r))
+            ls = HessenbergLsState(proc.max_steps, proc.beta)
+            rhos = []
+            status = "exhausted"
+            while proc.steps < proc.max_steps:
+                proc.step()
+                c = proc.completed - 1
+                rhos.append(ls.push_column(proc.H[: c + 2, c]))
+                if run.emit(rhos[-1]):
+                    status = "converged"
+                    break
+                if proc.breakdown_at is not None:
+                    status = "breakdown"
+                    break
+            return proc.eval_basis_combination(ls.solve()), rhos, status
 
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r_true = b - tally(x)
-    r = precond_residual(r_true)
-    history = [float(np.linalg.norm(r))]
-    checkpoints = []
-    est_checkpoints = []
-    restarts = 0
-    total_iter = 0
-    status = "exhausted"
-    if history[0] <= tol_abs:
-        return _finalize_restarts(x, history, "converged", opts=opts, tally=tally,
-                                  restarts=0, checkpoints=[(0, history[0])],
-                                  est_checkpoints=[(0, history[0])],
-                                  diagnostics={})
+        def finish():
+            # recovering the last cycle's basis costs reflector applications,
+            # so it happens once, after the loop
+            if last is None:
+                return {}
+            return {"arnoldi": last.decomposition(), "hessenberg_beta": last.beta}
 
-    while True:
-        budget = min(m, max_iter - total_iter)
-        if budget <= 0:
-            break
-        rho_start = history[-1]
-        proc = HouseholderArnoldi(cycle_matvec, r, budget, counter=tally.counter,
-                                  breakdown_rel=opts.breakdown_rel, n=N)
-        ls = HessenbergLsState(proc.max_steps, proc.beta)
-        rhos = []
-        cycle_status = "exhausted"
-        while proc.steps < proc.max_steps:
-            proc.step()
-            c = proc.completed - 1
-            rho = ls.push_column(proc.H[: c + 2, c])
-            rhos.append(rho)
-            tally.counter.mark()
-            if opts.iteration_callback is not None:
-                opts.iteration_callback(total_iter + len(rhos), rho / tol_ref)
-            if rho <= tol_abs:
-                cycle_status = "converged"
-                break
-            if proc.breakdown_at is not None:
-                cycle_status = "breakdown"
-                break
-        n = ls.ncols
-        if n:
-            y = ls.solve(n)
-            update = proc.eval_basis_combination(y)
-            if side == "right":
-                update = _apply_precond(M, update)
-            x = x + update
-        history.extend(rhos)
-        total_iter += len(rhos)
-        r_true = b - tally(x)
-        r = precond_residual(r_true)
-        rho_true = float(np.linalg.norm(r))
-        checkpoints.append((total_iter, float(np.linalg.norm(r_true))))
-        est_checkpoints.append((total_iter, rho_true))
-        status = cycle_status
-        if cycle_status == "converged" or rho_true <= tol_abs:
-            status = "converged"
-            break
-        if cycle_status == "breakdown" or total_iter >= max_iter:
-            break
-        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
-            status = "stagnation"
-            break
-        restarts += 1
+        run.finish = finish
+        return cycle
 
-    diagnostics = {"arnoldi": proc.decomposition(), "hessenberg_beta": proc.beta}
-    return _finalize_restarts(x, history, status, opts=opts, tally=tally,
-                              restarts=restarts, checkpoints=checkpoints,
-                              est_checkpoints=est_checkpoints,
-                              diagnostics=diagnostics)
+    return _restart_driver(A, b, x0, opts, make_cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -661,89 +552,70 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
 
     variant selects the next direction z_n: "sgmres" always reuses v_{n-1},
     "rb" the normalized running residual, and "adaptive" switches on the
-    one-step residual decrease factor omega.
+    one-step residual decrease factor omega.  The run is one unrestarted
+    cycle.
     """
     if variant not in ("sgmres", "rb", "adaptive"):
         raise ValueError("variant must be sgmres, rb or adaptive")
     opts = opts if opts is not None else GmresOptions()
     _reject_precond(opts, "simpler_gmres")
     _reject_weight(opts, "simpler_gmres")
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
-    tol_abs = opts.rtol * bnorm
-    max_iter = opts.max_iter if opts.max_iter is not None else N
     omega = opts.simpler_omega if variant == "adaptive" else \
         (1.0 if variant == "rb" else 0.0)
 
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - tally(x)
-    history = [float(np.linalg.norm(r))]
-    if history[0] <= tol_abs:
-        return _finalize_restarts(x, history, "converged", opts=opts, tally=tally,
-                                  restarts=0, checkpoints=[(0, history[0])],
-                                  est_checkpoints=[(0, history[0])],
-                                  diagnostics={"kappa_z": 1.0})
-    V = np.zeros((N, max_iter))
-    Z = np.zeros((N, max_iter))
-    T = np.zeros((max_iter, max_iter))
-    alpha = np.zeros(max_iter)
-    status = "exhausted"
-    rho_prev2 = None  # ||r_{n-2}||
-    n = 0
+    def make_cycle(run):
+        def cycle(r, budget):
+            N = len(r)
+            V = np.zeros((N, budget))
+            Z = np.zeros((N, budget))
+            T = np.zeros((budget, budget))
+            alpha = np.zeros(budget)
+            rhos = []
+            status = "exhausted"
+            rho = float(np.linalg.norm(r))
+            rho_prev2 = None  # ||r_{n-2}||
+            n = 0
+            for j in range(budget):
+                rho_prev = rho
+                if j == 0 or rho_prev <= omega * (rho_prev2 if rho_prev2 is not None
+                                                  else np.inf):
+                    z = r / rho_prev
+                else:
+                    z = V[:, j - 1]
+                w = run.op(z)
+                # MGS orthonormalization of w against v_1..v_{j-1}
+                for i in range(j):
+                    T[i, j] = float(w @ V[:, i])
+                    run.counter.count()
+                    w = w - T[i, j] * V[:, i]
+                t_jj = float(np.linalg.norm(w))
+                run.counter.count()
+                tnorm = max(np.abs(np.diag(T)[: j + 1]).max(), t_jj)
+                if t_jj <= opts.breakdown_rel * tnorm:
+                    status = "breakdown"
+                    break
+                T[j, j] = t_jj
+                V[:, j] = w / t_jj
+                Z[:, j] = z
+                alpha[j] = float(r @ V[:, j])
+                run.counter.count()
+                r = r - alpha[j] * V[:, j]
+                rho = float(np.linalg.norm(r))
+                run.counter.count()
+                rho_prev2 = rho_prev
+                rhos.append(rho)
+                n = j + 1
+                if run.emit(rho):
+                    status = "converged"
+                    break
+            run.diagnostics["kappa_z"] = float(np.linalg.cond(Z[:, :n])) if n else 1.0
+            update = Z[:, :n] @ back_substitute(T[:n, :n], alpha[:n]) if n else np.zeros(N)
+            return update, rhos, status
 
-    for j in range(max_iter):
-        rho_prev = history[-1]
-        if j == 0:
-            z = r / rho_prev
-        elif rho_prev <= omega * (rho_prev2 if rho_prev2 is not None else np.inf):
-            z = r / rho_prev
-        else:
-            z = V[:, j - 1]
-        w = tally(z)
-        # MGS orthonormalization of w against v_1..v_{j-1}
-        for i in range(j):
-            T[i, j] = float(w @ V[:, i])
-            tally.counter.count()
-            w = w - T[i, j] * V[:, i]
-        t_jj = float(np.linalg.norm(w))
-        tally.counter.count()
-        tnorm = max(np.abs(np.diag(T)[: j + 1]).max(), t_jj)
-        if t_jj <= opts.breakdown_rel * tnorm:
-            status = "breakdown"
-            break
-        T[j, j] = t_jj
-        V[:, j] = w / t_jj
-        Z[:, j] = z
-        alpha[j] = float(r @ V[:, j])
-        tally.counter.count()
-        r = r - alpha[j] * V[:, j]
-        rho = float(np.linalg.norm(r))
-        tally.counter.count()
-        rho_prev2 = rho_prev
-        history.append(rho)
-        tally.counter.mark()
-        n = j + 1
-        if opts.iteration_callback is not None:
-            opts.iteration_callback(n, rho / bnorm)
-        if rho <= tol_abs:
-            status = "converged"
-            break
+        return cycle
 
-    if n:
-        y = back_substitute(T[:n, :n], alpha[:n])
-        x = x + Z[:, :n] @ y
-    rho_true = float(np.linalg.norm(b - tally(x)))
-    diagnostics = {"kappa_z": float(np.linalg.cond(Z[:, :n])) if n else 1.0}
-    return _finalize_restarts(
-        x, history, "converged" if status == "converged" else status,
-        opts=opts, tally=tally, restarts=0,
-        checkpoints=[(n, rho_true)], est_checkpoints=[(n, rho_true)],
-        diagnostics=diagnostics)
+    return _restart_driver(A, b, x0, replace(opts, restart=None), make_cycle,
+                           diagnostics={"kappa_z": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -751,81 +623,63 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
 
 
 def _gcr_like(A, b, x0, opts, direction_rule):
+    """One unrestarted cycle of A-orthogonal directions; direction_rule(op, r,
+    aq_last) -> (seed, A seed) proposes the next direction."""
     opts = opts if opts is not None else GmresOptions()
     _reject_precond(opts, "gcr/orthodir")
     _reject_weight(opts, "gcr/orthodir")
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
-    tol_abs = opts.rtol * bnorm
-    max_iter = opts.max_iter if opts.max_iter is not None else N
-    anorm = operator_norm_estimate(A, matvec, probe=b)
 
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - tally(x)
-    history = [float(np.linalg.norm(r))]
-    qs = []      # search directions q_i
-    aqs = []     # their images A q_i
-    aq_sq = []   # (A q_i, A q_i)
-    status = "exhausted"
-    diagnostics = {}
-    if history[0] <= tol_abs:
-        return _finalize_restarts(x, history, "converged", opts=opts, tally=tally,
-                                  restarts=0, checkpoints=[(0, history[0])],
-                                  est_checkpoints=[(0, history[0])],
-                                  diagnostics=diagnostics)
+    def make_cycle(run):
+        matvec, _ = as_matvec(A, n=len(b))
+        anorm = operator_norm_estimate(A, matvec, probe=np.asarray(b, dtype=np.float64))
 
-    q = r.copy()
-    aq = tally(q)
-    for j in range(max_iter):
-        qs.append(q)
-        aqs.append(aq)
-        denom = float(aq @ aq)
-        tally.counter.count()
-        aq_sq.append(denom)
-        if denom <= 1e-28 * anorm * anorm:
-            status = "breakdown"
-            diagnostics["breakdown_reason"] = "indefinite symmetric part"
-            break
-        alpha = float(r @ aq) / denom
-        tally.counter.count()
-        x = x + alpha * q
-        r = r - alpha * aq
-        rho = float(np.linalg.norm(r))
-        tally.counter.count()
-        history.append(rho)
-        tally.counter.mark()
-        if opts.iteration_callback is not None:
-            opts.iteration_callback(j + 1, rho / bnorm)
-        if rho <= tol_abs:
-            status = "converged"
-            break
-        # next direction: seed w and its image A w, then A-orthogonalize
-        seed, aseed = direction_rule(tally, r, aqs[-1])
-        betas = [-float(aseed @ aqs[i]) / aq_sq[i] for i in range(len(qs))]
-        tally.counter.count()
-        q = seed + sum(bk * qk for bk, qk in zip(betas, qs))
-        aq = aseed + sum(bk * aqk for bk, aqk in zip(betas, aqs))
+        def cycle(r, budget):
+            qs = []      # search directions q_i
+            aqs = []     # their images A q_i
+            aq_sq = []   # (A q_i, A q_i)
+            rhos = []
+            status = "exhausted"
+            update = np.zeros(len(r))
+            q = r.copy()
+            aq = run.op(q)
+            for _ in range(budget):
+                qs.append(q)
+                aqs.append(aq)
+                denom = float(aq @ aq)
+                run.counter.count()
+                aq_sq.append(denom)
+                if denom <= 1e-28 * anorm * anorm:
+                    status = "breakdown"
+                    run.diagnostics["breakdown_reason"] = "indefinite symmetric part"
+                    break
+                alpha = float(r @ aq) / denom
+                run.counter.count()
+                update = update + alpha * q
+                r = r - alpha * aq
+                rhos.append(float(np.linalg.norm(r)))
+                run.counter.count()
+                if run.emit(rhos[-1]):
+                    status = "converged"
+                    break
+                # next direction: seed w and its image A w, then A-orthogonalize
+                seed, aseed = direction_rule(run.op, r, aqs[-1])
+                betas = [-float(aseed @ aqs[i]) / aq_sq[i] for i in range(len(qs))]
+                run.counter.count()
+                q = seed + sum(bk * qk for bk, qk in zip(betas, qs))
+                aq = aseed + sum(bk * aqk for bk, aqk in zip(betas, aqs))
+            return update, rhos, status
 
-    rho_true = float(np.linalg.norm(b - tally(x)))
-    n = len(history) - 1
-    return _finalize_restarts(x, history, status, opts=opts, tally=tally,
-                              restarts=0, checkpoints=[(n, rho_true)],
-                              est_checkpoints=[(n, rho_true)],
-                              diagnostics=diagnostics)
+        return cycle
+
+    return _restart_driver(A, b, x0, replace(opts, restart=None), make_cycle)
 
 
 def gcr(A, b, x0=None, opts=None):
     """Generalized conjugate residuals; requires a definite symmetric part for
     guaranteed progress, and reports a breakdown diagnostic otherwise."""
 
-    def rule(tally, r, aq_last):
-        ar = tally(r)
-        return r, ar
+    def rule(op, r, aq_last):
+        return r, op(r)
 
     return _gcr_like(A, b, x0, opts, rule)
 
@@ -833,9 +687,8 @@ def gcr(A, b, x0=None, opts=None):
 def orthodir(A, b, x0=None, opts=None):
     """ORTHODIR: same projection as GCR with directions grown from A q_j."""
 
-    def rule(tally, r, aq_last):
-        a2q = tally(aq_last)
-        return aq_last, a2q
+    def rule(op, r, aq_last):
+        return aq_last, op(aq_last)
 
     return _gcr_like(A, b, x0, opts, rule)
 
@@ -844,8 +697,7 @@ def orthodir(A, b, x0=None, opts=None):
 # Flexible and augmented cycles (FGMRES / LGMRES / GMRES-E)
 
 
-def _flexible_cycle(tally, r0, m, tol_abs, opts, direction_fn, *, iter_offset=0,
-                    tol_ref=1.0):
+def _flexible_cycle(run, r0, m, direction_fn):
     """One MGS cycle where step j expands the basis with A applied to an
     arbitrary direction z_j.
 
@@ -854,11 +706,14 @@ def _flexible_cycle(tally, r0, m, tol_abs, opts, direction_fn, *, iter_offset=0,
     apart when "aug" columns project to zero and are dropped as
     rank-deficient).  A vanishing subdiagonal on a "krylov" direction ends the
     cycle: exact convergence when the flexible Hessenberg matrix is regular,
-    FgmresBreakdownError otherwise.
+    FgmresBreakdownError otherwise.  Returns (update, rhos, status, V, Hbar,
+    Z, dropped).
     """
+    counter = run.counter
+    rel = run.opts.breakdown_rel
     N = len(r0)
     beta = float(np.linalg.norm(r0))
-    tally.counter.count()
+    counter.count()
     V = np.zeros((N, m + 1))
     H = np.zeros((m + 1, m))
     Z = np.zeros((N, m))
@@ -875,18 +730,18 @@ def _flexible_cycle(tally, r0, m, tol_abs, opts, direction_fn, *, iter_offset=0,
         if got is None:
             break
         z, kind = got
-        w = tally(z)
-        tally.counter.begin_step()
+        w = run.op(z)
+        counter.begin_step()
         h = np.zeros(j + 1)
         for i in range(j + 1):
             h[i] = float(w @ V[:, i])
-            tally.counter.count()
+            counter.count()
             w = w - h[i] * V[:, i]
         h_sub = float(np.linalg.norm(w))
-        tally.counter.count()
-        tally.counter.end_step()
+        counter.count()
+        counter.end_step()
         col_scale = math.sqrt(float(h @ h) + h_sub * h_sub)
-        if h_sub <= opts.breakdown_rel * col_scale:
+        if h_sub <= rel * col_scale:
             if kind == "aug":
                 dropped += 1
                 continue
@@ -894,31 +749,25 @@ def _flexible_cycle(tally, r0, m, tol_abs, opts, direction_fn, *, iter_offset=0,
             H[: j + 1, j] = h
             H[j + 1, j] = 0.0
             Z[:, j] = z
-            rho = ls.push_column(H[: j + 2, j])
-            rhos.append(rho)
-            tally.counter.mark()
-            if abs(ls.diag(j)) <= opts.breakdown_rel * col_scale:
+            rhos.append(ls.push_column(H[: j + 2, j]))
+            converged = run.emit(rhos[-1])
+            if abs(ls.diag(j)) <= rel * col_scale:
                 raise FgmresBreakdownError(
                     "h_{j+1,j} vanished with a singular Hessenberg matrix")
             j += 1
-            status = "converged" if rho <= tol_abs else "breakdown"
+            status = "converged" if converged else "breakdown"
             break
         H[: j + 1, j] = h
         H[j + 1, j] = h_sub
         V[:, j + 1] = w / h_sub
         Z[:, j] = z
-        rho = ls.push_column(H[: j + 2, j])
-        rhos.append(rho)
-        tally.counter.mark()
+        rhos.append(ls.push_column(H[: j + 2, j]))
         j += 1
-        if opts.iteration_callback is not None:
-            opts.iteration_callback(iter_offset + len(rhos), rho / tol_ref)
-        if rho <= tol_abs:
+        if run.emit(rhos[-1]):
             status = "converged"
             break
     n = ls.ncols
-    y = ls.solve(n) if n else np.zeros(0)
-    update = Z[:, :n] @ y if n else np.zeros(N)
+    update = Z[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status, V, H[:, :n], Z[:, :n], dropped
 
 
@@ -931,17 +780,6 @@ def fgmres(A, b, x0=None, opts=None, precond_sequence=None):
     opts = opts if opts is not None else GmresOptions()
     _reject_precond(opts, "fgmres")  # the sequence argument is the mechanism
     _reject_weight(opts, "fgmres")
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
-    tol_abs = opts.rtol * bnorm
-    max_iter = opts.max_iter if opts.max_iter is not None else N
-    m = opts.restart if opts.restart is not None else max_iter
-
     if precond_sequence is None:
         apply_mj = lambda j, v: v
     elif callable(precond_sequence) and not hasattr(precond_sequence, "apply"):
@@ -951,53 +789,26 @@ def fgmres(A, b, x0=None, opts=None, precond_sequence=None):
             else [precond_sequence]
         apply_mj = lambda j, v: _apply_precond(seq[j % len(seq)], v)
 
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - tally(x)
-    history = [float(np.linalg.norm(r))]
-    checkpoints = []
-    restarts = 0
-    total_iter = 0
-    status = "exhausted"
-    diagnostics = {}
-    if history[0] <= tol_abs:
-        return _finalize_restarts(x, history, "converged", opts=opts, tally=tally,
-                                  restarts=0, checkpoints=[(0, history[0])],
-                                  est_checkpoints=[(0, history[0])],
-                                  diagnostics=diagnostics)
+    def make_cycle(run):
+        def cycle(r, budget):
+            base = run.iterations
 
-    while True:
-        budget = min(m, max_iter - total_iter)
-        if budget <= 0:
-            break
-        rho_start = history[-1]
+            def direction(j, slot, V):
+                return apply_mj(base + j, V[:, j]), "krylov"
 
-        def direction(j, slot, V, base=total_iter):
-            return apply_mj(base + j, V[:, j]), "krylov"
+            update, rhos, status, V, H, Z, _ = _flexible_cycle(run, r, budget, direction)
+            run.diagnostics["flexible_basis"] = (V[:, : len(rhos) + 1], H, Z)
+            return update, rhos, status
 
-        update, rhos, status, V, H, Z, _ = _flexible_cycle(
-            tally, r, budget, tol_abs, opts, direction,
-            iter_offset=total_iter, tol_ref=bnorm)
-        x = x + update
-        history.extend(rhos)
-        total_iter += len(rhos)
-        diagnostics["flexible_basis"] = (V[:, : len(rhos) + 1], H, Z)
-        r = b - tally(x)
-        rho_true = float(np.linalg.norm(r))
-        checkpoints.append((total_iter, rho_true))
-        if status == "converged" or rho_true <= tol_abs:
-            status = "converged"
-            break
-        if status == "breakdown" or total_iter >= max_iter:
-            break
-        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
-            status = "stagnation"
-            break
-        restarts += 1
+        return cycle
 
-    return _finalize_restarts(x, history, status, opts=opts, tally=tally,
-                              restarts=restarts, checkpoints=checkpoints,
-                              est_checkpoints=list(checkpoints),
-                              diagnostics=diagnostics)
+    return _restart_driver(A, b, x0, opts, make_cycle)
+
+
+def _augmented_options(opts, N, m):
+    """Cycles of m steps; the default budget covers at least one cycle."""
+    return replace(opts, restart=m,
+                   max_iter=opts.max_iter if opts.max_iter is not None else max(N, m))
 
 
 def lgmres(A, b, x0=None, m1=20, m2=3, opts=None):
@@ -1013,65 +824,27 @@ def lgmres(A, b, x0=None, m1=20, m2=3, opts=None):
     opts = opts if opts is not None else GmresOptions()
     _reject_precond(opts, "lgmres")
     _reject_weight(opts, "lgmres")
-    b = np.asarray(b, dtype=np.float64)
-    N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return _zero_rhs_report(N)
-    tol_abs = opts.rtol * bnorm
-    m = m1 + m2
-    max_iter = opts.max_iter if opts.max_iter is not None else max(N, m)
+    opts = _augmented_options(opts, len(b), m1 + m2)
 
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - tally(x)
-    history = [float(np.linalg.norm(r))]
-    checkpoints = []
-    us = []  # u_1, u_2, ... error approximations
-    total_iter = 0
-    restarts = 0
-    status = "exhausted"
-    k = 0
-    if history[0] <= tol_abs:
-        return _finalize_restarts(x, history, "converged", opts=opts, tally=tally,
-                                  restarts=0, checkpoints=[(0, history[0])],
-                                  est_checkpoints=[(0, history[0])],
-                                  diagnostics={"augmented_cycles": 0})
+    def make_cycle(run):
+        us = []  # u_1, u_2, ... error approximations, one per finished cycle
 
-    while total_iter < max_iter:
-        rho_start = history[-1]
-        budget = min(m, max_iter - total_iter)
+        def cycle(r, budget):
+            k = len(us)
+            run.diagnostics["augmented_cycles"] = k
 
-        def direction(j, slot, V, k=k):
-            # Krylov step unless the slot falls in the augmentation window
-            # m1 < slot+1 <= m1 + k, which replays the newest corrections
-            if slot < m1 or slot - m1 >= k:
-                return V[:, j], "krylov"
-            return us[k - 1 - (slot - m1)], "aug"
+            def direction(j, slot, V):
+                # Krylov step unless the slot falls in the augmentation window
+                # m1 < slot+1 <= m1 + k, which replays the newest corrections
+                if slot < m1 or slot - m1 >= k:
+                    return V[:, j], "krylov"
+                return us[k - 1 - (slot - m1)], "aug"
 
-        update, rhos, status, V, H, Z, dropped = _flexible_cycle(
-            tally, r, budget, tol_abs, opts, direction,
-            iter_offset=total_iter, tol_ref=bnorm)
-        us.append(update)
-        x = x + update
-        history.extend(rhos)
-        total_iter += len(rhos)
-        r = b - tally(x)
-        rho_true = float(np.linalg.norm(r))
-        checkpoints.append((total_iter, rho_true))
-        if status == "converged" or rho_true <= tol_abs:
-            status = "converged"
-            break
-        if status == "breakdown" or total_iter >= max_iter:
-            break
-        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
-            status = "stagnation"
-            break
-        restarts += 1
-        k += 1
+            update, rhos, status, *_ = _flexible_cycle(run, r, budget, direction)
+            us.append(update)
+            return update, rhos, status
 
-    return _finalize_restarts(x, history, status, opts=opts, tally=tally,
-                              restarts=restarts, checkpoints=checkpoints,
-                              est_checkpoints=list(checkpoints),
-                              diagnostics={"augmented_cycles": k})
+        return cycle
+
+    return _restart_driver(A, b, x0, opts, make_cycle,
+                           diagnostics={"augmented_cycles": 0})

@@ -185,14 +185,14 @@ class TestGmresE:
 
     def test_augmented_relation_audit(self, convdiff100, rhs100):
         # run a couple of augmented cycles and audit A Z = V Hbar directly
-        from gmreskit.solvers import _Tally, _flexible_cycle
+        from gmreskit.solvers import _Run, _Tally, _flexible_cycle
         from gmreskit.deflation import _real_vectors_from_pairs
         dense = convdiff100.to_dense()
         opts = GmresOptions(rtol=1e-300)
-        tally = _Tally(lambda v: dense @ v)
+        run = _Run(_Tally(lambda v: dense @ v), opts)
         r = rhs100.copy()
         update, rhos, status, V, H, Z, _ = _flexible_cycle(
-            tally, r, 12, 0.0, opts, lambda j, slot, VV: (VV[:, j], "krylov"))
+            run, r, 12, lambda j, slot, VV: (VV[:, j], "krylov"))
         n = H.shape[1]
         hr = harmonic_ritz(H[:n, :n], H[n, n - 1])
         aug = [Z[:, :n] @ y for y in
@@ -206,7 +206,7 @@ class TestGmresE:
             return aug[slot - 10], "aug"
 
         update2, rhos2, status2, V2, H2, Z2, dropped = _flexible_cycle(
-            tally, r2, 12, 0.0, opts, direction)
+            run, r2, 12, direction)
         n2 = H2.shape[1]
         rel = np.linalg.norm(dense @ Z2[:, :n2] - V2[:, : n2 + 1] @ H2[: n2 + 1])
         assert rel <= 1e-11 * np.linalg.norm(dense)
@@ -215,11 +215,11 @@ class TestGmresE:
 
 class TestAugmentationDrop:
     def test_in_span_augmentation_dropped(self, rng):
-        from gmreskit.solvers import GmresOptions, _Tally, _flexible_cycle
+        from gmreskit.solvers import GmresOptions, _Run, _Tally, _flexible_cycle
         A = rng.standard_normal((20, 20)) + 4.0 * np.eye(20)
         r = rng.standard_normal(20)
         opts = GmresOptions(rtol=1e-300)
-        tally = _Tally(lambda v: A @ v)
+        run = _Run(_Tally(lambda v: A @ v), opts)
         # slot 2 feeds back the current residual direction r/||r|| = v_1,
         # whose image is already in the expanded space: projects to ~0 only
         # if it coincides with a basis vector, so use v_1 itself
@@ -229,6 +229,6 @@ class TestAugmentationDrop:
             return V[:, j], "krylov"
 
         update, rhos, status, V, H, Z, dropped = _flexible_cycle(
-            tally, r, 6, 0.0, opts, direction)
+            run, r, 6, direction)
         assert dropped == 1
         assert H.shape[1] == 6  # the drop consumed a slot, not a step

@@ -11,12 +11,10 @@ from gmreskit.linalg import (
     dense_eig_general,
     dense_eig_symmetric,
     HessenbergLsState,
-    hessenberg_lsq_step,
     householder_qr,
     make_givens,
     mm_read,
     mm_write,
-    spmv,
 )
 
 
@@ -30,11 +28,11 @@ def random_csr(rng, n, m=None, density=0.4):
 class TestSpmv:
     def test_identity(self):
         A = CsrMatrix.from_dense(np.eye(3))
-        assert np.array_equal(spmv(A, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+        assert np.array_equal(A.matvec(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_diagonal(self):
         A = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
-        assert np.array_equal(spmv(A, np.array([1.0, 1.0])), [2.0, 3.0])
+        assert np.array_equal(A.matvec(np.array([1.0, 1.0])), [2.0, 3.0])
 
     def test_matches_dense_accumulation_oracle(self, rng):
         # oracle: per-row left-to-right accumulation over the dense matrix
@@ -46,11 +44,11 @@ class TestSpmv:
             for j in range(50):
                 acc += dense[i, j] * v[j]
             expected[i] = acc
-        got = spmv(A, v)
+        got = A.matvec(v)
         assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
     def test_exact_match_in_storage_order(self, rng):
-        # summing the stored entries in storage order reproduces spmv exactly
+        # summing the stored entries in storage order reproduces matvec exactly
         A, _ = random_csr(rng, 23)
         v = rng.standard_normal(23)
         expected = np.zeros(23)
@@ -59,18 +57,18 @@ class TestSpmv:
             for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
                 acc += A.values[k] * v[A.col_idx[k]]
             expected[i] = acc
-        assert np.array_equal(spmv(A, v), expected)
+        assert np.array_equal(A.matvec(v), expected)
 
     def test_dimension_mismatch(self):
         A = CsrMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError, match="dimension"):
-            spmv(A, np.ones(4))
+            A.matvec(np.ones(4))
 
     def test_empty_rows(self):
         dense = np.zeros((4, 4))
         dense[1, 2] = 5.0
         A = CsrMatrix.from_dense(dense)
-        assert np.array_equal(spmv(A, np.ones(4)), [0.0, 5.0, 0.0, 0.0])
+        assert np.array_equal(A.matvec(np.ones(4)), [0.0, 5.0, 0.0, 0.0])
 
 
 class TestCsrInvariants:
@@ -131,7 +129,7 @@ class TestMakeGivens:
 class TestHessenbergLsq:
     def test_consistent_one_step(self):
         state = HessenbergLsState(1, beta=4.0)
-        hessenberg_lsq_step(state, np.array([2.0, 0.0]), j=1)
+        state.push_column(np.array([2.0, 0.0]))
         assert state.rho == 0.0
         assert np.allclose(state.solve(), [2.0])
 
@@ -139,7 +137,7 @@ class TestHessenbergLsq:
         # normal-equations oracle: H^T H y = H^T (beta e1) with H = [1; 1]
         # gives y = 1/2 and residual sqrt(2)/2
         state = HessenbergLsState(1, beta=1.0)
-        hessenberg_lsq_step(state, np.array([1.0, 1.0]), j=1)
+        state.push_column(np.array([1.0, 1.0]))
         assert abs(state.rho - math.sqrt(2.0) / 2.0) < 1e-15
         assert np.allclose(state.solve(), [0.5])
 
@@ -148,7 +146,7 @@ class TestHessenbergLsq:
         H = np.triu(rng.standard_normal((n + 1, n)), -1)
         state = HessenbergLsState(n, beta=1.0)
         for j in range(n):
-            hessenberg_lsq_step(state, H[: j + 2, j], j=j + 1)
+            state.push_column(H[: j + 2, j])
         e1 = np.zeros(n + 1)
         e1[0] = 1.0
         y_star, *_ = np.linalg.lstsq(H, e1, rcond=None)
@@ -163,7 +161,7 @@ class TestHessenbergLsq:
             beta = float(rng.random() + 0.5)
             state = HessenbergLsState(n, beta=beta)
             for j in range(n):
-                hessenberg_lsq_step(state, H[: j + 2, j], j=j + 1)
+                state.push_column(H[: j + 2, j])
             e1 = np.zeros(n + 1)
             e1[0] = beta
             Q, R = np.linalg.qr(H, mode="complete")
@@ -171,9 +169,12 @@ class TestHessenbergLsq:
             assert abs(state.rho - rho_star) <= 1e-12 * max(rho_star, beta)
 
     def test_rejects_wrong_position(self):
+        # column j carries j + 2 leading entries: after one column, a length-2
+        # column is the wrong position
         state = HessenbergLsState(2, beta=1.0)
-        with pytest.raises(ValueError):
-            hessenberg_lsq_step(state, np.array([1.0, 1.0]), j=2)
+        state.push_column(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="column 1 must have 3"):
+            state.push_column(np.array([1.0, 1.0]))
 
 
 class TestBackSubstitute:
@@ -351,7 +352,7 @@ class TestHessenbergSweep:
             beta = float(rng.random() + 0.5)
             state = HessenbergLsState(n, beta=beta)
             for j in range(n):
-                hessenberg_lsq_step(state, H[: j + 2, j], j=j + 1)
+                state.push_column(H[: j + 2, j])
             e1 = np.zeros(n + 1)
             e1[0] = beta
             Q, _ = np.linalg.qr(H, mode="complete")

@@ -5,12 +5,10 @@ from gmreskit.harness import gen_spectrum
 from gmreskit.linalg import forward_substitute_unit
 from gmreskit.ortho import (
     ArnoldiProcess,
-    IcwyState,
     OrthoScheme,
     ReductionCounter,
     arnoldi,
     householder_arnoldi,
-    icwy_project,
 )
 
 SCHEMES = [OrthoScheme.MGS, OrthoScheme.CGS, OrthoScheme.CGS2,
@@ -156,33 +154,6 @@ class TestHouseholderArnoldi:
 
 
 class TestIcwyProject:
-    def test_first_step_equals_cgs(self, rng):
-        V = rng.standard_normal((10, 1))
-        V /= np.linalg.norm(V)
-        w = rng.standard_normal(10)
-        state = IcwyState(L=np.zeros((1, 1)))
-        h = icwy_project(state, V, w)
-        assert np.allclose(h, V.T @ w)
-
-    def test_matches_mgs_loop(self, rng):
-        V, _ = np.linalg.qr(rng.standard_normal((30, 5)))
-        w = rng.standard_normal(30)
-        L = np.zeros((5, 5))
-        for i in range(1, 5):
-            L[i, :i] = V[:, :i].T @ V[:, i]
-        h = icwy_project(IcwyState(L=L), V, w)
-        # sequential MGS loop oracle
-        h_ref = np.zeros(5)
-        w_work = w.copy()
-        for i in range(5):
-            h_ref[i] = w_work @ V[:, i]
-            w_work = w_work - h_ref[i] * V[:, i]
-        assert np.allclose(h, h_ref, atol=1e-13)
-
-    def test_state_rejects_nonstrict_lower(self):
-        with pytest.raises(ValueError, match="strictly lower"):
-            IcwyState(L=np.eye(3))
-
     def test_internal_L_strictly_lower(self, rng):
         A = well_conditioned(rng, 12)
         proc = ArnoldiProcess(A, rng.standard_normal(12), 6, OrthoScheme.ICWY)
