@@ -84,7 +84,7 @@ def _elman_base(A):
     lam_min = dense_eig_symmetric(M)[0]
     if lam_min <= 0:
         return None
-    lam_max = dense_eig_symmetric(dense.T @ dense)[-1]
+    lam_max = np.linalg.norm(dense, 2) ** 2
     return max(0.0, 1.0 - lam_min * lam_min / lam_max)
 
 
@@ -100,26 +100,15 @@ def fov_distance(A, grid_count=256):
     if grid_count < 8:
         raise ValueError("need at least 8 grid directions")
     dense = _dense(A)
-    n = dense.shape[0]
     S = 0.5 * (dense + dense.T)
     K = 0.5 * (dense - dense.T)
-    values = {}
-    half = grid_count // 2
-    for k in range(grid_count):
-        if k > half:
-            # real operator: the rotated Hermitian parts at theta and -theta
-            # share their spectrum
-            values[k] = values[grid_count - k]
-            continue
+    # Johnson's rotated Hermitian part cos(t) S + i sin(t) K; for a real
+    # operator the angles t and -t share their spectrum, so [0, pi] suffices
+    lams = []
+    for k in range(grid_count // 2 + 1):
         theta = 2.0 * math.pi * k / grid_count
-        ct, st = math.cos(theta), math.sin(theta)
-        if st == 0.0 or abs(st) < 1e-15:
-            lam = dense_eig_symmetric(ct * S)[0]
-        else:
-            E = np.block([[ct * S, -st * K], [st * K, ct * S]])
-            lam = dense_eig_symmetric(E)[0]
-        values[k] = float(lam)
-    best = max(values.values())
+        lams.append(dense_eig_symmetric(math.cos(theta) * S + 1j * math.sin(theta) * K)[0])
+    best = float(max(lams))
     if best > 0.0:
         return best, False
     return 0.0, True

@@ -14,11 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .deflation import leja_order
-from .linalg import HessenbergLsState, as_matvec, householder_qr
-from .ortho import OrthoScheme, arnoldi
+from .linalg import HessenbergLsState, as_matvec, dense_eig_general
+from .ortho import OrthoScheme, arnoldi, cgs2_pass
 from .solvers import (GmresOptions, _arnoldi_cycles, _reject_precond, _reject_weight,
                       _restart_driver)
-from .linalg import dense_eig_general
 
 __all__ = [
     "MonomialBasis",
@@ -259,7 +258,7 @@ def tsqr(W, nblocks):
     rs = []
     offset = 0
     for sz in sizes:
-        Q, R = householder_qr(W[offset:offset + sz])
+        Q, R = np.linalg.qr(W[offset:offset + sz])
         nodes.append(_TsqrNode(Q=Q))
         rs.append(R)
         offset += sz
@@ -269,7 +268,7 @@ def tsqr(W, nblocks):
         next_nodes = []
         next_rs = []
         for i in range(0, len(nodes) - 1, 2):
-            Q, R = householder_qr(np.vstack([rs[i], rs[i + 1]]))
+            Q, R = np.linalg.qr(np.vstack([rs[i], rs[i + 1]]))
             next_nodes.append(_TsqrNode(Q=Q, children=(nodes[i], nodes[i + 1])))
             next_rs.append(R)
         if len(nodes) % 2:
@@ -302,12 +301,13 @@ def bgs_project(Vprev, W, counter=None):
 
 
 def warmup_ritz_values(A, b, steps):
-    """Ritz values from a few Arnoldi steps, for shift/rectangle estimation."""
-    dec = arnoldi(A, np.asarray(b, dtype=np.float64), steps, OrthoScheme.MGS)
-    m = dec.n
-    if m == 0:
+    """Ritz values from a few Arnoldi steps, for shift/rectangle estimation;
+    [0] when there are none (a zero b or no steps)."""
+    b = np.asarray(b, dtype=np.float64)
+    dec = arnoldi(A, b, steps, OrthoScheme.MGS) if np.any(b) else None
+    if dec is None or dec.n == 0:
         return np.array([0.0 + 0.0j])
-    return dense_eig_general(dec.Hbar[:m, :m])
+    return dense_eig_general(dec.Hbar[:dec.n, :dec.n])
 
 
 def newton_basis_from_warmup(A, b, s):
@@ -551,7 +551,7 @@ def _pipelined_cycle(run, r, m, theta):
             # the radicand cannot be resolved (or went negative as the basis
             # degrades): retry this step once with a reorthogonalization; a
             # vanishing recomputed norm is the happy breakdown
-            c, h_sub = _cgs2_coefficients(counter, V[:, : j + 1], W[:, j])
+            c, _, h_sub = cgs2_pass(V[:, : j + 1], W[:, j], counter)
             run.diagnostics["reorthogonalizations"] += 1
             if not math.isfinite(h_sub):
                 status = "breakdown"
@@ -575,19 +575,6 @@ def _pipelined_cycle(run, r, m, theta):
         W[:, j + 1] = (u - W[:, : j + 1] @ H[: j + 1, j]) / h_sub
     update = V[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status
-
-
-def _cgs2_coefficients(counter, V, w):
-    """Classical reorthogonalization fallback for a failed radicand."""
-    h1 = V.T @ w
-    counter.count()
-    w1 = w - V @ h1
-    h2 = V.T @ w1
-    counter.count()
-    w1 = w1 - V @ h2
-    h_sub = float(np.linalg.norm(w1))
-    counter.count()
-    return h1 + h2, h_sub
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "make_givens",
     "back_substitute",
     "forward_substitute_unit",
-    "householder_qr",
     "mm_read",
     "mm_write",
     "dense_eig_symmetric",
@@ -46,7 +45,7 @@ class SingularMatrixError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Eigenvalue iteration failed to converge within its sweep budget."""
+    """A LAPACK eigenvalue iteration failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -243,41 +242,6 @@ def forward_substitute_unit(L, rhs):
     return x
 
 
-def householder_qr(A):
-    """Householder QR of a tall matrix: A = Q R with Q (m x n) orthonormal columns.
-
-    Kept separate from any oracle use in the test suite (those rely on
-    numpy.linalg); this routine backs TSQR block factorizations.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    m, n = A.shape
-    if m < n:
-        raise ValueError("householder_qr expects at least as many rows as columns")
-    R = A.copy()
-    reflectors = []
-    for k in range(n):
-        x = R[k:, k]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            reflectors.append(None)
-            continue
-        sign = 1.0 if x[0] >= 0.0 else -1.0
-        w = x.copy()
-        w[0] += sign * normx
-        tau = 2.0 / (w @ w)
-        reflectors.append((k, w, tau))
-        R[k:, k:] -= np.outer(tau * w, w @ R[k:, k:])
-        R[k + 1:, k] = 0.0
-    Q = np.zeros((m, n))
-    Q[:n, :n] = np.eye(n)
-    for item in reversed(reflectors):
-        if item is None:
-            continue
-        k, w, tau = item
-        Q[k:, :] -= np.outer(tau * w, w @ Q[k:, :])
-    return Q, R[:n, :]
-
-
 # ---------------------------------------------------------------------------
 # Matrix Market I/O (coordinate real, general or symmetric)
 
@@ -364,71 +328,22 @@ def mm_write(path, A: CsrMatrix):
 # ---------------------------------------------------------------------------
 # Desk-scale eigensolvers
 
-def dense_eig_symmetric(S, vectors=False, max_sweeps=30, off_tol=1e-14,
-                        symmetry_tol=1e-12):
-    """Eigenvalues (ascending) of a symmetric matrix by cyclic Jacobi sweeps.
+def dense_eig_symmetric(S, vectors=False):
+    """Eigenvalues (ascending) of a real symmetric or complex Hermitian matrix.
 
-    Stops when the off-diagonal Frobenius mass drops below off_tol * ||S||_F;
-    raises EigenConvergenceError if 30 sweeps do not get there.
+    Backed by LAPACK's symmetric/Hermitian driver through numpy; input that
+    is not Hermitian to 1e-12 relative accuracy raises ValueError, and
+    iteration failure surfaces as EigenConvergenceError.
     """
-    S = np.asarray(S, dtype=np.float64)
-    n = S.shape[0]
-    if S.shape != (n, n):
+    S = np.asarray(S, dtype=np.result_type(S, np.float64))
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("matrix must be square")
-    norm = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > symmetry_tol * max(norm, 1e-300):
-        raise ValueError("matrix is not symmetric to working accuracy")
-    A = 0.5 * (S + S.T)
-    V = np.eye(n) if vectors else None
-    if norm == 0.0:
-        vals = np.zeros(n)
-        return (vals, V) if vectors else vals
-    threshold = off_tol * norm
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(A[off_mask] ** 2)))
-        if off <= threshold:
-            break
-        # threshold strategy: entries below the sweep's average off-diagonal
-        # mass are skipped, concentrating work where it reduces off fastest
-        skip = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # one-sided column update, mirrored through symmetry
-                bp = c * A[:, p] - s * A[:, q]
-                bq = s * A[:, p] + c * A[:, q]
-                A[:, p] = bp
-                A[:, q] = bq
-                A[p, :] = bp
-                A[q, :] = bq
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                if vectors:
-                    vp = c * V[:, p] - s * V[:, q]
-                    V[:, q] = s * V[:, p] + c * V[:, q]
-                    V[:, p] = vp
-    else:
-        off = math.sqrt(float(np.sum(A[off_mask] ** 2)))
-        if off > threshold:
-            raise EigenConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps (off={off:.3e})")
-    vals = np.diag(A).copy()
-    order = np.argsort(vals)
-    vals = vals[order]
-    if vectors:
-        return vals, V[:, order]
-    return vals
+    if np.linalg.norm(S - S.conj().T) > 1e-12 * max(np.linalg.norm(S), 1e-300):
+        raise ValueError("matrix is not symmetric (Hermitian) to working accuracy")
+    try:
+        return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigenvalues did not converge: {exc}") from exc
 
 
 def dense_eig_general(M, vectors=False):

@@ -108,6 +108,33 @@ class ArnoldiDecomposition:
         return float(np.linalg.norm(G - np.eye(G.shape[0]), 2))
 
 
+def _ip_block(B, w, weight=None):
+    return B.T @ w if weight is None else B.T @ (weight * w)
+
+
+def weighted_norm(w, weight=None):
+    if weight is None:
+        return float(np.linalg.norm(w))
+    return float(math.sqrt(abs(np.dot(w, weight * w))))
+
+
+def cgs2_pass(V, w, counter, weight=None):
+    """Project w against the orthonormal columns of V twice (classical
+    Gram-Schmidt with one reorthogonalization), in the D-inner product when
+    weight is given.  Returns (coefficients, projected w, its norm); the two
+    projections and the norm count as three reductions.
+    """
+    h1 = _ip_block(V, w, weight)
+    counter.count()
+    w = w - V @ h1
+    h2 = _ip_block(V, w, weight)
+    counter.count()
+    w = w - V @ h2
+    h_sub = weighted_norm(w, weight)
+    counter.count()
+    return h1 + h2, w, h_sub
+
+
 class ArnoldiProcess:
     """Stepwise Arnoldi driver for the Gram-Schmidt family of schemes.
 
@@ -138,7 +165,7 @@ class ArnoldiProcess:
             raise ValueError("weights must be positive")
 
         r0 = np.asarray(r0, dtype=dtype)
-        self.beta = self._norm(r0)
+        self.beta = weighted_norm(r0, self.weight)
         self.counter.count()  # initial normalization
         if self.beta == 0.0:
             raise ValueError("starting vector must be nonzero")
@@ -153,17 +180,6 @@ class ArnoldiProcess:
         self.L = np.zeros((max_steps + 1, max_steps + 1), dtype=dtype) \
             if self.scheme is OrthoScheme.ICWY else None
         self._w_pending = None
-
-    # -- inner product helpers -------------------------------------------------
-    def _ip_block(self, B, w):
-        if self.weight is None:
-            return B.T @ w
-        return B.T @ (self.weight * w)
-
-    def _norm(self, w):
-        if self.weight is None:
-            return float(np.linalg.norm(w))
-        return float(math.sqrt(abs(np.dot(w, self.weight * w))))
 
     # -- stepping ---------------------------------------------------------------
     def step(self):
@@ -199,19 +215,19 @@ class ArnoldiProcess:
                 h[i] = self._ip(w, self.V[:, i])
                 self.counter.count()
                 w = w - h[i] * self.V[:, i]
-            h_sub = self._norm(w)
+            h_sub = weighted_norm(w, self.weight)
             self.counter.count()
         elif self.scheme is OrthoScheme.CGS:
-            h = self._ip_block(V, w)
+            h = _ip_block(V, w, self.weight)
             self.counter.count()
             w = w - V @ h
-            h_sub = self._norm(w)
+            h_sub = weighted_norm(w, self.weight)
             self.counter.count()
         elif self.scheme is OrthoScheme.CGS2:
-            h, w, h_sub = self._cgs2_pass(V, w)
+            h, w, h_sub = cgs2_pass(V, w, self.counter, self.weight)
         elif self.scheme is OrthoScheme.CGSP:
-            h = self._ip_block(V, w)
-            sigma = self._norm(w)  # shares the batch with the projections
+            h = _ip_block(V, w, self.weight)
+            sigma = weighted_norm(w, self.weight)  # shares the batch with the projections
             self.counter.count()
             radicand = sigma * sigma - float(h @ h)
             # the subtraction cannot resolve radicands near its rounding floor,
@@ -221,7 +237,7 @@ class ArnoldiProcess:
             eps = float(np.finfo(self.dtype).eps)
             floor = sigma * sigma * max(64.0 * (j + 2) * eps, 1e-8)
             if radicand < floor:
-                h, w, h_sub = self._cgs2_pass(V, w)
+                h, w, h_sub = cgs2_pass(V, w, self.counter, self.weight)
                 self.reorthogonalizations += 1
                 if not math.isfinite(h_sub):
                     raise OrthogonalizationBreakdown(
@@ -246,17 +262,6 @@ class ArnoldiProcess:
             return float(np.dot(u, v))
         return float(np.dot(v, self.weight * u))
 
-    def _cgs2_pass(self, V, w):
-        h1 = self._ip_block(V, w)
-        self.counter.count()
-        w = w - V @ h1
-        h2 = self._ip_block(V, w)
-        self.counter.count()
-        w = w - V @ h2
-        h_sub = self._norm(w)
-        self.counter.count()
-        return h1 + h2, w, h_sub
-
     def _step_icwy(self):
         k = self.steps
         if k == 0:
@@ -273,11 +278,11 @@ class ArnoldiProcess:
         # one merged reduction: the L-row for the incoming basis vector, the
         # projections of A w_pending, and the deferred normalization
         Vk = self.V[:, :k]
-        l_row = self._ip_block(Vk, wp)
+        l_row = _ip_block(Vk, wp, self.weight)
         u = np.empty(k + 1, dtype=self.dtype)
-        u[:k] = self._ip_block(Vk, w_new)
+        u[:k] = _ip_block(Vk, w_new, self.weight)
         u[k] = self._ip(w_new, wp)
-        h_sub = self._norm(wp)
+        h_sub = weighted_norm(wp, self.weight)
         self.counter.count()
         if self._is_breakdown(k - 1, h_sub):
             self.H[k, k - 1] = 0.0
@@ -301,7 +306,7 @@ class ArnoldiProcess:
                 and self.steps > 0 and self.completed < self.steps):
             k = self.steps
             wp = self._w_pending
-            h_sub = self._norm(wp)
+            h_sub = weighted_norm(wp, self.weight)
             self.counter.count()  # trailing batch of the deferred normalization
             if self._is_breakdown(k - 1, h_sub):
                 self.H[k, k - 1] = 0.0

@@ -47,7 +47,7 @@ from .linalg import (
     operator_norm_estimate,
 )
 from .ortho import (ArnoldiProcess, HouseholderArnoldi, OrthogonalizationBreakdown,
-                    OrthoScheme, ReductionCounter)
+                    OrthoScheme, ReductionCounter, weighted_norm)
 
 __all__ = [
     "GmresOptions",
@@ -257,12 +257,6 @@ def _reject_weight(opts, name):
         raise ValueError(f"{name} does not support a weighted inner product")
 
 
-def _weighted_norm(v, weight):
-    if weight is None:
-        return float(np.linalg.norm(v))
-    return float(math.sqrt(abs(np.dot(v, weight * v))))
-
-
 def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
                     weight_refresh=None, dtype=np.float64):
     """Run a solver's cycles under the shared restart loop (module docstring).
@@ -307,9 +301,9 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     r_true = b - tally(x)
     r = precond_residual(r_true)
-    weight = opts.weight if weight_refresh is None else weight_refresh(r_true)
-    tol_ref = _weighted_norm(precond_residual(b), weight)
-    history = [_weighted_norm(r, weight)]
+    weight = opts.weight if weight_refresh is None else weight_refresh(r)
+    tol_ref = weighted_norm(precond_residual(b), weight)
+    history = [weighted_norm(r, weight)]
     checkpoints = []
     est_checkpoints = []
     restarts = 0
@@ -326,9 +320,8 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
         if budget <= 0:
             break
         if weight_refresh is not None:
-            # the refreshed reference measures b without the preconditioner
             weight = weight_refresh(r)
-            tol_ref = _weighted_norm(b, weight)
+            tol_ref = weighted_norm(precond_residual(b), weight)
         run.weight, run.tol_ref, run.tol_abs = weight, tol_ref, opts.rtol * tol_ref
         rho_start = history[-1]
         update, rhos, status = cycle(r, budget)
@@ -340,7 +333,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
 
         r_true = b - tally(x)
         r = precond_residual(r_true)
-        rho_true = _weighted_norm(r, weight)
+        rho_true = weighted_norm(r, weight)
         checkpoints.append((total_iter, float(np.linalg.norm(r_true))))
         est_checkpoints.append((total_iter, rho_true))
         if status == "converged" or rho_true <= run.tol_abs:
@@ -640,9 +633,16 @@ def _gcr_like(A, b, x0, opts, direction_rule):
             rhos = []
             status = "exhausted"
             update = np.zeros(len(r))
-            q = r.copy()
-            aq = run.op(q)
-            for _ in range(budget):
+            for k in range(budget):
+                if k == 0:
+                    q, aq = r.copy(), run.op(r)
+                else:
+                    # next direction: seed w and its image A w, then A-orthogonalize
+                    seed, aseed = direction_rule(run.op, r, aqs[-1])
+                    betas = [-float(aseed @ aqs[i]) / aq_sq[i] for i in range(len(qs))]
+                    run.counter.count()
+                    q = seed + sum(bk * qk for bk, qk in zip(betas, qs))
+                    aq = aseed + sum(bk * aqk for bk, aqk in zip(betas, aqs))
                 qs.append(q)
                 aqs.append(aq)
                 denom = float(aq @ aq)
@@ -661,12 +661,6 @@ def _gcr_like(A, b, x0, opts, direction_rule):
                 if run.emit(rhos[-1]):
                     status = "converged"
                     break
-                # next direction: seed w and its image A w, then A-orthogonalize
-                seed, aseed = direction_rule(run.op, r, aqs[-1])
-                betas = [-float(aseed @ aqs[i]) / aq_sq[i] for i in range(len(qs))]
-                run.counter.count()
-                q = seed + sum(bk * qk for bk, qk in zip(betas, qs))
-                aq = aseed + sum(bk * aqk for bk, aqk in zip(betas, aqs))
             return update, rhos, status
 
         return cycle

@@ -81,6 +81,12 @@ class TestFovDistance:
         assert not inside
         assert abs(mu - 1.0) <= 1e-3
 
+    def test_nonnormal_disc_closed_form(self):
+        # the field of values of [[2, 2], [0, 2]] is the disc |z - 2| <= 1
+        mu, inside = fov_distance(np.array([[2.0, 2.0], [0.0, 2.0]]), 64)
+        assert not inside
+        assert mu == 1.0
+
     def test_origin_inside_flag(self):
         A = np.diag([-1.0, 1.0])
         mu, inside = fov_distance(A, 64)

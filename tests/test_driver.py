@@ -8,6 +8,7 @@ from gmreskit import (DiagonalPreconditioner, GmresOptions, fgmres, gcr, gmres,
                       hh_gmres, lgmres, lowsync_gmres, orthodir, pipelined_gmres,
                       simpler_gmres, sstep_gmres, weighted_gmres)
 from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff
+from gmreskit.solvers import _essai_weights
 
 # dispatch name -> solve(A, b, x0, opts); every restarting entry cycles 8 steps
 SOLVE = {
@@ -82,3 +83,26 @@ def test_progress_value_is_history_over_tol_ref(problem, name):
     assert [k for k, _ in seen] == list(range(1, rep.iterations + 1))
     for k, value in seen:
         assert value == pytest.approx(rep.residual_history[k] / tol_ref, rel=1e-14)
+
+
+def test_essai_refresh_reference_under_left_preconditioning(problem):
+    # the refreshed tolerance reference is ||M^-1 b||_w, as at the initial check
+    A, b = problem
+    seen = []
+    opts = _options(A, "left", iteration_callback=lambda k, value: seen.append(value))
+    rep = weighted_gmres(A, b, None, opts)
+    Minv_b = b / np.diag(A.to_dense())
+    w = _essai_weights(Minv_b)
+    tol_ref = np.sqrt(Minv_b @ (w * Minv_b))
+    assert seen[0] == pytest.approx(rep.residual_history[1] / tol_ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["gcr", "orthodir"])
+def test_gcr_like_spends_no_product_past_its_budget(name):
+    A = gen_convdiff(10, 10, peclet=10.0)
+    b = np.ones(100)
+    opts = GmresOptions(max_iter=13)
+    rep = SOLVE[name](A, b, None, opts)
+    ref = gmres(A, b, None, opts)
+    assert rep.iterations == ref.iterations == 13
+    assert rep.matvecs == ref.matvecs

@@ -13,6 +13,7 @@ from gmreskit.harness import (
     gen_spectrum,
     inexact_operator,
     run,
+    _run_variant,
 )
 from gmreskit.solvers import GmresOptions, gmres
 
@@ -252,6 +253,14 @@ class TestRun:
         doc["inexact"] = {"mode": "relaxed", "eta": 1e-9, "seed": 11}
         summary, _ = run(ExperimentConfig.from_dict(doc))
         assert summary["variants"]["mgs"]["termination"] == "converged"
+
+
+@pytest.mark.parametrize("basis", ["newton", "chebyshev"])
+def test_sstep_zero_rhs_through_harness(basis):
+    variant = {"solver": "sstep-gmres", "options": {"basis": basis}}
+    rep = _run_variant(gen_convdiff(8, 8, peclet=10.0), np.zeros(64), variant)
+    assert rep.converged and rep.iterations == 0
+    assert np.array_equal(rep.x, np.zeros(64))
 
 
 class TestCli:

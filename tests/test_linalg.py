@@ -11,7 +11,6 @@ from gmreskit.linalg import (
     dense_eig_general,
     dense_eig_symmetric,
     HessenbergLsState,
-    householder_qr,
     make_givens,
     mm_read,
     mm_write,
@@ -300,6 +299,17 @@ class TestDenseEigSymmetric:
         with pytest.raises(ValueError, match="symmetric"):
             dense_eig_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_complex_hermitian_matches_numpy_oracle(self, rng):
+        X = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        H = X + X.conj().T
+        assert np.allclose(dense_eig_symmetric(H), np.linalg.eigvalsh(H),
+                           atol=1e-12 * np.linalg.norm(H))
+
+    def test_rejects_complex_non_hermitian(self):
+        # complex symmetric but not Hermitian
+        with pytest.raises(ValueError, match="symmetric"):
+            dense_eig_symmetric(np.array([[1.0, 1j], [1j, 1.0]]))
+
 
 class TestDenseEigGeneral:
     def test_diagonal(self):
@@ -324,23 +334,6 @@ class TestDenseEigGeneral:
         vals, vecs = dense_eig_general(M, vectors=True)
         res = np.linalg.norm(M @ vecs - vecs @ np.diag(vals))
         assert res <= 1e-8 * np.linalg.norm(M)
-
-
-class TestHouseholderQr:
-    def test_factorization(self, rng):
-        A = rng.standard_normal((40, 7))
-        Q, R = householder_qr(A)
-        assert np.linalg.norm(Q @ R - A) <= 1e-13 * np.linalg.norm(A)
-        assert np.linalg.norm(Q.T @ Q - np.eye(7)) <= 1e-13
-        assert np.allclose(np.tril(R, -1), 0.0)
-
-    def test_matches_numpy_up_to_signs(self, rng):
-        A = rng.standard_normal((15, 4))
-        _, R = householder_qr(A)
-        R_np = np.linalg.qr(A)[1]
-        s_mine = np.sign(np.diag(R))
-        s_np = np.sign(np.diag(R_np))
-        assert np.allclose(s_mine[:, None] * R, s_np[:, None] * R_np, atol=1e-12)
 
 
 class TestHessenbergSweep:
