@@ -75,10 +75,11 @@ class CsrMatrix:
             raise ValueError("col_idx and values must have equal length")
         if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= self.ncols):
             raise ValueError("column index out of range")
-        for i in range(self.nrows):
-            cols = col_idx[row_ptr[i]:row_ptr[i + 1]]
-            if len(cols) > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"column indices not strictly increasing in row {i}")
+        rows = self._nnz_rows()
+        bad = (np.diff(col_idx) <= 0) & (rows[1:] == rows[:-1])
+        if bad.any():
+            i = rows[int(np.argmax(bad))]
+            raise ValueError(f"column indices not strictly increasing in row {i}")
 
     @property
     def nnz(self):
@@ -92,23 +93,14 @@ class CsrMatrix:
     def from_dense(cls, dense, drop_tol=0.0):
         dense = np.asarray(dense)
         nrows, ncols = dense.shape
-        row_ptr = [0]
-        col_idx = []
-        values = []
-        for i in range(nrows):
-            for j in range(ncols):
-                if abs(dense[i, j]) > drop_tol:
-                    col_idx.append(j)
-                    values.append(dense[i, j])
-            row_ptr.append(len(values))
-        return cls(nrows, ncols, np.array(row_ptr), np.array(col_idx, dtype=np.int64),
-                   np.array(values, dtype=dense.dtype))
+        rows, cols = np.nonzero(np.abs(dense) > drop_tol)  # row-major order
+        row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+        return cls(nrows, ncols, row_ptr, cols, dense[rows, cols])
 
     def to_dense(self):
         out = np.zeros((self.nrows, self.ncols), dtype=self.values.dtype)
-        for i in range(self.nrows):
-            sl = slice(self.row_ptr[i], self.row_ptr[i + 1])
-            out[i, self.col_idx[sl]] = self.values[sl]
+        out[self._nnz_rows(), self.col_idx] = self.values
         return out
 
     def _nnz_rows(self):

@@ -5,6 +5,10 @@ binary32/binary64; policies say which of the working, residual, factorization
 and solution-update computations run in which format.  Whenever the working
 format is Low, residuals and solution updates must stay High: the policy
 constructor enforces that rule, so invalid combinations are unrepresentable.
+
+Low-format products keep CSR input sparse (``low_operator``); only the LU
+factorization of GMRES-IR densifies, once, into a blocked right-looking
+factorization whose trailing updates are binary32 GEMMs.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
 LOW_DTYPE = np.float32
 HIGH_DTYPE = np.float64
 DESK_SCALE_LIMIT = 2000
+_BLOCK = 64  # column block width of lu_low and LowLU.solve
 
 
 class Precision(str, Enum):
@@ -89,21 +94,37 @@ def _densify(A, n=None):
 def low_operator(A, dtype, n=None):
     """Matvec of A carried out genuinely in the low format.
 
-    Explicit matrices are densified and cast once (desk scale), so the BLAS
+    CSR input stays sparse: its values are cast once and every row sum
+    accumulates in the low format.  Dense arrays are cast once, so the BLAS
     product accumulates in the low format; callables are cast through.
     """
     dtype = np.dtype(dtype)
-    try:
+    if isinstance(A, CsrMatrix):
+        values = A.values.astype(dtype)
+        nonempty = np.flatnonzero(np.diff(A.row_ptr))
+        # reduceat over the starts of the nonempty rows only: an empty row
+        # would otherwise receive the entry at its repeated start index
+        starts = A.row_ptr[nonempty]
+
+        def sparse_matvec(v):
+            out = np.zeros(A.nrows, dtype=dtype)
+            if len(starts):
+                products = values * np.asarray(v, dtype=dtype)[A.col_idx]
+                out[nonempty] = np.add.reduceat(products, starts)
+            return out
+
+        return sparse_matvec
+    if isinstance(A, np.ndarray):
         dense = _densify(A).astype(dtype)
-    except TypeError:
-        matvec, _ = as_matvec(A, n=n)
-        return lambda v: np.asarray(matvec(np.asarray(v, dtype=np.float64)), dtype=dtype)
-    return lambda v: dense @ np.asarray(v, dtype=dtype)
+        return lambda v: dense @ np.asarray(v, dtype=dtype)
+    matvec, _ = as_matvec(A, n=n)
+    return lambda v: np.asarray(matvec(np.asarray(v, dtype=np.float64)), dtype=dtype)
 
 
 @dataclass
 class LowLU:
-    """Partial-pivoting LU factors stored in the low format."""
+    """Partial-pivoting LU factors stored in the low format: L is unit lower
+    triangular, U upper triangular, and A[perm] = L U."""
 
     L: np.ndarray
     U: np.ndarray
@@ -111,48 +132,60 @@ class LowLU:
     growth: float
 
     def solve(self, rhs):
-        """Triangular solves in the factors' own format."""
-        dtype = self.L.dtype
-        y = np.asarray(rhs, dtype=dtype)[self.perm].copy()
+        """Triangular solves in the factors' own format, by blocks: substitution
+        inside each diagonal block, one GEMV for the rest of the vector."""
+        L, U = self.L, self.U
+        y = np.asarray(rhs, dtype=L.dtype)[self.perm]
         n = len(y)
-        for k in range(n):
-            y[k + 1:] -= self.L[k + 1:, k] * y[k]
-        for k in range(n - 1, -1, -1):
-            y[k] = y[k] / self.U[k, k]
-            y[:k] -= self.U[:k, k] * y[k]
+        starts = range(0, n, _BLOCK)
+        for k0 in starts:
+            k1 = min(k0 + _BLOCK, n)
+            for k in range(k0, k1 - 1):
+                y[k + 1:k1] -= L[k + 1:k1, k] * y[k]
+            y[k1:] -= L[k1:, k0:k1] @ y[k0:k1]
+        for k0 in reversed(starts):
+            k1 = min(k0 + _BLOCK, n)
+            for k in range(k1 - 1, k0 - 1, -1):
+                y[k] = y[k] / U[k, k]
+                y[k0:k] -= U[k0:k, k] * y[k]
+            y[:k0] -= U[:k0, k0:k1] @ y[k0:k1]
         return y
 
 
 def lu_low(A, dtype=LOW_DTYPE):
     """LU factorization with partial pivoting carried out in the low format.
 
+    Right-looking and blocked: each panel of _BLOCK columns is factored with
+    row swaps applied to whole rows, then its block row of U is formed by
+    forward substitution and the trailing matrix is updated by one GEMM.
     Reports the growth factor max|U| / max|A| as a quality diagnostic and
     raises SingularMatrixError when a pivot vanishes in the low format.
     """
-    dense = _densify(A)
-    n = dense.shape[0]
-    if dense.shape != (n, n):
+    F = _densify(A).astype(dtype)  # L's multipliers below the diagonal, U on and above
+    n = F.shape[0]
+    if F.shape != (n, n):
         raise ValueError("matrix must be square")
     if n > DESK_SCALE_LIMIT:
         raise ValueError(f"dense factorization capped at n <= {DESK_SCALE_LIMIT}")
-    dtype = np.dtype(dtype)
-    U = dense.astype(dtype)
-    amax = float(np.abs(U).max()) if n else 0.0
-    L = np.eye(n, dtype=dtype)
+    amax = float(np.abs(F).max()) if n else 0.0
     perm = np.arange(n)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(U[k:, k])))
-        if U[p, k] == 0:
-            raise SingularMatrixError(k, "matrix is singular in the low format")
-        if p != k:
-            U[[k, p], k:] = U[[p, k], k:]
-            L[[k, p], :k] = L[[p, k], :k]
-            perm[[k, p]] = perm[[p, k]]
-        L[k + 1:, k] = U[k + 1:, k] / U[k, k]
-        U[k + 1:, k:] -= np.outer(L[k + 1:, k], U[k, k:])
-        U[k + 1:, k] = 0
-    if n and U[n - 1, n - 1] == 0:
-        raise SingularMatrixError(n - 1, "matrix is singular in the low format")
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        for k in range(k0, k1):
+            p = k + int(np.argmax(np.abs(F[k:, k])))
+            if F[p, k] == 0:
+                raise SingularMatrixError(k, "matrix is singular in the low format")
+            if p != k:
+                F[[k, p]] = F[[p, k]]
+                perm[[k, p]] = perm[[p, k]]
+            F[k + 1:, k] /= F[k, k]
+            F[k + 1:, k + 1:k1] -= np.outer(F[k + 1:, k], F[k, k + 1:k1])
+        for k in range(k0 + 1, k1):
+            F[k, k1:] -= F[k, k0:k] @ F[k0:k, k1:]
+        F[k1:, k1:] -= F[k1:, k0:k1] @ F[k0:k1, k1:]
+    L = np.tril(F, -1)
+    np.fill_diagonal(L, 1)
+    U = np.triu(F)
     growth = float(np.abs(U).max()) / amax if amax else 0.0
     return LowLU(L=L, U=U, perm=perm, growth=growth)
 
@@ -223,26 +256,24 @@ def gmres_ir(A, b, policy=None, inner_opts=None, *, rtol=1e-13,
         GmresOptions(rtol=1e-4, restart=50, max_iter=200)
     b = np.asarray(b, dtype=np.float64)
     N = len(b)
-    dense_high = _densify(A)
-    low_dtype = policy.dtype_of("factorization")
-    dense_low = dense_high.astype(low_dtype)
-    lu = lu_low(dense_high, low_dtype)
-    matvecs = 0
-
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(N)
+    low_dtype = policy.dtype_of("factorization")
+    lu = lu_low(A, low_dtype)
+    matvec, _ = as_matvec(A, n=N)
+    low_matvec = low_operator(A, low_dtype, n=N)
 
     x = lu.solve(np.asarray(b, dtype=low_dtype)).astype(np.float64)
-    r = b - dense_high @ x
-    matvecs += 1
+    r = b - matvec(x)
+    matvecs = 1
     history = [float(np.linalg.norm(r))]
     inner_iters = []
     termination = "maxiter"
     no_progress = 0
 
     def inner_matvec(v):
-        return lu.solve(dense_low @ np.asarray(v, dtype=low_dtype))
+        return lu.solve(low_matvec(v))
 
     for _ in range(max_refinements):
         if history[-1] <= rtol * bnorm:
@@ -251,11 +282,11 @@ def gmres_ir(A, b, policy=None, inner_opts=None, *, rtol=1e-13,
         rhs = lu.solve(np.asarray(r, dtype=low_dtype))
         d, iters, mv = _low_gmres(inner_matvec, rhs, low_dtype,
                                   inner_opts.rtol, inner_opts.restart or 50,
-                                  inner_opts.max_iter or 200)
+                                  200 if inner_opts.max_iter is None else inner_opts.max_iter)
         matvecs += mv
         inner_iters.append(iters)
         x = x + d.astype(np.float64)
-        r = b - dense_high @ x
+        r = b - matvec(x)
         matvecs += 1
         history.append(float(np.linalg.norm(r)))
         if history[-1] >= 0.5 * history[-2]:

@@ -70,6 +70,13 @@ def test_zero_rhs_and_solved_x0(problem, name, side):
     assert rep.true_residual_checkpoints[-1][1] == np.linalg.norm(b - A.matvec(x0))
 
 
+def test_ir_zero_rhs_exits_before_factorizing():
+    # the singular operator would stop the binary32 LU
+    rep = gmres_ir(np.zeros((4, 4)), np.zeros(4))
+    assert np.array_equal(rep.x, np.zeros(4))
+    assert rep.converged and rep.iterations == 0
+
+
 @pytest.mark.parametrize("name", RESTARTING)
 def test_progress_value_is_history_over_tol_ref(problem, name):
     A, b = problem

@@ -86,9 +86,46 @@ class TestCsrInvariants:
             CsrMatrix(1, 3, np.array([0, 2]), np.array([2, 0]),
                       np.array([1.0, 2.0]))
 
+    def test_rejects_unsorted_columns_in_later_row(self):
+        # rows 0 and 2 are fine, row 1 is empty, row 3 repeats a column; the
+        # drop from column 3 to 0 between rows 0 and 2 is a row boundary
+        row_ptr = np.array([0, 2, 2, 4, 6])
+        col_idx = np.array([1, 3, 0, 2, 1, 1])
+        with pytest.raises(ValueError, match="in row 3$"):
+            CsrMatrix(4, 4, row_ptr, col_idx, np.ones(6))
+        col_idx[5] = 2
+        assert CsrMatrix(4, 4, row_ptr, col_idx, np.ones(6)).nnz == 6
+
+    def test_empty_rows(self):
+        A = CsrMatrix(4, 3, np.array([0, 0, 2, 2, 2]), np.array([0, 2]),
+                      np.array([1.0, 2.0]))
+        assert np.array_equal(A.to_dense(), [[0, 0, 0], [1, 0, 2], [0, 0, 0], [0, 0, 0]])
+        empty = CsrMatrix(2, 2, np.zeros(3, dtype=int), np.array([], dtype=int),
+                          np.array([]))
+        assert np.array_equal(empty.to_dense(), np.zeros((2, 2)))
+
     def test_round_trip_dense(self, rng):
         _, dense = random_csr(rng, 9)
         assert np.array_equal(CsrMatrix.from_dense(dense).to_dense(), dense)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_round_trip_matches_row_scan(self, rng, dtype):
+        _, dense = random_csr(rng, 9)
+        dense[[0, 4, 8]] = 0.0      # empty first, middle and last rows
+        dense = dense.astype(dtype)
+        A = CsrMatrix.from_dense(dense)
+        # oracle: a row-major scan of the dense entries
+        nz = [(i, j) for i in range(9) for j in range(9) if dense[i, j] != 0]
+        assert A.col_idx.tolist() == [j for _, j in nz]
+        assert A.row_ptr.tolist() == [sum(i < r for i, _ in nz) for r in range(10)]
+        assert A.values.dtype == dtype
+        assert np.array_equal(A.to_dense(), dense)
+        assert A.to_dense().dtype == dtype
+
+    def test_from_dense_drop_tol(self):
+        A = CsrMatrix.from_dense(np.array([[0.5, -2.0], [1.0, 0.0]]), drop_tol=1.0)
+        assert (A.row_ptr.tolist(), A.col_idx.tolist(), A.values.tolist()) == \
+            ([0, 1, 1], [1], [-2.0])
 
 
 class TestMakeGivens:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from gmreskit.linalg import SingularMatrixError
+from gmreskit.harness import gen_convdiff
+from gmreskit.linalg import CsrMatrix, SingularMatrixError
 from gmreskit.mixedprec import (
+    _BLOCK,
     Precision,
     PrecisionPolicy,
     gmres_ir,
     gmres_two_precision,
+    low_operator,
     lu_low,
 )
 from gmreskit.solvers import GmresOptions, gmres_restarted
@@ -73,6 +76,97 @@ class TestLuLow:
         with pytest.raises(SingularMatrixError):
             lu_low(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_blocked_factorization_across_panels(self, rng, n):
+        A = rng.standard_normal((n, n))
+        lu = lu_low(A)
+        assert lu.L.dtype == lu.U.dtype == np.float32
+        assert np.array_equal(lu.L, np.tril(lu.L)) and np.all(np.diag(lu.L) == 1)
+        assert np.array_equal(lu.U, np.triu(lu.U))
+        assert np.all(np.abs(lu.L) <= 1)
+        assert sorted(lu.perm) == list(range(n))
+        res = np.linalg.norm(A[lu.perm] - lu.L.astype(float) @ lu.U.astype(float))
+        assert res <= 1e-5 * np.linalg.norm(A)
+
+    def test_exact_factors_with_pivots_in_later_panels(self, rng):
+        # A[perm] = L U with dyadic multipliers |l| <= 1/2 and small integer U:
+        # partial pivoting must find exactly this perm, and every operation
+        # of the factorization is exact in binary32
+        n = 2 * _BLOCK + 3
+        L = np.tril(rng.integers(-1, 2, (n, n)) * 0.5, -1) + np.eye(n)
+        U = np.triu(rng.integers(-3, 4, (n, n)).astype(float), 1) + \
+            np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0, 4.0], n))
+        perm = np.arange(n)
+        perm[[_BLOCK + 2, n - 1]] = perm[[n - 1, _BLOCK + 2]]
+        perm[[1, 2 * _BLOCK]] = perm[[2 * _BLOCK, 1]]
+        A = np.empty((n, n))
+        A[perm] = L @ U
+        lu = lu_low(A)
+        assert np.array_equal(lu.perm, perm)
+        assert np.array_equal(lu.L, L.astype(np.float32))
+        assert np.array_equal(lu.U, U.astype(np.float32))
+
+    def test_singular_index_past_first_panel(self, rng):
+        n, j = 2 * _BLOCK + 3, _BLOCK + 5
+        A = rng.standard_normal((n, n))
+        A[:, j] = 0.0
+        with pytest.raises(SingularMatrixError) as err:
+            lu_low(A)
+        assert err.value.index == j
+
+    def test_blocked_solve_matches_direct_oracle(self, rng):
+        n = 2 * _BLOCK + 3
+        A = rng.standard_normal((n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+        b = rng.standard_normal(n)
+        x = lu_low(A).solve(b.astype(np.float32))
+        x_star = np.linalg.solve(A, b)
+        assert x.dtype == np.float32
+        assert np.linalg.norm(x - x_star) <= 1e-5 * np.linalg.norm(x_star)
+
+
+class TestLowOperator:
+    def test_csr_product_in_low_format(self, convdiff100, rhs100):
+        y = low_operator(convdiff100, np.float32)(rhs100)
+        exact = convdiff100.matvec(rhs100.astype(np.float32).astype(float))
+        assert y.dtype == np.float32
+        # five stored entries per row: a few binary32 roundings per row sum
+        scale = np.abs(convdiff100.to_dense()) @ np.abs(rhs100)
+        assert np.all(np.abs(y - exact) <= 8 * np.finfo(np.float32).eps * scale)
+
+    def test_csr_empty_rows_and_no_entries(self):
+        A = CsrMatrix(4, 4, np.array([0, 0, 2, 2, 3]), np.array([0, 3, 1]),
+                      np.array([1.0, 2.0, 3.0]))
+        y = low_operator(A, np.float32)(np.array([1.0, 10.0, 100.0, 1000.0]))
+        assert np.array_equal(y, [0.0, 2001.0, 0.0, 30.0])
+        empty = CsrMatrix(3, 3, np.zeros(4, dtype=int), np.array([], dtype=int),
+                          np.array([]))
+        y = low_operator(empty, np.float32)(np.ones(3))
+        assert y.dtype == np.float32 and np.array_equal(y, np.zeros(3))
+
+
+class TestDensification:
+    @pytest.fixture()
+    def to_dense_calls(self, monkeypatch):
+        calls = []
+        original = CsrMatrix.to_dense
+
+        def counting(self):
+            calls.append(self.shape)
+            return original(self)
+
+        monkeypatch.setattr(CsrMatrix, "to_dense", counting)
+        return calls
+
+    def test_two_precision_keeps_csr_sparse(self, to_dense_calls, convdiff100, rhs100):
+        gmres_two_precision(convdiff100, rhs100, opts=GmresOptions(restart=20, max_iter=40))
+        assert to_dense_calls == []
+
+    def test_ir_densifies_once_for_the_factorization(self, to_dense_calls):
+        A = gen_convdiff(8, 8, peclet=10.0)
+        rep = gmres_ir(A, np.ones(64))
+        assert rep.converged
+        assert to_dense_calls == [(64, 64)]
+
 
 class TestGmresIr:
     def test_identity_one_step(self):
@@ -120,6 +214,13 @@ class TestGmresIr:
         rep = gmres_ir(A, b)
         h = rep.residual_history
         assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
+
+    def test_zero_inner_budget_runs_no_inner_iteration(self):
+        A = conditioned_matrix(40, 1e2, seed=18)
+        rep = gmres_ir(A, np.ones(40), inner_opts=GmresOptions(rtol=1e-4, max_iter=0))
+        assert rep.diagnostics["inner_iterations"]
+        assert set(rep.diagnostics["inner_iterations"]) == {0}
+        assert rep.termination in ("stagnation", "maxiter", "converged")
 
     def test_growth_factor_reported(self):
         A = conditioned_matrix(40, 1e2, seed=17)
