@@ -15,7 +15,7 @@ import numpy as np
 
 from .deflation import leja_order
 from .linalg import HessenbergLsState, as_matvec, dense_eig_general
-from .ortho import OrthoScheme, arnoldi, cgs2_pass
+from .ortho import OrthoScheme, arnoldi, basis, cgs2_pass
 from .solvers import (GmresOptions, _arnoldi_cycles, _reject_precond, _reject_weight,
                       _restart_driver)
 
@@ -142,7 +142,7 @@ def build_basis(A, start, s, spec=None):
         raise ValueError("s must be at least 1")
     spec = spec if spec is not None else MonomialBasis()
     matvec, N = as_matvec(A, n=len(start))
-    W = np.zeros((N, s + 1))
+    W = basis(N, s + 1)
     W[:, 0] = np.asarray(start, dtype=np.float64)
     B = np.zeros((s + 1, s))
     scale = float(np.linalg.norm(W[:, 0]))
@@ -383,8 +383,8 @@ def _sstep_cycle(run, r, s, t, spec, nblocks, budget):
     N = len(r)
     beta = float(np.linalg.norm(r))
     blocks = min(t, max(1, -(-budget // s)))
-    fV = None              # accumulated orthonormal basis, N x (n+1)
-    fH = None              # running Hessenberg, (n+1) x n
+    fV = basis(N, s * blocks + 1)  # orthonormal basis, fH.shape[0] columns in use
+    fH = None                      # running Hessenberg, (n+1) x n
     ls = HessenbergLsState(s * blocks, beta)
     rhos = []
     status = "exhausted"
@@ -415,16 +415,15 @@ def _sstep_cycle(run, r, s, t, spec, nblocks, budget):
                 counter.end_step()
                 status = "breakdown"
                 break
-            Q = tree.q_explicit()
+            fV[:, : p + 1] = tree.q_explicit()[:, : p + 1]
             Twin = tree.R[: p + 1, : p + 1]
             Bblock = conv.Bbar[: p + 1, :p]
-            fV = Q[:, : p + 1]
             fH = _assemble_sstep_hessenberg(None, None, Twin, Bblock, None)
         else:
-            start = fV[:, -1]
-            W, conv = build_basis(run.op, start, s, spec)
+            nv = fH.shape[0]
+            W, conv = build_basis(run.op, fV[:, nv - 1], s, spec)
             Wacc = W[:, 1:]
-            Racc, Wacc = bgs_project(fV, Wacc, counter)
+            Racc, Wacc = bgs_project(fV[:, :nv], Wacc, counter)
             tree = tsqr(Wacc, min(nblocks, max(1, N // max(s, 1))))
             counter.count()
             cut = diag_cut(tree.R)
@@ -433,13 +432,12 @@ def _sstep_cycle(run, r, s, t, spec, nblocks, budget):
             # subdiagonal carried by the vanishing triangular entry
             pc = s if cut is None else cut + 1
             grade_hit = cut is not None
-            Q = tree.q_explicit()[:, :pc]
+            fV[:, nv: nv + pc] = tree.q_explicit()[:, :pc]
             Twin = tree.R[:pc, :pc]
             Racc = Racc[:, :pc]
             Bblock = conv.Bbar[: pc + 1, :pc]
             eta = fH[n, n - 1]
             fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, eta)
-            fV = np.hstack([fV, Q])
         counter.end_step()
         new_n = fH.shape[1]
         for c in range(n, new_n):
@@ -460,7 +458,7 @@ def _sstep_cycle(run, r, s, t, spec, nblocks, budget):
             break
     if fH is not None:
         run.diagnostics["hessenberg"] = fH
-        run.diagnostics["basis_matrix"] = fV
+        run.diagnostics["basis_matrix"] = fV[:, : fH.shape[0]]
     update = fV[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status
 
@@ -529,8 +527,8 @@ def _pipelined_cycle(run, r, m, theta):
     N = len(r)
     beta = float(np.linalg.norm(r))
     counter.count()
-    V = np.zeros((N, m + 1))
-    W = np.zeros((N, m + 1))
+    V = basis(N, m + 1)
+    W = basis(N, m + 1)
     V[:, 0] = r / beta
     W[:, 0] = run.op(V[:, 0]) - theta * V[:, 0]
     H = np.zeros((m + 1, m))

@@ -18,9 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import CsrMatrix, SingularMatrixError, as_matvec
-from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _restart_driver,
-                      _zero_rhs_report)
+from .linalg import CsrMatrix, HessenbergLsState, SingularMatrixError, as_matvec
+from .ortho import ReductionCounter, basis, mgs_pass
+from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _finite_vector,
+                      _restart_driver, _zero_rhs_report)
 
 __all__ = [
     "Precision",
@@ -193,10 +194,9 @@ def lu_low(A, dtype=LOW_DTYPE):
 def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
     """Compact restarted MGS-GMRES running entirely in the given dtype.
 
-    Inner solver for refinement; returns (x, iterations, matvecs).
+    Inner solver for refinement; returns (x, iterations, matvecs).  Its
+    reductions go to a private counter and are not reported.
     """
-    from .linalg import HessenbergLsState
-
     dtype = np.dtype(dtype)
     b = np.asarray(b, dtype=dtype)
     N = len(b)
@@ -207,6 +207,7 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
     tol = rtol * bnorm
     total = 0
     matvecs = 0
+    counter = ReductionCounter()
     while total < max_iter:
         r = b - np.asarray(matvec(x), dtype=dtype)
         matvecs += 1
@@ -214,7 +215,7 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
         if beta <= tol:
             break
         m = min(restart, max_iter - total)
-        V = np.zeros((N, m + 1), dtype=dtype)
+        V = basis(N, m + 1, dtype)
         V[:, 0] = r / beta
         H = np.zeros((m + 1, m), dtype=dtype)
         ls = HessenbergLsState(m, beta, dtype=dtype)
@@ -222,10 +223,7 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
         for j in range(m):
             w = np.asarray(matvec(V[:, j]), dtype=dtype)
             matvecs += 1
-            for i in range(j + 1):
-                H[i, j] = float(w @ V[:, i])
-                w = w - H[i, j] * V[:, i]
-            h_sub = float(np.linalg.norm(w))
+            H[: j + 1, j], w, h_sub = mgs_pass(V, j + 1, w, counter)
             H[j + 1, j] = h_sub
             n = j + 1
             rho = ls.push_column(H[: j + 2, j])
@@ -254,7 +252,7 @@ def gmres_ir(A, b, policy=None, inner_opts=None, *, rtol=1e-13,
     policy = policy if policy is not None else PrecisionPolicy.refinement()
     inner_opts = inner_opts if inner_opts is not None else \
         GmresOptions(rtol=1e-4, restart=50, max_iter=200)
-    b = np.asarray(b, dtype=np.float64)
+    b = _finite_vector("b", b)
     N = len(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:

@@ -1,5 +1,10 @@
 """Arnoldi process variants over one stepping engine.
 
+Every Krylov basis in the package comes from ``basis`` (column-major, so each
+V[:, i] is contiguous), and every caller projects against one through the
+same two Gram-Schmidt kernels: ``mgs_pass`` (modified, a column at a time)
+and ``cgs2_pass`` (classical, twice, in batched products).
+
 Every scheme builds the relation A V_n = V_{n+1} Hbar_n and is instrumented
 with a counter of modeled global reductions: one reduction = one batch of
 inner products / norms whose operands are all available at the same time.
@@ -32,7 +37,9 @@ __all__ = [
     "ArnoldiProcess",
     "OrthogonalizationBreakdown",
     "arnoldi",
+    "basis",
     "householder_arnoldi",
+    "mgs_pass",
 ]
 
 BREAKDOWN_REL = 1e-14
@@ -118,6 +125,26 @@ def weighted_norm(w, weight=None):
     return float(math.sqrt(abs(np.dot(w, weight * w))))
 
 
+def basis(N, k, dtype=np.float64):
+    """Zeroed column-major storage for k basis vectors of length N."""
+    return np.zeros((N, k), dtype=dtype, order="F")
+
+
+def mgs_pass(V, k, w, counter, weight=None):
+    """Project w against the first k orthonormal columns of V one at a time
+    (modified Gram-Schmidt), in the D-inner product when weight is given.
+    Returns (coefficients, projected w, its norm) in w's dtype; k + 1 reductions."""
+    h = np.zeros(k, dtype=w.dtype)
+    for i in range(k):
+        v = V[:, i]
+        h[i] = _ip_block(v, w, weight)
+        counter.count()
+        w = w - h[i] * v
+    h_sub = weighted_norm(w, weight)
+    counter.count()
+    return h, w, h_sub
+
+
 def cgs2_pass(V, w, counter, weight=None):
     """Project w against the orthonormal columns of V twice (classical
     Gram-Schmidt with one reorthogonalization), in the D-inner product when
@@ -169,7 +196,7 @@ class ArnoldiProcess:
         self.counter.count()  # initial normalization
         if self.beta == 0.0:
             raise ValueError("starting vector must be nonzero")
-        self.V = np.zeros((self.N, max_steps + 1), dtype=dtype)
+        self.V = basis(self.N, max_steps + 1, dtype)
         self.H = np.zeros((max_steps + 1, max_steps), dtype=dtype)
         self.V[:, 0] = r0 / self.beta
         self.steps = 0          # steps started
@@ -210,13 +237,7 @@ class ArnoldiProcess:
         V = self.V[:, : j + 1]
         w = np.asarray(self.matvec(self.V[:, j]), dtype=self.dtype)
         if self.scheme is OrthoScheme.MGS:
-            h = np.zeros(j + 1, dtype=self.dtype)
-            for i in range(j + 1):
-                h[i] = self._ip(w, self.V[:, i])
-                self.counter.count()
-                w = w - h[i] * self.V[:, i]
-            h_sub = weighted_norm(w, self.weight)
-            self.counter.count()
+            h, w, h_sub = mgs_pass(self.V, j + 1, w, self.counter, self.weight)
         elif self.scheme is OrthoScheme.CGS:
             h = _ip_block(V, w, self.weight)
             self.counter.count()
@@ -257,17 +278,12 @@ class ArnoldiProcess:
         self.V[:, j + 1] = w / h_sub
         self.completed = j + 1
 
-    def _ip(self, u, v):
-        if self.weight is None:
-            return float(np.dot(u, v))
-        return float(np.dot(v, self.weight * u))
-
     def _step_icwy(self):
         k = self.steps
         if k == 0:
             # inferred first step: w1 = A v1, projected against v1 only
             w = np.asarray(self.matvec(self.V[:, 0]), dtype=self.dtype)
-            h00 = self._ip(w, self.V[:, 0])
+            h00 = _ip_block(self.V[:, 0], w, self.weight)
             self.counter.count()
             self.H[0, 0] = h00
             self._w_pending = w - h00 * self.V[:, 0]
@@ -281,7 +297,7 @@ class ArnoldiProcess:
         l_row = _ip_block(Vk, wp, self.weight)
         u = np.empty(k + 1, dtype=self.dtype)
         u[:k] = _ip_block(Vk, w_new, self.weight)
-        u[k] = self._ip(w_new, wp)
+        u[k] = _ip_block(wp, w_new, self.weight)
         h_sub = weighted_norm(wp, self.weight)
         self.counter.count()
         if self._is_breakdown(k - 1, h_sub):
@@ -489,7 +505,7 @@ class HouseholderArnoldi:
         n = self.completed
         cols = n if self.breakdown_at is not None else n + 1
         V = np.column_stack([self.basis_vector(j) for j in range(cols)]) \
-            if cols else np.zeros((self.N, 0))
+            if cols else basis(self.N, 0)
         return ArnoldiDecomposition(
             V=V,
             Hbar=self.H[: n + 1, :n].copy(),

@@ -47,7 +47,7 @@ from .linalg import (
     operator_norm_estimate,
 )
 from .ortho import (ArnoldiProcess, HouseholderArnoldi, OrthogonalizationBreakdown,
-                    OrthoScheme, ReductionCounter, weighted_norm)
+                    OrthoScheme, ReductionCounter, basis, mgs_pass, weighted_norm)
 
 __all__ = [
     "GmresOptions",
@@ -98,8 +98,10 @@ class GmresOptions:
     iteration_callback: object = None
 
     def __post_init__(self):
-        if self.rtol <= 0:
-            raise ValueError("rtol must be positive")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError("rtol must be positive and finite")
+        if self.max_iter is not None and self.max_iter < 0:
+            raise ValueError("max_iter must be at least 0")
         if self.restart is not None and self.restart < 1:
             raise ValueError("restart length must be at least 1")
         self.scheme = OrthoScheme(self.scheme)
@@ -211,9 +213,10 @@ class _Run:
     op is the operator the cycles iterate on (the counted product, with the
     preconditioner on its side and in the working dtype), counter takes the
     modeled reductions, and weight, tol_ref and tol_abs hold the current
-    cycle's norm and tolerance.  diagnostics becomes the report's.  A cycle
-    factory may set finish() -> dict, which runs once after the last cycle,
-    before the report reads the counters, and adds to the diagnostics.
+    cycle's norm and tolerance.  diagnostics becomes the report's.  A cycle may
+    set process to its Arnoldi process: the last one's decomposition becomes
+    diagnostics["arnoldi"] once, before the report reads the counters (for
+    Householder, recovering the basis counts reductions).
     No attribute may refer back to the run (a closure over it, or the run
     itself): the reference cycle would keep a finished solve's arrays alive
     until the cyclic garbage collector runs.
@@ -229,7 +232,7 @@ class _Run:
         self.tol_abs = 0.0
         self.iterations = 0
         self.diagnostics = {} if diagnostics is None else diagnostics
-        self.finish = None
+        self.process = None
 
     def emit(self, rho):
         """Deliver the next iteration's residual estimate; True once it meets
@@ -244,6 +247,14 @@ class _Run:
 def _zero_rhs_report(N):
     return SolveReport(x=np.zeros(N), residual_history=[0.0],
                        iterations=0, termination="converged")
+
+
+def _finite_vector(name, v):
+    """v as a binary64 array; a ValueError names the argument unless v is finite."""
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def _reject_precond(opts, name):
@@ -267,7 +278,8 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     cycle products out in that format (mixedprec.low_operator); residuals
     and solution updates stay binary64.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = _finite_vector("b", b)
+    x0 = None if x0 is None else _finite_vector("x0", x0)
     N = len(b)
     matvec, _ = as_matvec(A, n=N)
     tally = _Tally(matvec)
@@ -298,7 +310,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
         return _apply_precond(M, r) if side == "left" else r
 
     cycle = make_cycle(run)
-    x = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(N) if x0 is None else x0.copy()
     r_true = b - tally(x)
     r = precond_residual(r_true)
     weight = opts.weight if weight_refresh is None else weight_refresh(r)
@@ -347,8 +359,9 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
             break
         restarts += 1
 
-    if run.finish is not None:
-        run.diagnostics.update(run.finish())
+    if run.process is not None:
+        run.diagnostics.update(arnoldi=run.process.decomposition(),
+                               hessenberg_beta=run.process.beta)
     return SolveReport(
         x=x,
         residual_history=history,
@@ -376,9 +389,9 @@ def _arnoldi_cycles(run):
     opts = run.opts
 
     def cycle(r, budget):
-        proc = ArnoldiProcess(run.op, r, budget, opts.scheme, weight=run.weight,
-                              counter=run.counter, dtype=run.dtype,
-                              breakdown_rel=opts.breakdown_rel)
+        proc = run.process = ArnoldiProcess(
+            run.op, r, budget, opts.scheme, weight=run.weight, counter=run.counter,
+            dtype=run.dtype, breakdown_rel=opts.breakdown_rel)
         ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
         rhos = []
 
@@ -412,8 +425,6 @@ def _arnoldi_cycles(run):
                 status = "breakdown"
         n = ls.ncols
         update = proc.V[:, :n] @ ls.solve(n) if n else np.zeros(proc.N, dtype=proc.dtype)
-        run.diagnostics["arnoldi"] = proc.decomposition()
-        run.diagnostics["hessenberg_beta"] = proc.beta
         return np.asarray(update, dtype=np.float64), rhos, status
 
     return cycle
@@ -502,12 +513,10 @@ def hh_gmres(A, b, x0=None, opts=None):
     _reject_weight(opts, "hh_gmres")
 
     def make_cycle(run):
-        last = None
-
         def cycle(r, budget):
-            nonlocal last
-            proc = last = HouseholderArnoldi(run.op, r, budget, counter=run.counter,
-                                             breakdown_rel=opts.breakdown_rel, n=len(r))
+            proc = run.process = HouseholderArnoldi(
+                run.op, r, budget, counter=run.counter,
+                breakdown_rel=opts.breakdown_rel, n=len(r))
             ls = HessenbergLsState(proc.max_steps, proc.beta)
             rhos = []
             status = "exhausted"
@@ -523,14 +532,6 @@ def hh_gmres(A, b, x0=None, opts=None):
                     break
             return proc.eval_basis_combination(ls.solve()), rhos, status
 
-        def finish():
-            # recovering the last cycle's basis costs reflector applications,
-            # so it happens once, after the loop
-            if last is None:
-                return {}
-            return {"arnoldi": last.decomposition(), "hessenberg_beta": last.beta}
-
-        run.finish = finish
         return cycle
 
     return _restart_driver(A, b, x0, opts, make_cycle)
@@ -559,8 +560,8 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
     def make_cycle(run):
         def cycle(r, budget):
             N = len(r)
-            V = np.zeros((N, budget))
-            Z = np.zeros((N, budget))
+            V = basis(N, budget)
+            Z = basis(N, budget)
             T = np.zeros((budget, budget))
             alpha = np.zeros(budget)
             rhos = []
@@ -575,14 +576,7 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
                     z = r / rho_prev
                 else:
                     z = V[:, j - 1]
-                w = run.op(z)
-                # MGS orthonormalization of w against v_1..v_{j-1}
-                for i in range(j):
-                    T[i, j] = float(w @ V[:, i])
-                    run.counter.count()
-                    w = w - T[i, j] * V[:, i]
-                t_jj = float(np.linalg.norm(w))
-                run.counter.count()
+                T[:j, j], w, t_jj = mgs_pass(V, j, run.op(z), run.counter)
                 tnorm = max(np.abs(np.diag(T)[: j + 1]).max(), t_jj)
                 if t_jj <= opts.breakdown_rel * tnorm:
                     status = "breakdown"
@@ -627,27 +621,27 @@ def _gcr_like(A, b, x0, opts, direction_rule):
         anorm = operator_norm_estimate(A, matvec, probe=np.asarray(b, dtype=np.float64))
 
         def cycle(r, budget):
-            qs = []      # search directions q_i
-            aqs = []     # their images A q_i
-            aq_sq = []   # (A q_i, A q_i)
+            Q = basis(len(r), budget)    # search directions q_i
+            AQ = basis(len(r), budget)   # their images A q_i
+            aq_sq = np.zeros(budget)     # (A q_i, A q_i)
             rhos = []
             status = "exhausted"
             update = np.zeros(len(r))
             for k in range(budget):
                 if k == 0:
-                    q, aq = r.copy(), run.op(r)
+                    q, aq = r, run.op(r)
                 else:
                     # next direction: seed w and its image A w, then A-orthogonalize
-                    seed, aseed = direction_rule(run.op, r, aqs[-1])
-                    betas = [-float(aseed @ aqs[i]) / aq_sq[i] for i in range(len(qs))]
+                    seed, aseed = direction_rule(run.op, r, AQ[:, k - 1])
+                    betas = -(AQ[:, :k].T @ aseed) / aq_sq[:k]
                     run.counter.count()
-                    q = seed + sum(bk * qk for bk, qk in zip(betas, qs))
-                    aq = aseed + sum(bk * aqk for bk, aqk in zip(betas, aqs))
-                qs.append(q)
-                aqs.append(aq)
+                    q = seed + Q[:, :k] @ betas
+                    aq = aseed + AQ[:, :k] @ betas
+                Q[:, k] = q
+                AQ[:, k] = aq
                 denom = float(aq @ aq)
                 run.counter.count()
-                aq_sq.append(denom)
+                aq_sq[k] = denom
                 if denom <= 1e-28 * anorm * anorm:
                     status = "breakdown"
                     run.diagnostics["breakdown_reason"] = "indefinite symmetric part"
@@ -708,9 +702,9 @@ def _flexible_cycle(run, r0, m, direction_fn):
     N = len(r0)
     beta = float(np.linalg.norm(r0))
     counter.count()
-    V = np.zeros((N, m + 1))
+    V = basis(N, m + 1)
     H = np.zeros((m + 1, m))
-    Z = np.zeros((N, m))
+    Z = basis(N, m)
     V[:, 0] = r0 / beta
     ls = HessenbergLsState(m, beta)
     rhos = []
@@ -726,13 +720,7 @@ def _flexible_cycle(run, r0, m, direction_fn):
         z, kind = got
         w = run.op(z)
         counter.begin_step()
-        h = np.zeros(j + 1)
-        for i in range(j + 1):
-            h[i] = float(w @ V[:, i])
-            counter.count()
-            w = w - h[i] * V[:, i]
-        h_sub = float(np.linalg.norm(w))
-        counter.count()
+        h, w, h_sub = mgs_pass(V, j + 1, w, counter)
         counter.end_step()
         col_scale = math.sqrt(float(h @ h) + h_sub * h_sub)
         if h_sub <= rel * col_scale:

@@ -113,3 +113,17 @@ def test_gcr_like_spends_no_product_past_its_budget(name):
     ref = gmres(A, b, None, opts)
     assert rep.iterations == ref.iterations == 13
     assert rep.matvecs == ref.matvecs
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "name,arg",
+    # refinement takes no x0
+    [(name, arg) for name in SOLVER_DISPATCH for arg in ("b", "x0")
+     if (name, arg) != ("gmres-ir", "x0")])
+def test_rejects_nonfinite_b_and_x0(problem, name, arg, bad):
+    A, b = problem
+    b, x0 = b.copy(), np.zeros(len(b))
+    (b if arg == "b" else x0)[3] = bad
+    with pytest.raises(ValueError, match=f"{arg} must be finite"):
+        SOLVE[name](A, b, x0, _options(A, "none"))

@@ -9,7 +9,9 @@ from gmreskit.ortho import (
     ReductionCounter,
     arnoldi,
     householder_arnoldi,
+    mgs_pass,
 )
+from gmreskit.solvers import GmresOptions, fgmres
 
 SCHEMES = [OrthoScheme.MGS, OrthoScheme.CGS, OrthoScheme.CGS2,
            OrthoScheme.CGSP, OrthoScheme.ICWY]
@@ -208,3 +210,41 @@ class TestInvariantSweeps:
             # well determined over the run
             dec_m = arnoldi(A, r0, 30, OrthoScheme.MGS)
             assert dec_m.gram_residual() <= 1e-8, kappa
+
+
+class TestMgsPass:
+    def test_counts_k_plus_one_reductions(self, rng):
+        V, _ = np.linalg.qr(rng.standard_normal((20, 6)))
+        counter = ReductionCounter()
+        h, w, h_sub = mgs_pass(V, 4, rng.standard_normal(20), counter)
+        assert counter.total == 5
+        assert h.shape == (4,)
+        assert np.max(np.abs(V[:, :4].T @ w)) <= 1e-14 * h_sub
+        assert h_sub == np.linalg.norm(w)
+
+    def test_keeps_float32(self, rng):
+        V = np.linalg.qr(rng.standard_normal((20, 5)))[0].astype(np.float32)
+        w = rng.standard_normal(20).astype(np.float32)
+        h, w_out, _ = mgs_pass(V, 3, w, ReductionCounter())
+        assert h.dtype == np.float32
+        assert w_out.dtype == np.float32
+
+    def test_weighted_projection_matches_arnoldi_mgs(self, rng):
+        A = well_conditioned(rng, 15)
+        d = rng.random(15) + 0.5
+        proc = ArnoldiProcess(A, rng.standard_normal(15), 4, OrthoScheme.MGS, weight=d)
+        for _ in range(3):
+            proc.step()
+        h, w, h_sub = mgs_pass(proc.V, 4, A @ proc.V[:, 3], ReductionCounter(), weight=d)
+        proc.step()
+        assert np.array_equal(proc.H[:4, 3], h)
+        assert proc.H[4, 3] == h_sub
+        assert np.array_equal(proc.V[:, 4], w / h_sub)
+        # D-orthogonal to the basis it was projected against
+        assert np.max(np.abs(proc.V[:, :4].T @ (d * w))) <= 1e-13 * h_sub
+
+    def test_bases_are_column_major(self, convdiff100, rhs100):
+        assert ArnoldiProcess(convdiff100, rhs100, 6).V.flags.f_contiguous
+        rep = fgmres(convdiff100, rhs100, opts=GmresOptions(restart=8, max_iter=8))
+        V, _, Z = rep.diagnostics["flexible_basis"]
+        assert V.flags.f_contiguous and Z.flags.f_contiguous

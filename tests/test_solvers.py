@@ -294,6 +294,17 @@ class TestFgmres:
         with pytest.raises(FgmresBreakdownError):
             fgmres(A, b, opts=GmresOptions(rtol=1e-14), precond_sequence=precs)
 
+    @pytest.mark.parametrize("restart", [10, 13])
+    def test_no_sequence_is_plain_restarted(self, convdiff100, rhs100, restart):
+        # the flexible cycle and ArnoldiProcess share one MGS kernel and one
+        # basis layout, so the identity sequence reproduces GMRES(m) bit for bit
+        opts = GmresOptions(rtol=1e-8, restart=restart, max_iter=400)
+        rep_f = fgmres(convdiff100, rhs100, opts=opts)
+        rep_g = gmres_restarted(convdiff100, rhs100, opts=opts)
+        assert rep_f.restarts >= 1
+        assert rep_f.residual_history == rep_g.residual_history
+        assert np.array_equal(rep_f.x, rep_g.x)
+
 
 class TestLgmres:
     def test_m2_zero_is_plain_restarted(self, convdiff100, rhs100):
@@ -518,3 +529,15 @@ class TestWeightedRestartRefresh:
         assert rep.converged
         assert rep.restarts >= 1
         assert relres(convdiff100.to_dense(), rep.x, rhs100) <= 1e-7
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("rtol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rejects_rtol_not_positive_and_finite(self, rtol):
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            GmresOptions(rtol=rtol)
+
+    def test_rejects_negative_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            GmresOptions(max_iter=-1)
+        assert GmresOptions(max_iter=0).max_iter == 0

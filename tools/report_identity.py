@@ -1,0 +1,156 @@
+"""Dump the SolveReport of every solver on a fixed grid, or compare two dumps.
+
+    PYTHONPATH=src python tools/report_identity.py dump after.npz
+    PYTHONPATH=/path/to/other/checkout/src python tools/report_identity.py dump before.npz
+    PYTHONPATH=src python tools/report_identity.py compare before.npz after.npz
+
+`dump` runs every SOLVER_DISPATCH entry on convdiff 10x10 and 32x32
+(Peclet 10) with max_iter 13 and 60, restart unset and 8, and x0 zero and
+random (rtol 1e-8, seeded right-hand sides), and writes each report's counts,
+termination, x, residual history and true-residual checkpoints, or the type
+of the exception the call raised.  gmres-ir runs as the harness dispatches
+it, on its default inner options, so it ignores max_iter, restart and x0.
+
+`compare` prints each case whose counts, termination or exception type
+moved, then one row per solver: its cases, how many moved, and the largest
+relative difference in x (normwise) and in the residual histories and
+true-residual checkpoints (largest entry difference over the common prefix,
+relative to the initial residual norm).  It exits
+with status 1 when a count, a termination or an exception type differs, so
+a change that should only move rounding can be checked against its parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+from gmreskit import (GmresOptions, fgmres, gcr, gmres, gmres_e, gmres_ir, gmres_restarted,
+                      gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, orthodir,
+                      pipelined_gmres, simpler_gmres, sstep_gmres, weighted_gmres)
+from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff
+
+SOLVE = {
+    "gmres": gmres,
+    "gmres-restarted": gmres_restarted,
+    "hh-gmres": hh_gmres,
+    "sgmres": lambda A, b, x0, o: simpler_gmres(A, b, x0, o, variant="sgmres"),
+    "rb-sgmres": lambda A, b, x0, o: simpler_gmres(A, b, x0, o, variant="rb"),
+    "adaptive-sgmres": simpler_gmres,
+    "gcr": gcr,
+    "orthodir": orthodir,
+    "fgmres": fgmres,
+    "lgmres": lambda A, b, x0, o: lgmres(A, b, x0, opts=o),
+    "gmres-e": lambda A, b, x0, o: gmres_e(A, b, x0, opts=o),
+    "weighted-gmres": weighted_gmres,
+    "sstep-gmres": lambda A, b, x0, o: sstep_gmres(A, b, x0, opts=o),
+    "pipelined-gmres": pipelined_gmres,
+    "lowsync-gmres": lowsync_gmres,
+    "two-precision": gmres_two_precision,
+    "gmres-ir": lambda A, b, x0, o: gmres_ir(A, b),
+}
+COUNTS = ("iterations", "matvecs", "reductions", "restarts")
+
+
+def cases():
+    for side in (10, 32):
+        A = gen_convdiff(side, side, peclet=10.0)
+        rng = np.random.default_rng(side)
+        b = rng.standard_normal(side * side)
+        x_random = rng.standard_normal(side * side)
+        for max_iter in (13, 60):
+            for restart in (None, 8):
+                for x0_kind, x0 in (("zero", None), ("random", x_random)):
+                    opts = GmresOptions(rtol=1e-8, max_iter=max_iter, restart=restart)
+                    for name in SOLVER_DISPATCH:
+                        yield (f"{name} n={side}^2 max_iter={max_iter} "
+                               f"restart={restart} x0={x0_kind}", name, A, b, x0, opts)
+
+
+def dump(path):
+    out = {}
+    for key, name, A, b, x0, opts in cases():
+        try:
+            rep = SOLVE[name](A, b, x0, opts)
+        except Exception as exc:  # the exception type is part of the record
+            out[key + "|raised"] = np.array(type(exc).__name__)
+            continue
+        out[key + "|raised"] = np.array("")
+        out[key + "|counts"] = np.array([getattr(rep, c) for c in COUNTS])
+        out[key + "|termination"] = np.array(rep.termination)
+        out[key + "|x"] = np.asarray(rep.x, dtype=np.float64)
+        out[key + "|history"] = np.asarray(rep.residual_history, dtype=np.float64)
+        out[key + "|checkpoints"] = np.array([v for _, v in rep.true_residual_checkpoints])
+    np.savez(path, **out)
+    print(f"{path}: {sum(k.endswith('|raised') for k in out)} cases")
+
+
+def _rel_x(a, b):
+    scale = np.linalg.norm(a)
+    return float(np.linalg.norm(a - b) / scale) if scale else float(np.linalg.norm(b))
+
+
+def _rel_series(a, b, scale):
+    # over the common prefix: a history that changed length is a count change
+    k = min(len(a), len(b))
+    return float(np.max(np.abs(a[:k] - b[:k])) / (scale or 1.0)) if k else 0.0
+
+
+def compare(path_a, path_b):
+    a, b = np.load(path_a), np.load(path_b)
+    keys = sorted(k[: -len("|raised")] for k in a.files if k.endswith("|raised"))
+    if sorted(k for k in b.files if k.endswith("|raised")) != [k + "|raised" for k in keys]:
+        print("the two dumps cover different cases")
+        return 1
+    rows = {}  # solver -> [cases, count changes, exception changes, max dx, max dhist]
+    for key in keys:
+        row = rows.setdefault(key.split()[0], [0, 0, 0, 0.0, 0.0])
+        row[0] += 1
+        ra, rb = str(a[key + "|raised"]), str(b[key + "|raised"])
+        if ra != rb:
+            row[2] += 1
+            print(f"{key}: raised {ra or 'nothing'} -> {rb or 'nothing'}")
+            continue
+        if ra:
+            continue
+        ca, cb = a[key + "|counts"], b[key + "|counts"]
+        ta, tb = str(a[key + "|termination"]), str(b[key + "|termination"])
+        if not np.array_equal(ca, cb) or ta != tb:
+            row[1] += 1
+            print(f"{key}: {dict(zip(COUNTS, ca.tolist()))} {ta} -> "
+                  f"{dict(zip(COUNTS, cb.tolist()))} {tb}")
+        row[3] = max(row[3], _rel_x(a[key + "|x"], b[key + "|x"]))
+        r0 = a[key + "|history"][0]
+        row[4] = max(row[4], *(_rel_series(a[key + part], b[key + part], r0)
+                               for part in ("|history", "|checkpoints")))
+    print(f"{'solver':<17} {'cases':>5} {'counts moved':>12} {'raised moved':>12} "
+          f"{'max rel dx':>10} {'max rel dhist':>13}")
+    for name, (n, moved, raised, dx, dh) in rows.items():
+        print(f"{name:<17} {n:>5} {moved:>12} {raised:>12} {dx:>10.3g} {dh:>13.3g}")
+    moved = sum(r[1] for r in rows.values())
+    raised = sum(r[2] for r in rows.values())
+    print(f"all counts equal: {'yes' if not moved else f'no ({moved} cases)'}; "
+          f"exception type changed: {raised} cases; "
+          f"largest relative difference in x {max(r[3] for r in rows.values()):.3g}, "
+          f"in the histories {max(r[4] for r in rows.values()):.3g}")
+    return 0 if not moved and not raised else 1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("dump").add_argument("path")
+    cmp_parser = sub.add_parser("compare")
+    cmp_parser.add_argument("before")
+    cmp_parser.add_argument("after")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.path)
+        return 0
+    return compare(args.before, args.after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
