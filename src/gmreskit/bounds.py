@@ -47,18 +47,18 @@ def eigen_bound(eigs, kappaX, poly: ResidualPolynomial):
     return float(kappaX) * max(abs(poly.eval_scalar(lam)) for lam in eigs)
 
 
-def spectrum_and_conditioning(A, normal_tol=1e-12):
+def spectrum_and_conditioning(A):
     """Eigenvalues of A and the conditioning of its eigenvector matrix.
 
-    A numerically normal A gets kappa(X) = 1 exactly; a nearly defective
-    eigenvector matrix triggers a warning since the bound then carries
-    little information.
+    A numerically normal A (||A^T A - A A^T|| <= 1e-12 ||A||_F^2) gets
+    kappa(X) = 1 exactly; a nearly defective eigenvector matrix triggers a
+    warning since the bound then carries little information.
     """
     dense = _dense(A)
     vals, vecs = dense_eig_general(dense, vectors=True)
     comm = dense.T @ dense - dense @ dense.T
     scale = np.linalg.norm(dense) ** 2
-    if scale == 0 or np.linalg.norm(comm) <= normal_tol * scale:
+    if scale == 0 or np.linalg.norm(comm) <= 1e-12 * scale:
         return vals, 1.0
     kappa = float(np.linalg.cond(vecs))
     if kappa > 1e12:

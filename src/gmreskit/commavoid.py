@@ -15,9 +15,10 @@ import numpy as np
 
 from .deflation import leja_order
 from .linalg import HessenbergLsState, as_matvec, dense_eig_general
-from .ortho import OrthoScheme, arnoldi, basis, cgs2_pass
-from .solvers import (GmresOptions, _arnoldi_cycles, _reject_precond, _reject_weight,
-                      _restart_driver)
+from .ortho import (BREAKDOWN_REL, OrthogonalizationBreakdown, OrthoScheme, arnoldi,
+                    basis, cgs2_pass)
+from .solvers import (GmresOptions, _arnoldi_cycles, _givens_cycle, _reject_precond,
+                      _reject_weight, _restart_driver)
 
 __all__ = [
     "MonomialBasis",
@@ -47,6 +48,9 @@ class BasisCollapseError(RuntimeError):
 class SstepBlockError(RuntimeError):
     """The block triangular factor became singular away from convergence;
     use a smaller s or a better basis."""
+
+
+_TSQR_BLOCKS = 4  # row partition of the s-step TSQR trees
 
 
 @dataclass(frozen=True)
@@ -333,7 +337,7 @@ def chebyshev_basis_from_warmup(A, b, s):
 # s-step GMRES
 
 
-def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None, nblocks=4):
+def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
     """s-step GMRES: s basis vectors per communication phase.
 
     Each outer block generates s new polynomial-basis vectors from the last
@@ -351,8 +355,6 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None, nblocks=4):
     spec : MonomialBasis, NewtonBasis or ChebyshevBasis, optional
         Polynomial basis; defaults to a Newton basis with Leja-ordered
         Ritz-value shifts from s warmup steps (monomial when s == 1).
-    nblocks : int
-        Row partition for the TSQR trees.
 
     Returns
     -------
@@ -372,23 +374,19 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None, nblocks=4):
         if basis is None:
             basis = newton_basis_from_warmup(A, b, s) if s > 1 else MonomialBasis()
         diagnostics["basis"] = type(basis).__name__
-        return lambda r, budget: _sstep_cycle(run, r, s, t, basis, nblocks, budget)
+        return lambda r, budget: _sstep_cycle(run, r, s, t, basis, budget)
 
     return _restart_driver(A, b, x0, replace(opts, restart=s * t), make_cycle,
                            diagnostics=diagnostics)
 
 
-def _sstep_cycle(run, r, s, t, spec, nblocks, budget):
+def _sstep_cycle(run, r, s, t, spec, budget):
     counter = run.counter
     N = len(r)
     beta = float(np.linalg.norm(r))
     blocks = min(t, max(1, -(-budget // s)))
     fV = basis(N, s * blocks + 1)  # orthonormal basis, fH.shape[0] columns in use
-    fH = None                      # running Hessenberg, (n+1) x n
-    ls = HessenbergLsState(s * blocks, beta)
-    rhos = []
-    status = "exhausted"
-    n = 0
+    ls = HessenbergLsState(budget, beta)
 
     def diag_cut(T):
         d = np.abs(np.diag(T))
@@ -398,67 +396,56 @@ def _sstep_cycle(run, r, s, t, spec, nblocks, budget):
                 return p
         return None
 
-    for j in range(blocks):
-        counter.begin_step()
-        grade_hit = False
-        if j == 0:
-            counter.count()             # entry normalization of the cycle
-            W, conv = build_basis(run.op, r / beta, s, spec)
-            tree = tsqr(W, min(nblocks, max(1, N // (s + 1))))
-            counter.count()             # one TSQR tree
-            cut = diag_cut(tree.R)
-            # a vanishing diagonal at c means basis vector c is dependent:
-            # the assembled columns then end with a ~0 subdiagonal (grade)
-            p = s if cut is None else cut
-            grade_hit = p < s
-            if p == 0:
-                counter.end_step()
-                status = "breakdown"
-                break
-            fV[:, : p + 1] = tree.q_explicit()[:, : p + 1]
-            Twin = tree.R[: p + 1, : p + 1]
-            Bblock = conv.Bbar[: p + 1, :p]
-            fH = _assemble_sstep_hessenberg(None, None, Twin, Bblock, None)
-        else:
-            nv = fH.shape[0]
-            W, conv = build_basis(run.op, fV[:, nv - 1], s, spec)
-            Wacc = W[:, 1:]
-            Racc, Wacc = bgs_project(fV[:, :nv], Wacc, counter)
-            tree = tsqr(Wacc, min(nblocks, max(1, N // max(s, 1))))
-            counter.count()
-            cut = diag_cut(tree.R)
-            # here the block start already sits in the basis, so a dependency
-            # at c still yields c+1 assembled columns, the last with a ~0
-            # subdiagonal carried by the vanishing triangular entry
-            pc = s if cut is None else cut + 1
-            grade_hit = cut is not None
-            fV[:, nv: nv + pc] = tree.q_explicit()[:, :pc]
-            Twin = tree.R[:pc, :pc]
-            Racc = Racc[:, :pc]
-            Bblock = conv.Bbar[: pc + 1, :pc]
-            eta = fH[n, n - 1]
-            fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, eta)
-        counter.end_step()
-        new_n = fH.shape[1]
-        for c in range(n, new_n):
-            rhos.append(ls.push_column(fH[: c + 2, c]))
-            if run.emit(rhos[-1]):
-                status = "converged"
-                break
-            if len(rhos) >= budget:
-                break
-        n = ls.ncols
-        if status == "converged":
-            break
-        if grade_hit:
-            raise SstepBlockError(
-                "block triangular factor singular away from convergence; "
-                "use a smaller s or a better-conditioned basis")
-        if n >= budget:
-            break
-    if fH is not None:
-        run.diagnostics["hessenberg"] = fH
-        run.diagnostics["basis_matrix"] = fV[:, : fH.shape[0]]
+    def steps():
+        fH = None                  # running Hessenberg, (n+1) x n
+        for j in range(blocks):
+            counter.begin_step()
+            if j == 0:
+                counter.count()             # entry normalization of the cycle
+                W, conv = build_basis(run.op, r / beta, s, spec)
+                tree = tsqr(W, min(_TSQR_BLOCKS, max(1, N // (s + 1))))
+                counter.count()             # one TSQR tree
+                cut = diag_cut(tree.R)
+                # a vanishing diagonal at c means basis vector c is dependent:
+                # the assembled columns then end with a ~0 subdiagonal (grade)
+                p = s if cut is None else cut
+                grade_hit = p < s
+                if p == 0:
+                    counter.end_step()
+                    raise OrthogonalizationBreakdown("s-step block starts singular")
+                fV[:, : p + 1] = tree.q_explicit()[:, : p + 1]
+                Twin = tree.R[: p + 1, : p + 1]
+                Bblock = conv.Bbar[: p + 1, :p]
+                fH = _assemble_sstep_hessenberg(None, None, Twin, Bblock, None)
+            else:
+                nv = fH.shape[0]
+                W, conv = build_basis(run.op, fV[:, nv - 1], s, spec)
+                Wacc = W[:, 1:]
+                Racc, Wacc = bgs_project(fV[:, :nv], Wacc, counter)
+                tree = tsqr(Wacc, min(_TSQR_BLOCKS, max(1, N // max(s, 1))))
+                counter.count()
+                cut = diag_cut(tree.R)
+                # here the block start already sits in the basis, so a dependency
+                # at c still yields c+1 assembled columns, the last with a ~0
+                # subdiagonal carried by the vanishing triangular entry
+                pc = s if cut is None else cut + 1
+                grade_hit = cut is not None
+                fV[:, nv: nv + pc] = tree.q_explicit()[:, :pc]
+                Twin = tree.R[:pc, :pc]
+                Racc = Racc[:, :pc]
+                Bblock = conv.Bbar[: pc + 1, :pc]
+                fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, fH[-1, -1])
+            counter.end_step()
+            run.diagnostics["hessenberg"] = fH
+            run.diagnostics["basis_matrix"] = fV[:, : fH.shape[0]]
+            yield fH, fH.shape[1], False
+            if grade_hit:
+                raise SstepBlockError(
+                    "block triangular factor singular away from convergence; "
+                    "use a smaller s or a better-conditioned basis")
+
+    rhos, status = _givens_cycle(run.emit, ls, steps())
+    n = ls.ncols
     update = fV[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status
 
@@ -533,44 +520,39 @@ def _pipelined_cycle(run, r, m, theta):
     W[:, 0] = run.op(V[:, 0]) - theta * V[:, 0]
     H = np.zeros((m + 1, m))
     ls = HessenbergLsState(m, beta)
-    rhos = []
-    status = "exhausted"
-    n = 0
-    for j in range(m):
-        counter.begin_step()
-        c = V[:, : j + 1].T @ W[:, j]
-        sig = float(W[:, j] @ W[:, j])
-        counter.count()                 # merged projections + squared norm
-        counter.end_step()
-        u = run.op(W[:, j])             # next product, overlappable
-        radicand = sig - float(c @ c)
-        floor = sig * max(64.0 * (j + 2) * float(np.finfo(np.float64).eps), 1e-8)
-        if radicand < floor:
-            # the radicand cannot be resolved (or went negative as the basis
-            # degrades): retry this step once with a reorthogonalization; a
-            # vanishing recomputed norm is the happy breakdown
-            c, _, h_sub = cgs2_pass(V[:, : j + 1], W[:, j], counter)
-            run.diagnostics["reorthogonalizations"] += 1
-            if not math.isfinite(h_sub):
-                status = "breakdown"
-                break
-        else:
-            h_sub = math.sqrt(radicand)
-        H[: j + 1, j] = c
-        H[j, j] += theta                # undo the shift on the diagonal entry
-        col_scale = float(np.linalg.norm(H[: j + 1, j])) + h_sub
-        breakdown = h_sub <= run.opts.breakdown_rel * col_scale
-        H[j + 1, j] = 0.0 if breakdown else h_sub
-        rhos.append(ls.push_column(H[: j + 2, j]))
-        n = j + 1
-        if run.emit(rhos[-1]):
-            status = "converged"
-            break
-        if breakdown:
-            status = "breakdown"
-            break
-        V[:, j + 1] = (W[:, j] - V[:, : j + 1] @ c) / h_sub
-        W[:, j + 1] = (u - W[:, : j + 1] @ H[: j + 1, j]) / h_sub
+
+    def steps():
+        for j in range(m):
+            counter.begin_step()
+            c = V[:, : j + 1].T @ W[:, j]
+            sig = float(W[:, j] @ W[:, j])
+            counter.count()                 # merged projections + squared norm
+            counter.end_step()
+            u = run.op(W[:, j])             # next product, overlappable
+            radicand = sig - float(c @ c)
+            floor = sig * max(64.0 * (j + 2) * float(np.finfo(np.float64).eps), 1e-8)
+            if radicand < floor:
+                # the radicand cannot be resolved (or went negative as the basis
+                # degrades): retry this step once with a reorthogonalization; a
+                # vanishing recomputed norm is the happy breakdown
+                c, _, h_sub = cgs2_pass(V[:, : j + 1], W[:, j], counter)
+                run.diagnostics["reorthogonalizations"] += 1
+                if not math.isfinite(h_sub):
+                    raise OrthogonalizationBreakdown(
+                        f"pipelined reorthogonalization failed at step {j + 1}")
+            else:
+                h_sub = math.sqrt(radicand)
+            H[: j + 1, j] = c
+            H[j, j] += theta                # undo the shift on the diagonal entry
+            col_scale = float(np.linalg.norm(H[: j + 1, j])) + h_sub
+            breakdown = h_sub <= BREAKDOWN_REL * col_scale
+            H[j + 1, j] = 0.0 if breakdown else h_sub
+            yield H, j + 1, breakdown
+            V[:, j + 1] = (W[:, j] - V[:, : j + 1] @ c) / h_sub
+            W[:, j + 1] = (u - W[:, : j + 1] @ H[: j + 1, j]) / h_sub
+
+    rhos, status = _givens_cycle(run.emit, ls, steps())
+    n = ls.ncols
     update = V[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status
 

@@ -41,6 +41,7 @@ from .solvers import (
     orthodir,
     simpler_gmres,
     weighted_gmres,
+    _finite_vector,
 )
 
 __all__ = [
@@ -304,6 +305,8 @@ def _operator_diagonal(A):
 
 
 def _run_variant(A, b, variant, callback=None):
+    # before the s-step basis and the polynomial preconditioner run on b
+    b = _finite_vector("b", b)
     solver = variant["solver"]
     options = dict(variant.get("options", {}))
     opts = _gmres_options(options, callback)

@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import CsrMatrix, HessenbergLsState, SingularMatrixError, as_matvec
 from .ortho import ReductionCounter, basis, mgs_pass
 from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _finite_vector,
-                      _restart_driver, _zero_rhs_report)
+                      _givens_cycle, _restart_driver, _zero_rhs_report)
 
 __all__ = [
     "Precision",
@@ -208,6 +208,19 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
     total = 0
     matvecs = 0
     counter = ReductionCounter()
+
+    def steps(V, m):
+        nonlocal matvecs
+        H = np.zeros((m + 1, m), dtype=dtype)
+        for j in range(m):
+            w = np.asarray(matvec(V[:, j]), dtype=dtype)
+            matvecs += 1
+            H[: j + 1, j], w, h_sub = mgs_pass(V, j + 1, w, counter)
+            H[j + 1, j] = h_sub
+            # binary32 breakdown: a subdiagonal below 1e-7 of its column's largest entry
+            yield H, j + 1, h_sub <= 1e-7 * max(abs(H[: j + 2, j]).max(), 1e-30)
+            V[:, j + 1] = w / h_sub
+
     while total < max_iter:
         r = b - np.asarray(matvec(x), dtype=dtype)
         matvecs += 1
@@ -217,23 +230,10 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
         m = min(restart, max_iter - total)
         V = basis(N, m + 1, dtype)
         V[:, 0] = r / beta
-        H = np.zeros((m + 1, m), dtype=dtype)
         ls = HessenbergLsState(m, beta, dtype=dtype)
-        n = 0
-        for j in range(m):
-            w = np.asarray(matvec(V[:, j]), dtype=dtype)
-            matvecs += 1
-            H[: j + 1, j], w, h_sub = mgs_pass(V, j + 1, w, counter)
-            H[j + 1, j] = h_sub
-            n = j + 1
-            rho = ls.push_column(H[: j + 2, j])
-            if h_sub <= 1e-7 * max(abs(H[: j + 2, j]).max(), 1e-30):
-                break
-            V[:, j + 1] = w / h_sub
-            if rho <= tol:
-                break
-        y = ls.solve(n)
-        x = x + V[:, :n] @ y
+        _givens_cycle(lambda rho: rho <= tol, ls, steps(V, m))
+        n = ls.ncols
+        x = x + V[:, :n] @ ls.solve(n)
         total += n
         if ls.rho <= tol:
             break

@@ -175,11 +175,10 @@ class ArnoldiProcess:
     """
 
     def __init__(self, A, r0, max_steps, scheme=OrthoScheme.MGS, *, weight=None,
-                 counter=None, dtype=None, breakdown_rel=BREAKDOWN_REL, n=None):
-        self.matvec, self.N = as_matvec(A, n=n if n is not None else len(r0))
+                 counter=None, dtype=None):
+        self.matvec, self.N = as_matvec(A, n=len(r0))
         self.scheme = OrthoScheme(scheme)
         self.counter = counter if counter is not None else ReductionCounter()
-        self.breakdown_rel = breakdown_rel
         dtype = np.dtype(dtype) if dtype is not None else np.asarray(r0).dtype
         if dtype.kind != "f":
             dtype = np.dtype(np.float64)
@@ -230,7 +229,7 @@ class ArnoldiProcess:
         return math.sqrt(float(col @ col) + h_sub * h_sub)
 
     def _is_breakdown(self, j, h_sub):
-        return h_sub <= self.breakdown_rel * self._column_scale(j, h_sub)
+        return h_sub <= BREAKDOWN_REL * self._column_scale(j, h_sub)
 
     def _step_direct(self):
         j = self.steps
@@ -349,8 +348,7 @@ class ArnoldiProcess:
         )
 
 
-def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None,
-            breakdown_rel=BREAKDOWN_REL):
+def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None):
     """Run n Arnoldi steps of the requested scheme starting from r0.
 
     Parameters
@@ -367,18 +365,15 @@ def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None,
         Positive diagonal replacing the Euclidean inner product.
     counter : ReductionCounter, optional
         Receives the modeled global-reduction events.
-    breakdown_rel : float
-        Relative threshold on the subdiagonal entry that declares a happy
-        breakdown (invariant subspace at the grade).
 
     Returns
     -------
     ArnoldiDecomposition
         Basis V, Hessenberg factor Hbar, per-step reduction log, and
-        breakdown_at set to the grade on early termination.
+        breakdown_at set to the grade on early termination (a subdiagonal
+        entry at most BREAKDOWN_REL times its column's norm).
     """
-    proc = ArnoldiProcess(A, r0, n, scheme, weight=weight, counter=counter,
-                          breakdown_rel=breakdown_rel)
+    proc = ArnoldiProcess(A, r0, n, scheme, weight=weight, counter=counter)
     while proc.steps < proc.max_steps and proc.breakdown_at is None:
         proc.step()
     return proc.finish()
@@ -398,11 +393,9 @@ class HouseholderArnoldi:
     v_1 = r0 / ||r0||, matching the Gram-Schmidt schemes in exact arithmetic.
     """
 
-    def __init__(self, A, r0, max_steps, *, counter=None,
-                 breakdown_rel=BREAKDOWN_REL, n=None):
-        self.matvec, self.N = as_matvec(A, n=n if n is not None else len(r0))
+    def __init__(self, A, r0, max_steps, *, counter=None):
+        self.matvec, self.N = as_matvec(A, n=len(r0))
         self.counter = counter if counter is not None else ReductionCounter()
-        self.breakdown_rel = breakdown_rel
         self.max_steps = min(max_steps, self.N)
         r0 = np.asarray(r0, dtype=np.float64)
         beta_raw = np.linalg.norm(r0)
@@ -465,7 +458,7 @@ class HouseholderArnoldi:
         # u was formed from the sign-normalized basis vector, so the raw
         # Hessenberg column is sign[j] * u and the logical entries need only
         # the per-row signs.
-        if tail_norm <= self.breakdown_rel * max(col_scale, tail_norm):
+        if tail_norm <= BREAKDOWN_REL * max(col_scale, tail_norm):
             # happy breakdown: the column's upper entries are still valid
             self.H[: j + 1, j] = np.array(self.sign[: j + 1]) * u[: j + 1]
             self.H[j + 1, j] = 0.0
@@ -516,9 +509,9 @@ class HouseholderArnoldi:
         )
 
 
-def householder_arnoldi(A, r0, n, *, counter=None, breakdown_rel=BREAKDOWN_REL):
+def householder_arnoldi(A, r0, n, *, counter=None):
     """Householder-reflector Arnoldi; returns the decomposition plus the reflector store."""
-    proc = HouseholderArnoldi(A, r0, n, counter=counter, breakdown_rel=breakdown_rel)
+    proc = HouseholderArnoldi(A, r0, n, counter=counter)
     while proc.steps < proc.max_steps and proc.breakdown_at is None:
         proc.step()
     return proc.decomposition(), proc

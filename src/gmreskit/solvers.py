@@ -31,6 +31,19 @@ reduction counter, calls opts.iteration_callback(k, rho / tol_ref) with the
 global iteration k, and returns whether rho meets the tolerance.  State a
 solver carries from cycle to cycle lives in the closure of make_cycle; a
 cycle is called again only when the driver restarts.
+
+Every cycle that grows a Hessenberg matrix (Arnoldi in each scheme,
+Householder, flexible and augmented, s-step, pipelined, and the binary32
+inner solve of gmres_ir) is a step generator run by one least-squares loop,
+_givens_cycle(emit, ls, steps).  After each step the generator yields
+(H, completed, breakdown): the Hessenberg storage, how many of its leading
+columns are final, and whether the step found an invariant subspace.  The
+loop pushes every newly final column (up to ls's capacity) through the
+running Givens QR and passes its estimate to emit, then returns converged
+(emit said so), breakdown (the flag, or an OrthogonalizationBreakdown raised
+by the step) or exhausted (the generator ran out).  A generator is resumed
+only while the cycle goes on, so what follows its yield (the next basis
+vector, an error for a block that did not converge) runs only then.
 """
 
 from __future__ import annotations
@@ -46,8 +59,9 @@ from .linalg import (
     back_substitute,
     operator_norm_estimate,
 )
-from .ortho import (ArnoldiProcess, HouseholderArnoldi, OrthogonalizationBreakdown,
-                    OrthoScheme, ReductionCounter, basis, mgs_pass, weighted_norm)
+from .ortho import (BREAKDOWN_REL, ArnoldiProcess, HouseholderArnoldi,
+                    OrthogonalizationBreakdown, OrthoScheme, ReductionCounter, basis,
+                    mgs_pass, weighted_norm)
 
 __all__ = [
     "GmresOptions",
@@ -93,8 +107,6 @@ class GmresOptions:
     preconditioner: object = None
     weight: np.ndarray | None = None
     simpler_omega: float = 0.5
-    breakdown_rel: float = 1e-14
-    stagnation_rel: float = 1e-14
     iteration_callback: object = None
 
     def __post_init__(self):
@@ -249,9 +261,14 @@ def _zero_rhs_report(N):
                        iterations=0, termination="converged")
 
 
-def _finite_vector(name, v):
-    """v as a binary64 array; a ValueError names the argument unless v is finite."""
+def _finite_vector(name, v, like=None):
+    """v as a binary64 array; a ValueError names the argument unless v is a
+    finite 1-D vector, of like's shape when like is given."""
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
+    if like is not None and v.shape != like.shape:
+        raise ValueError(f"{name} must have b's shape {like.shape}, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     return v
@@ -279,7 +296,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     and solution updates stay binary64.
     """
     b = _finite_vector("b", b)
-    x0 = None if x0 is None else _finite_vector("x0", x0)
+    x0 = None if x0 is None else _finite_vector("x0", x0, like=b)
     N = len(b)
     matvec, _ = as_matvec(A, n=N)
     tally = _Tally(matvec)
@@ -353,8 +370,9 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
             break
         if status == "breakdown" or total_iter >= max_iter:
             break
-        # the next cycle restarts from the explicit residual
-        if rho_true >= rho_start * (1.0 - opts.stagnation_rel):
+        # the next cycle restarts from the explicit residual, unless this
+        # cycle cut it by less than one part in 1e14
+        if rho_true >= rho_start * (1.0 - 1e-14):
             status = "stagnation"
             break
         restarts += 1
@@ -379,50 +397,48 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
 
 
 # ---------------------------------------------------------------------------
-# Arnoldi + Givens cycle shared by gmres / restarted / weighted / low-sync /
-# two-precision
+# The Givens least-squares loop and the Arnoldi-process cycles (gmres /
+# restarted / weighted / low-sync / two-precision / Householder)
+
+
+def _givens_cycle(emit, ls, steps):
+    """Run the step generator steps through the running Givens QR ls and
+    return (rhos, status); the contract is in the module docstring."""
+    rhos = []
+    try:
+        for H, completed, breakdown in steps:
+            for c in range(ls.ncols, min(completed, ls.R.shape[1])):
+                rhos.append(ls.push_column(H[: c + 2, c]))
+                if emit(rhos[-1]):
+                    return rhos, "converged"
+            if breakdown:
+                return rhos, "breakdown"
+    except OrthogonalizationBreakdown:
+        return rhos, "breakdown"
+    return rhos, "exhausted"
+
+
+def _process_steps(proc):
+    """Steps of an ArnoldiProcess or HouseholderArnoldi; once the budget is
+    spent, ICWY's deferred normalization completes the last column."""
+    while proc.steps < proc.max_steps:
+        proc.step()
+        yield proc.H, proc.completed, proc.breakdown_at is not None
+    if proc.completed < proc.steps:
+        proc.finish()
+        yield proc.H, proc.completed, proc.breakdown_at is not None
 
 
 def _arnoldi_cycles(run):
     """Cycles of Arnoldi in opts.scheme with a running Givens QR of the
     Hessenberg factor, in the run's weight and working dtype."""
-    opts = run.opts
 
     def cycle(r, budget):
         proc = run.process = ArnoldiProcess(
-            run.op, r, budget, opts.scheme, weight=run.weight, counter=run.counter,
-            dtype=run.dtype, breakdown_rel=opts.breakdown_rel)
+            run.op, r, budget, run.opts.scheme, weight=run.weight, counter=run.counter,
+            dtype=run.dtype)
         ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
-        rhos = []
-
-        def push_through(limit):
-            # emit the columns that became final; True once converged
-            for c in range(ls.ncols, limit):
-                rhos.append(ls.push_column(proc.H[: c + 2, c]))
-                if run.emit(rhos[-1]):
-                    return True
-            return False
-
-        status = "exhausted"
-        while proc.steps < proc.max_steps:
-            try:
-                proc.step()
-            except OrthogonalizationBreakdown:
-                # instability breakdown is a reported exit at the solver level
-                status = "breakdown"
-                break
-            if push_through(proc.completed):
-                status = "converged"
-                break
-            if proc.breakdown_at is not None:
-                status = "breakdown"
-                break
-        if status == "exhausted" and proc.completed < proc.steps:
-            proc.finish()  # deferred ICWY normalization completes the last column
-            if push_through(proc.completed):
-                status = "converged"
-            elif proc.breakdown_at is not None:
-                status = "breakdown"
+        rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
         n = ls.ncols
         update = proc.V[:, :n] @ ls.solve(n) if n else np.zeros(proc.N, dtype=proc.dtype)
         return np.asarray(update, dtype=np.float64), rhos, status
@@ -514,22 +530,9 @@ def hh_gmres(A, b, x0=None, opts=None):
 
     def make_cycle(run):
         def cycle(r, budget):
-            proc = run.process = HouseholderArnoldi(
-                run.op, r, budget, counter=run.counter,
-                breakdown_rel=opts.breakdown_rel, n=len(r))
+            proc = run.process = HouseholderArnoldi(run.op, r, budget, counter=run.counter)
             ls = HessenbergLsState(proc.max_steps, proc.beta)
-            rhos = []
-            status = "exhausted"
-            while proc.steps < proc.max_steps:
-                proc.step()
-                c = proc.completed - 1
-                rhos.append(ls.push_column(proc.H[: c + 2, c]))
-                if run.emit(rhos[-1]):
-                    status = "converged"
-                    break
-                if proc.breakdown_at is not None:
-                    status = "breakdown"
-                    break
+            rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
             return proc.eval_basis_combination(ls.solve()), rhos, status
 
         return cycle
@@ -578,7 +581,7 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
                     z = V[:, j - 1]
                 T[:j, j], w, t_jj = mgs_pass(V, j, run.op(z), run.counter)
                 tnorm = max(np.abs(np.diag(T)[: j + 1]).max(), t_jj)
-                if t_jj <= opts.breakdown_rel * tnorm:
+                if t_jj <= BREAKDOWN_REL * tnorm:
                     status = "breakdown"
                     break
                 T[j, j] = t_jj
@@ -698,7 +701,6 @@ def _flexible_cycle(run, r0, m, direction_fn):
     Z, dropped).
     """
     counter = run.counter
-    rel = run.opts.breakdown_rel
     N = len(r0)
     beta = float(np.linalg.norm(r0))
     counter.count()
@@ -707,48 +709,41 @@ def _flexible_cycle(run, r0, m, direction_fn):
     Z = basis(N, m)
     V[:, 0] = r0 / beta
     ls = HessenbergLsState(m, beta)
-    rhos = []
     dropped = 0
-    status = "exhausted"
-    j = 0
-    slot = 0
-    while j < m:
-        got = direction_fn(j, slot, V)
-        slot += 1
-        if got is None:
-            break
-        z, kind = got
-        w = run.op(z)
-        counter.begin_step()
-        h, w, h_sub = mgs_pass(V, j + 1, w, counter)
-        counter.end_step()
-        col_scale = math.sqrt(float(h @ h) + h_sub * h_sub)
-        if h_sub <= rel * col_scale:
-            if kind == "aug":
+    grade_scale = None  # column scale of a vanishing subdiagonal on "krylov"
+
+    def steps():
+        nonlocal dropped, grade_scale
+        j = slot = 0
+        while j < m:
+            got = direction_fn(j, slot, V)
+            slot += 1
+            if got is None:
+                return
+            z, kind = got
+            w = run.op(z)
+            counter.begin_step()
+            h, w, h_sub = mgs_pass(V, j + 1, w, counter)
+            counter.end_step()
+            col_scale = math.sqrt(float(h @ h) + h_sub * h_sub)
+            breakdown = h_sub <= BREAKDOWN_REL * col_scale
+            if breakdown and kind == "aug":
                 dropped += 1
                 continue
-            # krylov direction: invariant subspace reached
+            if breakdown:  # invariant subspace reached
+                h_sub, grade_scale = 0.0, col_scale
+            else:
+                V[:, j + 1] = w / h_sub
             H[: j + 1, j] = h
-            H[j + 1, j] = 0.0
+            H[j + 1, j] = h_sub
             Z[:, j] = z
-            rhos.append(ls.push_column(H[: j + 2, j]))
-            converged = run.emit(rhos[-1])
-            if abs(ls.diag(j)) <= rel * col_scale:
-                raise FgmresBreakdownError(
-                    "h_{j+1,j} vanished with a singular Hessenberg matrix")
             j += 1
-            status = "converged" if converged else "breakdown"
-            break
-        H[: j + 1, j] = h
-        H[j + 1, j] = h_sub
-        V[:, j + 1] = w / h_sub
-        Z[:, j] = z
-        rhos.append(ls.push_column(H[: j + 2, j]))
-        j += 1
-        if run.emit(rhos[-1]):
-            status = "converged"
-            break
+            yield H, j, breakdown
+
+    rhos, status = _givens_cycle(run.emit, ls, steps())
     n = ls.ncols
+    if grade_scale is not None and abs(ls.diag(n - 1)) <= BREAKDOWN_REL * grade_scale:
+        raise FgmresBreakdownError("h_{j+1,j} vanished with a singular Hessenberg matrix")
     update = Z[:, :n] @ ls.solve(n) if n else np.zeros(N)
     return update, rhos, status, V, H[:, :n], Z[:, :n], dropped
 

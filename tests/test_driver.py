@@ -8,7 +8,9 @@ from gmreskit import (DiagonalPreconditioner, GmresOptions, fgmres, gcr, gmres,
                       hh_gmres, lgmres, lowsync_gmres, orthodir, pipelined_gmres,
                       simpler_gmres, sstep_gmres, weighted_gmres)
 from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff
-from gmreskit.solvers import _essai_weights
+from gmreskit.linalg import HessenbergLsState
+from gmreskit.ortho import OrthogonalizationBreakdown
+from gmreskit.solvers import _essai_weights, _givens_cycle
 
 # dispatch name -> solve(A, b, x0, opts); every restarting entry cycles 8 steps
 SOLVE = {
@@ -127,3 +129,42 @@ def test_rejects_nonfinite_b_and_x0(problem, name, arg, bad):
     (b if arg == "b" else x0)[3] = bad
     with pytest.raises(ValueError, match=f"{arg} must be finite"):
         SOLVE[name](A, b, x0, _options(A, "none"))
+
+
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_rejects_b_that_is_not_1d(problem, name):
+    A, b = problem
+    with pytest.raises(ValueError, match=r"b must be 1-D, got shape \(8, 8\)"):
+        SOLVE[name](A, b.reshape(8, 8), None, _options(A, "none"))
+
+
+@pytest.mark.parametrize("shape", [(63,), (64, 1)])
+@pytest.mark.parametrize("name", [n for n in SOLVER_DISPATCH if n != "gmres-ir"])
+def test_rejects_x0_of_another_shape(problem, name, shape):
+    A, b = problem
+    with pytest.raises(ValueError, match="x0 must "):
+        SOLVE[name](A, b, np.zeros(shape), _options(A, "none"))
+
+
+@pytest.mark.parametrize("tol,breakdown_at,raise_at,status,ncols,resumed", [
+    (0.0, None, None, "exhausted", 2, [0, 1, 2]),   # capped at ls's two columns
+    (np.inf, None, None, "converged", 1, []),
+    (0.0, 2, None, "breakdown", 2, [0]),
+    (0.0, None, 1, "breakdown", 1, [0]),
+])
+def test_givens_cycle_stops_and_resumes_per_contract(tol, breakdown_at, raise_at,
+                                                     status, ncols, resumed):
+    H = np.triu(np.arange(1.0, 13.0).reshape(4, 3), -1)
+    seen = []
+
+    def steps():
+        for j in range(3):
+            if j == raise_at:
+                raise OrthogonalizationBreakdown("unstable step")
+            yield H, j + 1, j + 1 == breakdown_at
+            seen.append(j)
+
+    ls = HessenbergLsState(2, 1.0)
+    rhos, got = _givens_cycle(lambda rho: rho <= tol, ls, steps())
+    assert (got, ls.ncols, seen) == (status, ncols, resumed)
+    assert len(rhos) == ncols and rhos[-1] == ls.rho

@@ -263,6 +263,20 @@ def test_sstep_zero_rhs_through_harness(basis):
     assert np.array_equal(rep.x, np.zeros(64))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("variant", [
+    {"solver": "sstep-gmres", "options": {"basis": "newton"}},
+    {"solver": "sstep-gmres", "options": {"basis": "chebyshev"}},
+    {"solver": "gmres", "options": {"preconditioner": {"kind": "poly", "degree": 3}}},
+], ids=["newton", "chebyshev", "poly"])
+def test_nonfinite_b_rejected_before_warmup(variant, bad):
+    # the warm-up Arnoldi on b would fail in LAPACK first
+    b = np.ones(64)
+    b[5] = bad
+    with pytest.raises(ValueError, match="b must be finite"):
+        _run_variant(gen_convdiff(8, 8, peclet=10.0), b, variant)
+
+
 class TestCli:
     def test_gen_info_roundtrip(self, tmp_path, capsys):
         from gmreskit.cli import main

@@ -4,12 +4,18 @@
     PYTHONPATH=/path/to/other/checkout/src python tools/report_identity.py dump before.npz
     PYTHONPATH=src python tools/report_identity.py compare before.npz after.npz
 
-`dump` runs every SOLVER_DISPATCH entry on convdiff 10x10 and 32x32
-(Peclet 10) with max_iter 13 and 60, restart unset and 8, and x0 zero and
-random (rtol 1e-8, seeded right-hand sides), and writes each report's counts,
-termination, x, residual history and true-residual checkpoints, or the type
-of the exception the call raised.  gmres-ir runs as the harness dispatches
-it, on its default inner options, so it ignores max_iter, restart and x0.
+`dump` runs every SOLVER_DISPATCH entry on five problems with max_iter 13
+and 60, restart unset and 8, and x0 zero and random (rtol 1e-8, seeded
+right-hand sides), 680 cases in all.  The problems are convdiff 10x10 and
+32x32 (Peclet 10); convdiff 4x4, whose grade the budgets reach; a singular
+operator with eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues
+geometrically spaced over [1e-6, 1] (condition number 1e6).  The last three
+drive the solvers into their breakdown, stagnation and exception exits.
+It writes each report's counts, termination, x, residual history and
+true-residual checkpoints, or the type of the exception the call raised, and
+prints how many cases ended in each termination or exception type.  gmres-ir
+runs as the harness dispatches it, on its default inner options, so it
+ignores max_iter, restart and x0.
 
 `compare` prints each case whose counts, termination or exception type
 moved, then one row per solver: its cases, how many moved, and the largest
@@ -24,13 +30,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
 from gmreskit import (GmresOptions, fgmres, gcr, gmres, gmres_e, gmres_ir, gmres_restarted,
                       gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, orthodir,
                       pipelined_gmres, simpler_gmres, sstep_gmres, weighted_gmres)
-from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff
+from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff, gen_spectrum
 
 SOLVE = {
     "gmres": gmres,
@@ -54,29 +61,39 @@ SOLVE = {
 COUNTS = ("iterations", "matvecs", "reductions", "restarts")
 
 
+def problems():
+    """(label, operator, seed of the right-hand side and random x0)."""
+    for side in (10, 32, 4):
+        yield f"n={side}^2", gen_convdiff(side, side, peclet=10.0), side
+    yield "singular", gen_spectrum([0.0, 0.0, 1, 2, 3, 4, 5, 6], seed=3), 3
+    yield "kappa=1e6", gen_spectrum(np.geomspace(1e-6, 1.0, 40), seed=5), 5
+
+
 def cases():
-    for side in (10, 32):
-        A = gen_convdiff(side, side, peclet=10.0)
-        rng = np.random.default_rng(side)
-        b = rng.standard_normal(side * side)
-        x_random = rng.standard_normal(side * side)
+    for label, A, seed in problems():
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(A.nrows)
+        x_random = rng.standard_normal(A.nrows)
         for max_iter in (13, 60):
             for restart in (None, 8):
                 for x0_kind, x0 in (("zero", None), ("random", x_random)):
                     opts = GmresOptions(rtol=1e-8, max_iter=max_iter, restart=restart)
                     for name in SOLVER_DISPATCH:
-                        yield (f"{name} n={side}^2 max_iter={max_iter} "
+                        yield (f"{name} {label} max_iter={max_iter} "
                                f"restart={restart} x0={x0_kind}", name, A, b, x0, opts)
 
 
 def dump(path):
     out = {}
+    outcomes = Counter()  # termination or exception type -> cases
     for key, name, A, b, x0, opts in cases():
         try:
             rep = SOLVE[name](A, b, x0, opts)
         except Exception as exc:  # the exception type is part of the record
             out[key + "|raised"] = np.array(type(exc).__name__)
+            outcomes[type(exc).__name__] += 1
             continue
+        outcomes[rep.termination] += 1
         out[key + "|raised"] = np.array("")
         out[key + "|counts"] = np.array([getattr(rep, c) for c in COUNTS])
         out[key + "|termination"] = np.array(rep.termination)
@@ -84,7 +101,8 @@ def dump(path):
         out[key + "|history"] = np.asarray(rep.residual_history, dtype=np.float64)
         out[key + "|checkpoints"] = np.array([v for _, v in rep.true_residual_checkpoints])
     np.savez(path, **out)
-    print(f"{path}: {sum(k.endswith('|raised') for k in out)} cases")
+    print(f"{path}: {sum(outcomes.values())} cases; "
+          + ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items())))
 
 
 def _rel_x(a, b):
