@@ -9,7 +9,6 @@ bound.  Inapplicable cases are flagged, never silently skipped.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -89,26 +88,23 @@ def _elman_base(A):
 
 
 def fov_distance(A, grid_count=256):
-    """Distance from the origin to the field of values, from below.
+    """Distance from the origin to the field of values F(A).
 
-    Sweeps grid_count rotation angles; each direction's smallest eigenvalue
-    of the rotated Hermitian part supports a half plane containing the field
-    of values, so the running maximum is a certified lower bound of the
-    distance for the sampled directions.  Returns (estimate, origin_inside);
-    the estimate is 0 when no sampled direction separates the origin.
+    Each direction t gives the smallest eigenvalue of Johnson's rotated
+    Hermitian part cos(t) S + i sin(t) K, a support value of F(A); the
+    distance is their maximum over t when that is positive.  The operator is
+    real (it is cast to binary64), so F(A) is convex and symmetric about the
+    real axis: its point nearest an outside origin is real, and the maximum
+    sits at t = 0 or pi, i.e. at lambda_min(S) or -lambda_max(S) of the
+    symmetric part S.  Returns (distance, origin_inside); the distance is 0
+    when the origin lies in F(A).  grid_count (at least 8) is kept for
+    callers and no longer changes the result.
     """
     if grid_count < 8:
         raise ValueError("need at least 8 grid directions")
     dense = _dense(A)
-    S = 0.5 * (dense + dense.T)
-    K = 0.5 * (dense - dense.T)
-    # Johnson's rotated Hermitian part cos(t) S + i sin(t) K; for a real
-    # operator the angles t and -t share their spectrum, so [0, pi] suffices
-    lams = []
-    for k in range(grid_count // 2 + 1):
-        theta = 2.0 * math.pi * k / grid_count
-        lams.append(dense_eig_symmetric(math.cos(theta) * S + 1j * math.sin(theta) * K)[0])
-    best = float(max(lams))
+    lam = dense_eig_symmetric(0.5 * (dense + dense.T))
+    best = float(max(lam[0], -lam[-1]))
     if best > 0.0:
         return best, False
     return 0.0, True
@@ -199,12 +195,7 @@ def bound_report(A, report, grid_count=256, max_eigen_degree=30):
         if dec is None or n > dec.n or n > max_eigen_degree:
             continue
         try:
-            H = dec.Hbar[:n, :n]
-            h_next = dec.Hbar[n, n - 1] if n < dec.Hbar.shape[0] else 0.0
-            hr = harmonic_ritz(H, h_next)
-            roots = [r for r in hr.values if abs(r) > 0]
-            poly = ResidualPolynomial(leja_order(roots))
-            eigen_col[n] = eigen_bound(eigs, kappa_x, poly)
+            eigen_col[n] = eigen_bound(eigs, kappa_x, residual_polynomial_from_run(report, n))
         except (ValueError, np.linalg.LinAlgError):
             eigen_col[n] = None
     elman_col = [None if elman_base is None else elman_base ** (n / 2.0)

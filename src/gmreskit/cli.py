@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .harness import ConfigError, ExperimentConfig, compare, gen_convdiff, gen_spectrum, run
-from .linalg import MatrixMarketError, mm_read, mm_write
+from .linalg import CsrMatrix, MatrixMarketError, mm_read, mm_write
 
 
 def _log_fn():
@@ -122,7 +122,8 @@ def main(argv=None):
             print(f"size: {A.nrows} x {A.ncols}")
             print(f"nonzeros: {A.nnz}")
             print(f"structure: {sym}")
-            print(f"value range: [{vals.min():.6g}, {vals.max():.6g}]")
+            if A.nnz:
+                print(f"value range: [{vals.min():.6g}, {vals.max():.6g}]")
             print(f"frobenius norm: {A.frobenius_norm():.6g}")
             return 0
         parser.error(f"unknown command {args.command!r}")
@@ -134,8 +135,11 @@ def main(argv=None):
 def _is_symmetric(A):
     if A.nrows != A.ncols:
         return False
-    dense = A.to_dense()
-    return bool(np.array_equal(dense, dense.T))
+    # explicitly stored zeros are zeros of the matrix, mirrored or not
+    keep = A.values != 0
+    rows, cols, vals = A._nnz_rows()[keep], A.col_idx[keep], A.values[keep]
+    T = CsrMatrix.from_coo(A.ncols, A.nrows, cols, rows, vals)
+    return all(map(np.array_equal, (T._nnz_rows(), T.col_idx, T.values), (rows, cols, vals)))
 
 
 if __name__ == "__main__":

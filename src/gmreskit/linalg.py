@@ -8,7 +8,9 @@ immutable-after-construction except where noted.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +92,18 @@ class CsrMatrix:
         return (self.nrows, self.ncols)
 
     @classmethod
+    def from_coo(cls, nrows, ncols, rows, cols, values):
+        """CSR from entries in any order; a repeated position fails validation."""
+        rows = np.asarray(rows, dtype=np.int64)
+        order = np.lexsort((cols, rows))  # row-major, columns ascending in a row
+        row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nrows))))
+        return cls(nrows, ncols, row_ptr, np.asarray(cols)[order], np.asarray(values)[order])
+
+    @classmethod
     def from_dense(cls, dense, drop_tol=0.0):
         dense = np.asarray(dense)
-        nrows, ncols = dense.shape
-        rows, cols = np.nonzero(np.abs(dense) > drop_tol)  # row-major order
-        row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
-        return cls(nrows, ncols, row_ptr, cols, dense[rows, cols])
+        rows, cols = np.nonzero(np.abs(dense) > drop_tol)
+        return cls.from_coo(*dense.shape, rows, cols, dense[rows, cols])
 
     def to_dense(self):
         out = np.zeros((self.nrows, self.ncols), dtype=self.values.dtype)
@@ -120,6 +127,13 @@ class CsrMatrix:
         # bincount accumulates sequentially in storage order, i.e. the same
         # order as a per-row left-to-right sum over the stored entries
         return np.bincount(self._nnz_rows(), weights=prod, minlength=self.nrows)
+
+    def diagonal(self):
+        """Main diagonal, 0 where the diagonal entry is not stored."""
+        d = np.zeros(min(self.shape), dtype=self.values.dtype)
+        on = self._nnz_rows() == self.col_idx
+        d[self.col_idx[on]] = self.values[on]
+        return d
 
     def frobenius_norm(self):
         return float(np.linalg.norm(self.values))
@@ -237,12 +251,21 @@ def forward_substitute_unit(L, rhs):
 # ---------------------------------------------------------------------------
 # Matrix Market I/O (coordinate real, general or symmetric)
 
+_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_COMMENT_LINE = re.compile(r"^[ \t]*%.*$", re.M)
+_FLOAT = r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)"
+# the first line that is neither blank nor "row col value"
+_BAD_ENTRY_LINE = re.compile(
+    rf"^(?![ \t]*(?:[+-]?\d+[ \t]+[+-]?\d+[ \t]+{_FLOAT}[ \t]*)?$).+", re.M | re.I)
+
+
 def mm_read(path) -> CsrMatrix:
     """Read a Matrix Market coordinate file into CSR form.
 
     Symmetric storage (lower triangle on disk) is expanded to full.
     Duplicate entries are rejected rather than summed so that corpus errors
-    surface instead of silently changing the operator.
+    surface instead of silently changing the operator.  The first offending
+    entry in file order is named (out of range, above the diagonal, repeated).
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -267,54 +290,50 @@ def mm_read(path) -> CsrMatrix:
             nrows, ncols, nnz = (int(t) for t in line.split())
         except ValueError as exc:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
-        entries = {}
-        count = 0
-        for raw in fh:
-            raw = raw.strip()
-            if raw == "" or raw.startswith("%"):
-                continue
-            toks = raw.split()
-            if len(toks) != 3:
-                raise MatrixMarketError(f"malformed entry line: {raw!r}")
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-            v = float(toks[2])
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise MatrixMarketError(f"entry ({i + 1},{j + 1}) out of range")
-            if symmetry == "symmetric" and j > i:
-                raise MatrixMarketError(
-                    f"entry ({i + 1},{j + 1}) above the diagonal in a symmetric file")
-            if (i, j) in entries:
-                raise MatrixMarketError(f"duplicate entry at ({i + 1},{j + 1})")
-            entries[(i, j)] = v
-            count += 1
-        if count != nnz:
-            raise MatrixMarketError(f"expected {nnz} entries, found {count}")
+        body = fh.read()
+    if "%" in body:
+        # whole comment lines only: an inline % leaves too many fields
+        body = _COMMENT_LINE.sub("", body)
+    entries = np.empty(0, dtype=_ENTRY_DTYPE)
+    if body.strip():
+        try:
+            entries = np.loadtxt(io.StringIO(body), dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
+        except ValueError as exc:
+            line = _BAD_ENTRY_LINE.search(body)
+            raise MatrixMarketError("malformed entry line: "
+                                    + (repr(line.group().strip()) if line else str(exc))) from exc
+    i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    out_of_range = (i < 0) | (i >= nrows) | (j < 0) | (j >= ncols)
+    upper = (j > i) & (symmetry == "symmetric")
+    order = np.lexsort((j, i))  # stable: the first of equal positions is the earliest
+    repeated = np.zeros(len(i), dtype=bool)
+    repeated[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+    bad = out_of_range | upper | repeated
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"({i[k] + 1},{j[k] + 1})"
+        if out_of_range[k]:
+            raise MatrixMarketError(f"entry {where} out of range")
+        if upper[k]:
+            raise MatrixMarketError(f"entry {where} above the diagonal in a symmetric file")
+        raise MatrixMarketError(f"duplicate entry at {where}")
+    if len(v) != nnz:
+        raise MatrixMarketError(f"expected {nnz} entries, found {len(v)}")
     if symmetry == "symmetric":
-        expanded = dict(entries)
-        for (i, j), v in entries.items():
-            if i != j:
-                expanded[(j, i)] = v
-        entries = expanded
-    keys = sorted(entries)
-    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-    col_idx = np.empty(len(keys), dtype=np.int64)
-    values = np.empty(len(keys), dtype=np.float64)
-    for k, (i, j) in enumerate(keys):
-        row_ptr[i + 1] += 1
-        col_idx[k] = j
-        values[k] = entries[(i, j)]
-    row_ptr = np.cumsum(row_ptr)
-    return CsrMatrix(nrows, ncols, row_ptr, col_idx, values)
+        off = i != j
+        i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
+                   np.concatenate((v, v[off])))
+    return CsrMatrix.from_coo(nrows, ncols, i, j, v)
 
 
 def mm_write(path, A: CsrMatrix):
     """Write CSR content as a general coordinate Matrix Market file."""
+    # numpy hands out Python ints and floats, so %r writes repr(float)
+    entries = np.array((A._nnz_rows() + 1, A.col_idx + 1, A.values), dtype=object).T
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{A.nrows} {A.ncols} {A.nnz}\n")
-        for i in range(A.nrows):
-            for k in range(A.row_ptr[i], A.row_ptr[i + 1]):
-                fh.write(f"{i + 1} {A.col_idx[k] + 1} {float(A.values[k])!r}\n")
+        fh.write("%d %d %r\n" * A.nnz % tuple(entries.ravel()))
 
 
 # ---------------------------------------------------------------------------

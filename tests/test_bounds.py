@@ -166,3 +166,24 @@ class TestBoundReport:
             for v in (eig, elman, fov):
                 if v is not None:
                     assert v >= measured - 1e-10
+
+
+def _swept_fov_distance(A, grid_count):
+    """Johnson's sweep over the whole circle, as a reference."""
+    S, K = 0.5 * (A + A.T), 0.5 * (A - A.T)
+    thetas = 2.0 * np.pi * np.arange(grid_count) / grid_count
+    return max(np.linalg.eigvalsh(np.cos(t) * S + 1j * np.sin(t) * K)[0] for t in thetas)
+
+
+@pytest.mark.parametrize("shift", [6.0, -6.0, 0.5])
+def test_fov_distance_is_the_best_real_direction(rng, shift):
+    # a real operator's field of values is symmetric about the real axis, so
+    # no direction of a fine sweep separates the origin better than t = 0, pi
+    A = rng.standard_normal((7, 7)) + shift * np.eye(7)
+    mu, inside = fov_distance(A, 8)
+    assert (mu, inside) == fov_distance(A, 9) == fov_distance(A, 4096)
+    swept = _swept_fov_distance(A, 720)
+    assert swept <= max(mu, 0.0) + 1e-12
+    assert inside == (swept <= 0.0)
+    if not inside:
+        assert swept >= mu - 1e-12

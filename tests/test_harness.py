@@ -320,3 +320,97 @@ class TestCli:
         assert main(["run", str(cfg)]) == 0
         err = capsys.readouterr().err
         assert "running variant mgs" in err
+
+
+def _convdiff_by_cells(nx, ny, peclet):
+    """Reference assembly: one row per grid cell, neighbours in column order."""
+    pe = float(peclet)
+    row_ptr, col_idx, values = [0], [], []
+    for iy in range(ny):
+        for ix in range(nx):
+            west = -1.0 - (pe if pe > 0 else 0.0)
+            east = -1.0 - (-pe if pe < 0 else 0.0)
+            for keep, col, val in ((iy > 0, (iy - 1) * nx + ix, -1.0),
+                                   (ix > 0, iy * nx + ix - 1, west),
+                                   (True, iy * nx + ix, 4.0 + abs(pe)),
+                                   (ix < nx - 1, iy * nx + ix + 1, east),
+                                   (iy < ny - 1, (iy + 1) * nx + ix, -1.0)):
+                if keep:
+                    col_idx.append(col)
+                    values.append(val)
+            row_ptr.append(len(values))
+    return (np.array(row_ptr, dtype=np.int64), np.array(col_idx, dtype=np.int64),
+            np.array(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize("peclet", [-2.0, 0.0, 0.5, 10.0])
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (7, 4), (10, 10), (64, 64)])
+def test_convdiff_matches_cell_loop_bit_for_bit(nx, ny, peclet):
+    A = gen_convdiff(nx, ny, peclet)
+    for got, want in zip((A.row_ptr, A.col_idx, A.values), _convdiff_by_cells(nx, ny, peclet)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_jacobi_under_exact_inexact_product_matches_exact_run(tmp_path):
+    # eta = 0 leaves every product exact, so the artifacts must not move
+    doc = config_doc(None)
+    doc["variants"] = [{"name": "jac", "solver": "gmres",
+                        "options": {"rtol": 1e-8, "preconditioner": {"kind": "jacobi"}}}]
+    summaries = []
+    for label, inexact in (("exact", None), ("inexact", {"mode": "fixed", "eta": 0.0,
+                                                         "seed": 1})):
+        doc["outputs"] = str(tmp_path / label)
+        if inexact is not None:
+            doc["inexact"] = inexact
+        _, outdir = run(ExperimentConfig.from_dict(doc))
+        summaries.append(open(os.path.join(outdir, "summary.json"), "rb").read())
+    assert summaries[0] == summaries[1]
+    assert b'"converged"' in summaries[0]
+
+
+def test_jacobi_under_inexact_product_runs(tmp_path):
+    doc = config_doc(str(tmp_path / "out"))
+    doc["variants"] = [{"name": "jac", "solver": "gmres",
+                        "options": {"preconditioner": {"kind": "jacobi"}}}]
+    doc["inexact"] = {"mode": "fixed", "eta": 1e-10, "seed": 1}
+    summary, outdir = run(ExperimentConfig.from_dict(doc))
+    assert summary["variants"]["jac"]["termination"] == "converged"
+    assert os.path.exists(os.path.join(outdir, "summary.json"))
+
+
+class TestCliInfo:
+    @staticmethod
+    def info(tmp_path, capsys, symmetry, body):
+        from gmreskit.cli import main
+        path = tmp_path / "m.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n{body}")
+        assert main(["info", str(path)]) == 0
+        return capsys.readouterr().out
+
+    def test_symmetric_file(self, tmp_path, capsys):
+        out = self.info(tmp_path, capsys, "symmetric", "3 3 3\n1 1 2.0\n3 1 -1.0\n2 2 4.0\n")
+        assert "structure: symmetric" in out and "value range: [-1, 4]" in out
+
+    def test_nonsymmetric_file(self, tmp_path, capsys):
+        out = self.info(tmp_path, capsys, "general", "2 2 3\n1 1 1.0\n2 1 3.0\n1 2 2.0\n")
+        assert "structure: general" in out
+
+    def test_explicit_zero_without_mirror_is_symmetric(self, tmp_path, capsys):
+        out = self.info(tmp_path, capsys, "general", "2 2 3\n1 1 1.0\n2 1 0.0\n2 2 1.0\n")
+        assert "structure: symmetric" in out
+
+    def test_empty_matrix(self, tmp_path, capsys):
+        out = self.info(tmp_path, capsys, "general", "2 2 0\n")
+        assert "nonzeros: 0" in out and "structure: symmetric" in out
+        assert "value range" not in out
+
+    def test_rectangular_is_general(self, tmp_path, capsys):
+        out = self.info(tmp_path, capsys, "general", "2 3 1\n1 1 1.0\n")
+        assert "size: 2 x 3" in out and "structure: general" in out
+
+    def test_malformed_entry_exit_code(self, tmp_path, capsys):
+        from gmreskit.cli import main
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 1.0\n")
+        assert main(["info", str(path)]) == 1
+        assert "error: malformed entry line: '1.5 1 1.0'" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmreskit.linalg import (
     CsrMatrix,
@@ -388,3 +390,116 @@ class TestHessenbergSweep:
             Q, _ = np.linalg.qr(H, mode="complete")
             rho_star = abs((Q.T @ e1)[n])
             assert abs(state.rho - rho_star) <= 1e-12 * max(rho_star, beta), n
+
+
+class TestFromCoo:
+    def test_shuffled_entries_match_from_dense(self, rng):
+        A, dense = random_csr(rng, 12, 9)
+        rows, cols = np.nonzero(dense)
+        perm = rng.permutation(len(rows))
+        B = CsrMatrix.from_coo(12, 9, rows[perm], cols[perm], dense[rows, cols][perm])
+        for name in ("row_ptr", "col_idx", "values"):
+            got, want = getattr(B, name), getattr(A, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_empty(self):
+        A = CsrMatrix.from_coo(3, 2, [], [], np.array([]))
+        assert A.nnz == 0 and A.row_ptr.tolist() == [0, 0, 0, 0]
+
+    def test_repeated_position_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing in row 1"):
+            CsrMatrix.from_coo(3, 3, [1, 0, 1], [2, 0, 2], [1.0, 2.0, 3.0])
+
+
+class TestDiagonal:
+    def test_unstored_entries_are_zero(self):
+        dense = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 3.0], [4.0, 0.0, -5.0]])
+        d = CsrMatrix.from_dense(dense).diagonal()
+        assert d.tolist() == [2.0, 0.0, -5.0] and d.dtype == np.float64
+
+    def test_rectangular(self):
+        A = CsrMatrix.from_dense(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        assert A.diagonal().tolist() == [1.0, 5.0]
+
+
+GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+class TestMatrixMarketInput:
+    @pytest.mark.parametrize("line", [
+        "1 1", "1 1 1.0 2.0",          # wrong field count
+        "1 1 x", "2 2 1.0.0",          # a value that does not parse
+        "1.5 1 1.0", "1.0 1 1.0",      # a non-integer index
+        "1 1 1.0 % note",              # an inline comment
+    ])
+    def test_malformed_entry_line(self, tmp_path, line):
+        path = tmp_path / "bad.mtx"
+        path.write_text(GENERAL + f"2 2 2\n2 2 1.0\n{line}\n")
+        with pytest.raises(MatrixMarketError, match=r"^malformed entry line: ") as err:
+            mm_read(path)
+        assert repr(line) in str(err.value)
+
+    def test_empty_body_loads_without_warning(self, tmp_path):
+        import warnings
+        path = tmp_path / "empty.mtx"
+        path.write_text(GENERAL + "3 2 0\n% nothing stored\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = mm_read(path)
+        assert (A.shape, A.nnz, A.row_ptr.tolist()) == ((3, 2), 0, [0, 0, 0, 0])
+
+    def test_duplicate_before_out_of_range_names_duplicate(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text(GENERAL + "3 3 3\n2 1 1.0\n2 1 2.0\n4 1 1.0\n")
+        with pytest.raises(MatrixMarketError, match=r"^duplicate entry at \(2,1\)$"):
+            mm_read(path)
+
+    def test_out_of_range_before_duplicate_names_out_of_range(self, tmp_path):
+        path = tmp_path / "o.mtx"
+        path.write_text(GENERAL + "3 3 3\n4 1 1.0\n2 1 1.0\n2 1 2.0\n")
+        with pytest.raises(MatrixMarketError, match=r"^entry \(4,1\) out of range$"):
+            mm_read(path)
+
+    def test_comments_and_blank_lines_between_entries(self, tmp_path):
+        path = tmp_path / "c.mtx"
+        path.write_text(GENERAL + "2 2 2\n% a\n\n2 1 -1.5\n  % b\n1 2 0.25\n")
+        assert mm_read(path).to_dense().tolist() == [[0.0, 0.25], [-1.5, 0.0]]
+
+
+def _assert_same_csr(A, B):
+    for name in ("row_ptr", "col_idx", "values"):
+        got, want = getattr(A, name), getattr(B, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+finite_or_inf = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), m=st.integers(1, 12))
+def test_mm_general_round_trip_bit_for_bit(tmp_path_factory, data, n, m):
+    values = data.draw(st.lists(finite_or_inf, min_size=n * m, max_size=n * m))
+    mask = data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    dense = np.where(np.reshape(mask, (n, m)), np.reshape(values, (n, m)), 0.0)
+    A = CsrMatrix.from_dense(dense)
+    path = tmp_path_factory.mktemp("mm") / "g.mtx"
+    mm_write(path, A)
+    _assert_same_csr(mm_read(path), A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_mm_symmetric_round_trip_bit_for_bit(tmp_path_factory, data, n):
+    values = data.draw(st.lists(finite_or_inf, min_size=n * n, max_size=n * n))
+    mask = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    lower = np.tril(np.where(np.reshape(mask, (n, n)), np.reshape(values, (n, n)), 0.0))
+    A = CsrMatrix.from_dense(lower + np.tril(lower, -1).T)
+    rows, cols = np.nonzero(lower)
+    path = tmp_path_factory.mktemp("mm") / "s.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"{n} {n} {len(rows)}\n"
+                    + "".join(f"{i + 1} {j + 1} {float(lower[i, j])!r}\n"
+                              for i, j in zip(rows, cols)))
+    _assert_same_csr(mm_read(path), A)
+    mm_write(path, A)
+    _assert_same_csr(mm_read(path), A)

@@ -15,21 +15,26 @@ It writes each report's counts, termination, x, residual history and
 true-residual checkpoints, or the type of the exception the call raised, and
 prints how many cases ended in each termination or exception type.  gmres-ir
 runs as the harness dispatches it, on its default inner options, so it
-ignores max_iter, restart and x0.
+ignores max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
+col_idx, values) of each problem after an mm_write -> mm_read round trip,
+and of gen_convdiff(128, 128, 10.0).
 
 `compare` prints each case whose counts, termination or exception type
 moved, then one row per solver: its cases, how many moved, and the largest
 relative difference in x (normwise) and in the residual histories and
 true-residual checkpoints (largest entry difference over the common prefix,
-relative to the initial residual norm).  It exits
-with status 1 when a count, a termination or an exception type differs, so
-a change that should only move rounding can be checked against its parent.
+relative to the initial residual norm).  It then names each CSR array whose
+dtype or bytes differ.  It exits with status 1 when a count, a termination,
+an exception type or a CSR array differs, so a change that should only move
+rounding can be checked against its parent.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -38,6 +43,7 @@ from gmreskit import (GmresOptions, fgmres, gcr, gmres, gmres_e, gmres_ir, gmres
                       gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, orthodir,
                       pipelined_gmres, simpler_gmres, sstep_gmres, weighted_gmres)
 from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff, gen_spectrum
+from gmreskit.linalg import mm_read, mm_write
 
 SOLVE = {
     "gmres": gmres,
@@ -59,6 +65,7 @@ SOLVE = {
     "gmres-ir": lambda A, b, x0, o: gmres_ir(A, b),
 }
 COUNTS = ("iterations", "matvecs", "reductions", "restarts")
+CSR = ("row_ptr", "col_idx", "values")
 
 
 def problems():
@@ -83,8 +90,18 @@ def cases():
                                f"restart={restart} x0={x0_kind}", name, A, b, x0, opts)
 
 
+def operators():
+    """(key prefix, CsrMatrix) of every stored operator."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, A, _ in problems():
+            mm_write(os.path.join(tmp, "A.mtx"), A)
+            yield f"csr {label} mm round trip", mm_read(os.path.join(tmp, "A.mtx"))
+    yield "csr convdiff 128^2 Peclet 10", gen_convdiff(128, 128, 10.0)
+
+
 def dump(path):
-    out = {}
+    out = {f"{prefix}|{name}": getattr(A, name)
+           for prefix, A in operators() for name in CSR}
     outcomes = Counter()  # termination or exception type -> cases
     for key, name, A, b, x0, opts in cases():
         try:
@@ -153,7 +170,16 @@ def compare(path_a, path_b):
           f"exception type changed: {raised} cases; "
           f"largest relative difference in x {max(r[3] for r in rows.values()):.3g}, "
           f"in the histories {max(r[4] for r in rows.values()):.3g}")
-    return 0 if not moved and not raised else 1
+    csr_a = {k for k in a.files if k.startswith("csr ")}
+    csr_b = {k for k in b.files if k.startswith("csr ")}
+    csr_moved = sorted(csr_a ^ csr_b) + sorted(
+        k for k in csr_a & csr_b
+        if a[k].dtype != b[k].dtype or a[k].tobytes() != b[k].tobytes())
+    for key in csr_moved:
+        print(f"CSR array differs or is missing: {key}")
+    print(f"CSR arrays identical: {'yes' if not csr_moved else f'no ({len(csr_moved)})'} "
+          f"({len(csr_a | csr_b)} arrays)")
+    return 0 if not moved and not raised and not csr_moved else 1
 
 
 def main(argv=None):
