@@ -71,8 +71,6 @@ from .commavoid import (
 )
 from .mixedprec import (
     LowLU,
-    Precision,
-    PrecisionPolicy,
     gmres_ir,
     gmres_two_precision,
     lu_low,

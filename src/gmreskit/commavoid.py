@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deflation import leja_order
+from .deflation import _check_conjugate_pairs, leja_order
 from .linalg import HessenbergLsState, as_matvec, dense_eig_general
 from .ortho import (BREAKDOWN_REL, OrthogonalizationBreakdown, OrthoScheme, arnoldi,
                     basis, cgs2_pass)
@@ -73,16 +73,7 @@ class NewtonBasis:
     def __post_init__(self):
         shifts = tuple(complex(s) for s in self.shifts)
         object.__setattr__(self, "shifts", shifts)
-        i = 0
-        while i < len(shifts):
-            if shifts[i].imag != 0.0:
-                if i + 1 >= len(shifts) or \
-                        abs(shifts[i + 1] - shifts[i].conjugate()) > \
-                        1e-10 * max(1.0, abs(shifts[i])):
-                    raise ValueError("complex shifts must form adjacent conjugate pairs")
-                i += 2
-            else:
-                i += 1
+        _check_conjugate_pairs(shifts, "shifts")
         if self.scalings is not None:
             sc = tuple(float(s) for s in self.scalings)
             if len(sc) != len(shifts):
@@ -390,11 +381,8 @@ def _sstep_cycle(run, r, s, t, spec, budget):
 
     def diag_cut(T):
         d = np.abs(np.diag(T))
-        top = d.max() if len(d) else 0.0
-        for p, v in enumerate(d):
-            if v <= 1e-14 * top:
-                return p
-        return None
+        cut = np.flatnonzero(d <= 1e-14 * d.max())
+        return int(cut[0]) if len(cut) else None
 
     def steps():
         fH = None                  # running Hessenberg, (n+1) x n
@@ -437,7 +425,6 @@ def _sstep_cycle(run, r, s, t, spec, budget):
                 fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, fH[-1, -1])
             counter.end_step()
             run.diagnostics["hessenberg"] = fH
-            run.diagnostics["basis_matrix"] = fV[:, : fH.shape[0]]
             yield fH, fH.shape[1], False
             if grade_hit:
                 raise SstepBlockError(
@@ -446,7 +433,7 @@ def _sstep_cycle(run, r, s, t, spec, budget):
 
     rhos, status = _givens_cycle(run.emit, ls, steps())
     n = ls.ncols
-    update = fV[:, :n] @ ls.solve(n) if n else np.zeros(N)
+    update = fV[:, :n] @ ls.solve(n)
     return update, rhos, status
 
 
@@ -476,11 +463,7 @@ def _assemble_sstep_hessenberg(fH, Racc, Tfull, Bblock, eta):
     Tsub = Tbig[: n_prev + p, : n_prev + p]
     M = Tbig @ Bfrak
     H = np.linalg.solve(Tsub.T, M.T).T
-    # structural zeros below the first subdiagonal
-    n_new = H.shape[1]
-    for c in range(n_new):
-        H[c + 2:, c] = 0.0
-    return H
+    return np.triu(H, -1)  # structural zeros below the first subdiagonal
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +536,7 @@ def _pipelined_cycle(run, r, m, theta):
 
     rhos, status = _givens_cycle(run.emit, ls, steps())
     n = ls.ncols
-    update = V[:, :n] @ ls.solve(n) if n else np.zeros(N)
+    update = V[:, :n] @ ls.solve(n)
     return update, rhos, status
 
 

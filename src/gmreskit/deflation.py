@@ -95,6 +95,21 @@ def harmonic_ritz(H_m, h_next):
                            grade_deficient=grade_deficient)
 
 
+def _check_conjugate_pairs(points, what):
+    """Raise ValueError unless each complex point is followed by its
+    conjugate (to 1e-10 relative), so products over the points stay real."""
+    i = 0
+    while i < len(points):
+        z = points[i]
+        if z.imag != 0.0:
+            if i + 1 >= len(points) or \
+                    abs(points[i + 1] - z.conjugate()) > 1e-10 * max(1.0, abs(z)):
+                raise ValueError(f"complex {what} must come in adjacent conjugate pairs")
+            i += 2
+        else:
+            i += 1
+
+
 def leja_order(points):
     """Modified Leja ordering of a conjugate-closed point set.
 
@@ -165,18 +180,9 @@ class ResidualPolynomial:
 
     def __post_init__(self):
         roots = [complex(r) for r in self.roots]
-        i = 0
-        while i < len(roots):
-            r = roots[i]
-            if r == 0:
-                raise ValueError("residual polynomial cannot have a root at 0")
-            if r.imag != 0.0:
-                if i + 1 >= len(roots) or abs(roots[i + 1] - r.conjugate()) > \
-                        1e-10 * max(1.0, abs(r)):
-                    raise ValueError("complex roots must come in adjacent conjugate pairs")
-                i += 2
-            else:
-                i += 1
+        if 0 in roots:
+            raise ValueError("residual polynomial cannot have a root at 0")
+        _check_conjugate_pairs(roots, "roots")
         self.roots = roots
 
     @property

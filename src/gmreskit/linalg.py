@@ -138,10 +138,6 @@ class CsrMatrix:
     def frobenius_norm(self):
         return float(np.linalg.norm(self.values))
 
-    def astype(self, dtype):
-        return CsrMatrix(self.nrows, self.ncols, self.row_ptr, self.col_idx,
-                         self.values.astype(dtype))
-
 
 @dataclass(frozen=True)
 class GivensRotation:
@@ -290,6 +286,8 @@ def mm_read(path) -> CsrMatrix:
             nrows, ncols, nnz = (int(t) for t in line.split())
         except ValueError as exc:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
+        if min(nrows, ncols, nnz) < 0:
+            raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
         body = fh.read()
     if "%" in body:
         # whole comment lines only: an inline % leaves too many fields

@@ -1,10 +1,9 @@
-"""Two-precision GMRES rules and LU-preconditioned iterative refinement.
+"""Two-precision GMRES and LU-preconditioned iterative refinement.
 
-The two floating formats are an abstraction pair (Low, High) instantiated as
-binary32/binary64; policies say which of the working, residual, factorization
-and solution-update computations run in which format.  Whenever the working
-format is Low, residuals and solution updates must stay High: the policy
-constructor enforces that rule, so invalid combinations are unrepresentable.
+Both solvers run their Krylov cycles in binary32 (LOW_DTYPE) on the shared
+Arnoldi cycle of solvers._arnoldi_cycles and keep residuals and solution
+updates in binary64.  That two-precision rule holds by construction: the
+restart driver and the refinement loop compute both in binary64 only.
 
 Low-format products keep CSR input sparse (``low_operator``); only the LU
 factorization of GMRES-IR densifies, once, into a blocked right-looking
@@ -14,18 +13,14 @@ factorization whose trailing updates are binary32 GEMMs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
-from .linalg import CsrMatrix, HessenbergLsState, SingularMatrixError, as_matvec
-from .ortho import ReductionCounter, basis, mgs_pass
+from .linalg import CsrMatrix, SingularMatrixError, as_matvec
 from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _finite_vector,
-                      _givens_cycle, _restart_driver, _zero_rhs_report)
+                      _restart_driver, _Run, _Tally, _zero_rhs_report)
 
 __all__ = [
-    "Precision",
-    "PrecisionPolicy",
     "LowLU",
     "lu_low",
     "gmres_ir",
@@ -34,56 +29,11 @@ __all__ = [
 ]
 
 LOW_DTYPE = np.float32
-HIGH_DTYPE = np.float64
 DESK_SCALE_LIMIT = 2000
 _BLOCK = 64  # column block width of lu_low and LowLU.solve
 
 
-class Precision(str, Enum):
-    HIGH = "high"
-    LOW = "low"
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    working: Precision = Precision.HIGH
-    residual: Precision = Precision.HIGH
-    factorization: Precision = Precision.HIGH
-    solution_update: Precision = Precision.HIGH
-
-    def __post_init__(self):
-        for name in ("working", "residual", "factorization", "solution_update"):
-            object.__setattr__(self, name, Precision(getattr(self, name)))
-        if self.working is Precision.LOW:
-            if self.residual is not Precision.HIGH:
-                raise ValueError("residual computation must stay High when working is Low")
-            if self.solution_update is not Precision.HIGH:
-                raise ValueError("solution updates must stay High when working is Low")
-
-    def is_low(self, name):
-        return getattr(self, name) is Precision.LOW
-
-    def dtype_of(self, name):
-        return LOW_DTYPE if self.is_low(name) else HIGH_DTYPE
-
-    @classmethod
-    def all_high(cls):
-        return cls()
-
-    @classmethod
-    def two_precision(cls):
-        """Low working format with High residuals and solution updates."""
-        return cls(working=Precision.LOW, residual=Precision.HIGH,
-                   factorization=Precision.HIGH, solution_update=Precision.HIGH)
-
-    @classmethod
-    def refinement(cls):
-        """GMRES-IR: Low factorization and inner solves, High outer loop."""
-        return cls(working=Precision.LOW, residual=Precision.HIGH,
-                   factorization=Precision.LOW, solution_update=Precision.HIGH)
-
-
-def _densify(A, n=None):
+def _densify(A):
     if isinstance(A, CsrMatrix):
         return A.to_dense()
     if isinstance(A, np.ndarray):
@@ -192,64 +142,44 @@ def lu_low(A, dtype=LOW_DTYPE):
 
 
 def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
-    """Compact restarted MGS-GMRES running entirely in the given dtype.
+    """Restarted MGS-GMRES running entirely in the given dtype: every cycle
+    is the shared Arnoldi cycle at that dtype, restarted from the residual
+    recomputed in it.
 
     Inner solver for refinement; returns (x, iterations, matvecs).  Its
     reductions go to a private counter and are not reported.
     """
     dtype = np.dtype(dtype)
     b = np.asarray(b, dtype=dtype)
-    N = len(b)
-    x = np.zeros(N, dtype=dtype)
+    x = np.zeros(len(b), dtype=dtype)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0, 0
-    tol = rtol * bnorm
-    total = 0
-    matvecs = 0
-    counter = ReductionCounter()
-
-    def steps(V, m):
-        nonlocal matvecs
-        H = np.zeros((m + 1, m), dtype=dtype)
-        for j in range(m):
-            w = np.asarray(matvec(V[:, j]), dtype=dtype)
-            matvecs += 1
-            H[: j + 1, j], w, h_sub = mgs_pass(V, j + 1, w, counter)
-            H[j + 1, j] = h_sub
-            # binary32 breakdown: a subdiagonal below 1e-7 of its column's largest entry
-            yield H, j + 1, h_sub <= 1e-7 * max(abs(H[: j + 2, j]).max(), 1e-30)
-            V[:, j + 1] = w / h_sub
-
-    while total < max_iter:
-        r = b - np.asarray(matvec(x), dtype=dtype)
-        matvecs += 1
-        beta = float(np.linalg.norm(r))
-        if beta <= tol:
+    run = _Run(_Tally(matvec), GmresOptions(rtol=rtol))
+    run.dtype = dtype
+    run.tol_abs = rtol * bnorm
+    cycle = _arnoldi_cycles(run)
+    while run.iterations < max_iter:
+        r = b - np.asarray(run.op(x), dtype=dtype)
+        if float(np.linalg.norm(r)) <= run.tol_abs:
             break
-        m = min(restart, max_iter - total)
-        V = basis(N, m + 1, dtype)
-        V[:, 0] = r / beta
-        ls = HessenbergLsState(m, beta, dtype=dtype)
-        _givens_cycle(lambda rho: rho <= tol, ls, steps(V, m))
-        n = ls.ncols
-        x = x + V[:, :n] @ ls.solve(n)
-        total += n
-        if ls.rho <= tol:
+        update, _, status = cycle(r, min(restart, max_iter - run.iterations))
+        # exact: the update is a product in dtype, cast to binary64
+        x = x + update.astype(dtype)
+        if status == "converged":
             break
-    return x, total, matvecs
+    return x, run.iterations, run.op.matvecs
 
 
-def gmres_ir(A, b, policy=None, inner_opts=None, *, rtol=1e-13,
-             max_refinements=40):
+def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     """Iterative refinement with a low-precision LU preconditioner.
 
-    Outer residuals and solution updates run High; the inner GMRES solves
-    M^{-1} A d = M^{-1} r entirely in the low format with M = LU.  Terminates
-    on the High-precision relative residual, the refinement budget, or a
-    stagnation abort when the residual stops contracting.
+    Outer residuals and solution updates run in binary64; the inner GMRES
+    solves M^{-1} A d = M^{-1} r entirely in binary32 with M = LU.
+    Terminates on the binary64 relative residual, the refinement budget, or
+    a stagnation abort after two refinements in a row that fail to halve
+    the residual; stagnation takes precedence over convergence.
     """
-    policy = policy if policy is not None else PrecisionPolicy.refinement()
     inner_opts = inner_opts if inner_opts is not None else \
         GmresOptions(rtol=1e-4, restart=50, max_iter=200)
     b = _finite_vector("b", b)
@@ -257,28 +187,24 @@ def gmres_ir(A, b, policy=None, inner_opts=None, *, rtol=1e-13,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(N)
-    low_dtype = policy.dtype_of("factorization")
-    lu = lu_low(A, low_dtype)
+    lu = lu_low(A)
     matvec, _ = as_matvec(A, n=N)
-    low_matvec = low_operator(A, low_dtype, n=N)
-
-    x = lu.solve(np.asarray(b, dtype=low_dtype)).astype(np.float64)
-    r = b - matvec(x)
-    matvecs = 1
-    history = [float(np.linalg.norm(r))]
-    inner_iters = []
-    termination = "maxiter"
-    no_progress = 0
+    low_matvec = low_operator(A, LOW_DTYPE, n=N)
 
     def inner_matvec(v):
         return lu.solve(low_matvec(v))
 
-    for _ in range(max_refinements):
-        if history[-1] <= rtol * bnorm:
-            termination = "converged"
-            break
-        rhs = lu.solve(np.asarray(r, dtype=low_dtype))
-        d, iters, mv = _low_gmres(inner_matvec, rhs, low_dtype,
+    x = lu.solve(np.asarray(b, dtype=LOW_DTYPE)).astype(np.float64)
+    r = b - matvec(x)
+    matvecs = 1
+    history = [float(np.linalg.norm(r))]
+    inner_iters = []
+    no_progress = 0  # consecutive refinements that did not halve the residual
+    # "not <=": a NaN residual keeps refining until the budget runs out
+    while len(inner_iters) < max_refinements and no_progress < 2 \
+            and not history[-1] <= rtol * bnorm:
+        rhs = lu.solve(np.asarray(r, dtype=LOW_DTYPE))
+        d, iters, mv = _low_gmres(inner_matvec, rhs, LOW_DTYPE,
                                   inner_opts.rtol, inner_opts.restart or 50,
                                   200 if inner_opts.max_iter is None else inner_opts.max_iter)
         matvecs += mv
@@ -287,16 +213,13 @@ def gmres_ir(A, b, policy=None, inner_opts=None, *, rtol=1e-13,
         r = b - matvec(x)
         matvecs += 1
         history.append(float(np.linalg.norm(r)))
-        if history[-1] >= 0.5 * history[-2]:
-            no_progress += 1
-            if no_progress >= 2:
-                termination = "stagnation"
-                break
-        else:
-            no_progress = 0
+        no_progress = no_progress + 1 if history[-1] >= 0.5 * history[-2] else 0
+    if no_progress >= 2:
+        termination = "stagnation"
+    elif history[-1] <= rtol * bnorm:
+        termination = "converged"
     else:
-        if history[-1] <= rtol * bnorm:
-            termination = "converged"
+        termination = "maxiter"
 
     return SolveReport(
         x=x,
@@ -310,16 +233,14 @@ def gmres_ir(A, b, policy=None, inner_opts=None, *, rtol=1e-13,
     )
 
 
-def gmres_two_precision(A, b, x0=None, opts=None, policy=None):
-    """Restarted GMRES with inner cycles in the low format.
+def gmres_two_precision(A, b, x0=None, opts=None):
+    """Restarted GMRES with inner cycles in binary32.
 
-    Per the two-precision rules the system itself, restart residuals, and
-    iterate updates stay in the high format.  With an all-High policy this is
-    the plain restarted algorithm, bit for bit.
+    The cycles' products, basis and Hessenberg run in binary32; the restart
+    driver keeps the system itself, restart residuals and iterate updates in
+    binary64.
     """
-    policy = policy if policy is not None else PrecisionPolicy.two_precision()
     opts = opts if opts is not None else GmresOptions()
     if opts.restart is None:
         opts = replace(opts, restart=50)
-    return _restart_driver(A, b, x0, opts, _arnoldi_cycles,
-                           dtype=policy.dtype_of("working"))
+    return _restart_driver(A, b, x0, opts, _arnoldi_cycles, dtype=LOW_DTYPE)

@@ -6,7 +6,9 @@ matvec / global-reduction counters.  One solve owns its state; operators and
 preconditioners are only read.
 
 Every solver of the family except gmres_ir runs through one restart driver,
-_restart_driver, and supplies only its cycle.  The driver owns:
+_restart_driver, and supplies only its cycle; gmres_ir's binary32 inner solve
+runs the Arnoldi cycle of gmres (_arnoldi_cycles) under its own restart loop.
+The driver owns:
 
 - coercion of A, b and x0, the counted products and the reduction counter;
 - the zero right-hand side, which returns x = 0, converged, 0 iterations;
@@ -32,9 +34,9 @@ global iteration k, and returns whether rho meets the tolerance.  State a
 solver carries from cycle to cycle lives in the closure of make_cycle; a
 cycle is called again only when the driver restarts.
 
-Every cycle that grows a Hessenberg matrix (Arnoldi in each scheme,
-Householder, flexible and augmented, s-step, pipelined, and the binary32
-inner solve of gmres_ir) is a step generator run by one least-squares loop,
+Every cycle that grows a Hessenberg matrix (Arnoldi in each scheme and
+working dtype, Householder, flexible and augmented, s-step, pipelined) is a
+step generator run by one least-squares loop,
 _givens_cycle(emit, ls, steps).  After each step the generator yields
 (H, completed, breakdown): the Hessenberg storage, how many of its leading
 columns are final, and whether the step found an invariant subspace.  The
@@ -220,7 +222,8 @@ class _Tally:
 
 
 class _Run:
-    """One solve as its cycle sees it; built by _restart_driver.
+    """One solve as its cycle sees it; built by _restart_driver (and by
+    mixedprec._low_gmres for its binary32 inner cycles).
 
     op is the operator the cycles iterate on (the counted product, with the
     preconditioner on its side and in the working dtype), counter takes the
@@ -378,8 +381,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
         restarts += 1
 
     if run.process is not None:
-        run.diagnostics.update(arnoldi=run.process.decomposition(),
-                               hessenberg_beta=run.process.beta)
+        run.diagnostics["arnoldi"] = run.process.decomposition()
     return SolveReport(
         x=x,
         residual_history=history,
@@ -440,7 +442,7 @@ def _arnoldi_cycles(run):
         ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
         rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
         n = ls.ncols
-        update = proc.V[:, :n] @ ls.solve(n) if n else np.zeros(proc.N, dtype=proc.dtype)
+        update = proc.V[:, :n] @ ls.solve(n)
         return np.asarray(update, dtype=np.float64), rhos, status
 
     return cycle
@@ -599,7 +601,7 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
                     status = "converged"
                     break
             run.diagnostics["kappa_z"] = float(np.linalg.cond(Z[:, :n])) if n else 1.0
-            update = Z[:, :n] @ back_substitute(T[:n, :n], alpha[:n]) if n else np.zeros(N)
+            update = Z[:, :n] @ back_substitute(T[:n, :n], alpha[:n])
             return update, rhos, status
 
         return cycle
@@ -744,7 +746,7 @@ def _flexible_cycle(run, r0, m, direction_fn):
     n = ls.ncols
     if grade_scale is not None and abs(ls.diag(n - 1)) <= BREAKDOWN_REL * grade_scale:
         raise FgmresBreakdownError("h_{j+1,j} vanished with a singular Hessenberg matrix")
-    update = Z[:, :n] @ ls.solve(n) if n else np.zeros(N)
+    update = Z[:, :n] @ ls.solve(n)
     return update, rhos, status, V, H[:, :n], Z[:, :n], dropped
 
 

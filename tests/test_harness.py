@@ -414,3 +414,11 @@ class TestCliInfo:
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 1.0\n")
         assert main(["info", str(path)]) == 1
         assert "error: malformed entry line: '1.5 1 1.0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["-1 2 0", "2 -3 0", "2 2 -1"])
+    def test_negative_size_exit_code(self, tmp_path, capsys, size):
+        from gmreskit.cli import main
+        path = tmp_path / "neg.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n")
+        assert main(["info", str(path)]) == 1
+        assert f"error: malformed size line: '{size}'" in capsys.readouterr().err

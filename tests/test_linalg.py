@@ -439,6 +439,14 @@ class TestMatrixMarketInput:
             mm_read(path)
         assert repr(line) in str(err.value)
 
+    @pytest.mark.parametrize("size", ["-1 2 0", "2 -3 0", "2 2 -1"])
+    def test_negative_size_is_malformed(self, tmp_path, size):
+        path = tmp_path / "neg.mtx"
+        path.write_text(GENERAL + f"{size}\n")
+        with pytest.raises(MatrixMarketError,
+                           match=rf"^malformed size line: '{size}'$"):
+            mm_read(path)
+
     def test_empty_body_loads_without_warning(self, tmp_path):
         import warnings
         path = tmp_path / "empty.mtx"

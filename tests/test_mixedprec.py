@@ -1,18 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gmreskit.harness import gen_convdiff
-from gmreskit.linalg import CsrMatrix, SingularMatrixError
+from gmreskit.linalg import CsrMatrix, HessenbergLsState, SingularMatrixError
 from gmreskit.mixedprec import (
     _BLOCK,
-    Precision,
-    PrecisionPolicy,
+    _low_gmres,
     gmres_ir,
     gmres_two_precision,
     low_operator,
     lu_low,
 )
-from gmreskit.solvers import GmresOptions, gmres_restarted
+from gmreskit.ortho import ReductionCounter, basis, mgs_pass
+from gmreskit.solvers import GmresOptions, _givens_cycle, gmres_restarted
 
 
 def conditioned_matrix(n, kappa, seed):
@@ -23,23 +25,94 @@ def conditioned_matrix(n, kappa, seed):
     return Q1 @ np.diag(sv) @ Q2.T
 
 
-class TestPolicy:
-    def test_defaults_all_high(self):
-        p = PrecisionPolicy()
-        assert p.working is Precision.HIGH
-        assert p.dtype_of("working") == np.float64
+def reference_low_gmres(matvec, b, dtype, rtol, restart, max_iter):
+    """The hand-written binary32 MGS-GMRES that _low_gmres replaced, kept as
+    the oracle its results must match bit for bit."""
+    dtype = np.dtype(dtype)
+    b = np.asarray(b, dtype=dtype)
+    N = len(b)
+    x = np.zeros(N, dtype=dtype)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, 0, 0
+    tol = rtol * bnorm
+    total = 0
+    matvecs = 0
+    counter = ReductionCounter()
 
-    def test_invalid_combinations_unrepresentable(self):
-        with pytest.raises(ValueError, match="residual"):
-            PrecisionPolicy(working="low", residual="low")
-        with pytest.raises(ValueError, match="solution"):
-            PrecisionPolicy(working="low", solution_update="low")
+    def steps(V, m):
+        nonlocal matvecs
+        H = np.zeros((m + 1, m), dtype=dtype)
+        for j in range(m):
+            w = np.asarray(matvec(V[:, j]), dtype=dtype)
+            matvecs += 1
+            H[: j + 1, j], w, h_sub = mgs_pass(V, j + 1, w, counter)
+            H[j + 1, j] = h_sub
+            yield H, j + 1, h_sub <= 1e-7 * max(abs(H[: j + 2, j]).max(), 1e-30)
+            V[:, j + 1] = w / h_sub
 
-    def test_two_precision_profile(self):
-        p = PrecisionPolicy.two_precision()
-        assert p.is_low("working")
-        assert not p.is_low("residual")
-        assert p.dtype_of("working") == np.float32
+    while total < max_iter:
+        r = b - np.asarray(matvec(x), dtype=dtype)
+        matvecs += 1
+        beta = float(np.linalg.norm(r))
+        if beta <= tol:
+            break
+        m = min(restart, max_iter - total)
+        V = basis(N, m + 1, dtype)
+        V[:, 0] = r / beta
+        ls = HessenbergLsState(m, beta, dtype=dtype)
+        _givens_cycle(lambda rho: rho <= tol, ls, steps(V, m))
+        n = ls.ncols
+        x = x + V[:, :n] @ ls.solve(n)
+        total += n
+        if ls.rho <= tol:
+            break
+    return x, total, matvecs
+
+
+def _criterion_13_matrix():
+    rng = np.random.default_rng(133)
+    Q1, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    return Q1 @ np.diag(np.logspace(0.0, 3.0, 200)) @ Q2.T
+
+
+INNER_OPERATORS = {
+    "convdiff 16^2 Peclet 3": lambda: gen_convdiff(16, 16, peclet=3.0),
+    "kappa~1e3": _criterion_13_matrix,
+    "identity 5": lambda: np.eye(5),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INNER_OPERATORS))
+def inner_systems(request):
+    """(matvec, rhs) of one operator in binary32, by form: M^{-1} A with its
+    binary32 LU as GMRES-IR builds it, and A itself."""
+    A = INNER_OPERATORS[request.param]()
+    b = np.random.default_rng(1).standard_normal(A.shape[0])
+    lu = lu_low(A)
+    low = low_operator(A, np.float32)
+    return {"M^-1 A": (lambda v: lu.solve(low(v)), lu.solve(b.astype(np.float32))),
+            "A": (low, b.astype(np.float32))}
+
+
+class TestLowGmres:
+    def test_matches_hand_written_reference(self, inner_systems):
+        for form, restart, max_iter, rtol in itertools.product(
+                inner_systems, (1, 5, 50), (3, 200), (1e-2, 1e-4, 1e-6)):
+            matvec, rhs = inner_systems[form]
+            x, iters, mv = _low_gmres(matvec, rhs, np.float32, rtol, restart, max_iter)
+            x_ref, iters_ref, mv_ref = reference_low_gmres(
+                matvec, rhs, np.float32, rtol, restart, max_iter)
+            case = (form, restart, max_iter, rtol)
+            assert x.dtype == x_ref.dtype == np.float32, case
+            assert x.tobytes() == x_ref.tobytes(), case
+            assert (iters, mv) == (iters_ref, mv_ref), case
+
+    def test_zero_rhs(self):
+        x, iters, mv = _low_gmres(lambda v: v, np.zeros(4), np.float32, 1e-4, 5, 10)
+        assert x.dtype == np.float32 and not x.any()
+        assert (iters, mv) == (0, 0)
 
 
 class TestLuLow:
@@ -229,15 +302,6 @@ class TestGmresIr:
 
 
 class TestTwoPrecision:
-    def test_all_high_policy_is_bitwise_standard(self, convdiff100, rhs100):
-        opts = GmresOptions(rtol=1e-8, restart=20)
-        rep_tp = gmres_two_precision(convdiff100, rhs100, opts=opts,
-                                     policy=PrecisionPolicy.all_high())
-        rep_std = gmres_restarted(convdiff100, rhs100,
-                                  opts=GmresOptions(rtol=1e-8, restart=20))
-        assert rep_tp.residual_history == rep_std.residual_history
-        assert np.array_equal(rep_tp.x, rep_std.x)
-
     def test_low_cycles_reach_comparable_accuracy(self, convdiff100, rhs100):
         opts = GmresOptions(rtol=1e-8, restart=20, max_iter=600)
         rep_low = gmres_two_precision(convdiff100, rhs100, opts=opts)
@@ -258,6 +322,26 @@ class TestTwoPrecision:
         dec = rep.diagnostics["arnoldi"]
         assert dec.V.dtype == np.float32
         assert rep.x.dtype == np.float64
+
+
+class TestTwoPrecisionRule:
+    """Residuals and solution updates stay binary64 in both solvers."""
+
+    def test_ir_history_is_binary64_residual(self):
+        for A in (_criterion_13_matrix(), gen_convdiff(16, 16, peclet=3.0)):
+            b = np.random.default_rng(2).standard_normal(A.shape[0])
+            rep = gmres_ir(A, b)
+            assert rep.x.dtype == np.float64
+            Ax = A.matvec(rep.x) if isinstance(A, CsrMatrix) else A @ rep.x
+            assert rep.residual_history[-1] == np.linalg.norm(b - Ax)
+            assert rep.true_residual_checkpoints[-1][1] == rep.residual_history[-1]
+
+    def test_two_precision_checkpoint_is_binary64_residual(self, convdiff100, rhs100):
+        rep = gmres_two_precision(convdiff100, rhs100,
+                                  opts=GmresOptions(rtol=1e-6, restart=20))
+        assert rep.x.dtype == np.float64
+        assert rep.true_residual_checkpoints[-1][1] == \
+            np.linalg.norm(rhs100 - convdiff100.matvec(rep.x))
 
 
 class TestIrNonConvergence:

@@ -4,9 +4,9 @@
     PYTHONPATH=/path/to/other/checkout/src python tools/report_identity.py dump before.npz
     PYTHONPATH=src python tools/report_identity.py compare before.npz after.npz
 
-`dump` runs every SOLVER_DISPATCH entry on five problems with max_iter 13
-and 60, restart unset and 8, and x0 zero and random (rtol 1e-8, seeded
-right-hand sides), 680 cases in all.  The problems are convdiff 10x10 and
+`dump` runs every SOLVER_DISPATCH entry, and three more GMRES-IR variants,
+on five problems with max_iter 13 and 60, restart unset and 8, and x0 zero
+and random (rtol 1e-8, seeded right-hand sides), 800 cases in all.  The problems are convdiff 10x10 and
 32x32 (Peclet 10); convdiff 4x4, whose grade the budgets reach; a singular
 operator with eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues
 geometrically spaced over [1e-6, 1] (condition number 1e6).  The last three
@@ -14,8 +14,10 @@ drive the solvers into their breakdown, stagnation and exception exits.
 It writes each report's counts, termination, x, residual history and
 true-residual checkpoints, or the type of the exception the call raised, and
 prints how many cases ended in each termination or exception type.  gmres-ir
-runs as the harness dispatches it, on its default inner options, so it
-ignores max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
+runs as the harness dispatches it, on its default inner options (rtol 1e-4,
+restart 50, max_iter 200); the variants change one of them each, to inner
+restart 5, max_iter 3 or rtol 1e-6, so that the inner restart loop and its
+budget are covered.  All four ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
 and of gen_convdiff(128, 128, 10.0).
 
@@ -63,6 +65,12 @@ SOLVE = {
     "lowsync-gmres": lowsync_gmres,
     "two-precision": gmres_two_precision,
     "gmres-ir": lambda A, b, x0, o: gmres_ir(A, b),
+    "gmres-ir-restart5": lambda A, b, x0, o: gmres_ir(
+        A, b, inner_opts=GmresOptions(rtol=1e-4, restart=5, max_iter=200)),
+    "gmres-ir-maxiter3": lambda A, b, x0, o: gmres_ir(
+        A, b, inner_opts=GmresOptions(rtol=1e-4, restart=50, max_iter=3)),
+    "gmres-ir-rtol1e-6": lambda A, b, x0, o: gmres_ir(
+        A, b, inner_opts=GmresOptions(rtol=1e-6, restart=50, max_iter=200)),
 }
 COUNTS = ("iterations", "matvecs", "reductions", "restarts")
 CSR = ("row_ptr", "col_idx", "values")
@@ -85,7 +93,8 @@ def cases():
             for restart in (None, 8):
                 for x0_kind, x0 in (("zero", None), ("random", x_random)):
                     opts = GmresOptions(rtol=1e-8, max_iter=max_iter, restart=restart)
-                    for name in SOLVER_DISPATCH:
+                    # every dispatch entry (one SOLVE lacks is a KeyError), then the variants
+                    for name in dict.fromkeys([*SOLVER_DISPATCH, *SOLVE]):
                         yield (f"{name} {label} max_iter={max_iter} "
                                f"restart={restart} x0={x0_kind}", name, A, b, x0, opts)
 
