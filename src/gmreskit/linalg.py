@@ -52,7 +52,12 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CsrMatrix:
-    """Compressed sparse row matrix with strictly increasing column indices per row."""
+    """Compressed sparse row matrix with strictly increasing column indices per row.
+
+    ``matvec`` runs on a slot-major copy of the entries (``_slots``), built on
+    the first product and cached on the instance; its result has the bits of
+    a per-row left-to-right binary64 sum over the stored entries.
+    """
 
     nrows: int
     ncols: int
@@ -111,22 +116,57 @@ class CsrMatrix:
         return out
 
     def _nnz_rows(self):
-        # cached row index of every stored entry, for the bincount matvec
-        rows = getattr(self, "_row_cache", None)
-        if rows is None:
-            rows = np.repeat(np.arange(self.nrows), np.diff(self.row_ptr))
-            object.__setattr__(self, "_row_cache", rows)
-        return rows
+        """Row index of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.nrows), np.diff(self.row_ptr))
+
+    def _slots(self):
+        """Slot-major (ELLPACK) copy of the entries, built on first use.
+
+        Slot k holds the k-th stored entry of every row, as (K, nrows)
+        columns and values, for the K slots that at least half of the rows
+        reach, so the padding never exceeds nnz.  A shorter row is padded
+        with value 0 at its own last stored column; an empty row, padded at
+        some stored column, is zeroed after the sum.  The entries past slot K
+        form a tail of (rows, columns, values) in storage order.
+        """
+        cache = getattr(self, "_slot_cache", None)
+        if cache is None:
+            lengths = np.diff(self.row_ptr)
+            K = int(np.sort(lengths)[self.nrows // 2]) if self.nrows else 0
+            k = np.arange(K)[:, None]
+            # entry k of each row, clamped to its last; an empty row's
+            # row_ptr - 1 wraps to another row's entry, which K > 0 ensures
+            at = np.minimum(self.row_ptr[:-1] + k, self.row_ptr[1:] - 1)
+            rows = self._nnz_rows()
+            tail = np.arange(self.nnz) - self.row_ptr[rows] >= K
+            cache = (self.col_idx[at], np.where(k < lengths, self.values[at], 0),
+                     np.flatnonzero(lengths == 0),
+                     rows[tail], self.col_idx[tail], self.values[tail])
+            object.__setattr__(self, "_slot_cache", cache)
+        return cache
 
     def matvec(self, v):
         v = np.asarray(v)
         if v.shape != (self.ncols,):
             raise ValueError(f"dimension mismatch: matrix is {self.nrows}x{self.ncols}, "
                              f"vector has length {v.shape}")
-        prod = self.values * v[self.col_idx]
-        # bincount accumulates sequentially in storage order, i.e. the same
-        # order as a per-row left-to-right sum over the stored entries
-        return np.bincount(self._nnz_rows(), weights=prod, minlength=self.nrows)
+        cols, vals, empty, tail_rows, tail_cols, tail_vals = self._slots()
+        dtype = np.result_type(v, self.values)
+        if not np.can_cast(dtype, np.float64, "same_kind"):
+            raise TypeError(f"cannot sum {dtype} products in binary64")
+        # each row sums its products left to right in binary64 from +0.0,
+        # a slot at a time and then along the tail; a padded entry adds an
+        # exact zero (for finite v), so the bits are those of a per-row
+        # sequential sum over the stored entries in storage order
+        g = np.take(v, cols).astype(dtype, copy=False)
+        np.multiply(g, vals, out=g)
+        out = np.zeros(self.nrows)
+        for row in g:
+            out += row
+        out[empty] = 0.0
+        if len(tail_rows):
+            np.add.at(out, tail_rows, tail_vals * v[tail_cols])
+        return out
 
     def diagonal(self):
         """Main diagonal, 0 where the diagonal entry is not stored."""

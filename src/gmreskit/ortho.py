@@ -135,11 +135,17 @@ def mgs_pass(V, k, w, counter, weight=None):
     (modified Gram-Schmidt), in the D-inner product when weight is given.
     Returns (coefficients, projected w, its norm) in w's dtype; k + 1 reductions."""
     h = np.zeros(k, dtype=w.dtype)
+    if k:
+        # w - h[i] * v in place, on a private copy of w (an operator may
+        # return its input, a column of V): the same type and two roundings
+        w = w.astype(np.result_type(w, V))
+        tmp = np.empty_like(w)
     for i in range(k):
         v = V[:, i]
         h[i] = _ip_block(v, w, weight)
         counter.count()
-        w = w - h[i] * v
+        np.multiply(v, h[i], out=tmp)
+        w -= tmp
     h_sub = weighted_norm(w, weight)
     counter.count()
     return h, w, h_sub

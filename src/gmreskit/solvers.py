@@ -266,7 +266,9 @@ def _zero_rhs_report(N):
 
 def _finite_vector(name, v, like=None):
     """v as a binary64 array; a ValueError names the argument unless v is a
-    finite 1-D vector, of like's shape when like is given."""
+    real, finite 1-D vector, of like's shape when like is given."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real")
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")

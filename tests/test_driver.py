@@ -131,6 +131,22 @@ def test_rejects_nonfinite_b_and_x0(problem, name, arg, bad):
         SOLVE[name](A, b, x0, _options(A, "none"))
 
 
+@pytest.mark.parametrize("imag", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "name,arg",
+    # refinement takes no x0
+    [(name, arg) for name in SOLVER_DISPATCH for arg in ("b", "x0")
+     if (name, arg) != ("gmres-ir", "x0")])
+def test_rejects_complex_b_and_x0(problem, name, arg, imag):
+    # any complex dtype, even with a zero imaginary part
+    A, b = problem
+    args = {"b": b, "x0": np.zeros(len(b))}
+    args[arg] = args[arg].astype(complex)
+    args[arg][3] += imag * 1j
+    with pytest.raises(ValueError, match=f"{arg} must be real"):
+        SOLVE[name](A, args["b"], args["x0"], _options(A, "none"))
+
+
 @pytest.mark.parametrize("name", SOLVER_DISPATCH)
 def test_rejects_b_that_is_not_1d(problem, name):
     A, b = problem

@@ -72,6 +72,81 @@ class TestSpmv:
         assert np.array_equal(A.matvec(np.ones(4)), [0.0, 5.0, 0.0, 0.0])
 
 
+def bincount_matvec(A, v):
+    """The product as a bincount over the stored entries' row indices: the
+    kernel CsrMatrix.matvec had before its slot-major layout."""
+    v = np.asarray(v)
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
+    return np.bincount(rows, weights=A.values * v[A.col_idx], minlength=A.nrows)
+
+
+@st.composite
+def sparse_products(draw):
+    """(A, v) over random patterns: empty rows, most rows empty, one dense row
+    among sparse ones, rectangular shapes and nnz = 0; int64 values and
+    float32 or int64 v; zeros of both signs in v and among the values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    stored = rng.random((nrows, ncols)) < draw(st.sampled_from([0.0, 0.15, 0.5, 0.9]))
+    if nrows and draw(st.booleans()):
+        stored[rng.integers(nrows)] = True
+    rows, cols = np.nonzero(stored)
+    if draw(st.booleans()):
+        values = rng.integers(-4, 5, len(rows))
+    else:
+        values = rng.standard_normal(len(rows))
+        values[rng.random(len(rows)) < 0.2] = 0.0
+        values[rng.random(len(rows)) < 0.2] = -0.0
+    v = rng.standard_normal(ncols) * 10
+    v[rng.random(ncols) < 0.3] = 0.0
+    v[rng.random(ncols) < 0.3] = -0.0
+    v = v.astype(draw(st.sampled_from([np.float64, np.float32, np.int64])))
+    return CsrMatrix.from_coo(nrows, ncols, rows, cols, values), v
+
+
+class TestSlotMajorProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_products())
+    def test_same_bytes_as_bincount(self, case):
+        A, v = case
+        got = A.matvec(v)
+        assert got.dtype == np.float64
+        # (bincount returns int64 zeros when nnz = 0: the same bytes)
+        assert got.tobytes() == bincount_matvec(A, v).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_products(), st.data())
+    def test_same_nonfinite_entries_as_bincount(self, case, data):
+        A, v = case
+        v = v.astype(np.float64)
+        v[data.draw(st.integers(0, len(v) - 1))] = data.draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+        with np.errstate(invalid="ignore"):
+            got, expected = A.matvec(v), bincount_matvec(A, v)
+        assert np.array_equal(np.isfinite(got), np.isfinite(expected))
+
+    def test_arrow_row_stays_out_of_the_slots(self, rng):
+        # one dense row over a diagonal and a dense first column
+        n = 4096
+        rows = np.concatenate((np.zeros(n, dtype=np.int64), np.arange(1, n), np.arange(1, n)))
+        cols = np.concatenate((np.arange(n), np.zeros(n - 1, dtype=np.int64), np.arange(1, n)))
+        A = CsrMatrix.from_coo(n, n, rows, cols, rng.standard_normal(len(rows)))
+        v = rng.standard_normal(n)
+        assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
+        slot_cols, slot_vals, *_ = A._slots()
+        assert slot_cols.shape == slot_vals.shape == (2, n)
+        cached = sum(part.nbytes for part in A._slots())
+        assert cached <= 2 * (A.values.nbytes + A.col_idx.nbytes)
+
+    # one full row of four: no slots, all of it tail; three: four slots
+    @pytest.mark.parametrize("dense_rows", [1, 3])
+    def test_complex_vector_raises(self, dense_rows):
+        dense = np.zeros((4, 4))
+        dense[:dense_rows] = 1.0
+        with pytest.raises(TypeError):
+            CsrMatrix.from_dense(dense).matvec(np.ones(4, dtype=complex))
+
+
 class TestCsrInvariants:
     def test_rejects_bad_row_ptr(self):
         with pytest.raises(ValueError):

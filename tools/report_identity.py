@@ -19,16 +19,19 @@ restart 50, max_iter 200); the variants change one of them each, to inner
 restart 5, max_iter 3 or rtol 1e-6, so that the inner restart loop and its
 budget are covered.  All four ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
-and of gen_convdiff(128, 128, 10.0).
+of gen_convdiff(128, 128, 10.0), and of a 64x64 arrow matrix with ten empty
+rows, together with the bytes of A.matvec(v) for each of them on two seeded
+vectors, the second holding zeros of both signs.
 
 `compare` prints each case whose counts, termination or exception type
 moved, then one row per solver: its cases, how many moved, and the largest
 relative difference in x (normwise) and in the residual histories and
 true-residual checkpoints (largest entry difference over the common prefix,
-relative to the initial residual norm).  It then names each CSR array whose
-dtype or bytes differ.  It exits with status 1 when a count, a termination,
-an exception type or a CSR array differs, so a change that should only move
-rounding can be checked against its parent.
+relative to the initial residual norm).  It then names each CSR array or
+matvec output whose dtype or bytes differ.  It exits with status 1 when a
+count, a termination, an exception type, a CSR array or a matvec output
+differs, so a change that should only move rounding can be checked against
+its parent.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from gmreskit import (GmresOptions, fgmres, gcr, gmres, gmres_e, gmres_ir, gmres
                       gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, orthodir,
                       pipelined_gmres, simpler_gmres, sstep_gmres, weighted_gmres)
 from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff, gen_spectrum
-from gmreskit.linalg import mm_read, mm_write
+from gmreskit.linalg import CsrMatrix, mm_read, mm_write
 
 SOLVE = {
     "gmres": gmres,
@@ -106,11 +109,29 @@ def operators():
             mm_write(os.path.join(tmp, "A.mtx"), A)
             yield f"csr {label} mm round trip", mm_read(os.path.join(tmp, "A.mtx"))
     yield "csr convdiff 128^2 Peclet 10", gen_convdiff(128, 128, 10.0)
+    # a dense first row and first column over the diagonal, rows 20-29 empty
+    n = 64
+    rest = np.setdiff1d(np.arange(1, n), np.arange(20, 30))
+    rows = np.concatenate((np.zeros(n, dtype=np.int64), rest, rest))
+    cols = np.concatenate((np.arange(n), np.zeros(len(rest), dtype=np.int64), rest))
+    values = np.random.default_rng(11).standard_normal(len(rows))
+    yield "csr arrow 64^2 with empty rows", CsrMatrix.from_coo(n, n, rows, cols, values)
+
+
+def vectors(n):
+    """Two seeded vectors to multiply with; the second holds signed zeros."""
+    v = np.random.default_rng(0).standard_normal(n)
+    w = np.random.default_rng(1).standard_normal(n)
+    w[::3], w[1::3] = -0.0, 0.0
+    return v, w
 
 
 def dump(path):
-    out = {f"{prefix}|{name}": getattr(A, name)
-           for prefix, A in operators() for name in CSR}
+    out = {}
+    for prefix, A in operators():
+        out.update({f"{prefix}|{name}": getattr(A, name) for name in CSR})
+        out.update({f"{prefix}|matvec {k}": A.matvec(v)
+                    for k, v in enumerate(vectors(A.ncols))})
     outcomes = Counter()  # termination or exception type -> cases
     for key, name, A, b, x0, opts in cases():
         try:
@@ -185,8 +206,9 @@ def compare(path_a, path_b):
         k for k in csr_a & csr_b
         if a[k].dtype != b[k].dtype or a[k].tobytes() != b[k].tobytes())
     for key in csr_moved:
-        print(f"CSR array differs or is missing: {key}")
-    print(f"CSR arrays identical: {'yes' if not csr_moved else f'no ({len(csr_moved)})'} "
+        print(f"CSR array or matvec output differs or is missing: {key}")
+    print(f"CSR arrays and matvec outputs identical: "
+          f"{'yes' if not csr_moved else f'no ({len(csr_moved)})'} "
           f"({len(csr_a | csr_b)} arrays)")
     return 0 if not moved and not raised and not csr_moved else 1
 
