@@ -8,15 +8,13 @@ computable inner products, one TSQR tree = one reduction).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .deflation import _check_conjugate_pairs, leja_order
 from .linalg import HessenbergLsState, as_matvec, dense_eig_general
-from .ortho import (BREAKDOWN_REL, OrthogonalizationBreakdown, OrthoScheme, arnoldi,
-                    basis, cgs2_pass)
+from .ortho import OrthogonalizationBreakdown, OrthoScheme, arnoldi, basis
 from .solvers import (GmresOptions, _arnoldi_cycles, _givens_cycle, _reject_precond,
                       _reject_weight, _restart_driver)
 
@@ -476,7 +474,8 @@ def pipelined_gmres(A, b, x0=None, opts=None, theta=None):
 
     Maintains the shifted companion sequence w_j = (A - theta I) v_j, so a
     degree-one Newton basis is built implicitly; theta defaults to the mean
-    of a few warmup Ritz values.
+    of a few warmup Ritz values.  Each cycle is a CGS-P ArnoldiProcess over
+    the companion basis, whose reorthogonalizations the diagnostics sum.
     """
     opts = opts if opts is not None else GmresOptions()
     _reject_precond(opts, "pipelined_gmres")
@@ -487,57 +486,18 @@ def pipelined_gmres(A, b, x0=None, opts=None, theta=None):
         if diagnostics["theta"] is None:
             ritz = warmup_ritz_values(A, b, min(5, max(2, len(b) - 1)))
             diagnostics["theta"] = float(np.mean(ritz).real)
-        return lambda r, budget: _pipelined_cycle(run, r, budget, diagnostics["theta"])
+        arnoldi_cycle = _arnoldi_cycles(run, shift=diagnostics["theta"])
 
-    return _restart_driver(A, b, x0, opts, make_cycle, diagnostics=diagnostics)
+        def cycle(r, budget):
+            out = arnoldi_cycle(r, budget)
+            diagnostics["reorthogonalizations"] += run.process.reorthogonalizations
+            run.process = None  # the report keeps no basis copy (nor W)
+            return out
 
+        return cycle
 
-def _pipelined_cycle(run, r, m, theta):
-    counter = run.counter
-    N = len(r)
-    beta = float(np.linalg.norm(r))
-    counter.count()
-    V = basis(N, m + 1)
-    W = basis(N, m + 1)
-    V[:, 0] = r / beta
-    W[:, 0] = run.op(V[:, 0]) - theta * V[:, 0]
-    H = np.zeros((m + 1, m))
-    ls = HessenbergLsState(m, beta)
-
-    def steps():
-        for j in range(m):
-            counter.begin_step()
-            c = V[:, : j + 1].T @ W[:, j]
-            sig = float(W[:, j] @ W[:, j])
-            counter.count()                 # merged projections + squared norm
-            counter.end_step()
-            u = run.op(W[:, j])             # next product, overlappable
-            radicand = sig - float(c @ c)
-            floor = sig * max(64.0 * (j + 2) * float(np.finfo(np.float64).eps), 1e-8)
-            if radicand < floor:
-                # the radicand cannot be resolved (or went negative as the basis
-                # degrades): retry this step once with a reorthogonalization; a
-                # vanishing recomputed norm is the happy breakdown
-                c, _, h_sub = cgs2_pass(V[:, : j + 1], W[:, j], counter)
-                run.diagnostics["reorthogonalizations"] += 1
-                if not math.isfinite(h_sub):
-                    raise OrthogonalizationBreakdown(
-                        f"pipelined reorthogonalization failed at step {j + 1}")
-            else:
-                h_sub = math.sqrt(radicand)
-            H[: j + 1, j] = c
-            H[j, j] += theta                # undo the shift on the diagonal entry
-            col_scale = float(np.linalg.norm(H[: j + 1, j])) + h_sub
-            breakdown = h_sub <= BREAKDOWN_REL * col_scale
-            H[j + 1, j] = 0.0 if breakdown else h_sub
-            yield H, j + 1, breakdown
-            V[:, j + 1] = (W[:, j] - V[:, : j + 1] @ c) / h_sub
-            W[:, j + 1] = (u - W[:, : j + 1] @ H[: j + 1, j]) / h_sub
-
-    rhos, status = _givens_cycle(run.emit, ls, steps())
-    n = ls.ncols
-    update = V[:, :n] @ ls.solve(n)
-    return update, rhos, status
+    return _restart_driver(A, b, x0, replace(opts, scheme=OrthoScheme.CGSP), make_cycle,
+                           diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -317,8 +317,7 @@ def gmres_e(A, b, x0=None, m1=20, m2=2, opts=None):
                 H, Z = last
                 n_used = H.shape[1]
                 if m2 > 0 and n_used > 1:
-                    h_next = H[n_used, n_used - 1] if H.shape[0] > n_used else 0.0
-                    hr = harmonic_ritz(H[:n_used, :n_used], h_next)
+                    hr = harmonic_ritz(H[:n_used, :n_used], H[n_used, n_used - 1])
                     aug = []
                     for y in _real_vectors_from_pairs(hr.values, hr.vectors, m2):
                         u = Z[:, :n_used] @ y

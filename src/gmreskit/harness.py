@@ -26,7 +26,7 @@ from .commavoid import (
     sstep_gmres,
 )
 from .deflation import build_poly_preconditioner, gmres_e, polynomial_preconditioner
-from .linalg import CsrMatrix, as_matvec, mm_read, operator_norm_estimate
+from .linalg import CsrMatrix, SingularMatrixError, as_matvec, mm_read, operator_norm_estimate
 from .mixedprec import gmres_ir, gmres_two_precision
 from .solvers import (
     DiagonalPreconditioner,
@@ -425,9 +425,10 @@ def run(config, output_dir=None, log=None):
         t0 = time.perf_counter()
         try:
             report = _run_variant(operator, b, variant, callback)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            # an internal solver error fails the run's exit status but does
-            # not stop the remaining variants
+        except (RuntimeError, np.linalg.LinAlgError, SingularMatrixError) as exc:
+            # an internal solver error (a singular least-squares factor is a
+            # ValueError) fails the run's exit status but does not stop the
+            # remaining variants
             timings[name] = time.perf_counter() - t0
             summary["variants"][name] = {
                 "solver": variant["solver"],

@@ -10,14 +10,17 @@ with a counter of modeled global reductions: one reduction = one batch of
 inner products / norms whose operands are all available at the same time.
 Per-step costs are structural properties of each scheme:
 
-    MGS   j+1   (j sequential projections plus the norm)
-    CGS     2   (one batched projection, one norm)
-    CGS2    3   (two batched projections, one norm)
-    CGSP    1   (projections and the squared norm share one batch)
-    ICWY    1   (lagged normalization merges everything into one batch)
+    MGS        j+1   (j sequential projections plus the norm)
+    CGS          2   (one batched projection, one norm)
+    CGS2         3   (two batched projections, one norm)
+    CGSP         1   (projections and the squared norm share one batch)
+    ICWY         1   (lagged normalization merges everything into one batch)
+    pipelined    1   (CGSP's batch over the shifted companion basis; a CGSP
+                      or pipelined step that retries with CGS2 counts 3 more)
 
 The initial normalization of r0 is counted toward the total but belongs to
-no step.
+no step.  A direct step may project op(z) for a direction z of its caller's
+instead of op(v_j): flexible GMRES's relation A Z_n = V_{n+1} Hbar_n.
 """
 
 from __future__ import annotations
@@ -176,12 +179,25 @@ class ArnoldiProcess:
     completes column j one step late because its normalization is deferred
     into the next merged reduction.  ``finish()`` flushes any deferred work.
 
+    ``step_along(z)`` (direct schemes only) is a step that projects op(z)
+    instead of op(v_j), so column j of H holds the coefficients of A z_j and
+    the caller keeps the directions.  With droppable=True a step whose new
+    column is rank-deficient (the breakdown test) is discarded instead of
+    ending the process: H and V stay as they were, ``steps`` does not
+    advance and step_along returns False, while the counter keeps the step's
+    reductions and its per_step entry.
+
     weight, when given, replaces the Euclidean inner product with the
     D-inner product (u, v)_D = v^T D u throughout.
+
+    A CGSP process given the private ``_shift`` theta runs pipelined GMRES
+    (Ghysels, Ashby, Meerbergen & Vanroose): it keeps the companion basis
+    W = (A - theta I) V, takes the merged batch over w_j, and issues the next
+    product op(w_j) before the norm is resolved.
     """
 
     def __init__(self, A, r0, max_steps, scheme=OrthoScheme.MGS, *, weight=None,
-                 counter=None, dtype=None):
+                 counter=None, dtype=None, _shift=None):
         self.matvec, self.N = as_matvec(A, n=len(r0))
         self.scheme = OrthoScheme(scheme)
         self.counter = counter if counter is not None else ReductionCounter()
@@ -189,7 +205,9 @@ class ArnoldiProcess:
         if dtype.kind != "f":
             dtype = np.dtype(np.float64)
         self.dtype = dtype
-        if max_steps >= self.N + 1:
+        # a pipelined cycle keeps its whole budget: its basis can lose enough
+        # orthogonality that step N shows no breakdown
+        if max_steps >= self.N + 1 and _shift is None:
             max_steps = self.N
         self.max_steps = max_steps
         self.weight = None if weight is None else np.asarray(weight, dtype=dtype)
@@ -212,6 +230,12 @@ class ArnoldiProcess:
         self.L = np.zeros((max_steps + 1, max_steps + 1), dtype=dtype) \
             if self.scheme is OrthoScheme.ICWY else None
         self._w_pending = None
+        self._direction = None  # (z, droppable) of a step_along
+        # pipelined state: the shift and the companion basis W = (A - shift I) V
+        self.shift, self.W = _shift, None
+        if _shift is not None:
+            self.W = basis(self.N, max_steps + 1, dtype)
+            self.W[:, 0] = self.matvec(self.V[:, 0]) - _shift * self.V[:, 0]
 
     # -- stepping ---------------------------------------------------------------
     def step(self):
@@ -223,24 +247,69 @@ class ArnoldiProcess:
         try:
             if self.scheme is OrthoScheme.ICWY:
                 self._step_icwy()
-            else:
-                self._step_direct()
+            elif self.W is not None:
+                self._step_pipelined()
+            elif not self._step_direct():
+                return self.completed
         finally:
             self.counter.end_step()
         self.steps += 1
         return self.completed
 
+    def step_along(self, z, droppable=False):
+        """step() expanding the basis with op(z); False when a droppable
+        step was discarded (class docstring)."""
+        if self.scheme is OrthoScheme.ICWY or self.W is not None:
+            raise ValueError("only a direct Gram-Schmidt step takes a direction")
+        # carried on the process: step() keeps the no-argument form wrappers call
+        steps, self._direction = self.steps, (z, droppable)
+        try:
+            self.step()
+        finally:
+            self._direction = None
+        return self.steps > steps
+
     def _column_scale(self, j, h_sub):
         col = self.H[: j + 1, j]
         return math.sqrt(float(col @ col) + h_sub * h_sub)
 
-    def _is_breakdown(self, j, h_sub):
-        return h_sub <= BREAKDOWN_REL * self._column_scale(j, h_sub)
+    def _cgsp_norm(self, j, V, w, h, sigma_sq):
+        """(h, None, sqrt(sigma_sq - ||h||^2)) from the merged batch of w's
+        projections h and squared norm, or a CGS2 retry's (h, w, h_sub)."""
+        radicand = sigma_sq - float(h @ h)
+        # the subtraction cannot resolve radicands near its rounding floor, and
+        # the basis's orthogonality defect enters it squared: retry once
+        eps = float(np.finfo(self.dtype).eps)
+        if radicand < sigma_sq * max(64.0 * (j + 2) * eps, 1e-8):
+            h, w, h_sub = cgs2_pass(V, w, self.counter, self.weight)
+            self.reorthogonalizations += 1
+            if not math.isfinite(h_sub):
+                raise OrthogonalizationBreakdown(
+                    f"CGS-P breakdown not recoverable at step {j + 1}")
+            return h, w, h_sub
+        return h, None, math.sqrt(radicand)
+
+    def _commit(self, j, h, w, h_sub, droppable=False):
+        """Store column j and, unless it breaks down, v_{j+1} = w / h_sub;
+        False when a droppable column is discarded."""
+        self.H[: j + 1, j] = h
+        if h_sub <= BREAKDOWN_REL * self._column_scale(j, h_sub):
+            if droppable:
+                self.H[: j + 1, j] = 0.0
+                return False
+            self.H[j + 1, j] = 0.0
+            self.breakdown_at = j + 1
+        else:
+            self.H[j + 1, j] = h_sub
+            self.V[:, j + 1] = w / h_sub
+        self.completed = j + 1
+        return True
 
     def _step_direct(self):
         j = self.steps
         V = self.V[:, : j + 1]
-        w = np.asarray(self.matvec(self.V[:, j]), dtype=self.dtype)
+        z, droppable = self._direction or (self.V[:, j], False)
+        w = np.asarray(self.matvec(z), dtype=self.dtype)
         if self.scheme is OrthoScheme.MGS:
             h, w, h_sub = mgs_pass(self.V, j + 1, w, self.counter, self.weight)
         elif self.scheme is OrthoScheme.CGS:
@@ -255,33 +324,27 @@ class ArnoldiProcess:
             h = _ip_block(V, w, self.weight)
             sigma = weighted_norm(w, self.weight)  # shares the batch with the projections
             self.counter.count()
-            radicand = sigma * sigma - float(h @ h)
-            # the subtraction cannot resolve radicands near its rounding floor,
-            # and the basis's accumulated orthogonality defect enters the
-            # difference squared; suspicious steps are retried once with a
-            # trustworthy reorthogonalization
-            eps = float(np.finfo(self.dtype).eps)
-            floor = sigma * sigma * max(64.0 * (j + 2) * eps, 1e-8)
-            if radicand < floor:
-                h, w, h_sub = cgs2_pass(V, w, self.counter, self.weight)
-                self.reorthogonalizations += 1
-                if not math.isfinite(h_sub):
-                    raise OrthogonalizationBreakdown(
-                        f"CGS-P breakdown not recoverable at step {j + 1}")
-            else:
-                w = w - V @ h
-                h_sub = math.sqrt(radicand)
+            h, w_retry, h_sub = self._cgsp_norm(j, V, w, h, sigma * sigma)
+            w = w - V @ h if w_retry is None else w_retry
         else:  # pragma: no cover
             raise ValueError(f"unhandled scheme {self.scheme}")
-        self.H[: j + 1, j] = h
-        if self._is_breakdown(j, h_sub):
-            self.H[j + 1, j] = 0.0
-            self.breakdown_at = j + 1
-            self.completed = j + 1
-            return
-        self.H[j + 1, j] = h_sub
-        self.V[:, j + 1] = w / h_sub
-        self.completed = j + 1
+        return self._commit(j, h, w, h_sub, droppable)
+
+    def _step_pipelined(self):
+        j = self.steps
+        V = self.V[:, : j + 1]
+        wj = self.W[:, j]
+        c = _ip_block(V, wj, self.weight)
+        sigma_sq = float(_ip_block(wj, wj, self.weight))
+        self.counter.count()                # merged projections + squared norm
+        u = np.asarray(self.matvec(wj), dtype=self.dtype)  # next product, overlappable
+        # v_{j+1} comes from w_j and the combined coefficients, also after a retry
+        c, _, h_sub = self._cgsp_norm(j, V, wj, c, sigma_sq)
+        h = c.copy()
+        h[j] += self.shift                  # undo the shift on the diagonal entry
+        self._commit(j, h, wj - V @ c, h_sub)
+        if self.breakdown_at is None:
+            self.W[:, j + 1] = (u - self.W[:, : j + 1] @ self.H[: j + 1, j]) / h_sub
 
     def _step_icwy(self):
         k = self.steps
@@ -305,13 +368,9 @@ class ArnoldiProcess:
         u[k] = _ip_block(wp, w_new, self.weight)
         h_sub = weighted_norm(wp, self.weight)
         self.counter.count()
-        if self._is_breakdown(k - 1, h_sub):
-            self.H[k, k - 1] = 0.0
-            self.breakdown_at = k
-            self.completed = k
+        self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
+        if self.breakdown_at is not None:
             return
-        self.H[k, k - 1] = h_sub
-        self.V[:, k] = wp / h_sub
         self.L[k, :k] = l_row / h_sub
         u = u / h_sub
         u[k] = u[k] / h_sub
@@ -319,7 +378,6 @@ class ArnoldiProcess:
         h_col = forward_substitute_unit(self.L[: k + 1, : k + 1], u)
         self.H[: k + 1, k] = h_col
         self._w_pending = w_new - self.V[:, : k + 1] @ h_col
-        self.completed = k
 
     def finish(self):
         """Flush deferred normalizations and return the decomposition."""
@@ -329,13 +387,7 @@ class ArnoldiProcess:
             wp = self._w_pending
             h_sub = weighted_norm(wp, self.weight)
             self.counter.count()  # trailing batch of the deferred normalization
-            if self._is_breakdown(k - 1, h_sub):
-                self.H[k, k - 1] = 0.0
-                self.breakdown_at = k
-            else:
-                self.H[k, k - 1] = h_sub
-                self.V[:, k] = wp / h_sub
-            self.completed = k
+            self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
         return self.decomposition()
 
     def decomposition(self):

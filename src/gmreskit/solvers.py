@@ -35,7 +35,8 @@ solver carries from cycle to cycle lives in the closure of make_cycle; a
 cycle is called again only when the driver restarts.
 
 Every cycle that grows a Hessenberg matrix (Arnoldi in each scheme and
-working dtype, Householder, flexible and augmented, s-step, pipelined) is a
+working dtype, low-sync and pipelined, all three on ortho.ArnoldiProcess;
+flexible and augmented on its step_along; Householder; s-step) is a
 step generator run by one least-squares loop,
 _givens_cycle(emit, ls, steps).  After each step the generator yields
 (H, completed, breakdown): the Hessenberg storage, how many of its leading
@@ -433,14 +434,15 @@ def _process_steps(proc):
         yield proc.H, proc.completed, proc.breakdown_at is not None
 
 
-def _arnoldi_cycles(run):
+def _arnoldi_cycles(run, shift=None):
     """Cycles of Arnoldi in opts.scheme with a running Givens QR of the
-    Hessenberg factor, in the run's weight and working dtype."""
+    Hessenberg factor, in the run's weight and working dtype; a shift makes
+    a CGS-P process pipelined (commavoid.pipelined_gmres)."""
 
     def cycle(r, budget):
         proc = run.process = ArnoldiProcess(
             run.op, r, budget, run.opts.scheme, weight=run.weight, counter=run.counter,
-            dtype=run.dtype)
+            dtype=run.dtype, _shift=shift)
         ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
         rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
         n = ls.ncols
@@ -694,7 +696,7 @@ def orthodir(A, b, x0=None, opts=None):
 
 def _flexible_cycle(run, r0, m, direction_fn):
     """One MGS cycle where step j expands the basis with A applied to an
-    arbitrary direction z_j.
+    arbitrary direction z_j (ArnoldiProcess.step_along).
 
     direction_fn(j, slot, V) -> (z, kind) or None; j is the basis step about
     to be performed, slot the position in the operand schedule (they drift
@@ -704,52 +706,35 @@ def _flexible_cycle(run, r0, m, direction_fn):
     FgmresBreakdownError otherwise.  Returns (update, rhos, status, V, Hbar,
     Z, dropped).
     """
-    counter = run.counter
-    N = len(r0)
-    beta = float(np.linalg.norm(r0))
-    counter.count()
-    V = basis(N, m + 1)
-    H = np.zeros((m + 1, m))
-    Z = basis(N, m)
-    V[:, 0] = r0 / beta
-    ls = HessenbergLsState(m, beta)
+    proc = ArnoldiProcess(run.op, r0, m, counter=run.counter)
+    Z = basis(proc.N, proc.max_steps)
+    ls = HessenbergLsState(proc.max_steps, proc.beta)
     dropped = 0
-    grade_scale = None  # column scale of a vanishing subdiagonal on "krylov"
 
     def steps():
-        nonlocal dropped, grade_scale
-        j = slot = 0
-        while j < m:
-            got = direction_fn(j, slot, V)
+        nonlocal dropped
+        slot = 0
+        while proc.steps < proc.max_steps:
+            j = proc.steps
+            got = direction_fn(j, slot, proc.V)
             slot += 1
             if got is None:
                 return
             z, kind = got
-            w = run.op(z)
-            counter.begin_step()
-            h, w, h_sub = mgs_pass(V, j + 1, w, counter)
-            counter.end_step()
-            col_scale = math.sqrt(float(h @ h) + h_sub * h_sub)
-            breakdown = h_sub <= BREAKDOWN_REL * col_scale
-            if breakdown and kind == "aug":
-                dropped += 1
-                continue
-            if breakdown:  # invariant subspace reached
-                h_sub, grade_scale = 0.0, col_scale
+            if proc.step_along(z, droppable=kind == "aug"):
+                Z[:, j] = z
+                yield proc.H, proc.completed, proc.breakdown_at is not None
             else:
-                V[:, j + 1] = w / h_sub
-            H[: j + 1, j] = h
-            H[j + 1, j] = h_sub
-            Z[:, j] = z
-            j += 1
-            yield H, j, breakdown
+                dropped += 1
 
     rhos, status = _givens_cycle(run.emit, ls, steps())
     n = ls.ncols
-    if grade_scale is not None and abs(ls.diag(n - 1)) <= BREAKDOWN_REL * grade_scale:
+    # at an invariant subspace the column scale is that of the projections
+    if proc.breakdown_at is not None and \
+            abs(ls.diag(n - 1)) <= BREAKDOWN_REL * proc._column_scale(n - 1, 0.0):
         raise FgmresBreakdownError("h_{j+1,j} vanished with a singular Hessenberg matrix")
     update = Z[:, :n] @ ls.solve(n)
-    return update, rhos, status, V, H[:, :n], Z[:, :n], dropped
+    return update, rhos, status, proc.V, proc.H[:, :n], Z[:, :n], dropped
 
 
 def fgmres(A, b, x0=None, opts=None, precond_sequence=None):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,32 @@ class TestPipelinedGmres:
         b = np.random.default_rng(7).standard_normal(20)
         rep = pipelined_gmres(A, b, theta=0.0, opts=GmresOptions(rtol=1e-10))
         assert rep.converged and rep.iterations == 7
+
+    @pytest.mark.parametrize("max_iter", [60, 120])
+    @pytest.mark.parametrize("solver", ["pipelined", "cgsp"])
+    def test_every_reduction_in_a_step(self, kappa1e6_problem, solver, max_iter):
+        # all reductions but each cycle's initial normalization belong to a
+        # step, the three of a reorthogonalizing retry included
+        b = np.random.default_rng(100).standard_normal(60)
+        opts = GmresOptions(rtol=1e-10, max_iter=max_iter)
+        if solver == "pipelined":
+            rep = pipelined_gmres(kappa1e6_problem, b, theta=0.0, opts=opts)
+        else:
+            rep = gmres(kappa1e6_problem, b, opts=replace(opts, scheme="cgsp"))
+        assert rep.reductions == rep.restarts + 1 + sum(rep.reduction_log)
+
+    @pytest.mark.parametrize("max_iter, retries, reductions", [(60, 3, 70), (120, 63, 310)])
+    def test_reorthogonalization_fallback(self, kappa1e6_problem, max_iter, retries,
+                                          reductions):
+        b = np.random.default_rng(100).standard_normal(60)
+        rep = pipelined_gmres(kappa1e6_problem, b, theta=0.0,
+                              opts=GmresOptions(rtol=1e-10, max_iter=max_iter))
+        assert rep.diagnostics["reorthogonalizations"] == retries
+        assert rep.reductions == reductions == 1 + max_iter + 3 * retries
+        opts = GmresOptions(rtol=1e-10, max_iter=max_iter, scheme="cgsp")
+        rep_c = gmres(kappa1e6_problem, b, opts=opts)
+        p, c = np.array(rep.relative_history()), np.array(rep_c.relative_history())
+        assert len(p) == len(c) and np.max(np.abs(p - c)) <= 1e-4
 
 
 class TestLowsyncGmres:

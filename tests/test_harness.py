@@ -248,6 +248,24 @@ class TestRun:
                       "rb").read()
         assert got_s == want_s
 
+    def test_singular_variant_recorded_as_error(self, tmp_path):
+        # a zero operator leaves every least-squares factor singular: the
+        # variants that raise SingularMatrixError get error entries and
+        # summary.json is still written
+        doc = {"problem": {"kind": "spectrum", "eigs": [0.0] * 8, "seed": 1},
+               "rhs": {"kind": "random", "seed": 2},
+               "variants": [{"name": "mgs", "solver": "gmres"},
+                            {"name": "fg", "solver": "fgmres"}],
+               "outputs": str(tmp_path / "out")}
+        summary, outdir = run(ExperimentConfig.from_dict(doc))
+        entry = summary["variants"]["mgs"]
+        assert entry["termination"] == "error"
+        assert entry["error"].startswith("SingularMatrixError")
+        assert summary["variants"]["fg"]["termination"] == "error"
+        assert summary["errors"] == 2
+        with open(os.path.join(outdir, "summary.json")) as fh:
+            assert json.load(fh) == summary
+
     def test_inexact_run(self, tmp_path):
         doc = config_doc(str(tmp_path / "out"))
         doc["inexact"] = {"mode": "relaxed", "eta": 1e-9, "seed": 11}

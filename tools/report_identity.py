@@ -11,11 +11,13 @@ and random (rtol 1e-8, seeded right-hand sides), 800 cases in all.  The problems
 operator with eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues
 geometrically spaced over [1e-6, 1] (condition number 1e6).  The last three
 drive the solvers into their breakdown, stagnation and exception exits.
-It writes each report's counts, termination, x, residual history and
-true-residual checkpoints, or the type of the exception the call raised, and
-prints how many cases ended in each termination or exception type.  gmres-ir
-runs as the harness dispatches it, on its default inner options (rtol 1e-4,
-restart 50, max_iter 200); the variants change one of them each, to inner
+It writes each report's counts, termination, x, residual history,
+true-residual checkpoints, reduction log and marks, and the diagnostics
+counters reorthogonalizations, dropped_augmentations, augmented_cycles and
+theta (NaN where a solver has none), or the type of the exception the call
+raised, and prints how many cases ended in each termination or exception
+type.  gmres-ir runs as the harness dispatches it, on its default inner
+options (rtol 1e-4, restart 50, max_iter 200); the variants change one of them each, to inner
 restart 5, max_iter 3 or rtol 1e-6, so that the inner restart loop and its
 budget are covered.  All four ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
@@ -24,14 +26,16 @@ rows, together with the bytes of A.matvec(v) for each of them on two seeded
 vectors, the second holding zeros of both signs.
 
 `compare` prints each case whose counts, termination or exception type
-moved, then one row per solver: its cases, how many moved, and the largest
+moved, each reduction-log entry that moved (index, before -> after), and
+each case whose reduction marks or diagnostics counters moved.  Then it
+prints one row per solver: its cases, how many moved, and the largest
 relative difference in x (normwise) and in the residual histories and
 true-residual checkpoints (largest entry difference over the common prefix,
 relative to the initial residual norm).  It then names each CSR array or
 matvec output whose dtype or bytes differ.  It exits with status 1 when a
-count, a termination, an exception type, a CSR array or a matvec output
-differs, so a change that should only move rounding can be checked against
-its parent.
+count, a termination, an exception type, a reduction log or its marks, a
+diagnostics counter, a CSR array or a matvec output differs, so a change
+that should only move rounding can be checked against its parent.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ SOLVE = {
         A, b, inner_opts=GmresOptions(rtol=1e-6, restart=50, max_iter=200)),
 }
 COUNTS = ("iterations", "matvecs", "reductions", "restarts")
+DIAGNOSTICS = ("reorthogonalizations", "dropped_augmentations", "augmented_cycles", "theta")
 CSR = ("row_ptr", "col_idx", "values")
 
 
@@ -147,6 +152,11 @@ def dump(path):
         out[key + "|x"] = np.asarray(rep.x, dtype=np.float64)
         out[key + "|history"] = np.asarray(rep.residual_history, dtype=np.float64)
         out[key + "|checkpoints"] = np.array([v for _, v in rep.true_residual_checkpoints])
+        out[key + "|reduction_log"] = np.array(rep.reduction_log, dtype=np.int64)
+        out[key + "|reduction_marks"] = np.array(rep.reduction_marks, dtype=np.int64)
+        diag = rep.diagnostics
+        out[key + "|diagnostics"] = np.array(
+            [np.nan if diag.get(k) is None else float(diag[k]) for k in DIAGNOSTICS])
     np.savez(path, **out)
     print(f"{path}: {sum(outcomes.values())} cases; "
           + ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items())))
@@ -169,7 +179,7 @@ def compare(path_a, path_b):
     if sorted(k for k in b.files if k.endswith("|raised")) != [k + "|raised" for k in keys]:
         print("the two dumps cover different cases")
         return 1
-    rows = {}  # solver -> [cases, count changes, exception changes, max dx, max dhist]
+    rows = {}  # solver -> [cases, record changes, exception changes, max dx, max dhist]
     for key in keys:
         row = rows.setdefault(key.split()[0], [0, 0, 0, 0.0, 0.0])
         row[0] += 1
@@ -182,21 +192,39 @@ def compare(path_a, path_b):
             continue
         ca, cb = a[key + "|counts"], b[key + "|counts"]
         ta, tb = str(a[key + "|termination"]), str(b[key + "|termination"])
-        if not np.array_equal(ca, cb) or ta != tb:
-            row[1] += 1
+        moved = not np.array_equal(ca, cb) or ta != tb
+        if moved:
             print(f"{key}: {dict(zip(COUNTS, ca.tolist()))} {ta} -> "
                   f"{dict(zip(COUNTS, cb.tolist()))} {tb}")
+        la, lb = a[key + "|reduction_log"], b[key + "|reduction_log"]
+        if len(la) != len(lb):
+            moved = True
+            print(f"{key}: reduction log of {len(la)} steps -> {len(lb)}")
+        else:
+            for i in np.flatnonzero(la != lb):
+                moved = True
+                print(f"{key}: reduction_log[{i}] {la[i]} -> {lb[i]}")
+        if not np.array_equal(a[key + "|reduction_marks"], b[key + "|reduction_marks"]):
+            moved = True
+            print(f"{key}: reduction marks moved")
+        da, db = a[key + "|diagnostics"], b[key + "|diagnostics"]
+        if not np.array_equal(da, db, equal_nan=True):
+            moved = True
+            print(f"{key}: diagnostics {dict(zip(DIAGNOSTICS, da.tolist()))} -> "
+                  f"{dict(zip(DIAGNOSTICS, db.tolist()))}")
+        row[1] += moved
         row[3] = max(row[3], _rel_x(a[key + "|x"], b[key + "|x"]))
         r0 = a[key + "|history"][0]
         row[4] = max(row[4], *(_rel_series(a[key + part], b[key + part], r0)
                                for part in ("|history", "|checkpoints")))
-    print(f"{'solver':<17} {'cases':>5} {'counts moved':>12} {'raised moved':>12} "
+    print(f"{'solver':<17} {'cases':>5} {'record moved':>12} {'raised moved':>12} "
           f"{'max rel dx':>10} {'max rel dhist':>13}")
     for name, (n, moved, raised, dx, dh) in rows.items():
         print(f"{name:<17} {n:>5} {moved:>12} {raised:>12} {dx:>10.3g} {dh:>13.3g}")
     moved = sum(r[1] for r in rows.values())
     raised = sum(r[2] for r in rows.values())
-    print(f"all counts equal: {'yes' if not moved else f'no ({moved} cases)'}; "
+    print(f"all counts, logs and diagnostics equal: "
+          f"{'yes' if not moved else f'no ({moved} cases)'}; "
           f"exception type changed: {raised} cases; "
           f"largest relative difference in x {max(r[3] for r in rows.values()):.3g}, "
           f"in the histories {max(r[4] for r in rows.values()):.3g}")
