@@ -42,6 +42,7 @@ from .solvers import (
     simpler_gmres,
     weighted_gmres,
     _finite_vector,
+    _matvec_for,
 )
 
 __all__ = [
@@ -292,6 +293,7 @@ def _operator_diagonal(A):
 def _run_variant(A, b, variant, callback=None):
     # before the s-step basis and the polynomial preconditioner run on b
     b = _finite_vector("b", b)
+    _matvec_for(A, len(b))
     solver = variant["solver"]
     options = dict(variant.get("options", {}))
     opts = _gmres_options(options, callback)

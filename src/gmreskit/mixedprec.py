@@ -7,18 +7,25 @@ restart driver and the refinement loop compute both in binary64 only.
 
 Low-format products keep CSR input sparse (``low_operator``); only the LU
 factorization of GMRES-IR densifies, once, into a blocked right-looking
-factorization whose trailing updates are binary32 GEMMs.
+factorization.  Each panel of _BLOCK columns is factored in a contiguous
+transposed copy, its block row of U comes from one GEMV per row and the
+trailing update is one binary32 GEMM; the triangular solves substitute
+inside transposed copies of the diagonal blocks.  The operation order and
+the GEMV and GEMM shapes are pinned: they give the bits of the column-wise
+factorization, and binary32 bits may not move while GMRES-IR's refinement
+count on the benchmark still rests on them (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import CsrMatrix, SingularMatrixError, as_matvec
 from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _finite_vector,
-                      _restart_driver, _Run, _Tally, _zero_rhs_report)
+                      _matvec_for, _restart_driver, _Run, _Tally, _zero_rhs_report)
 
 __all__ = [
     "LowLU",
@@ -33,13 +40,16 @@ DESK_SCALE_LIMIT = 2000
 _BLOCK = 64  # column block width of lu_low and LowLU.solve
 
 
-def _densify(A):
-    if isinstance(A, CsrMatrix):
-        return A.to_dense()
-    if isinstance(A, np.ndarray):
-        return np.asarray(A, dtype=np.float64)
+def _dense_shape(A):
+    """A's shape, or a TypeError unless A is an explicit matrix."""
+    if isinstance(A, (CsrMatrix, np.ndarray)):
+        return A.shape
     raise TypeError("mixed-precision routines need an explicit matrix "
                     "(CsrMatrix or ndarray) at desk scale")
+
+
+def _densify(A):
+    return A.to_dense() if isinstance(A, CsrMatrix) else np.asarray(A, dtype=np.float64)
 
 
 def low_operator(A, dtype, n=None):
@@ -82,23 +92,49 @@ class LowLU:
     perm: np.ndarray
     growth: float
 
+    def __post_init__(self):
+        # per diagonal block and substitution step: the step's column of the
+        # block as a contiguous row of the transposed block, and the slice of
+        # a shared buffer its products go to (so solve is not thread-safe)
+        self._buf = np.empty(_BLOCK, dtype=self.L.dtype)
+        self._lower, self._upper = [], []
+        for k0 in range(0, len(self.perm), _BLOCK):
+            Lt = self.L[k0:k0 + _BLOCK, k0:k0 + _BLOCK].T.copy()
+            Ut = self.U[k0:k0 + _BLOCK, k0:k0 + _BLOCK].T.copy()
+            w = len(Lt)
+            self._lower.append([(Lt[j, j + 1:], self._buf[:w - j - 1]) for j in range(w - 1)])
+            self._upper.append([(Ut[j, j], Ut[j, :j], self._buf[:j]) for j in range(w)])
+
     def solve(self, rhs):
         """Triangular solves in the factors' own format, by blocks: substitution
-        inside each diagonal block, one GEMV for the rest of the vector."""
+        inside each diagonal block, one GEMV for the rest of the vector.
+
+        The substitution reads each diagonal block's columns as contiguous
+        rows of its transposed copy, built once with the factors, and writes
+        the products into a preallocated buffer; each entry still gets the
+        operations of ``y[k+1:k1] -= L[k+1:k1, k] * y[k]`` (and of U's
+        steps) in the same order, and the GEMVs keep their shapes.  Binary32
+        results may not move until GMRES-IR's refinement count no longer
+        rests on their last bits.
+        """
         L, U = self.L, self.U
         y = np.asarray(rhs, dtype=L.dtype)[self.perm]
         n = len(y)
+        mul, sub = np.multiply, np.subtract
         starts = range(0, n, _BLOCK)
-        for k0 in starts:
+        for k0, steps in zip(starts, self._lower):
             k1 = min(k0 + _BLOCK, n)
-            for k in range(k0, k1 - 1):
-                y[k + 1:k1] -= L[k + 1:k1, k] * y[k]
+            for k, (col, t) in enumerate(steps, k0):
+                below = y[k + 1:k1]
+                sub(below, mul(col, y[k], t), below)
             y[k1:] -= L[k1:, k0:k1] @ y[k0:k1]
-        for k0 in reversed(starts):
+        for k0, steps in zip(reversed(starts), reversed(self._upper)):
             k1 = min(k0 + _BLOCK, n)
             for k in range(k1 - 1, k0 - 1, -1):
-                y[k] = y[k] / U[k, k]
-                y[k0:k] -= U[k0:k, k] * y[k]
+                pivot, col, t = steps[k - k0]
+                y[k] = yk = y[k] / pivot
+                above = y[k0:k]
+                sub(above, mul(col, yk, t), above)
             y[:k0] -= U[:k0, k0:k1] @ y[k0:k1]
         return y
 
@@ -106,39 +142,63 @@ class LowLU:
 def lu_low(A, dtype=LOW_DTYPE):
     """LU factorization with partial pivoting carried out in the low format.
 
-    Right-looking and blocked: each panel of _BLOCK columns is factored with
-    row swaps applied to whole rows, then its block row of U is formed by
-    forward substitution and the trailing matrix is updated by one GEMM.
+    Right-looking and blocked: each panel of _BLOCK columns is factored in a
+    contiguous transposed copy (one row per column: pivot search, scaling
+    and rank-1 updates), written back, and its row swaps applied to whole
+    rows as one permutation; then its block row of U is formed by forward
+    substitution (one GEMV per row) and the trailing matrix is updated by
+    one GEMM.  Every entry sees the same exactly rounded operations in the
+    same order as a column-by-column right-looking factorization, and the
+    GEMV and GEMM shapes are fixed: binary32 results may not move until
+    GMRES-IR's refinement count no longer rests on their last bits.
     Reports the growth factor max|U| / max|A| as a quality diagnostic and
     raises SingularMatrixError when a pivot vanishes in the low format.
+    The shape is checked before anything is densified.
     """
-    F = _densify(A).astype(dtype)  # L's multipliers below the diagonal, U on and above
-    n = F.shape[0]
-    if F.shape != (n, n):
+    shape = _dense_shape(A)
+    n = shape[0] if shape else 0
+    if shape != (n, n):
         raise ValueError("matrix must be square")
     if n > DESK_SCALE_LIMIT:
         raise ValueError(f"dense factorization capped at n <= {DESK_SCALE_LIMIT}")
+    F = _densify(A).astype(dtype)  # L's multipliers below the diagonal, U on and above
     amax = float(np.abs(F).max()) if n else 0.0
     perm = np.arange(n)
+    buf = np.empty(_BLOCK * n, dtype=F.dtype)  # the rank-1 products, contiguous
     for k0 in range(0, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
-        for k in range(k0, k1):
-            p = k + int(np.argmax(np.abs(F[k:, k])))
-            if F[p, k] == 0:
-                raise SingularMatrixError(k, "matrix is singular in the low format")
-            if p != k:
-                F[[k, p]] = F[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
-            F[k + 1:, k] /= F[k, k]
-            F[k + 1:, k + 1:k1] -= np.outer(F[k + 1:, k], F[k, k + 1:k1])
+        # P[j, i] = F[k0 + i, k0 + j]; rows[i] is the panel row that moves to i
+        P = F[k0:, k0:k1].T.copy()
+        rows = np.arange(n - k0)
+        for j in range(k1 - k0):
+            col = P[j, j:]
+            p = int(np.argmax(np.abs(col)))
+            if col[p] == 0:
+                raise SingularMatrixError(k0 + j, "matrix is singular in the low format")
+            if p:
+                P[:, [j, j + p]] = P[:, [j + p, j]]
+                rows[[j, j + p]] = rows[[j + p, j]]
+            col[1:] /= col[0]
+            rest = (k1 - k0 - j - 1, n - k0 - j - 1)
+            t = np.multiply.outer(P[j + 1:, j], P[j, j + 1:],
+                                  out=buf[:rest[0] * rest[1]].reshape(rest))
+            np.subtract(P[j + 1:, j + 1:], t, out=P[j + 1:, j + 1:])
+        moved = np.flatnonzero(rows != np.arange(n - k0))
+        F[k0 + moved] = F[k0 + rows[moved]]
+        perm[k0 + moved] = perm[k0 + rows[moved]]
+        F[k0:, k0:k1] = P.T
         for k in range(k0 + 1, k1):
             F[k, k1:] -= F[k, k0:k] @ F[k0:k, k1:]
         F[k1:, k1:] -= F[k1:, k0:k1] @ F[k0:k1, k1:]
-    L = np.tril(F, -1)
-    np.fill_diagonal(L, 1)
     U = np.triu(F)
+    upper = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool))
+    for k0 in range(0, n, _BLOCK):  # F becomes L in place
+        k1 = min(k0 + _BLOCK, n)
+        F[k0:k1, k1:] = 0
+        F[k0:k1, k0:k1][upper[:k1 - k0, :k1 - k0]] = 0
+    np.fill_diagonal(F, 1)
     growth = float(np.abs(U).max()) / amax if amax else 0.0
-    return LowLU(L=L, U=U, perm=perm, growth=growth)
+    return LowLU(L=F, U=U, perm=perm, growth=growth)
 
 
 def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
@@ -180,15 +240,19 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     a stagnation abort after two refinements in a row that fail to halve
     the residual; stagnation takes precedence over convergence.
     """
+    if not 0 < rtol < math.inf:
+        raise ValueError("rtol must be positive and finite")
+    if not max_refinements >= 0:
+        raise ValueError("max_refinements must be at least 0")
     inner_opts = inner_opts if inner_opts is not None else \
         GmresOptions(rtol=1e-4, restart=50, max_iter=200)
     b = _finite_vector("b", b)
     N = len(b)
+    matvec = _matvec_for(A, N)  # before the factorization
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return _zero_rhs_report(N)
     lu = lu_low(A)
-    matvec, _ = as_matvec(A, n=N)
     low_matvec = low_operator(A, LOW_DTYPE, n=N)
 
     def inner_matvec(v):

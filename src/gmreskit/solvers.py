@@ -280,6 +280,14 @@ def _finite_vector(name, v, like=None):
     return v
 
 
+def _matvec_for(A, N):
+    """A's matvec; a ValueError unless A's dimension is b's length N."""
+    matvec, dim = as_matvec(A, n=N)
+    if dim != N:
+        raise ValueError(f"dimension mismatch: operator is {dim}x{dim}, b has length {N}")
+    return matvec
+
+
 def _reject_precond(opts, name):
     if opts.precond_side != "none":
         raise ValueError(f"{name} does not support one-sided preconditioning; "
@@ -304,8 +312,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     b = _finite_vector("b", b)
     x0 = None if x0 is None else _finite_vector("x0", x0, like=b)
     N = len(b)
-    matvec, _ = as_matvec(A, n=N)
-    tally = _Tally(matvec)
+    tally = _Tally(_matvec_for(A, N))  # before any warm-up or factorization
     run = _Run(tally, opts, diagnostics)
     if np.linalg.norm(b) == 0.0:
         return _zero_rhs_report(N)

@@ -8,7 +8,7 @@ from gmreskit import (DiagonalPreconditioner, GmresOptions, fgmres, gcr, gmres,
                       hh_gmres, lgmres, lowsync_gmres, orthodir, pipelined_gmres,
                       simpler_gmres, sstep_gmres, weighted_gmres)
 from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff
-from gmreskit.linalg import HessenbergLsState
+from gmreskit.linalg import CsrMatrix, HessenbergLsState
 from gmreskit.ortho import OrthogonalizationBreakdown
 from gmreskit.solvers import _essai_weights, _givens_cycle
 
@@ -152,6 +152,19 @@ def test_rejects_b_that_is_not_1d(problem, name):
     A, b = problem
     with pytest.raises(ValueError, match=r"b must be 1-D, got shape \(8, 8\)"):
         SOLVE[name](A, b.reshape(8, 8), None, _options(A, "none"))
+
+
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_rejects_b_of_another_length_before_any_product(problem, name, monkeypatch):
+    # no warm-up, no factorization and no product runs before the check
+    A, b = problem
+    calls = []
+    for method in ("matvec", "to_dense"):
+        monkeypatch.setattr(CsrMatrix, method, lambda self, *a, m=method: calls.append(m))
+    with pytest.raises(ValueError, match="dimension mismatch: operator is 64x64, "
+                                         "b has length 63"):
+        SOLVE[name](A, b[:-1], None, _options(A, "none"))
+    assert calls == []
 
 
 @pytest.mark.parametrize("shape", [(63,), (64, 1)])

@@ -295,6 +295,17 @@ def test_nonfinite_b_rejected_before_warmup(variant, bad):
         _run_variant(gen_convdiff(8, 8, peclet=10.0), b, variant)
 
 
+@pytest.mark.parametrize("variant", [
+    {"solver": "sstep-gmres", "options": {"basis": "newton"}},
+    {"solver": "sstep-gmres", "options": {"basis": "chebyshev"}},
+    {"solver": "gmres", "options": {"preconditioner": {"kind": "poly", "degree": 3}}},
+], ids=["newton", "chebyshev", "poly"])
+def test_b_of_another_length_rejected_before_warmup(variant):
+    with pytest.raises(ValueError, match="dimension mismatch: operator is 64x64, "
+                                         "b has length 63"):
+        _run_variant(gen_convdiff(8, 8, peclet=10.0), np.ones(63), variant)
+
+
 class TestCli:
     def test_gen_info_roundtrip(self, tmp_path, capsys):
         from gmreskit.cli import main

@@ -1,12 +1,16 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmreskit.harness import gen_convdiff
 from gmreskit.linalg import CsrMatrix, HessenbergLsState, SingularMatrixError
 from gmreskit.mixedprec import (
     _BLOCK,
+    DESK_SCALE_LIMIT,
     _low_gmres,
     gmres_ir,
     gmres_two_precision,
@@ -68,6 +72,94 @@ def reference_low_gmres(matvec, b, dtype, rtol, restart, max_iter):
         if ls.rho <= tol:
             break
     return x, total, matvecs
+
+
+@dataclass
+class ReferenceLowLU:
+    """LowLU as it was before its panels were factored in a transposed copy;
+    its solve is kept verbatim as the oracle the new one must match bit for
+    bit."""
+
+    L: np.ndarray
+    U: np.ndarray
+    perm: np.ndarray
+    growth: float
+
+    def solve(self, rhs):
+        """Triangular solves in the factors' own format, by blocks: substitution
+        inside each diagonal block, one GEMV for the rest of the vector."""
+        L, U = self.L, self.U
+        y = np.asarray(rhs, dtype=L.dtype)[self.perm]
+        n = len(y)
+        starts = range(0, n, _BLOCK)
+        for k0 in starts:
+            k1 = min(k0 + _BLOCK, n)
+            for k in range(k0, k1 - 1):
+                y[k + 1:k1] -= L[k + 1:k1, k] * y[k]
+            y[k1:] -= L[k1:, k0:k1] @ y[k0:k1]
+        for k0 in reversed(starts):
+            k1 = min(k0 + _BLOCK, n)
+            for k in range(k1 - 1, k0 - 1, -1):
+                y[k] = y[k] / U[k, k]
+                y[k0:k] -= U[k0:k, k] * y[k]
+            y[:k0] -= U[:k0, k0:k1] @ y[k0:k1]
+        return y
+
+
+def reference_lu_low(A, dtype=np.float32):
+    """lu_low as it was before its panels were factored in a transposed copy,
+    kept verbatim (but for densifying an ndarray only) as the oracle."""
+    # L's multipliers below the diagonal, U on and above
+    F = np.asarray(A, dtype=np.float64).astype(dtype)
+    n = F.shape[0]
+    if F.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if n > DESK_SCALE_LIMIT:
+        raise ValueError(f"dense factorization capped at n <= {DESK_SCALE_LIMIT}")
+    amax = float(np.abs(F).max()) if n else 0.0
+    perm = np.arange(n)
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        for k in range(k0, k1):
+            p = k + int(np.argmax(np.abs(F[k:, k])))
+            if F[p, k] == 0:
+                raise SingularMatrixError(k, "matrix is singular in the low format")
+            if p != k:
+                F[[k, p]] = F[[p, k]]
+                perm[[k, p]] = perm[[p, k]]
+            F[k + 1:, k] /= F[k, k]
+            F[k + 1:, k + 1:k1] -= np.outer(F[k + 1:, k], F[k, k + 1:k1])
+        for k in range(k0 + 1, k1):
+            F[k, k1:] -= F[k, k0:k] @ F[k0:k, k1:]
+        F[k1:, k1:] -= F[k1:, k0:k1] @ F[k0:k1, k1:]
+    L = np.tril(F, -1)
+    np.fill_diagonal(L, 1)
+    U = np.triu(F)
+    growth = float(np.abs(U).max()) / amax if amax else 0.0
+    return ReferenceLowLU(L=L, U=U, perm=perm, growth=growth)
+
+
+@st.composite
+def lu_inputs(draw):
+    """(A, right-hand sides): a seeded matrix of order 1 to 3 panels + 5 whose
+    rows are scaled by up to 1e+-20, of one of three kinds: dense Gaussian
+    (a pivot search that swaps nearly every step), diagonally dominant with
+    rows permuted past the first panel only (swaps forced into later panels),
+    or Gaussian with a zero column past the first panel (singular)."""
+    n = draw(st.integers(1, 3 * _BLOCK + 5))
+    kind = draw(st.sampled_from(["gaussian", "later pivots", "zero column"]))
+    decades = draw(st.sampled_from([0.0, 5.0, 20.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    if kind == "later pivots":
+        A = A / n + 2.0 * np.diag(rng.choice([-1.0, 1.0], n))
+        A[_BLOCK:] = A[_BLOCK + rng.permutation(max(n - _BLOCK, 0))]
+    elif kind == "zero column" and n > _BLOCK:
+        A[:, draw(st.integers(_BLOCK, n - 1))] = 0.0
+    A *= 10.0 ** rng.uniform(-decades, decades, n)[:, None]
+    rhs = [rng.standard_normal(n), rng.standard_normal(n).astype(np.float32),
+           A @ np.ones(n), np.zeros(n)]
+    return A, rhs
 
 
 def _criterion_13_matrix():
@@ -197,6 +289,41 @@ class TestLuLow:
         assert np.linalg.norm(x - x_star) <= 1e-5 * np.linalg.norm(x_star)
 
 
+class TestLuLowMatchesReference:
+    """The transposed-panel factorization and the transposed-block solve
+    give the bytes of the column-wise originals."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(lu_inputs())
+    def test_same_bytes_as_reference(self, case):
+        A, rhs = case
+        try:
+            ref = reference_lu_low(A)
+        except SingularMatrixError as err:
+            with pytest.raises(SingularMatrixError) as got:
+                lu_low(A)
+            assert got.value.index == err.index
+            return
+        lu = lu_low(A)
+        for name in ("L", "U", "perm"):
+            a, b = getattr(lu, name), getattr(ref, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert np.float64(lu.growth).tobytes() == np.float64(ref.growth).tobytes()
+        for r in rhs:
+            # rows scaled by 1e+-20 can overflow a binary32 solve: the infs
+            # and NaNs are compared too
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, x_ref = lu.solve(r), ref.solve(r)
+            assert x.dtype == x_ref.dtype == np.float32
+            assert x.tobytes() == x_ref.tobytes()
+
+    def test_zero_order(self):
+        lu = lu_low(np.zeros((0, 0)))
+        assert lu.L.shape == lu.U.shape == (0, 0) and lu.growth == 0.0
+        assert lu.solve(np.zeros(0)).shape == (0,)
+
+
 class TestLowOperator:
     def test_csr_product_in_low_format(self, convdiff100, rhs100):
         y = low_operator(convdiff100, np.float32)(rhs100)
@@ -232,6 +359,15 @@ class TestDensification:
 
     def test_two_precision_keeps_csr_sparse(self, to_dense_calls, convdiff100, rhs100):
         gmres_two_precision(convdiff100, rhs100, opts=GmresOptions(restart=20, max_iter=40))
+        assert to_dense_calls == []
+
+    def test_lu_checks_the_shape_before_densifying(self, to_dense_calls):
+        # convdiff 48^2 is of order 2304, past the desk-scale cap
+        with pytest.raises(ValueError, match=f"capped at n <= {DESK_SCALE_LIMIT}"):
+            lu_low(gen_convdiff(48, 48, peclet=10.0))
+        wide = CsrMatrix(2, 3, np.array([0, 1, 2]), np.array([0, 2]), np.ones(2))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            lu_low(wide)
         assert to_dense_calls == []
 
     def test_ir_densifies_once_for_the_factorization(self, to_dense_calls):
@@ -299,6 +435,22 @@ class TestGmresIr:
         A = conditioned_matrix(40, 1e2, seed=17)
         rep = gmres_ir(A, np.ones(40))
         assert rep.diagnostics["growth_factor"] >= 1.0
+
+
+class TestGmresIrArguments:
+    @pytest.mark.parametrize("rtol", [np.nan, -1.0, 0.0, np.inf])
+    def test_rejects_rtol(self, rtol):
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            gmres_ir(np.eye(5), np.ones(5), rtol=rtol)
+
+    def test_rejects_negative_max_refinements(self):
+        with pytest.raises(ValueError, match="max_refinements must be at least 0"):
+            gmres_ir(np.eye(5), np.ones(5), max_refinements=-1)
+
+    def test_zero_refinements_reports_the_lu_solve(self):
+        rep = gmres_ir(_criterion_13_matrix(), np.ones(200), max_refinements=0)
+        assert rep.termination == "maxiter" and rep.iterations == 0
+        assert rep.diagnostics["inner_iterations"] == []
 
 
 class TestTwoPrecision:

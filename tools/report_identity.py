@@ -23,7 +23,11 @@ budget are covered.  All four ignore max_iter, restart and x0.  It also stores t
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
 of gen_convdiff(128, 128, 10.0), and of a 64x64 arrow matrix with ten empty
 rows, together with the bytes of A.matvec(v) for each of them on two seeded
-vectors, the second holding zeros of both signs.
+vectors, the second holding zeros of both signs.  And it stores the binary32
+LU factors (L, U, perm, growth) that lu_low computes, and their solves of
+three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
+200x200 matrix of acceptance criterion 13 and a nonsymmetric Gaussian
+150x150 matrix.
 
 `compare` prints each case whose counts, termination or exception type
 moved, each reduction-log entry that moved (index, before -> after), and
@@ -32,10 +36,11 @@ prints one row per solver: its cases, how many moved, and the largest
 relative difference in x (normwise) and in the residual histories and
 true-residual checkpoints (largest entry difference over the common prefix,
 relative to the initial residual norm).  It then names each CSR array or
-matvec output whose dtype or bytes differ.  It exits with status 1 when a
-count, a termination, an exception type, a reduction log or its marks, a
-diagnostics counter, a CSR array or a matvec output differs, so a change
-that should only move rounding can be checked against its parent.
+matvec output, and each LU factor or solve, whose dtype or bytes differ.
+It exits with status 1 when a count, a termination, an exception type, a
+reduction log or its marks, a diagnostics counter, a CSR array, a matvec
+output, an LU factor or an LU solve differs, so a change that should only
+move rounding can be checked against its parent.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from collections import Counter
 import numpy as np
 
 from gmreskit import (GmresOptions, fgmres, gcr, gmres, gmres_e, gmres_ir, gmres_restarted,
-                      gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, orthodir,
+                      gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, lu_low, orthodir,
                       pipelined_gmres, simpler_gmres, sstep_gmres, weighted_gmres)
 from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix, mm_read, mm_write
@@ -80,6 +85,7 @@ SOLVE = {
         A, b, inner_opts=GmresOptions(rtol=1e-6, restart=50, max_iter=200)),
 }
 COUNTS = ("iterations", "matvecs", "reductions", "restarts")
+LU = ("L", "U", "perm", "growth")
 DIAGNOSTICS = ("reorthogonalizations", "dropped_augmentations", "augmented_cycles", "theta")
 CSR = ("row_ptr", "col_idx", "values")
 
@@ -123,6 +129,16 @@ def operators():
     yield "csr arrow 64^2 with empty rows", CsrMatrix.from_coo(n, n, rows, cols, values)
 
 
+def factored():
+    """(key prefix, matrix) of every binary32 LU stored."""
+    yield "lu convdiff 32^2 Peclet 10", gen_convdiff(32, 32, 10.0)
+    rng = np.random.default_rng(133)  # as acceptance criterion 13 builds it
+    Q1, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    yield "lu kappa~1e3 200^2", Q1 @ np.diag(np.logspace(0.0, 3.0, 200)) @ Q2.T
+    yield "lu gaussian 150^2", np.random.default_rng(17).standard_normal((150, 150))
+
+
 def vectors(n):
     """Two seeded vectors to multiply with; the second holds signed zeros."""
     v = np.random.default_rng(0).standard_normal(n)
@@ -137,6 +153,12 @@ def dump(path):
         out.update({f"{prefix}|{name}": getattr(A, name) for name in CSR})
         out.update({f"{prefix}|matvec {k}": A.matvec(v)
                     for k, v in enumerate(vectors(A.ncols))})
+    for prefix, A in factored():
+        lu = lu_low(A)
+        out.update({f"{prefix}|{name}": np.asarray(getattr(lu, name)) for name in LU})
+        n = len(lu.perm)
+        rhs = (*vectors(n), np.random.default_rng(2).standard_normal(n).astype(np.float32))
+        out.update({f"{prefix}|solve {k}": lu.solve(r) for k, r in enumerate(rhs)})
     outcomes = Counter()  # termination or exception type -> cases
     for key, name, A, b, x0, opts in cases():
         try:
@@ -228,17 +250,20 @@ def compare(path_a, path_b):
           f"exception type changed: {raised} cases; "
           f"largest relative difference in x {max(r[3] for r in rows.values()):.3g}, "
           f"in the histories {max(r[4] for r in rows.values()):.3g}")
-    csr_a = {k for k in a.files if k.startswith("csr ")}
-    csr_b = {k for k in b.files if k.startswith("csr ")}
-    csr_moved = sorted(csr_a ^ csr_b) + sorted(
-        k for k in csr_a & csr_b
-        if a[k].dtype != b[k].dtype or a[k].tobytes() != b[k].tobytes())
-    for key in csr_moved:
-        print(f"CSR array or matvec output differs or is missing: {key}")
-    print(f"CSR arrays and matvec outputs identical: "
-          f"{'yes' if not csr_moved else f'no ({len(csr_moved)})'} "
-          f"({len(csr_a | csr_b)} arrays)")
-    return 0 if not moved and not raised and not csr_moved else 1
+    arrays_moved = 0
+    for prefix, what in (("csr ", "CSR arrays and matvec outputs"),
+                         ("lu ", "LU factors and solves")):
+        keys_a = {k for k in a.files if k.startswith(prefix)}
+        keys_b = {k for k in b.files if k.startswith(prefix)}
+        differ = sorted(keys_a ^ keys_b) + sorted(
+            k for k in keys_a & keys_b
+            if a[k].dtype != b[k].dtype or a[k].tobytes() != b[k].tobytes())
+        for key in differ:
+            print(f"differs or is missing: {key}")
+        print(f"{what} identical: {'yes' if not differ else f'no ({len(differ)})'} "
+              f"({len(keys_a | keys_b)} arrays)")
+        arrays_moved += len(differ)
+    return 0 if not moved and not raised and not arrays_moved else 1
 
 
 def main(argv=None):
