@@ -19,6 +19,7 @@ from .linalg import CsrMatrix, as_matvec, dense_eig_general, dense_eig_symmetric
 from .solvers import GmresOptions, gmres
 
 __all__ = [
+    "DESK_SCALE_LIMIT",
     "BoundReport",
     "eigen_bound",
     "elman_bound",
@@ -28,6 +29,11 @@ __all__ = [
     "spectrum_and_conditioning",
     "bound_report",
 ]
+
+
+# bound_report densifies A and solves a nonsymmetric eigenproblem with
+# vectors in O(n^3), so it is capped, like the binary32 LU, at desk scale
+DESK_SCALE_LIMIT = 2000
 
 
 def _dense(A):
@@ -180,7 +186,15 @@ class BoundReport:
 
 
 def bound_report(A, report, grid_count=256, max_eigen_degree=30):
-    """Evaluate all applicable bounds against one solve's residual history."""
+    """Evaluate all applicable bounds against one solve's residual history.
+
+    Raises ValueError, before any dense work, for an A of more than
+    DESK_SCALE_LIMIT rows.
+    """
+    n = A.nrows if isinstance(A, CsrMatrix) else np.shape(A)[0]
+    if n > DESK_SCALE_LIMIT:
+        raise ValueError(f"A has {n} rows: bound_report is capped at "
+                         f"n <= {DESK_SCALE_LIMIT}")
     history = report.residual_history
     r0 = history[0]
     measured = [h / r0 for h in history]

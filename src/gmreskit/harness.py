@@ -441,11 +441,7 @@ def run(config, output_dir=None, log=None):
             continue
         timings[name] = time.perf_counter() - t0
         _write_atomic(os.path.join(outdir, f"{name}.csv"), _variant_csv(report))
-        if config.bound_checks:
-            br = bounds_mod.bound_report(A, report)
-            _write_atomic(os.path.join(outdir, f"{name}_bounds.csv"),
-                          _bounds_csv(br))
-        summary["variants"][name] = {
+        entry = summary["variants"][name] = {
             "solver": variant["solver"],
             "termination": report.termination,
             "iterations": report.iterations,
@@ -455,6 +451,13 @@ def run(config, output_dir=None, log=None):
             "final_true_residual": _last_checkpoint(report),
             "final_backward_error": backward_error(A, report.x, b),
         }
+        if config.bound_checks and n > bounds_mod.DESK_SCALE_LIMIT:
+            entry["bounds"] = (f"skipped: A has {n} rows, above the bound "
+                               f"report's limit of {bounds_mod.DESK_SCALE_LIMIT}")
+        elif config.bound_checks:
+            br = bounds_mod.bound_report(A, report)
+            _write_atomic(os.path.join(outdir, f"{name}_bounds.csv"),
+                          _bounds_csv(br))
     _write_atomic(os.path.join(outdir, "summary.json"),
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _write_atomic(os.path.join(outdir, "timings.json"),

@@ -12,6 +12,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,13 +51,31 @@ class EigenConvergenceError(RuntimeError):
     """A LAPACK eigenvalue iteration failed to converge."""
 
 
+class _Layout(NamedTuple):
+    """``CsrMatrix._slots``: the band, the gather slots and the tail."""
+
+    band: np.ndarray
+    spans: tuple
+    padded: np.ndarray
+    gather: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    empty: np.ndarray
+    tail_rows: np.ndarray
+    tail_cols: np.ndarray
+    tail_vals: np.ndarray
+
+
 @dataclass(frozen=True)
 class CsrMatrix:
     """Compressed sparse row matrix with strictly increasing column indices per row.
 
-    ``matvec`` runs on a slot-major copy of the entries (``_slots``), built on
-    the first product and cached on the instance; its result has the bits of
-    a per-row left-to-right binary64 sum over the stored entries.
+    ``matvec`` runs on a layout of the entries (``_slots``), built on the
+    first product and cached on the instance: rows that lead with the
+    offsets most rows hold are summed a diagonal at a time from contiguous
+    slices of the vector, the other rows through slot-major gathers, and
+    the entries past either in a short tail.  Its result has the bits of a
+    per-row left-to-right binary64 sum over the stored entries.
     """
 
     nrows: int
@@ -120,29 +139,75 @@ class CsrMatrix:
         return np.repeat(np.arange(self.nrows), np.diff(self.row_ptr))
 
     def _slots(self):
-        """Slot-major (ELLPACK) copy of the entries, built on first use.
+        """Product layout of the entries, built on first use.
 
-        Slot k holds the k-th stored entry of every row, as (K, nrows)
-        columns and values, for the K slots that at least half of the rows
-        reach, so the padding never exceeds nnz.  A shorter row is padded
-        with value 0 at its own last stored column; an empty row, padded at
-        some stored column, is zeroed after the sum.  The entries past slot K
-        form a tail of (rows, columns, values) in storage order.
+        The band D is the set of offsets (column - row) that at least half of
+        the rows hold.  A row is *banded* if it holds some offset in D and
+        none of its other entries precedes one: its entries at D offsets go
+        into ``band``, one length-nrows array per offset in ascending order,
+        with 0 where the row lacks that offset.  A banded row that lacks an
+        offset whose column is in range is *padded*.  The other rows form the
+        gather class: slot k holds the k-th stored entry of each of them, as
+        (K, len(gather)) columns and values, for the K slots that at least
+        half of them reach.  A shorter gather row is padded with value 0 at its
+        own last stored column; an empty one, padded at some stored column,
+        is zeroed after the sum.  The remaining entries (a banded row's
+        entries past its band, a gather row's past slot K) form a tail of
+        (rows, columns, values) in storage order.
         """
         cache = getattr(self, "_slot_cache", None)
-        if cache is None:
-            lengths = np.diff(self.row_ptr)
-            K = int(np.sort(lengths)[self.nrows // 2]) if self.nrows else 0
-            k = np.arange(K)[:, None]
-            # entry k of each row, clamped to its last; an empty row's
-            # row_ptr - 1 wraps to another row's entry, which K > 0 ensures
-            at = np.minimum(self.row_ptr[:-1] + k, self.row_ptr[1:] - 1)
-            rows = self._nnz_rows()
-            tail = np.arange(self.nnz) - self.row_ptr[rows] >= K
-            cache = (self.col_idx[at], np.where(k < lengths, self.values[at], 0),
-                     np.flatnonzero(lengths == 0),
-                     rows[tail], self.col_idx[tail], self.values[tail])
-            object.__setattr__(self, "_slot_cache", cache)
+        if cache is not None:
+            return cache
+        n, ptr = self.nrows, self.row_ptr
+        lengths = np.diff(ptr)
+        rows = self._nnz_rows()
+        key = self.col_idx - rows
+        key += n - 1  # the offset, counted from 1 - n
+        held = np.bincount(key, minlength=n + self.ncols - 1)
+        D = np.flatnonzero(2 * held >= max(n, 1))
+        # each entry's place in the flattened band, or nD if it is off the band
+        nD = len(D) * n
+        place = np.full(len(held), nD)
+        place[D] = np.arange(len(D)) * n
+        flat = place[key] + rows
+        off = np.flatnonzero(flat >= nD)
+        flat[off] = nD
+        # a row is banded if its band entries are its first ones
+        off_rows = rows[off]
+        width = lengths - np.bincount(off_rows, minlength=n)
+        banded = width > 0
+        banded[off_rows[off - ptr[off_rows] < width[off_rows]]] = False
+        if not banded.any():
+            D, nD, flat[:] = D[:0], 0, 0
+        gather = np.flatnonzero(~banded)
+        # the entries off the band all land in one spare element
+        band = np.zeros(nD + 1, dtype=self.values.dtype)
+        band[flat] = self.values
+        band = band[:nD].reshape(len(D), n)
+        band[:, gather] = 0
+        # rows i with 0 <= i + d < ncols, per offset d
+        d = D - (n - 1)
+        lo, hi = np.maximum(-d, 0), np.minimum(self.ncols - d, n)
+        in_range = np.cumsum(np.bincount(lo, minlength=n + 1)
+                             - np.bincount(hi, minlength=n + 1))[:n]
+        padded = np.flatnonzero(banded & (width < in_range))
+        glen = lengths[gather]
+        K = int(np.sort(glen)[len(gather) // 2]) if len(gather) else 0
+        k = np.arange(K)[:, None]
+        first = ptr[gather]
+        # entry k of each row, clamped to its last; an empty row's
+        # first - 1 wraps to another row's entry, which K > 0 ensures
+        at = np.minimum(first + k, first + glen - 1)
+        tail = off
+        if len(gather):
+            past = np.arange(self.nnz) - ptr[rows] >= K
+            tail = np.flatnonzero(np.where(banded[rows], flat == nD, past))
+        spans = tuple((vals[a:b], int(dk), int(a), int(b))
+                      for vals, dk, a, b in zip(band, d, lo, hi))
+        cache = _Layout(band, spans, padded, gather, self.col_idx[at],
+                        np.where(k < glen, self.values[at], 0), np.flatnonzero(glen == 0),
+                        rows[tail], self.col_idx[tail], self.values[tail])
+        object.__setattr__(self, "_slot_cache", cache)
         return cache
 
     def matvec(self, v):
@@ -150,23 +215,47 @@ class CsrMatrix:
         if v.shape != (self.ncols,):
             raise ValueError(f"dimension mismatch: matrix is {self.nrows}x{self.ncols}, "
                              f"vector has length {v.shape}")
-        cols, vals, empty, tail_rows, tail_cols, tail_vals = self._slots()
+        L = self._slots()
         dtype = np.result_type(v, self.values)
-        if not np.can_cast(dtype, np.float64, "same_kind"):
+        if dtype.kind not in "biuf":
             raise TypeError(f"cannot sum {dtype} products in binary64")
-        # each row sums its products left to right in binary64 from +0.0,
-        # a slot at a time and then along the tail; a padded entry adds an
-        # exact zero (for finite v), so the bits are those of a per-row
-        # sequential sum over the stored entries in storage order
-        g = np.take(v, cols).astype(dtype, copy=False)
-        np.multiply(g, vals, out=g)
+        # each row sums its products left to right in binary64 from +0.0:
+        # a banded row a diagonal at a time, a gather row a slot at a time,
+        # and both then along the tail.  A padded entry adds an exact zero
+        # for finite v, so the bits are those of a per-row sequential sum
+        # over the stored entries in storage order
         out = np.zeros(self.nrows)
-        for row in g:
-            out += row
-        out[empty] = 0.0
-        if len(tail_rows):
-            np.add.at(out, tail_rows, tail_vals * v[tail_cols])
+        if L.spans:
+            prod = np.empty(self.nrows, dtype)
+            for vals, d, lo, hi in L.spans:
+                p, o = prod[lo:hi], out[lo:hi]
+                np.multiply(vals, v[lo + d:hi + d], out=p)
+                np.add(o, p, out=o)
+        if len(L.gather):
+            g = np.take(v, L.cols).astype(dtype, copy=False)
+            np.multiply(g, L.vals, out=g)
+            # without a band the gather rows are all the rows
+            acc = np.zeros(len(L.gather)) if L.spans else out
+            for row in g:
+                acc += row
+            acc[L.empty] = 0.0
+            if L.spans:
+                out[L.gather] = acc
+        if len(L.tail_rows):
+            np.add.at(out, L.tail_rows, L.tail_vals * v[L.tail_cols])
+        # a padded zero times a non-finite v is NaN: such rows are summed again
+        if len(L.padded) and not math.isfinite(np.add.reduce(out)):
+            bad = L.padded[~np.isfinite(out[L.padded])]
+            out[bad] = self._row_sums(bad, v)
         return out
+
+    def _row_sums(self, rows, v):
+        """Per-row sequential sums over the stored entries of ``rows``."""
+        first, count = self.row_ptr[rows], np.diff(self.row_ptr)[rows]
+        local = np.repeat(np.arange(len(rows)), count)
+        at = np.arange(len(local)) + np.repeat(first - np.cumsum(count) + count, count)
+        return np.bincount(local, weights=self.values[at] * v[self.col_idx[at]],
+                           minlength=len(rows))
 
     def diagonal(self):
         """Main diagonal, 0 where the diagonal entry is not stored."""

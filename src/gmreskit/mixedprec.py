@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import CsrMatrix, SingularMatrixError, as_matvec
+from .ortho import OrthoScheme
 from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _finite_vector,
                       _matvec_for, _restart_driver, _Run, _Tally, _zero_rhs_report)
 
@@ -246,6 +247,15 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
         raise ValueError("max_refinements must be at least 0")
     inner_opts = inner_opts if inner_opts is not None else \
         GmresOptions(rtol=1e-4, restart=50, max_iter=200)
+    # the inner solve is binary32 MGS-GMRES on the LU-preconditioned
+    # operator; it reads only rtol, restart and max_iter
+    for field, unused in (("scheme", inner_opts.scheme != OrthoScheme.MGS),
+                          ("precond_side", inner_opts.precond_side != "none"),
+                          ("preconditioner", inner_opts.preconditioner is not None),
+                          ("weight", inner_opts.weight is not None),
+                          ("iteration_callback", inner_opts.iteration_callback is not None)):
+        if unused:
+            raise ValueError(f"gmres_ir does not support inner_opts.{field}")
     b = _finite_vector("b", b)
     N = len(b)
     matvec = _matvec_for(A, N)  # before the factorization

@@ -301,7 +301,7 @@ class ArnoldiProcess:
             self.breakdown_at = j + 1
         else:
             self.H[j + 1, j] = h_sub
-            self.V[:, j + 1] = w / h_sub
+            np.divide(w, h_sub, out=self.V[:, j + 1])
         self.completed = j + 1
         return True
 
@@ -344,7 +344,9 @@ class ArnoldiProcess:
         h[j] += self.shift                  # undo the shift on the diagonal entry
         self._commit(j, h, wj - V @ c, h_sub)
         if self.breakdown_at is None:
-            self.W[:, j + 1] = (u - self.W[:, : j + 1] @ self.H[: j + 1, j]) / h_sub
+            w_next = self.W[:, j + 1]
+            np.subtract(u, self.W[:, : j + 1] @ self.H[: j + 1, j], out=w_next)
+            w_next /= h_sub
 
     def _step_icwy(self):
         k = self.steps

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from gmreskit import bounds
 from gmreskit.bounds import (
+    DESK_SCALE_LIMIT,
     bound_report,
     eigen_bound,
     elman_bound,
@@ -12,6 +14,7 @@ from gmreskit.bounds import (
 )
 from gmreskit.deflation import ResidualPolynomial
 from gmreskit.harness import gen_convdiff, gen_spectrum
+from gmreskit.linalg import CsrMatrix
 from gmreskit.solvers import GmresOptions, gmres
 
 
@@ -187,3 +190,26 @@ def test_fov_distance_is_the_best_real_direction(rng, shift):
     assert inside == (swept <= 0.0)
     if not inside:
         assert swept >= mu - 1e-12
+
+
+class TestDeskScaleLimit:
+    def test_rejects_a_large_operator_before_densifying(self):
+        # densified, this identity would take 8 TB
+        n = 10**6
+        A = CsrMatrix.from_coo(n, n, np.arange(n), np.arange(n), np.ones(n))
+        rep = gmres(np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match=f"^A has {n} rows: .* n <= {DESK_SCALE_LIMIT}$"):
+            bound_report(A, rep)
+        with pytest.raises(ValueError, match="^A has 2001 rows"):
+            bound_report(np.zeros((DESK_SCALE_LIMIT + 1, 1)), rep)
+
+    def test_the_limit_itself_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(bounds, "DESK_SCALE_LIMIT", 10)
+        for n in (10, 11):
+            A = gen_spectrum(np.linspace(1.0, 2.0, n), seed=1)
+            rep = gmres(A, np.ones(n), opts=GmresOptions(rtol=1e-8))
+            if n == 10:
+                assert bound_report(A, rep).flags["normal"]
+            else:
+                with pytest.raises(ValueError, match="^A has 11 rows: .* n <= 10$"):
+                    bound_report(A, rep)

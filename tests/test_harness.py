@@ -206,6 +206,25 @@ class TestRun:
         assert lines[0] == "iter,measured,eigen_bound,elman_bound,fov_bound"
         assert len(lines) > 2
 
+    def test_bounds_skipped_above_the_desk_scale_limit(self, tmp_path):
+        # 46 x 46 = 2116 unknowns, above the bound report's 2000
+        doc = config_doc(str(tmp_path / "out"), bound_checks=True)
+        doc["problem"] = {"kind": "convdiff", "nx": 46, "ny": 46, "peclet": 2.0}
+        doc["variants"] = doc["variants"][:1]
+        summary, outdir = run(ExperimentConfig.from_dict(doc))
+        entry = summary["variants"]["mgs"]
+        assert entry["bounds"] == ("skipped: A has 2116 rows, above the bound "
+                                   "report's limit of 2000")
+        assert entry["termination"] == "converged"
+        assert json.load(open(os.path.join(outdir, "summary.json"))) == summary
+        assert sorted(os.listdir(outdir)) == ["mgs.csv", "summary.json", "timings.json"]
+
+    def test_bounds_of_a_small_operator_are_not_marked(self, tmp_path):
+        doc = config_doc(str(tmp_path / "out"), bound_checks=True)
+        summary, outdir = run(ExperimentConfig.from_dict(doc))
+        assert all("bounds" not in entry for entry in summary["variants"].values())
+        assert os.path.exists(os.path.join(outdir, "pipe_bounds.csv"))
+
     def test_compare_table(self, tmp_path):
         cfg = ExperimentConfig.from_dict(config_doc(str(tmp_path / "out")))
         rows, table = compare(cfg)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmreskit.harness import gen_convdiff
 from gmreskit.linalg import (
     CsrMatrix,
     MatrixMarketError,
@@ -133,9 +134,14 @@ class TestSlotMajorProduct:
         A = CsrMatrix.from_coo(n, n, rows, cols, rng.standard_normal(len(rows)))
         v = rng.standard_normal(n)
         assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
-        slot_cols, slot_vals, *_ = A._slots()
-        assert slot_cols.shape == slot_vals.shape == (2, n)
-        cached = sum(part.nbytes for part in A._slots())
+        # the band is the diagonal, which only the dense row holds first;
+        # every other row gathers its two entries and the dense row's rest
+        # is the tail
+        layout = A._slots()
+        assert layout.gather.tolist() == list(range(1, n))
+        assert layout.cols.shape == layout.vals.shape == (2, n - 1)
+        assert layout.tail_rows.tolist() == [0] * (n - 1)
+        cached = sum(part.nbytes for part in layout if isinstance(part, np.ndarray))
         assert cached <= 2 * (A.values.nbytes + A.col_idx.nbytes)
 
     # one full row of four: no slots, all of it tail; three: four slots
@@ -145,6 +151,90 @@ class TestSlotMajorProduct:
         dense[:dense_rows] = 1.0
         with pytest.raises(TypeError):
             CsrMatrix.from_dense(dense).matvec(np.ones(4, dtype=complex))
+
+
+@st.composite
+def banded_products(draw):
+    """(A, v) over banded patterns: up to five offsets near the diagonal with
+    random holes, stray entries before or after the band in some rows,
+    rectangular shapes, int64 values and float32 or int64 v, and zeros of
+    both signs in v and among the values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    reach = draw(st.integers(1, 8))
+    offsets = rng.choice(np.arange(-reach, reach + 1), draw(st.integers(2, 5)))
+    i, j = np.indices((nrows, ncols))
+    stored = np.isin(j - i, offsets)
+    stored &= rng.random(stored.shape) >= draw(st.sampled_from([0.1, 0.0, 0.3]))
+    stored |= rng.random(stored.shape) < draw(st.sampled_from([0.0, 0.03, 0.15]))
+    rows, cols = np.nonzero(stored)
+    if draw(st.booleans()):
+        values = rng.integers(-4, 5, len(rows))
+    else:
+        values = rng.standard_normal(len(rows))
+        values[rng.random(len(rows)) < 0.1] = -0.0
+    v = rng.standard_normal(ncols) * 10
+    v[rng.random(ncols) < 0.3] = -0.0
+    v[rng.random(ncols) < 0.1] = 0.0
+    v = v.astype(draw(st.sampled_from([np.float64, np.float32, np.int64])))
+    return CsrMatrix.from_coo(nrows, ncols, rows, cols, values), v
+
+
+def padded_columns(A):
+    """Columns a padded row reads through a zero band value."""
+    stored = set(zip(A._nnz_rows().tolist(), A.col_idx.tolist()))
+    layout = A._slots()
+    return sorted({i + d for i in layout.padded.tolist()
+                   for _, d, lo, hi in layout.spans
+                   if lo <= i < hi and (i, i + d) not in stored})
+
+
+class TestBandedProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(banded_products())
+    def test_same_bytes_as_bincount(self, case):
+        A, v = case
+        got = A.matvec(v)
+        assert got.dtype == np.float64
+        assert got.tobytes() == bincount_matvec(A, v).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(banded_products(), st.data())
+    def test_nonfinite_at_padded_columns(self, case, data):
+        A, v = case
+        v = v.astype(np.float64)
+        cols = padded_columns(A) or list(range(len(v)))
+        for c in data.draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3)):
+            v[c] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        with np.errstate(invalid="ignore"):
+            got, expected = A.matvec(v), bincount_matvec(A, v)
+        assert np.array_equal(np.isfinite(got), np.isfinite(expected))
+        assert got[np.isfinite(got)].tobytes() == expected[np.isfinite(expected)].tobytes()
+
+    def test_stencil_is_all_band(self):
+        A = gen_convdiff(6, 5, peclet=3.0)
+        layout = A._slots()
+        assert [d for _, d, _, _ in layout.spans] == [-6, -1, 0, 1, 6]
+        assert len(layout.gather) == len(layout.tail_rows) == 0
+        # inner rows at the right and left edges lack 1 or -1 in range
+        assert layout.padded.tolist() == [5, 6, 11, 12, 17, 18, 23, 24]
+        v = np.arange(30.0)
+        v[6] = np.inf                   # read through a zero by row 5 only
+        got = A.matvec(v)
+        assert np.flatnonzero(~np.isfinite(got)).tolist() == [0, 6, 7, 12]
+        assert got.tobytes() == bincount_matvec(A, v).tobytes()
+
+    def test_entry_before_the_band_makes_a_gather_row(self):
+        # tridiagonal, and row 3 also holds column 0 before its band
+        n = 8
+        rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1)
+        A = CsrMatrix.from_coo(n, n, np.append(rows, 3), np.append(cols, 0),
+                               np.arange(len(rows) + 1.0) - 7.5)
+        layout = A._slots()
+        assert layout.gather.tolist() == [3]
+        assert not layout.band[:, 3].any()
+        v = np.linspace(-1.0, 2.0, n)
+        assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
 
 
 class TestCsrInvariants:

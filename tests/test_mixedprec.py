@@ -18,7 +18,7 @@ from gmreskit.mixedprec import (
     lu_low,
 )
 from gmreskit.ortho import ReductionCounter, basis, mgs_pass
-from gmreskit.solvers import GmresOptions, _givens_cycle, gmres_restarted
+from gmreskit.solvers import DiagonalPreconditioner, GmresOptions, _givens_cycle, gmres_restarted
 
 
 def conditioned_matrix(n, kappa, seed):
@@ -446,6 +446,20 @@ class TestGmresIrArguments:
     def test_rejects_negative_max_refinements(self):
         with pytest.raises(ValueError, match="max_refinements must be at least 0"):
             gmres_ir(np.eye(5), np.ones(5), max_refinements=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", "cgs2"),
+        ("precond_side", "left"),
+        ("preconditioner", DiagonalPreconditioner(np.full(5, 2.0))),
+        ("weight", np.full(5, 7.0)),
+        ("iteration_callback", lambda *args: None),
+    ])
+    def test_rejects_inner_option_it_would_ignore(self, field, value):
+        kw = {field: value}
+        if field == "precond_side":
+            kw["preconditioner"] = DiagonalPreconditioner(np.full(5, 2.0))
+        with pytest.raises(ValueError, match=f"inner_opts.{field}$"):
+            gmres_ir(np.eye(5), np.ones(5), inner_opts=GmresOptions(rtol=1e-4, **kw))
 
     def test_zero_refinements_reports_the_lu_solve(self):
         rep = gmres_ir(_criterion_13_matrix(), np.ones(200), max_refinements=0)

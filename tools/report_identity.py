@@ -21,8 +21,9 @@ options (rtol 1e-4, restart 50, max_iter 200); the variants change one of them e
 restart 5, max_iter 3 or rtol 1e-6, so that the inner restart loop and its
 budget are covered.  All four ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
-of gen_convdiff(128, 128, 10.0), and of a 64x64 arrow matrix with ten empty
-rows, together with the bytes of A.matvec(v) for each of them on two seeded
+of gen_convdiff(128, 128, 10.0), of a 64x64 arrow matrix with ten empty
+rows, of convdiff 32x32 (Peclet 10) with a seeded tenth of its entries
+removed and of a 48x80 matrix with six diagonals, together with the bytes of A.matvec(v) for each of them on two seeded
 vectors, the second holding zeros of both signs.  And it stores the binary32
 LU factors (L, U, perm, growth) that lu_low computes, and their solves of
 three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
@@ -127,6 +128,18 @@ def operators():
     cols = np.concatenate((np.arange(n), np.zeros(len(rest), dtype=np.int64), rest))
     values = np.random.default_rng(11).standard_normal(len(rows))
     yield "csr arrow 64^2 with empty rows", CsrMatrix.from_coo(n, n, rows, cols, values)
+    # a stencil with a tenth of its entries removed: rows that lack a band offset
+    A = gen_convdiff(32, 32, 10.0)
+    keep = np.random.default_rng(12).random(A.nnz) >= 0.1
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
+    yield "csr convdiff 32^2 with holes", CsrMatrix.from_coo(
+        A.nrows, A.ncols, rows[keep], A.col_idx[keep], A.values[keep])
+    # six diagonals of a 48x80 matrix; fewer than half the rows hold the last
+    i, j = np.indices((48, 80))
+    on = np.isin(j - i, [-5, -1, 0, 2, 45, 60])
+    i, j = i[on], j[on]
+    values = np.random.default_rng(13).standard_normal(len(i))
+    yield "csr banded 48x80", CsrMatrix.from_coo(48, 80, i, j, values)
 
 
 def factored():
