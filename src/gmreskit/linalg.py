@@ -145,8 +145,10 @@ class CsrMatrix:
         the rows hold.  A row is *banded* if it holds some offset in D and
         none of its other entries precedes one: its entries at D offsets go
         into ``band``, one length-nrows array per offset in ascending order,
-        with 0 where the row lacks that offset.  A banded row that lacks an
-        offset whose column is in range is *padded*.  The other rows form the
+        with 0 where the row lacks that offset; ``spans`` gives, per offset
+        d, the rows lo..hi whose column i + d is in range, with that slice of
+        the band.  A banded row that lacks an offset whose column is in range
+        is *padded*.  The other rows form the
         gather class: slot k holds the k-th stored entry of each of them, as
         (K, len(gather)) columns and values, for the K slots that at least
         half of them reach.  A shorter gather row is padded with value 0 at its
