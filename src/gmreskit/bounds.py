@@ -137,15 +137,18 @@ def _fov_base(A, grid_count=256):
 
 
 def residual_polynomial_from_run(report, n=None):
-    """Degree-n residual polynomial of a recorded run (harmonic Ritz roots)."""
-    dec = report.diagnostics.get("arnoldi")
-    if dec is None:
-        raise ValueError("run did not record its Arnoldi factorization")
-    n = n if n is not None else dec.n
-    if n > dec.n:
-        raise ValueError(f"run holds only {dec.n} steps")
-    H = dec.Hbar[:n, :n]
-    h_next = dec.Hbar[n, n - 1] if n < dec.Hbar.shape[0] else 0.0
+    """Degree-n residual polynomial of a recorded run (harmonic Ritz roots)
+    from the (n+1) x n Hessenberg factor in diagnostics["arnoldi"]."""
+    Hbar = report.diagnostics.get("arnoldi")
+    if Hbar is None:
+        raise ValueError("run did not record the Hessenberg factor of its last "
+                         "Arnoldi cycle")
+    steps = Hbar.shape[1]
+    n = n if n is not None else steps
+    if n > steps:
+        raise ValueError(f"run holds only {steps} steps")
+    H = Hbar[:n, :n]
+    h_next = Hbar[n, n - 1] if n < Hbar.shape[0] else 0.0
     hr = harmonic_ritz(H, h_next)
     roots = [r for r in hr.values if abs(r) > 0]
     return ResidualPolynomial(leja_order(roots))
@@ -202,11 +205,11 @@ def bound_report(A, report, grid_count=256, max_eigen_degree=30):
     eigs, kappa_x = spectrum_and_conditioning(A)
     elman_base = _elman_base(A)
     fov_base = _fov_base(A, grid_count)
-    dec = report.diagnostics.get("arnoldi")
+    Hbar = report.diagnostics.get("arnoldi")
 
     eigen_col = [1.0 * kappa_x if n == 0 else None for n in iterations]
     for n in iterations[1:]:
-        if dec is None or n > dec.n or n > max_eigen_degree:
+        if Hbar is None or n > Hbar.shape[1] or n > max_eigen_degree:
             continue
         try:
             eigen_col[n] = eigen_bound(eigs, kappa_x, residual_polynomial_from_run(report, n))

@@ -486,15 +486,7 @@ def pipelined_gmres(A, b, x0=None, opts=None, theta=None):
         if diagnostics["theta"] is None:
             ritz = warmup_ritz_values(A, b, min(5, max(2, len(b) - 1)))
             diagnostics["theta"] = float(np.mean(ritz).real)
-        arnoldi_cycle = _arnoldi_cycles(run, shift=diagnostics["theta"])
-
-        def cycle(r, budget):
-            out = arnoldi_cycle(r, budget)
-            diagnostics["reorthogonalizations"] += run.process.reorthogonalizations
-            run.process = None  # the report keeps no basis copy (nor W)
-            return out
-
-        return cycle
+        return _arnoldi_cycles(run, shift=diagnostics["theta"])
 
     return _restart_driver(A, b, x0, replace(opts, scheme=OrthoScheme.CGSP), make_cycle,
                            diagnostics=diagnostics)

@@ -382,7 +382,7 @@ class ArnoldiProcess:
         self._w_pending = w_new - self.V[:, : k + 1] @ h_col
 
     def finish(self):
-        """Flush deferred normalizations and return the decomposition."""
+        """Flush ICWY's deferred normalization of the last column."""
         if (self.scheme is OrthoScheme.ICWY and self.breakdown_at is None
                 and self.steps > 0 and self.completed < self.steps):
             k = self.steps
@@ -390,7 +390,6 @@ class ArnoldiProcess:
             h_sub = weighted_norm(wp, self.weight)
             self.counter.count()  # trailing batch of the deferred normalization
             self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
-        return self.decomposition()
 
     def decomposition(self):
         n = self.completed
@@ -436,7 +435,8 @@ def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None):
     proc = ArnoldiProcess(A, r0, n, scheme, weight=weight, counter=counter)
     while proc.steps < proc.max_steps and proc.breakdown_at is None:
         proc.step()
-    return proc.finish()
+    proc.finish()
+    return proc.decomposition()
 
 
 def _sign(x):

@@ -142,6 +142,13 @@ class SolveReport:
     explicitly recomputed Euclidean ||b - A x|| values at restarts and exit,
     and estimated_norm_checkpoints the same recomputation in the estimate's
     own norm (they coincide for plain runs).
+
+    diagnostics["arnoldi"], in the reports of the ArnoldiProcess cycles
+    (every scheme, weighted, low-sync and two-precision, but not pipelined)
+    and of hh_gmres, is the last cycle's (n+1) x n Hessenberg factor Hbar in
+    the cycle's working dtype, n its completed steps; a breakdown leaves its
+    last row zero.  No report keeps a Krylov basis, except fgmres's
+    diagnostics["flexible_basis"].
     """
 
     x: np.ndarray
@@ -229,10 +236,10 @@ class _Run:
     op is the operator the cycles iterate on (the counted product, with the
     preconditioner on its side and in the working dtype), counter takes the
     modeled reductions, and weight, tol_ref and tol_abs hold the current
-    cycle's norm and tolerance.  diagnostics becomes the report's.  A cycle may
-    set process to its Arnoldi process: the last one's decomposition becomes
-    diagnostics["arnoldi"] once, before the report reads the counters (for
-    Householder, recovering the basis counts reductions).
+    cycle's norm and tolerance.  diagnostics becomes the report's; a cycle
+    that ends an Arnoldi or Householder process (pipelined's excepted) writes
+    a copy of its Hessenberg factor to diagnostics["arnoldi"] (SolveReport)
+    and drops the process, so a solve holds one basis at a time.
     No attribute may refer back to the run (a closure over it, or the run
     itself): the reference cycle would keep a finished solve's arrays alive
     until the cyclic garbage collector runs.
@@ -248,7 +255,6 @@ class _Run:
         self.tol_abs = 0.0
         self.iterations = 0
         self.diagnostics = {} if diagnostics is None else diagnostics
-        self.process = None
 
     def emit(self, rho):
         """Deliver the next iteration's residual estimate; True once it meets
@@ -390,8 +396,6 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
             break
         restarts += 1
 
-    if run.process is not None:
-        run.diagnostics["arnoldi"] = run.process.decomposition()
     return SolveReport(
         x=x,
         residual_history=history,
@@ -441,19 +445,30 @@ def _process_steps(proc):
         yield proc.H, proc.completed, proc.breakdown_at is not None
 
 
+def _hessenberg(proc):
+    """A copy of the completed (n+1) x n Hessenberg factor of proc."""
+    n = proc.completed
+    return proc.H[: n + 1, :n].copy()
+
+
 def _arnoldi_cycles(run, shift=None):
     """Cycles of Arnoldi in opts.scheme with a running Givens QR of the
-    Hessenberg factor, in the run's weight and working dtype; a shift makes
-    a CGS-P process pipelined (commavoid.pipelined_gmres)."""
+    Hessenberg factor, in the run's weight and working dtype; each records
+    its Hessenberg factor.  A shift makes a CGS-P process pipelined
+    (commavoid.pipelined_gmres), which records its retries instead."""
 
     def cycle(r, budget):
-        proc = run.process = ArnoldiProcess(
+        proc = ArnoldiProcess(
             run.op, r, budget, run.opts.scheme, weight=run.weight, counter=run.counter,
             dtype=run.dtype, _shift=shift)
         ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
         rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
         n = ls.ncols
         update = proc.V[:, :n] @ ls.solve(n)
+        if shift is None:
+            run.diagnostics["arnoldi"] = _hessenberg(proc)
+        else:
+            run.diagnostics["reorthogonalizations"] += proc.reorthogonalizations
         return np.asarray(update, dtype=np.float64), rhos, status
 
     return cycle
@@ -543,9 +558,10 @@ def hh_gmres(A, b, x0=None, opts=None):
 
     def make_cycle(run):
         def cycle(r, budget):
-            proc = run.process = HouseholderArnoldi(run.op, r, budget, counter=run.counter)
+            proc = HouseholderArnoldi(run.op, r, budget, counter=run.counter)
             ls = HessenbergLsState(proc.max_steps, proc.beta)
             rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
+            run.diagnostics["arnoldi"] = _hessenberg(proc)
             return proc.eval_basis_combination(ls.solve()), rhos, status
 
         return cycle

@@ -1,5 +1,7 @@
 """Contracts of the shared restart driver, checked across the solver catalogue."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,60 @@ def test_givens_cycle_stops_and_resumes_per_contract(tol, breakdown_at, raise_at
     rhos, got = _givens_cycle(lambda rho: rho <= tol, ls, steps())
     assert (got, ls.ncols, seen) == (status, ncols, resumed)
     assert len(rhos) == ncols and rhos[-1] == ls.rho
+
+
+def _reachable_array_bytes(obj):
+    """Bytes of the arrays obj reaches through attributes, dicts, lists and
+    tuples; a view counts the whole array it keeps alive."""
+    owners, seen, stack = {}, set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            owners[id(o)] = o.nbytes
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif hasattr(o, "__dict__"):
+            stack.extend(vars(o).values())
+    return sum(owners.values())
+
+
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_report_keeps_no_krylov_basis(name):
+    # a restarted solve's report holds x and at most an (m+1) x m Hessenberg,
+    # not the N x (m+1) basis of a cycle
+    A = gen_convdiff(32, 32, peclet=10.0)
+    N, m = A.nrows, 8
+    b = np.random.default_rng(3).standard_normal(N)
+    rep = SOLVE[name](A, b, None, GmresOptions(rtol=1e-14, restart=m, max_iter=3 * m))
+    if name == "fgmres":  # V and Z of the last cycle, audited by two tests
+        assert rep.diagnostics.pop("flexible_basis") is not None
+    assert _reachable_array_bytes(rep) <= 3 * (N + m * m) * 8
+
+
+@pytest.mark.parametrize("solve,bases", [
+    (gmres_restarted, 1.5),
+    (lowsync_gmres, 1.5),
+    (pipelined_gmres, 2.5),  # V and its companion W
+])
+def test_restarted_solve_holds_one_basis_at_a_time(solve, bases):
+    A = gen_convdiff(64, 64, peclet=10.0)
+    N, m = A.nrows, 30
+    b = np.random.default_rng(5).standard_normal(N)
+    A.matvec(b)  # the product's cached layout is not the solve's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = solve(A, b, opts=GmresOptions(rtol=1e-14, restart=m, max_iter=3 * m))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.restarts == 2
+    assert peak < bases * N * (m + 1) * 8

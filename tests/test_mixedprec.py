@@ -482,11 +482,11 @@ class TestTwoPrecision:
         assert res_low <= 10.0 * res_high
 
     def test_inner_arithmetic_is_low(self, convdiff100, rhs100):
-        # the recorded basis of the last cycle is stored in binary32
+        # the recorded Hessenberg factor of the last cycle is binary32
         rep = gmres_two_precision(convdiff100, rhs100,
                                   opts=GmresOptions(rtol=1e-8, restart=20))
-        dec = rep.diagnostics["arnoldi"]
-        assert dec.V.dtype == np.float32
+        Hbar = rep.diagnostics["arnoldi"]
+        assert Hbar.dtype == np.float32 and Hbar.shape[0] == Hbar.shape[1] + 1
         assert rep.x.dtype == np.float64
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from gmreskit.harness import gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix
+from gmreskit.ortho import arnoldi
 from gmreskit.solvers import (
     DiagonalPreconditioner,
     FgmresBreakdownError,
@@ -83,11 +84,14 @@ class TestGmres:
         assert np.allclose(rep.x, x_star, atol=1e-9)
 
     def test_projection_property_at_exit(self, rng):
-        # r_n is orthogonal to A K_n: audit through the recorded basis
+        # r_n is orthogonal to A K_n: audit through the basis of the same
+        # single cycle, rebuilt by ortho.arnoldi (the report keeps only Hbar)
         A = rng.standard_normal((20, 20)) / np.sqrt(20) + 3.0 * np.eye(20)
         b = rng.standard_normal(20)
         rep = gmres(A, b, opts=GmresOptions(rtol=1e-300, max_iter=8))
-        dec = rep.diagnostics["arnoldi"]
+        dec = arnoldi(A, b, 8)
+        Hbar = rep.diagnostics["arnoldi"]
+        assert Hbar.dtype == dec.Hbar.dtype and Hbar.tobytes() == dec.Hbar.tobytes()
         r = b - A @ rep.x
         AV = A @ dec.V[:, : dec.n]
         assert np.linalg.norm(AV.T @ r) <= \
@@ -160,6 +164,28 @@ class TestHhGmres:
         b = np.random.default_rng(6).standard_normal(40)
         rep = hh_gmres(A, b, opts=GmresOptions(rtol=1e-15, max_iter=40))
         assert backward_error(A, rep.x, b) <= 1e-12
+
+    def test_reductions_follow_the_structural_formula(self):
+        # step j (1-based) applies j reflectors to recover v_j and j to its
+        # product, takes the tail norm and forms a reflector: 2j + 2.  A cycle
+        # of n steps adds the norm of r0, the first reflector and the n
+        # reflectors of its update: n^2 + 4n + 2
+        A = gen_convdiff(64, 64, peclet=10.0)
+        b = np.random.default_rng(5).standard_normal(A.nrows)
+        rep = hh_gmres(A, b, opts=GmresOptions(rtol=1e-14, restart=30, max_iter=90))
+        assert (rep.iterations, rep.restarts) == (90, 2)
+        assert rep.reduction_log == [2 * j + 2 for j in range(1, 31)] * 3
+        assert rep.reductions == 3 * (30 ** 2 + 4 * 30 + 2) == 3066
+
+    def test_breakdown_step_counts_one_fewer(self):
+        # five distinct eigenvalues: step 5 finds the invariant subspace and
+        # forms no reflector
+        A = gen_spectrum(np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], 2), seed=2)
+        b = np.random.default_rng(4).standard_normal(10)
+        rep = hh_gmres(A, b, opts=GmresOptions(rtol=1e-300, max_iter=10))
+        assert rep.iterations == 5 and not rep.diagnostics["arnoldi"][5].any()
+        assert rep.reduction_log == [4, 6, 8, 10, 2 * 5 + 1]
+        assert rep.reductions == 5 ** 2 + 4 * 5 + 2 - 1
 
 
 class TestSimplerGmres:
@@ -348,7 +374,10 @@ class TestWeightedGmres:
         d = rng.random(30) + 0.5
         rep = weighted_gmres(A, b, opts=GmresOptions(rtol=1e-300, max_iter=15,
                                                      weight=d))
-        dec = rep.diagnostics["arnoldi"]
+        # the basis of the same single cycle, rebuilt by ortho.arnoldi
+        dec = arnoldi(A, b, 15, weight=d)
+        Hbar = rep.diagnostics["arnoldi"]
+        assert Hbar.dtype == dec.Hbar.dtype and Hbar.tobytes() == dec.Hbar.tobytes()
         G = dec.V.T @ (d[:, None] * dec.V)
         assert np.linalg.norm(G - np.eye(G.shape[0])) <= 1e-10
 

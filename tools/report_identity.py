@@ -14,9 +14,11 @@ drive the solvers into their breakdown, stagnation and exception exits.
 It writes each report's counts, termination, x, residual history,
 true-residual checkpoints, reduction log and marks, and the diagnostics
 counters reorthogonalizations, dropped_augmentations, augmented_cycles and
-theta (NaN where a solver has none), or the type of the exception the call
-raised, and prints how many cases ended in each termination or exception
-type.  gmres-ir runs as the harness dispatches it, on its default inner
+theta (NaN where a solver has none), the Hessenberg factor the report
+records in diagnostics["arnoldi"] where it has one (the array itself, or
+the Hbar of an older report's ArnoldiDecomposition), or the type of the
+exception the call raised, and prints how many cases ended in each
+termination or exception type.  gmres-ir runs as the harness dispatches it, on its default inner
 options (rtol 1e-4, restart 50, max_iter 200); the variants change one of them each, to inner
 restart 5, max_iter 3 or rtol 1e-6, so that the inner restart loop and its
 budget are covered.  All four ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
@@ -32,15 +34,16 @@ three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
 
 `compare` prints each case whose counts, termination or exception type
 moved, each reduction-log entry that moved (index, before -> after), and
-each case whose reduction marks or diagnostics counters moved.  Then it
-prints one row per solver: its cases, how many moved, and the largest
+each case whose reduction marks, diagnostics counters or recorded
+Hessenberg (present on one side only, or of another dtype, shape or bytes)
+moved.  Then it prints one row per solver: its cases, how many moved, and the largest
 relative difference in x (normwise) and in the residual histories and
 true-residual checkpoints (largest entry difference over the common prefix,
 relative to the initial residual norm).  It then names each CSR array or
 matvec output, and each LU factor or solve, whose dtype or bytes differ.
 It exits with status 1 when a count, a termination, an exception type, a
-reduction log or its marks, a diagnostics counter, a CSR array, a matvec
-output, an LU factor or an LU solve differs, so a change that should only
+reduction log or its marks, a diagnostics counter, a recorded Hessenberg,
+a CSR array, a matvec output, an LU factor or an LU solve differs, so a change that should only
 move rounding can be checked against its parent.
 """
 
@@ -192,6 +195,9 @@ def dump(path):
         diag = rep.diagnostics
         out[key + "|diagnostics"] = np.array(
             [np.nan if diag.get(k) is None else float(diag[k]) for k in DIAGNOSTICS])
+        recorded = diag.get("arnoldi")
+        if recorded is not None:
+            out[key + "|hessenberg"] = getattr(recorded, "Hbar", recorded)
     np.savez(path, **out)
     print(f"{path}: {sum(outcomes.values())} cases; "
           + ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items())))
@@ -215,6 +221,7 @@ def compare(path_a, path_b):
         print("the two dumps cover different cases")
         return 1
     rows = {}  # solver -> [cases, record changes, exception changes, max dx, max dhist]
+    hessenbergs = 0  # cases with a recorded Hessenberg on either side
     for key in keys:
         row = rows.setdefault(key.split()[0], [0, 0, 0, 0.0, 0.0])
         row[0] += 1
@@ -247,6 +254,15 @@ def compare(path_a, path_b):
             moved = True
             print(f"{key}: diagnostics {dict(zip(DIAGNOSTICS, da.tolist()))} -> "
                   f"{dict(zip(DIAGNOSTICS, db.tolist()))}")
+        ha, hb = (d.get(key + "|hessenberg") for d in (a, b))
+        if ha is not None or hb is not None:
+            hessenbergs += 1
+            if ha is None or hb is None or ha.dtype != hb.dtype or \
+                    ha.shape != hb.shape or ha.tobytes() != hb.tobytes():
+                moved = True
+                print(f"{key}: recorded Hessenberg "
+                      + " -> ".join("none" if h is None else f"{h.dtype} {h.shape}"
+                                    for h in (ha, hb)) + " differs")
         row[1] += moved
         row[3] = max(row[3], _rel_x(a[key + "|x"], b[key + "|x"]))
         r0 = a[key + "|history"][0]
@@ -258,7 +274,8 @@ def compare(path_a, path_b):
         print(f"{name:<17} {n:>5} {moved:>12} {raised:>12} {dx:>10.3g} {dh:>13.3g}")
     moved = sum(r[1] for r in rows.values())
     raised = sum(r[2] for r in rows.values())
-    print(f"all counts, logs and diagnostics equal: "
+    print(f"recorded Hessenbergs compared: {hessenbergs} cases")
+    print(f"all counts, logs, diagnostics and Hessenbergs equal: "
           f"{'yes' if not moved else f'no ({moved} cases)'}; "
           f"exception type changed: {raised} cases; "
           f"largest relative difference in x {max(r[3] for r in rows.values()):.3g}, "
