@@ -316,11 +316,17 @@ class HessenbergLsState:
         self.ncols = 0
 
     def push_column(self, col):
-        """Absorb the next Hessenberg column (length ncols+2) and update rho."""
+        """Absorb the next Hessenberg column (length ncols+2) and update rho.
+
+        The rotations run on scalars: Python floats in binary64, which take
+        the same IEEE operations as numpy's, and the dtype's own scalars
+        otherwise, which round each operation to it as an array would.
+        """
         j = self.ncols
-        col = np.asarray(col, dtype=self.R.dtype).copy()
+        col = np.asarray(col, dtype=self.R.dtype)
         if col.shape != (j + 2,):
             raise ValueError(f"column {j} must have {j + 2} leading entries")
+        col = col.tolist() if col.dtype == np.float64 else list(col)
         for i, rot in enumerate(self.rotations):
             col[i], col[i + 1] = rot.apply(col[i], col[i + 1])
         rot, r = make_givens(col[j], col[j + 1])

@@ -6,11 +6,13 @@ updates in binary64.  That two-precision rule holds by construction: the
 restart driver and the refinement loop compute both in binary64 only.
 
 Low-format products keep CSR input sparse (``low_operator``); only the LU
-factorization of GMRES-IR densifies, once, into a blocked right-looking
-factorization.  Each panel of _BLOCK columns is factored in a contiguous
-transposed copy, its block row of U comes from one GEMV per row and the
-trailing update is one binary32 GEMM; the triangular solves substitute
-inside transposed copies of the diagonal blocks.  The operation order and
+factorization of GMRES-IR densifies, once and straight into binary32, into a
+blocked right-looking factorization.  Each panel of _BLOCK columns is
+factored in a contiguous transposed copy, its block row of U comes from one
+GEMV per row and the trailing update is one binary32 GEMM.  The factors stay
+packed in that one n x n array, as LAPACK's getrf leaves them; the
+triangular solves substitute inside transposed copies of its diagonal
+blocks and read the off-diagonal blocks from it.  The operation order and
 the GEMV and GEMM shapes are pinned: they give the bits of the column-wise
 factorization, and binary32 bits may not move while GMRES-IR's refinement
 count on the benchmark still rests on them (ROADMAP item 1).
@@ -49,8 +51,20 @@ def _dense_shape(A):
                     "(CsrMatrix or ndarray) at desk scale")
 
 
-def _densify(A):
-    return A.to_dense() if isinstance(A, CsrMatrix) else np.asarray(A, dtype=np.float64)
+def _dense_low(A, dtype):
+    """A as a dense array in dtype.  CSR values are cast first, so no binary64
+    copy of the matrix is made; an ndarray is read as binary64, then cast."""
+    if isinstance(A, CsrMatrix):
+        return replace(A, values=A.values.astype(dtype)).to_dense()
+    return np.asarray(A, dtype=np.float64).astype(dtype)
+
+
+def _abs_max(F, upper=False):
+    """float(np.abs(F).max()), of np.triu(F) when upper, or 0.0 for an empty F;
+    taken a block row at a time, so no n x n temporary is made."""
+    maxima = [np.abs(np.triu(F[k0:k0 + _BLOCK, k0:]) if upper else F[k0:k0 + _BLOCK]).max()
+              for k0 in range(0, len(F), _BLOCK)]
+    return float(np.max(maxima)) if maxima else 0.0
 
 
 def low_operator(A, dtype, n=None):
@@ -77,7 +91,7 @@ def low_operator(A, dtype, n=None):
 
         return sparse_matvec
     if isinstance(A, np.ndarray):
-        dense = _densify(A).astype(dtype)
+        dense = _dense_low(A, dtype)
         return lambda v: dense @ np.asarray(v, dtype=dtype)
     matvec, _ = as_matvec(A, n=n)
     return lambda v: np.asarray(matvec(np.asarray(v, dtype=np.float64)), dtype=dtype)
@@ -85,11 +99,15 @@ def low_operator(A, dtype, n=None):
 
 @dataclass
 class LowLU:
-    """Partial-pivoting LU factors stored in the low format: L is unit lower
-    triangular, U upper triangular, and A[perm] = L U."""
+    """Partial-pivoting LU factors in the low format with A[perm] = L U, packed
+    in one n x n array as LAPACK's getrf stores them: U on and above the
+    diagonal of LU, the multipliers of the unit lower triangular L below it.
 
-    L: np.ndarray
-    U: np.ndarray
+    The L and U properties build fresh full-size arrays on each access (two
+    n x n allocations); writing into them leaves the factors unchanged.
+    """
+
+    LU: np.ndarray
     perm: np.ndarray
     growth: float
 
@@ -97,14 +115,23 @@ class LowLU:
         # per diagonal block and substitution step: the step's column of the
         # block as a contiguous row of the transposed block, and the slice of
         # a shared buffer its products go to (so solve is not thread-safe)
-        self._buf = np.empty(_BLOCK, dtype=self.L.dtype)
+        self._buf = np.empty(_BLOCK, dtype=self.LU.dtype)
         self._lower, self._upper = [], []
         for k0 in range(0, len(self.perm), _BLOCK):
-            Lt = self.L[k0:k0 + _BLOCK, k0:k0 + _BLOCK].T.copy()
-            Ut = self.U[k0:k0 + _BLOCK, k0:k0 + _BLOCK].T.copy()
-            w = len(Lt)
-            self._lower.append([(Lt[j, j + 1:], self._buf[:w - j - 1]) for j in range(w - 1)])
-            self._upper.append([(Ut[j, j], Ut[j, :j], self._buf[:j]) for j in range(w)])
+            Dt = self.LU[k0:k0 + _BLOCK, k0:k0 + _BLOCK].T.copy()
+            w = len(Dt)
+            self._lower.append([(Dt[j, j + 1:], self._buf[:w - j - 1]) for j in range(w - 1)])
+            self._upper.append([(Dt[j, j], Dt[j, :j], self._buf[:j]) for j in range(w)])
+
+    @property
+    def L(self):
+        L = np.tril(self.LU, -1)
+        np.fill_diagonal(L, 1)
+        return L
+
+    @property
+    def U(self):
+        return np.triu(self.LU)
 
     def solve(self, rhs):
         """Triangular solves in the factors' own format, by blocks: substitution
@@ -114,13 +141,17 @@ class LowLU:
         rows of its transposed copy, built once with the factors, and writes
         the products into a preallocated buffer; each entry still gets the
         operations of ``y[k+1:k1] -= L[k+1:k1, k] * y[k]`` (and of U's
-        steps) in the same order, and the GEMVs keep their shapes.  Binary32
-        results may not move until GMRES-IR's refinement count no longer
-        rests on their last bits.
+        steps) in the same order.  The GEMVs read the packed array's blocks
+        below and above the diagonal, which hold exactly L's and U's entries,
+        and keep their shapes.  Binary32 results may not move until GMRES-IR's
+        refinement count no longer rests on their last bits.  A ValueError
+        names rhs unless it is 1-D of length n.
         """
-        L, U = self.L, self.U
-        y = np.asarray(rhs, dtype=L.dtype)[self.perm]
-        n = len(y)
+        F, n = self.LU, len(self.perm)
+        y = np.asarray(rhs, dtype=F.dtype)
+        if y.shape != (n,):
+            raise ValueError(f"rhs must be a 1-D vector of length {n}, got shape {y.shape}")
+        y = y[self.perm]
         mul, sub = np.multiply, np.subtract
         starts = range(0, n, _BLOCK)
         for k0, steps in zip(starts, self._lower):
@@ -128,7 +159,7 @@ class LowLU:
             for k, (col, t) in enumerate(steps, k0):
                 below = y[k + 1:k1]
                 sub(below, mul(col, y[k], t), below)
-            y[k1:] -= L[k1:, k0:k1] @ y[k0:k1]
+            y[k1:] -= F[k1:, k0:k1] @ y[k0:k1]
         for k0, steps in zip(reversed(starts), reversed(self._upper)):
             k1 = min(k0 + _BLOCK, n)
             for k in range(k1 - 1, k0 - 1, -1):
@@ -136,7 +167,7 @@ class LowLU:
                 y[k] = yk = y[k] / pivot
                 above = y[k0:k]
                 sub(above, mul(col, yk, t), above)
-            y[:k0] -= U[:k0, k0:k1] @ y[k0:k1]
+            y[:k0] -= F[:k0, k0:k1] @ y[k0:k1]
         return y
 
 
@@ -152,6 +183,7 @@ def lu_low(A, dtype=LOW_DTYPE):
     same order as a column-by-column right-looking factorization, and the
     GEMV and GEMM shapes are fixed: binary32 results may not move until
     GMRES-IR's refinement count no longer rests on their last bits.
+    The factors stay packed in the array A was densified into (LowLU).
     Reports the growth factor max|U| / max|A| as a quality diagnostic and
     raises SingularMatrixError when a pivot vanishes in the low format.
     The shape is checked before anything is densified.
@@ -162,8 +194,8 @@ def lu_low(A, dtype=LOW_DTYPE):
         raise ValueError("matrix must be square")
     if n > DESK_SCALE_LIMIT:
         raise ValueError(f"dense factorization capped at n <= {DESK_SCALE_LIMIT}")
-    F = _densify(A).astype(dtype)  # L's multipliers below the diagonal, U on and above
-    amax = float(np.abs(F).max()) if n else 0.0
+    F = _dense_low(A, dtype)  # L's multipliers below the diagonal, U on and above
+    amax = _abs_max(F)
     perm = np.arange(n)
     buf = np.empty(_BLOCK * n, dtype=F.dtype)  # the rank-1 products, contiguous
     for k0 in range(0, n, _BLOCK):
@@ -191,15 +223,8 @@ def lu_low(A, dtype=LOW_DTYPE):
         for k in range(k0 + 1, k1):
             F[k, k1:] -= F[k, k0:k] @ F[k0:k, k1:]
         F[k1:, k1:] -= F[k1:, k0:k1] @ F[k0:k1, k1:]
-    U = np.triu(F)
-    upper = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool))
-    for k0 in range(0, n, _BLOCK):  # F becomes L in place
-        k1 = min(k0 + _BLOCK, n)
-        F[k0:k1, k1:] = 0
-        F[k0:k1, k0:k1][upper[:k1 - k0, :k1 - k0]] = 0
-    np.fill_diagonal(F, 1)
-    growth = float(np.abs(U).max()) / amax if amax else 0.0
-    return LowLU(L=F, U=U, perm=perm, growth=growth)
+    growth = _abs_max(F, upper=True) / amax if amax else 0.0
+    return LowLU(F, perm, growth)
 
 
 def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):

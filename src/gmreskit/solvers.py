@@ -147,8 +147,7 @@ class SolveReport:
     (every scheme, weighted, low-sync and two-precision, but not pipelined)
     and of hh_gmres, is the last cycle's (n+1) x n Hessenberg factor Hbar in
     the cycle's working dtype, n its completed steps; a breakdown leaves its
-    last row zero.  No report keeps a Krylov basis, except fgmres's
-    diagnostics["flexible_basis"].
+    last row zero.  No report keeps a Krylov basis.
     """
 
     x: np.ndarray
@@ -785,9 +784,7 @@ def fgmres(A, b, x0=None, opts=None, precond_sequence=None):
             def direction(j, slot, V):
                 return apply_mj(base + j, V[:, j]), "krylov"
 
-            update, rhos, status, V, H, Z, _ = _flexible_cycle(run, r, budget, direction)
-            run.diagnostics["flexible_basis"] = (V[:, : len(rhos) + 1], H, Z)
-            return update, rhos, status
+            return _flexible_cycle(run, r, budget, direction)[:3]
 
         return cycle
 

@@ -231,8 +231,6 @@ def test_report_keeps_no_krylov_basis(name):
     N, m = A.nrows, 8
     b = np.random.default_rng(3).standard_normal(N)
     rep = SOLVE[name](A, b, None, GmresOptions(rtol=1e-14, restart=m, max_iter=3 * m))
-    if name == "fgmres":  # V and Z of the last cycle, audited by two tests
-        assert rep.diagnostics.pop("flexible_basis") is not None
     assert _reachable_array_bytes(rep) <= 3 * (N + m * m) * 8
 
 

@@ -329,7 +329,61 @@ class TestMakeGivens:
         assert abs(rot.c - rot.s) < 1e-15
 
 
+def reference_push_column(ls, col):
+    """HessenbergLsState.push_column as it was before it rotated scalars,
+    kept verbatim (but for self) as the oracle its bytes must match."""
+    j = ls.ncols
+    col = np.asarray(col, dtype=ls.R.dtype).copy()
+    if col.shape != (j + 2,):
+        raise ValueError(f"column {j} must have {j + 2} leading entries")
+    for i, rot in enumerate(ls.rotations):
+        col[i], col[i + 1] = rot.apply(col[i], col[i + 1])
+    rot, r = make_givens(col[j], col[j + 1])
+    col[j] = r
+    col[j + 1] = 0.0
+    gj, gj1 = rot.apply(ls.g[j], ls.g[j + 1])
+    ls.g[j] = gj
+    ls.g[j + 1] = gj1
+    ls.rotations.append(rot)
+    ls.R[: j + 2, j] = col
+    ls.ncols = j + 1
+    ls.rho = abs(float(gj1))
+    return ls.rho
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def hessenberg_columns(draw):
+    """(dtype, beta, columns): up to 12 Hessenberg columns whose entries
+    include zeros of both signs, some columns all zero."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    entry = st.one_of(_SIGNED_ZERO, st.floats(-1e6, 1e6, width=32))
+    beta = draw(st.one_of(_SIGNED_ZERO, st.floats(1e-6, 1e6)))
+    cols = []
+    for j in range(draw(st.integers(1, 12))):
+        values = _SIGNED_ZERO if draw(st.integers(0, 3)) == 0 else entry
+        cols.append(draw(st.lists(values, min_size=j + 2, max_size=j + 2)))
+    return dtype, beta, cols
+
+
 class TestHessenbergLsq:
+    @settings(max_examples=200, deadline=None)
+    @given(hessenberg_columns())
+    def test_same_bytes_as_array_rotations(self, case):
+        dtype, beta, cols = case
+        ls, ref = HessenbergLsState(len(cols), beta, dtype), \
+            HessenbergLsState(len(cols), beta, dtype)
+        for col in cols:
+            rho = ls.push_column(np.array(col))
+            rho_ref = reference_push_column(ref, np.array(col))
+            assert np.float64(rho).tobytes() == np.float64(rho_ref).tobytes()
+            assert ls.R.dtype == ref.R.dtype == dtype
+            assert ls.R.tobytes() == ref.R.tobytes()
+            assert ls.g.tobytes() == ref.g.tobytes()
+            assert [(r.c, r.s) for r in ls.rotations] == [(r.c, r.s) for r in ref.rotations]
+
     def test_consistent_one_step(self):
         state = HessenbergLsState(1, beta=4.0)
         state.push_column(np.array([2.0, 0.0]))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,6 +288,57 @@ class TestLuLow:
         x_star = np.linalg.solve(A, b)
         assert x.dtype == np.float32
         assert np.linalg.norm(x - x_star) <= 1e-5 * np.linalg.norm(x_star)
+
+
+class TestLuLowMemory:
+    """The factors are one packed n x n binary32 array: CSR input is densified
+    straight into it and factoring it adds about one more."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        """(peak, kept) of lu_low on convdiff 32^2, in n x n binary32 arrays."""
+        A = gen_convdiff(32, 32, peclet=10.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lu = lu_low(A)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = A.nrows ** 2 * 4
+        return (peak - base) / matrix, (kept - base) / matrix
+
+    def test_peak_of_the_factorization(self, traced):
+        # the matrix and the first trailing GEMM's product; 3.07 matrices
+        # when densified in binary64 and stored as separate L and U
+        assert traced[0] <= 2.25
+
+    def test_memory_kept_by_the_factors(self, traced):
+        assert traced[1] <= 1.4
+
+    def test_factor_arrays_are_copies(self, rng):
+        n = 2 * _BLOCK + 3
+        lu = lu_low(rng.standard_normal((n, n)) + 4.0 * np.eye(n))
+        b = rng.standard_normal(n).astype(np.float32)
+        x = lu.solve(b)
+        lu.L[:] = 2.0
+        lu.U[:] = 3.0
+        assert lu.solve(b).tobytes() == x.tobytes()
+        assert np.all(np.diag(lu.L) == 1) and not np.triu(lu.L, 1).any()
+
+
+class TestLowLuSolveInput:
+    @pytest.fixture(scope="class")
+    def lu(self):
+        return lu_low(np.random.default_rng(4).standard_normal((16, 16)))
+
+    @pytest.mark.parametrize("rhs", [np.ones(20), np.ones(15), np.ones((16, 1)),
+                                     np.ones((2, 16)), np.float32(1.0)],
+                             ids=["longer", "shorter", "column", "2-D", "scalar"])
+    def test_rejects_all_but_a_vector_of_length_n(self, lu, rhs):
+        with pytest.raises(ValueError, match="rhs must be a 1-D vector of length 16"):
+            lu.solve(rhs)
 
 
 class TestLuLowMatchesReference:

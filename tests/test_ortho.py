@@ -11,7 +11,7 @@ from gmreskit.ortho import (
     householder_arnoldi,
     mgs_pass,
 )
-from gmreskit.solvers import GmresOptions, fgmres
+from gmreskit.solvers import GmresOptions, _flexible_cycle, _Run, _Tally, fgmres
 
 SCHEMES = [OrthoScheme.MGS, OrthoScheme.CGS, OrthoScheme.CGS2,
            OrthoScheme.CGSP, OrthoScheme.ICWY]
@@ -245,6 +245,12 @@ class TestMgsPass:
 
     def test_bases_are_column_major(self, convdiff100, rhs100):
         assert ArnoldiProcess(convdiff100, rhs100, 6).V.flags.f_contiguous
-        rep = fgmres(convdiff100, rhs100, opts=GmresOptions(restart=8, max_iter=8))
-        V, _, Z = rep.diagnostics["flexible_basis"]
+        opts = GmresOptions(restart=8, max_iter=8)
+        rep = fgmres(convdiff100, rhs100, opts=opts)
+        # the one cycle fgmres ran, rebuilt through the flexible cycle
+        run = _Run(_Tally(convdiff100.matvec), opts)
+        run.tol_abs = opts.rtol * np.linalg.norm(rhs100)
+        update, _, _, V, _, Z, _ = _flexible_cycle(
+            run, rhs100, 8, lambda j, slot, V: (V[:, j], "krylov"))
+        assert np.array_equal(update, rep.x)
         assert V.flags.f_contiguous and Z.flags.f_contiguous

@@ -9,6 +9,9 @@ from gmreskit.solvers import (
     FgmresBreakdownError,
     FunctionPreconditioner,
     GmresOptions,
+    _flexible_cycle,
+    _Run,
+    _Tally,
     backward_error,
     fgmres,
     gcr,
@@ -304,10 +307,15 @@ class TestFgmres:
         d1 = np.diag(dense).copy()
         d2 = d1 * 2.0
         seq = lambda j, v: v / d1 if j % 2 == 0 else v / d2
-        rep = fgmres(convdiff100, rhs100, opts=GmresOptions(rtol=1e-10),
-                     precond_sequence=seq)
-        assert rep.converged
-        V, H, Z = rep.diagnostics["flexible_basis"]
+        opts = GmresOptions(rtol=1e-10)
+        rep = fgmres(convdiff100, rhs100, opts=opts, precond_sequence=seq)
+        assert rep.converged and rep.restarts == 0
+        # the one cycle fgmres ran, rebuilt through the flexible cycle
+        run = _Run(_Tally(convdiff100.matvec), opts)
+        run.tol_abs = opts.rtol * np.linalg.norm(rhs100)
+        update, rhos, _, V, H, Z, _ = _flexible_cycle(
+            run, rhs100, len(rhs100), lambda j, slot, V: (seq(j, V[:, j]), "krylov"))
+        assert np.array_equal(update, rep.x) and rhos == rep.residual_history[1:]
         n = H.shape[1]
         rel = np.linalg.norm(dense @ Z[:, :n] - V[:, : n + 1] @ H[: n + 1])
         assert rel <= 1e-12 * np.linalg.norm(dense)

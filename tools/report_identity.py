@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/report_identity.py dump after.npz
     PYTHONPATH=/path/to/other/checkout/src python tools/report_identity.py dump before.npz
-    PYTHONPATH=src python tools/report_identity.py compare before.npz after.npz
+    PYTHONPATH=src python tools/report_identity.py compare [--exact] before.npz after.npz
 
 `dump` runs every SOLVER_DISPATCH entry, and three more GMRES-IR variants,
 on five problems with max_iter 13 and 60, restart unset and 8, and x0 zero
@@ -44,7 +44,10 @@ matvec output, and each LU factor or solve, whose dtype or bytes differ.
 It exits with status 1 when a count, a termination, an exception type, a
 reduction log or its marks, a diagnostics counter, a recorded Hessenberg,
 a CSR array, a matvec output, an LU factor or an LU solve differs, so a change that should only
-move rounding can be checked against its parent.
+move rounding can be checked against its parent.  It also names each case
+whose x, residual history or true-residual checkpoints differ in dtype, shape
+or any byte; with --exact those cases make it exit with status 1 too, so a
+change that should move no bit at all can be checked.
 """
 
 from __future__ import annotations
@@ -214,7 +217,11 @@ def _rel_series(a, b, scale):
     return float(np.max(np.abs(a[:k] - b[:k])) / (scale or 1.0)) if k else 0.0
 
 
-def compare(path_a, path_b):
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def compare(path_a, path_b, exact=False):
     a, b = np.load(path_a), np.load(path_b)
     keys = sorted(k[: -len("|raised")] for k in a.files if k.endswith("|raised"))
     if sorted(k for k in b.files if k.endswith("|raised")) != [k + "|raised" for k in keys]:
@@ -222,6 +229,7 @@ def compare(path_a, path_b):
         return 1
     rows = {}  # solver -> [cases, record changes, exception changes, max dx, max dhist]
     hessenbergs = 0  # cases with a recorded Hessenberg on either side
+    unequal_bytes = 0  # cases whose x, history or checkpoints differ in a byte
     for key in keys:
         row = rows.setdefault(key.split()[0], [0, 0, 0, 0.0, 0.0])
         row[0] += 1
@@ -257,12 +265,16 @@ def compare(path_a, path_b):
         ha, hb = (d.get(key + "|hessenberg") for d in (a, b))
         if ha is not None or hb is not None:
             hessenbergs += 1
-            if ha is None or hb is None or ha.dtype != hb.dtype or \
-                    ha.shape != hb.shape or ha.tobytes() != hb.tobytes():
+            if ha is None or hb is None or not _same_bytes(ha, hb):
                 moved = True
                 print(f"{key}: recorded Hessenberg "
                       + " -> ".join("none" if h is None else f"{h.dtype} {h.shape}"
                                     for h in (ha, hb)) + " differs")
+        unequal = [part for part in ("x", "history", "checkpoints")
+                   if not _same_bytes(a[f"{key}|{part}"], b[f"{key}|{part}"])]
+        if unequal:
+            unequal_bytes += 1
+            print(f"{key}: bytes of {', '.join(unequal)} differ")
         row[1] += moved
         row[3] = max(row[3], _rel_x(a[key + "|x"], b[key + "|x"]))
         r0 = a[key + "|history"][0]
@@ -280,6 +292,8 @@ def compare(path_a, path_b):
           f"exception type changed: {raised} cases; "
           f"largest relative difference in x {max(r[3] for r in rows.values()):.3g}, "
           f"in the histories {max(r[4] for r in rows.values()):.3g}")
+    print(f"x, histories and checkpoints byte-equal: "
+          f"{'yes' if not unequal_bytes else f'no ({unequal_bytes} cases)'}")
     arrays_moved = 0
     for prefix, what in (("csr ", "CSR arrays and matvec outputs"),
                          ("lu ", "LU factors and solves")):
@@ -287,13 +301,14 @@ def compare(path_a, path_b):
         keys_b = {k for k in b.files if k.startswith(prefix)}
         differ = sorted(keys_a ^ keys_b) + sorted(
             k for k in keys_a & keys_b
-            if a[k].dtype != b[k].dtype or a[k].tobytes() != b[k].tobytes())
+            if not _same_bytes(a[k], b[k]))
         for key in differ:
             print(f"differs or is missing: {key}")
         print(f"{what} identical: {'yes' if not differ else f'no ({len(differ)})'} "
               f"({len(keys_a | keys_b)} arrays)")
         arrays_moved += len(differ)
-    return 0 if not moved and not raised and not arrays_moved else 1
+    failed = moved or raised or arrays_moved or (exact and unequal_bytes)
+    return 1 if failed else 0
 
 
 def main(argv=None):
@@ -303,11 +318,13 @@ def main(argv=None):
     cmp_parser = sub.add_parser("compare")
     cmp_parser.add_argument("before")
     cmp_parser.add_argument("after")
+    cmp_parser.add_argument("--exact", action="store_true",
+                            help="also exit 1 when any x, history or checkpoint differs in a byte")
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.path)
         return 0
-    return compare(args.before, args.after)
+    return compare(args.before, args.after, exact=args.exact)
 
 
 if __name__ == "__main__":
