@@ -58,7 +58,7 @@ class MonomialBasis:
 
 @dataclass(frozen=True)
 class NewtonBasis:
-    """phi_j(z) = rho_j (z - theta_j) phi_{j-1}(z) with conjugate-closed shifts.
+    """phi_j(z) = (z - theta_j) phi_{j-1}(z) with conjugate-closed shifts.
 
     Complex shifts must come in adjacent conjugate pairs (modified Leja order
     does this); each pair is realized in real arithmetic through its
@@ -66,19 +66,11 @@ class NewtonBasis:
     """
 
     shifts: tuple
-    scalings: tuple = None
 
     def __post_init__(self):
         shifts = tuple(complex(s) for s in self.shifts)
         object.__setattr__(self, "shifts", shifts)
         _check_conjugate_pairs(shifts, "shifts")
-        if self.scalings is not None:
-            sc = tuple(float(s) for s in self.scalings)
-            if len(sc) != len(shifts):
-                raise ValueError("one scaling per shift required")
-            if any(s <= 0 for s in sc):
-                raise ValueError("scalings must be positive")
-            object.__setattr__(self, "scalings", sc)
 
 
 @dataclass(frozen=True)
@@ -149,31 +141,28 @@ def build_basis(A, start, s, spec=None):
         shifts = list(spec.shifts)
         if len(shifts) < s:
             raise ValueError(f"need at least {s} shifts, got {len(shifts)}")
-        scalings = list(spec.scalings) if spec.scalings is not None else [1.0] * s
         k = 0
         while k < s:
             th = shifts[k]
             if th.imag == 0.0 or k == s - 1:
                 # a pair straddling the end degrades to its real part
                 a = th.real
-                W[:, k + 1] = scalings[k] * (matvec(W[:, k]) - a * W[:, k])
+                W[:, k + 1] = matvec(W[:, k]) - a * W[:, k]
                 B[k, k] = a
-                B[k + 1, k] = 1.0 / scalings[k]
+                B[k + 1, k] = 1.0
                 prev = _check_column(W[:, k + 1], prev, scale)
                 k += 1
             else:
                 a, bb = th.real, th.imag
-                rk, rk1 = scalings[k], scalings[k + 1]
-                W[:, k + 1] = rk * (matvec(W[:, k]) - a * W[:, k])
+                W[:, k + 1] = matvec(W[:, k]) - a * W[:, k]
                 prev = _check_column(W[:, k + 1], prev, scale)
-                W[:, k + 2] = rk1 * ((matvec(W[:, k + 1]) - a * W[:, k + 1])
-                                     + (bb * bb * rk) * W[:, k])
+                W[:, k + 2] = (matvec(W[:, k + 1]) - a * W[:, k + 1]) + (bb * bb) * W[:, k]
                 prev = _check_column(W[:, k + 2], prev, scale)
                 B[k, k] = a
-                B[k + 1, k] = 1.0 / rk
-                B[k, k + 1] = -bb * bb * rk
+                B[k + 1, k] = 1.0
+                B[k, k + 1] = -bb * bb
                 B[k + 1, k + 1] = a
-                B[k + 2, k + 1] = 1.0 / rk1
+                B[k + 2, k + 1] = 1.0
                 k += 2
     elif isinstance(spec, ChebyshevBasis):
         zeta, gamma, tau_sq = spec.center, spec.gamma, spec.tau_sq

@@ -59,7 +59,8 @@ def harmonic_ritz(H_m, h_next):
     subdiagonal entry.
 
     A singular H_m falls back to the generalized eigenproblem
-    (Hbar^T Hbar) y = theta H_m^T y with a grade-deficient diagnostic.
+    (Hbar^T Hbar) y = theta H_m^T y with a grade-deficient diagnostic; a
+    rank-deficient Hbar raises ValueError.
     """
     H = np.asarray(H_m, dtype=np.float64)
     m = H.shape[0]
@@ -76,8 +77,12 @@ def harmonic_ritz(H_m, h_next):
         grade_deficient = True
         Hbar = np.vstack([H, np.zeros((1, m))])
         Hbar[m, m - 1] = math.sqrt(h2)
-        G = Hbar.T @ Hbar
-        mu, vectors = dense_eig_general(np.linalg.solve(G, H.T), vectors=True)
+        try:
+            K = np.linalg.solve(Hbar.T @ Hbar, H.T)
+        except np.linalg.LinAlgError:
+            raise ValueError("H_m with h_next gives a rank-deficient Hbar, "
+                             "which has no harmonic Ritz values") from None
+        mu, vectors = dense_eig_general(K, vectors=True)
         with np.errstate(divide="ignore"):
             values = np.where(mu == 0, np.inf, 1.0 / mu)
         finite = np.isfinite(values)

@@ -9,6 +9,7 @@ separate file excluded from that guarantee.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
@@ -26,7 +27,7 @@ from .commavoid import (
     sstep_gmres,
 )
 from .deflation import build_poly_preconditioner, gmres_e, polynomial_preconditioner
-from .linalg import CsrMatrix, SingularMatrixError, as_matvec, mm_read, operator_norm_estimate
+from .linalg import CsrMatrix, as_matvec, mm_read, operator_norm_estimate
 from .mixedprec import gmres_ir, gmres_two_precision
 from .solvers import (
     DiagonalPreconditioner,
@@ -185,6 +186,13 @@ class ExperimentConfig:
             if v["solver"] not in SOLVER_DISPATCH:
                 raise ConfigError(f"variants[{i}].solver: unknown solver "
                                   f"{v['solver']!r}")
+            options = v.get("options", {})
+            if not isinstance(options, dict):
+                raise ConfigError(f"variants[{i}].options: need a JSON object")
+            unread = sorted(set(options) - _option_keys(v["solver"]))
+            if unread:
+                raise ConfigError(f"variants[{i}].options.{unread[0]}: {v['solver']} "
+                                  f"does not read this key")
             if v["name"] in names:
                 raise ConfigError(f"variants[{i}].name: duplicate {v['name']!r}")
             names.add(v["name"])
@@ -237,9 +245,48 @@ def _build_rhs(cfg, n):
     raise ConfigError(f"rhs.kind: unknown kind {kind!r}")
 
 
+# name -> (solver, the keywords the name fixes, the option keys passed on as
+# keywords when a variant sets them).  Every other default lives in the
+# solver's signature or in GmresOptions.
+SOLVER_DISPATCH = {
+    "gmres": (gmres, {}, ()),
+    "gmres-restarted": (gmres_restarted, {}, ()),
+    "hh-gmres": (hh_gmres, {}, ()),
+    "sgmres": (simpler_gmres, {"variant": "sgmres"}, ()),
+    "rb-sgmres": (simpler_gmres, {"variant": "rb"}, ()),
+    "adaptive-sgmres": (simpler_gmres, {"variant": "adaptive"}, ()),
+    "gcr": (gcr, {}, ()),
+    "orthodir": (orthodir, {}, ()),
+    "fgmres": (fgmres, {}, ()),
+    "lgmres": (lgmres, {}, ("m1", "m2")),
+    "gmres-e": (gmres_e, {}, ("m1", "m2")),
+    "weighted-gmres": (weighted_gmres, {}, ()),
+    "sstep-gmres": (sstep_gmres, {}, ("s", "t")),
+    "pipelined-gmres": (pipelined_gmres, {}, ("theta",)),
+    "lowsync-gmres": (lowsync_gmres, {}, ()),
+    "two-precision": (gmres_two_precision, {}, ()),
+    "gmres-ir": (gmres_ir, {}, ("rtol", "max_refinements")),
+}
+
+# variant option key -> GmresOptions field, for every entry but gmres-ir
+_OPTION_FIELDS = {"rtol": "rtol", "max_iter": "max_iter", "restart": "restart",
+                  "scheme": "scheme", "omega": "simpler_omega"}
+
+
+def _option_keys(name):
+    """The variant option keys the dispatch entry ``name`` reads."""
+    solve, _, passed = SOLVER_DISPATCH[name]
+    keys = set(passed)
+    if solve is not gmres_ir:  # the one entry that takes no GmresOptions
+        keys.update(_OPTION_FIELDS, ["preconditioner"])
+    if solve is sstep_gmres:
+        keys.add("basis")
+    return keys
+
+
 def _basis_from_options(A, b, options):
-    kind = options.get("basis", "newton")
-    s = options.get("s", 4)
+    kind = options["basis"]
+    s = options.get("s", inspect.signature(sstep_gmres).parameters["s"].default)
     if kind == "monomial":
         return MonomialBasis()
     if kind == "newton":
@@ -249,37 +296,26 @@ def _basis_from_options(A, b, options):
     raise ConfigError(f"options.basis: unknown basis {kind!r}")
 
 
-def _gmres_options(options, callback=None):
-    scheme = options.get("scheme", "mgs")
-    if scheme == "householder":
-        # reflector orthogonalization is its own solver; the generic options
-        # carry mgs and the dispatch reroutes to hh-gmres
-        scheme = "mgs"
-    return GmresOptions(
-        rtol=options.get("rtol", 1e-8),
-        max_iter=options.get("max_iter"),
-        restart=options.get("restart"),
-        scheme=scheme,
-        simpler_omega=options.get("omega", 0.5),
-        iteration_callback=callback,
-    )
-
-
-def _with_preconditioner(A, b, opts, options):
+def _gmres_options(A, b, options, callback=None):
+    """GmresOptions holding only the keys the variant sets."""
+    fields = {_OPTION_FIELDS[k]: v for k, v in options.items() if k in _OPTION_FIELDS}
+    if fields.get("scheme") == "householder":
+        # reflector orthogonalization is its own solver; the dispatch
+        # reroutes gmres to hh-gmres and every other entry keeps its scheme
+        del fields["scheme"]
+    opts = GmresOptions(iteration_callback=callback, **fields)
     pc = options.get("preconditioner")
     if not pc:
         return opts
     kind = pc.get("kind")
-    side = pc.get("side", "right")
     if kind == "jacobi":
-        dense_diag = _operator_diagonal(A)
-        M = DiagonalPreconditioner(dense_diag)
+        M = DiagonalPreconditioner(_operator_diagonal(A))
     elif kind == "poly":
         poly = build_poly_preconditioner(A, b, pc.get("degree", 5))
         M = polynomial_preconditioner(A, poly)
     else:
         raise ConfigError(f"preconditioner.kind: unknown kind {kind!r}")
-    return replace(opts, precond_side=side, preconditioner=M)
+    return replace(opts, precond_side=pc.get("side", "right"), preconditioner=M)
 
 
 def _operator_diagonal(A):
@@ -294,60 +330,21 @@ def _run_variant(A, b, variant, callback=None):
     # before the s-step basis and the polynomial preconditioner run on b
     b = _finite_vector("b", b)
     _matvec_for(A, len(b))
-    solver = variant["solver"]
-    options = dict(variant.get("options", {}))
-    opts = _gmres_options(options, callback)
-    opts = _with_preconditioner(A, b, opts, options)
-    if options.get("scheme") == "householder" and solver in ("gmres",
-                                                             "gmres-restarted"):
-        solver = "hh-gmres"
-    if solver == "gmres":
-        return gmres(A, b, opts=opts)
-    if solver == "gmres-restarted":
-        return gmres_restarted(A, b, opts=replace(
-            opts, restart=options.get("restart", 30)))
-    if solver == "hh-gmres":
-        return hh_gmres(A, b, opts=opts)
-    if solver in ("sgmres", "rb-sgmres", "adaptive-sgmres"):
-        variant_name = {"sgmres": "sgmres", "rb-sgmres": "rb",
-                        "adaptive-sgmres": "adaptive"}[solver]
-        return simpler_gmres(A, b, opts=opts, variant=variant_name)
-    if solver == "gcr":
-        return gcr(A, b, opts=opts)
-    if solver == "orthodir":
-        return orthodir(A, b, opts=opts)
-    if solver == "fgmres":
-        return fgmres(A, b, opts=opts)
-    if solver == "lgmres":
-        return lgmres(A, b, m1=options.get("m1", 20), m2=options.get("m2", 3),
-                      opts=opts)
-    if solver == "gmres-e":
-        return gmres_e(A, b, m1=options.get("m1", 20), m2=options.get("m2", 2),
-                       opts=opts)
-    if solver == "weighted-gmres":
-        return weighted_gmres(A, b, opts=opts)
-    if solver == "sstep-gmres":
-        spec = _basis_from_options(A, b, options)
-        return sstep_gmres(A, b, s=options.get("s", 4), t=options.get("t", 5),
-                           spec=spec, opts=opts)
-    if solver == "pipelined-gmres":
-        return pipelined_gmres(A, b, opts=opts, theta=options.get("theta"))
-    if solver == "lowsync-gmres":
-        return lowsync_gmres(A, b, opts=opts)
-    if solver == "two-precision":
-        return gmres_two_precision(A, b, opts=opts)
-    if solver == "gmres-ir":
-        return gmres_ir(A, b, rtol=options.get("rtol", 1e-13),
-                        max_refinements=options.get("max_refinements", 40))
-    raise ConfigError(f"solver: unknown solver {solver!r}")
-
-
-SOLVER_DISPATCH = (
-    "gmres", "gmres-restarted", "hh-gmres", "sgmres", "rb-sgmres",
-    "adaptive-sgmres", "gcr", "orthodir", "fgmres", "lgmres", "gmres-e",
-    "weighted-gmres", "sstep-gmres", "pipelined-gmres", "lowsync-gmres",
-    "two-precision", "gmres-ir",
-)
+    name = variant["solver"]
+    options = variant.get("options", {})
+    if options.get("scheme") == "householder" and name in ("gmres", "gmres-restarted"):
+        name = "hh-gmres"
+    if name not in SOLVER_DISPATCH:
+        raise ConfigError(f"solver: unknown solver {name!r}")
+    solve, fixed, passed = SOLVER_DISPATCH[name]
+    kwargs = dict(fixed, **{k: options[k] for k in passed if k in options})
+    if solve is not gmres_ir:
+        if name == "gmres-restarted" and "restart" not in options:
+            options = dict(options, restart=30)
+        kwargs["opts"] = _gmres_options(A, b, options, callback)
+    if solve is sstep_gmres and "basis" in options:
+        kwargs["spec"] = _basis_from_options(A, b, options)
+    return solve(A, b, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +415,7 @@ def run(config, output_dir=None, log=None):
             sched = PerturbationSchedule(
                 mode=config.inexact.get("mode", "fixed"),
                 eta=config.inexact.get("eta", 0.0),
-                rtol=variant.get("options", {}).get("rtol", 1e-8))
+                rtol=variant.get("options", {}).get("rtol", GmresOptions.rtol))
             cell = {"rho": None}
             callback = lambda k, rho_rel, cell=cell: cell.__setitem__("rho", rho_rel)
             operator = inexact_operator(A, sched,
@@ -427,10 +424,11 @@ def run(config, output_dir=None, log=None):
         t0 = time.perf_counter()
         try:
             report = _run_variant(operator, b, variant, callback)
-        except (RuntimeError, np.linalg.LinAlgError, SingularMatrixError) as exc:
-            # an internal solver error (a singular least-squares factor is a
-            # ValueError) fails the run's exit status but does not stop the
-            # remaining variants
+        except ConfigError:
+            raise
+        except Exception as exc:
+            # a solver's error fails the run's exit status but does not stop
+            # the remaining variants
             timings[name] = time.perf_counter() - t0
             summary["variants"][name] = {
                 "solver": variant["solver"],

@@ -6,7 +6,10 @@
 
 `dump` runs every SOLVER_DISPATCH entry, and three more GMRES-IR variants,
 on five problems with max_iter 13 and 60, restart unset and 8, and x0 zero
-and random (rtol 1e-8, seeded right-hand sides), 800 cases in all.  The problems are convdiff 10x10 and
+and random (rtol 1e-8, seeded right-hand sides), 800 cases in all.  It also
+runs each SOLVER_DISPATCH name through harness._run_variant, as the CLI does,
+with options rtol 1e-8 and max_iter 60, on each problem: 85 more cases, keyed
+"harness:<name>".  The problems are convdiff 10x10 and
 32x32 (Peclet 10); convdiff 4x4, whose grade the budgets reach; a singular
 operator with eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues
 geometrically spaced over [1e-6, 1] (condition number 1e6).  The last three
@@ -57,13 +60,14 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
 from gmreskit import (GmresOptions, fgmres, gcr, gmres, gmres_e, gmres_ir, gmres_restarted,
                       gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, lu_low, orthodir,
                       pipelined_gmres, simpler_gmres, sstep_gmres, weighted_gmres)
-from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff, gen_spectrum
+from gmreskit.harness import SOLVER_DISPATCH, _run_variant, gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix, mm_read, mm_write
 
 SOLVE = {
@@ -106,6 +110,7 @@ def problems():
 
 
 def cases():
+    """(key, solve()) of every case."""
     for label, A, seed in problems():
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(A.nrows)
@@ -117,7 +122,12 @@ def cases():
                     # every dispatch entry (one SOLVE lacks is a KeyError), then the variants
                     for name in dict.fromkeys([*SOLVER_DISPATCH, *SOLVE]):
                         yield (f"{name} {label} max_iter={max_iter} "
-                               f"restart={restart} x0={x0_kind}", name, A, b, x0, opts)
+                               f"restart={restart} x0={x0_kind}",
+                               partial(SOLVE[name], A, b, x0, opts))
+        # the CLI path: each dispatch name as harness.run hands it over
+        for name in SOLVER_DISPATCH:
+            variant = {"solver": name, "options": {"rtol": 1e-8, "max_iter": 60}}
+            yield f"harness:{name} {label} max_iter=60", partial(_run_variant, A, b, variant)
 
 
 def operators():
@@ -179,9 +189,9 @@ def dump(path):
         rhs = (*vectors(n), np.random.default_rng(2).standard_normal(n).astype(np.float32))
         out.update({f"{prefix}|solve {k}": lu.solve(r) for k, r in enumerate(rhs)})
     outcomes = Counter()  # termination or exception type -> cases
-    for key, name, A, b, x0, opts in cases():
+    for key, solve in cases():
         try:
-            rep = SOLVE[name](A, b, x0, opts)
+            rep = solve()
         except Exception as exc:  # the exception type is part of the record
             out[key + "|raised"] = np.array(type(exc).__name__)
             outcomes[type(exc).__name__] += 1
@@ -280,10 +290,10 @@ def compare(path_a, path_b, exact=False):
         r0 = a[key + "|history"][0]
         row[4] = max(row[4], *(_rel_series(a[key + part], b[key + part], r0)
                                for part in ("|history", "|checkpoints")))
-    print(f"{'solver':<17} {'cases':>5} {'record moved':>12} {'raised moved':>12} "
+    print(f"{'solver':<23} {'cases':>5} {'record moved':>12} {'raised moved':>12} "
           f"{'max rel dx':>10} {'max rel dhist':>13}")
     for name, (n, moved, raised, dx, dh) in rows.items():
-        print(f"{name:<17} {n:>5} {moved:>12} {raised:>12} {dx:>10.3g} {dh:>13.3g}")
+        print(f"{name:<23} {n:>5} {moved:>12} {raised:>12} {dx:>10.3g} {dh:>13.3g}")
     moved = sum(r[1] for r in rows.values())
     raised = sum(r[2] for r in rows.values())
     print(f"recorded Hessenbergs compared: {hessenbergs} cases")
