@@ -56,7 +56,6 @@ from .deflation import (
 )
 from .commavoid import (
     BasisCollapseError,
-    BasisConversion,
     ChebyshevBasis,
     MonomialBasis,
     NewtonBasis,

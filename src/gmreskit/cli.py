@@ -104,7 +104,7 @@ def main(argv=None):
             config = _apply_overrides(ExperimentConfig.from_json(args.config), args)
             rows, table = compare(config, output_dir=args.output_dir, log=log)
             print(table, end="")
-            return 0
+            return 1 if any(row[1] == "error" for row in rows) else 0
         if args.command == "gen":
             if args.generator == "convdiff":
                 A = gen_convdiff(args.nx, args.ny, args.peclet)

@@ -22,7 +22,6 @@ __all__ = [
     "MonomialBasis",
     "NewtonBasis",
     "ChebyshevBasis",
-    "BasisConversion",
     "BasisCollapseError",
     "SstepBlockError",
     "TsqrTree",
@@ -49,6 +48,7 @@ class SstepBlockError(RuntimeError):
 
 
 _TSQR_BLOCKS = 4  # row partition of the s-step TSQR trees
+_BASIS_NAMES = ("monomial", "newton", "chebyshev")  # the bases sstep_gmres builds by name
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,6 @@ class ChebyshevBasis:
         return self.xi1 ** 2 - self.xi2 ** 2
 
 
-@dataclass(frozen=True)
-class BasisConversion:
-    """Banded matrix Bbar with A W_s = W_{s+1} Bbar."""
-
-    Bbar: np.ndarray
-
-
 def _check_column(w, prev_mag, scale):
     # max-magnitude detector: squared 2-norms underflow long before entries do
     mag = float(np.max(np.abs(w))) if len(w) else 0.0
@@ -121,7 +114,7 @@ def build_basis(A, start, s, spec=None):
     """Generate s+1 polynomial-basis vectors and the conversion matrix.
 
     Columns follow the monomial / Newton / Chebyshev recurrences; the
-    returned pair (W, conversion) satisfies A W[:, :s] = W conversion.Bbar.
+    returned pair (W, Bbar) satisfies A W[:, :s] = W Bbar, with Bbar banded.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -180,27 +173,22 @@ def build_basis(A, start, s, spec=None):
             prev = _check_column(W[:, k + 1], prev, scale)
     else:
         raise TypeError(f"unknown basis spec {type(spec).__name__}")
-    return W, BasisConversion(Bbar=B)
+    return W, B
 
 
 # ---------------------------------------------------------------------------
 # TSQR
 
 
-@dataclass
-class _TsqrNode:
-    Q: np.ndarray | None            # None marks an odd-count passthrough
-    children: tuple = ()
-
-    def assemble(self, C):
-        if self.Q is None:
-            return self.children[0].assemble(C)
-        if not self.children:
-            return self.Q @ C
-        s = C.shape[0]
-        M = self.Q @ C
-        left, right = self.children
-        return np.vstack([left.assemble(M[:s]), right.assemble(M[s:])])
+def _assemble(node, C):
+    # node is (Q, children): a leaf's Q, or a pair's Q over its two children
+    Q, children = node
+    M = Q @ C
+    if not children:
+        return M
+    s = C.shape[0]
+    left, right = children
+    return np.vstack([_assemble(left, M[:s]), _assemble(right, M[s:])])
 
 
 @dataclass
@@ -211,14 +199,12 @@ class TsqrTree:
     is reconstructed on demand by walking the level factors.
     """
 
-    root: _TsqrNode
+    root: tuple
     R: np.ndarray
     signs: np.ndarray
-    nblocks: int
-    levels: int
 
     def q_explicit(self):
-        return self.root.assemble(np.diag(self.signs))
+        return _assemble(self.root, np.diag(self.signs))
 
 
 def tsqr(W, nblocks):
@@ -241,26 +227,24 @@ def tsqr(W, nblocks):
     offset = 0
     for sz in sizes:
         Q, R = np.linalg.qr(W[offset:offset + sz])
-        nodes.append(_TsqrNode(Q=Q))
+        nodes.append((Q, ()))
         rs.append(R)
         offset += sz
-    levels = 0
     while len(nodes) > 1:
-        levels += 1
         next_nodes = []
         next_rs = []
         for i in range(0, len(nodes) - 1, 2):
             Q, R = np.linalg.qr(np.vstack([rs[i], rs[i + 1]]))
-            next_nodes.append(_TsqrNode(Q=Q, children=(nodes[i], nodes[i + 1])))
+            next_nodes.append((Q, (nodes[i], nodes[i + 1])))
             next_rs.append(R)
         if len(nodes) % 2:
-            next_nodes.append(_TsqrNode(Q=None, children=(nodes[-1],)))
+            next_nodes.append(nodes[-1])
             next_rs.append(rs[-1])
         nodes, rs = next_nodes, next_rs
     R = rs[0]
     signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
     R = signs[:, None] * R
-    return TsqrTree(root=nodes[0], R=R, signs=signs, nblocks=nblocks, levels=levels)
+    return TsqrTree(root=nodes[0], R=R, signs=signs)
 
 
 def bgs_project(Vprev, W, counter=None):
@@ -330,9 +314,11 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
     ----------
     s, t : int
         Block size and blocks per restart cycle (restart length s*t).
-    spec : MonomialBasis, NewtonBasis or ChebyshevBasis, optional
-        Polynomial basis; defaults to a Newton basis with Leja-ordered
-        Ritz-value shifts from s warmup steps (monomial when s == 1).
+    spec : MonomialBasis, NewtonBasis, ChebyshevBasis or str, optional
+        Polynomial basis, or the name "monomial", "newton" or "chebyshev" of
+        one whose parameters come from s warmup Arnoldi steps on (A, b):
+        Leja-ordered Ritz-value shifts, or the Ritz values' bounding
+        rectangle.  Defaults to "newton" ("monomial" when s == 1).
 
     Returns
     -------
@@ -345,12 +331,21 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
     _reject_weight(opts, "sstep_gmres")
     if s < 1 or t < 1:
         raise ValueError("need s >= 1 and t >= 1")
+    if spec is None:
+        spec = "newton" if s > 1 else "monomial"
+    if isinstance(spec, str) and spec not in _BASIS_NAMES:
+        raise ValueError(f"spec: unknown basis {spec!r}; "
+                         f"use one of {', '.join(_BASIS_NAMES)} or a basis object")
     diagnostics = {"basis": None, "s": s, "t": t}
 
     def make_cycle(run):
         basis = spec
-        if basis is None:
-            basis = newton_basis_from_warmup(A, b, s) if s > 1 else MonomialBasis()
+        if spec == "monomial":
+            basis = MonomialBasis()
+        elif spec == "newton":
+            basis = newton_basis_from_warmup(A, b, s)
+        elif spec == "chebyshev":
+            basis = chebyshev_basis_from_warmup(A, b, s)
         diagnostics["basis"] = type(basis).__name__
         return lambda r, budget: _sstep_cycle(run, r, s, t, basis, budget)
 
@@ -377,7 +372,7 @@ def _sstep_cycle(run, r, s, t, spec, budget):
             counter.begin_step()
             if j == 0:
                 counter.count()             # entry normalization of the cycle
-                W, conv = build_basis(run.op, r / beta, s, spec)
+                W, Bbar = build_basis(run.op, r / beta, s, spec)
                 tree = tsqr(W, min(_TSQR_BLOCKS, max(1, N // (s + 1))))
                 counter.count()             # one TSQR tree
                 cut = diag_cut(tree.R)
@@ -390,14 +385,14 @@ def _sstep_cycle(run, r, s, t, spec, budget):
                     raise OrthogonalizationBreakdown("s-step block starts singular")
                 fV[:, : p + 1] = tree.q_explicit()[:, : p + 1]
                 Twin = tree.R[: p + 1, : p + 1]
-                Bblock = conv.Bbar[: p + 1, :p]
+                Bblock = Bbar[: p + 1, :p]
                 fH = _assemble_sstep_hessenberg(None, None, Twin, Bblock, None)
             else:
                 nv = fH.shape[0]
-                W, conv = build_basis(run.op, fV[:, nv - 1], s, spec)
+                W, Bbar = build_basis(run.op, fV[:, nv - 1], s, spec)
                 Wacc = W[:, 1:]
                 Racc, Wacc = bgs_project(fV[:, :nv], Wacc, counter)
-                tree = tsqr(Wacc, min(_TSQR_BLOCKS, max(1, N // max(s, 1))))
+                tree = tsqr(Wacc, min(_TSQR_BLOCKS, max(1, N // s)))
                 counter.count()
                 cut = diag_cut(tree.R)
                 # here the block start already sits in the basis, so a dependency
@@ -408,7 +403,7 @@ def _sstep_cycle(run, r, s, t, spec, budget):
                 fV[:, nv: nv + pc] = tree.q_explicit()[:, :pc]
                 Twin = tree.R[:pc, :pc]
                 Racc = Racc[:, :pc]
-                Bblock = conv.Bbar[: pc + 1, :pc]
+                Bblock = Bbar[: pc + 1, :pc]
                 fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, fH[-1, -1])
             counter.end_step()
             run.diagnostics["hessenberg"] = fH
@@ -434,10 +429,7 @@ def _assemble_sstep_hessenberg(fH, Racc, Tfull, Bblock, eta):
     """
     p = Bblock.shape[1]
     if fH is None:
-        T = Tfull
-        Bfrak = Bblock
-        n_prev = 0
-        Tbig = T
+        Bfrak, Tbig, n_prev = Bblock, Tfull, 0
     else:
         n_prev = fH.shape[1]
         Bfrak = np.zeros((n_prev + p + 1, n_prev + p))

@@ -9,7 +9,6 @@ separate file excluded from that guarantee.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import time
@@ -18,14 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from .commavoid import (
-    MonomialBasis,
-    chebyshev_basis_from_warmup,
-    lowsync_gmres,
-    newton_basis_from_warmup,
-    pipelined_gmres,
-    sstep_gmres,
-)
+from .commavoid import _BASIS_NAMES, lowsync_gmres, pipelined_gmres, sstep_gmres
 from .deflation import build_poly_preconditioner, gmres_e, polynomial_preconditioner
 from .linalg import CsrMatrix, as_matvec, mm_read, operator_norm_estimate
 from .mixedprec import gmres_ir, gmres_two_precision
@@ -193,6 +185,12 @@ class ExperimentConfig:
             if unread:
                 raise ConfigError(f"variants[{i}].options.{unread[0]}: {v['solver']} "
                                   f"does not read this key")
+            if "basis" in options and options["basis"] not in _BASIS_NAMES:
+                raise ConfigError(f"variants[{i}].options.basis: unknown basis "
+                                  f"{options['basis']!r}; use one of {', '.join(_BASIS_NAMES)}")
+            if options.get("preconditioner") is not None:
+                _check_preconditioner(options["preconditioner"],
+                                      f"variants[{i}].options.preconditioner")
             if v["name"] in names:
                 raise ConfigError(f"variants[{i}].name: duplicate {v['name']!r}")
             names.add(v["name"])
@@ -284,16 +282,25 @@ def _option_keys(name):
     return keys
 
 
-def _basis_from_options(A, b, options):
-    kind = options["basis"]
-    s = options.get("s", inspect.signature(sstep_gmres).parameters["s"].default)
-    if kind == "monomial":
-        return MonomialBasis()
-    if kind == "newton":
-        return newton_basis_from_warmup(A, b, s)
-    if kind == "chebyshev":
-        return chebyshev_basis_from_warmup(A, b, s)
-    raise ConfigError(f"options.basis: unknown basis {kind!r}")
+def _check_preconditioner(pc, where):
+    """A ConfigError naming the key unless pc is a preconditioner object
+    {"kind": "jacobi" | "poly", "side": "left" | "right", "degree": int >= 1}
+    of which only kind is required and only poly takes a degree."""
+    if not isinstance(pc, dict):
+        raise ConfigError(f"{where}: need a JSON object or null")
+    unknown = sorted(set(pc) - {"kind", "side", "degree"})
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown key; use kind, side or degree")
+    if pc.get("kind") not in ("jacobi", "poly"):
+        raise ConfigError(f"{where}.kind: need jacobi or poly, got {pc.get('kind')!r}")
+    if pc.get("side", "right") not in ("left", "right"):
+        raise ConfigError(f"{where}.side: need left or right, got {pc['side']!r}")
+    if "degree" in pc:
+        degree = pc["degree"]
+        if pc["kind"] != "poly":
+            raise ConfigError(f"{where}.degree: only a poly preconditioner has a degree")
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+            raise ConfigError(f"{where}.degree: need an integer of at least 1, got {degree!r}")
 
 
 def _gmres_options(A, b, options, callback=None):
@@ -305,16 +312,13 @@ def _gmres_options(A, b, options, callback=None):
         del fields["scheme"]
     opts = GmresOptions(iteration_callback=callback, **fields)
     pc = options.get("preconditioner")
-    if not pc:
+    if pc is None:
         return opts
-    kind = pc.get("kind")
-    if kind == "jacobi":
+    if pc["kind"] == "jacobi":
         M = DiagonalPreconditioner(_operator_diagonal(A))
-    elif kind == "poly":
+    else:
         poly = build_poly_preconditioner(A, b, pc.get("degree", 5))
         M = polynomial_preconditioner(A, poly)
-    else:
-        raise ConfigError(f"preconditioner.kind: unknown kind {kind!r}")
     return replace(opts, precond_side=pc.get("side", "right"), preconditioner=M)
 
 
@@ -327,23 +331,19 @@ def _operator_diagonal(A):
 
 
 def _run_variant(A, b, variant, callback=None):
-    # before the s-step basis and the polynomial preconditioner run on b
+    # before the polynomial preconditioner runs on b
     b = _finite_vector("b", b)
     _matvec_for(A, len(b))
     name = variant["solver"]
     options = variant.get("options", {})
     if options.get("scheme") == "householder" and name in ("gmres", "gmres-restarted"):
         name = "hh-gmres"
-    if name not in SOLVER_DISPATCH:
-        raise ConfigError(f"solver: unknown solver {name!r}")
     solve, fixed, passed = SOLVER_DISPATCH[name]
     kwargs = dict(fixed, **{k: options[k] for k in passed if k in options})
     if solve is not gmres_ir:
-        if name == "gmres-restarted" and "restart" not in options:
-            options = dict(options, restart=30)
         kwargs["opts"] = _gmres_options(A, b, options, callback)
     if solve is sstep_gmres and "basis" in options:
-        kwargs["spec"] = _basis_from_options(A, b, options)
+        kwargs["spec"] = options["basis"]
     return solve(A, b, **kwargs)
 
 
@@ -424,8 +424,6 @@ def run(config, output_dir=None, log=None):
         t0 = time.perf_counter()
         try:
             report = _run_variant(operator, b, variant, callback)
-        except ConfigError:
-            raise
         except Exception as exc:
             # a solver's error fails the run's exit status but does not stop
             # the remaining variants
@@ -473,7 +471,8 @@ def compare(config, output_dir=None, log=None):
     """Run all variants and produce an aligned comparison table.
 
     Returns (rows, text table); also writes comparison.csv next to the run
-    artifacts.  Needs at least two variants.
+    artifacts.  Needs at least two variants.  A variant that raised has the
+    termination "error" and empty count and backward-error cells.
     """
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_json(config)
@@ -486,8 +485,8 @@ def compare(config, output_dir=None, log=None):
     for variant in config.variants:
         entry = summary["variants"][variant["name"]]
         rows.append((variant["name"], entry["termination"],
-                     entry["iterations"], entry["matvecs"],
-                     entry["reductions"], entry["final_backward_error"]))
+                     *(entry.get(k, "") for k in ("iterations", "matvecs", "reductions",
+                                                  "final_backward_error"))))
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
     fmt_row = lambda r: "  ".join(str(c).ljust(w) for c, w in zip(r, widths))
     table = "\n".join([fmt_row(header)] + [fmt_row(r) for r in rows]) + "\n"

@@ -458,22 +458,19 @@ class HouseholderArnoldi:
         self.counter = counter if counter is not None else ReductionCounter()
         self.max_steps = min(max_steps, self.N)
         r0 = np.asarray(r0, dtype=np.float64)
-        beta_raw = np.linalg.norm(r0)
+        self.beta = np.linalg.norm(r0)
         self.counter.count()
-        if beta_raw == 0.0:
+        if self.beta == 0.0:
             raise ValueError("starting vector must be nonzero")
         w1 = r0.copy()
         s = _sign(r0[0])
-        w1[0] += s * beta_raw
-        self.reflectors = [self._reflector(w1)]
-        self.beta_raw = -s * beta_raw          # P1 r0 = beta_raw * e1
+        w1[0] += s * self.beta
+        self.reflectors = [self._reflector(w1)]  # P1 r0 = -s ||r0|| e1
         self.sign = [-s]                       # logical sign of v_1 -> beta = ||r0||
-        self.beta = beta_raw
         self.H = np.zeros((self.max_steps + 1, self.max_steps))
         self.steps = 0
         self.completed = 0
         self.breakdown_at = None
-        self._v_cache = {}
 
     def _reflector(self, w):
         nrm2 = float(w @ w)
@@ -492,16 +489,11 @@ class HouseholderArnoldi:
 
     def basis_vector(self, j):
         """v_{j+1} = P_1 ... P_{j+1} e_{j+1} with the logical sign applied."""
-        cached = self._v_cache.get(j)
-        if cached is not None:
-            return cached
         x = np.zeros(self.N)
         x[j] = 1.0
         for idx in range(j, -1, -1):
             x = self._apply(idx, x)
-        v = self.sign[j] * x
-        self._v_cache[j] = v
-        return v
+        return self.sign[j] * x
 
     def step(self):
         j = self.steps
@@ -555,7 +547,10 @@ class HouseholderArnoldi:
         return z
 
     def decomposition(self):
+        """The factorization so far; its reductions are the steps', not those
+        of the reflector applications that rebuild V here."""
         n = self.completed
+        reductions = self.counter.total
         cols = n if self.breakdown_at is not None else n + 1
         V = np.column_stack([self.basis_vector(j) for j in range(cols)]) \
             if cols else basis(self.N, 0)
@@ -563,7 +558,7 @@ class HouseholderArnoldi:
             V=V,
             Hbar=self.H[: n + 1, :n].copy(),
             n=n,
-            reductions=self.counter.total,
+            reductions=reductions,
             reduction_log=list(self.counter.per_step),
             breakdown_at=self.breakdown_at,
         )

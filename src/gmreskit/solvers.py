@@ -513,10 +513,11 @@ def gmres(A, b, x0=None, opts=None):
 
 
 def gmres_restarted(A, b, x0=None, opts=None):
-    """Restarted GMRES(m); each cycle ends with an explicit residual recompute."""
-    opts = opts if opts is not None else GmresOptions(restart=30)
+    """Restarted GMRES(m), m = opts.restart or 30 when unset; each cycle ends
+    with an explicit residual recompute."""
+    opts = opts if opts is not None else GmresOptions()
     if opts.restart is None:
-        raise ValueError("gmres_restarted needs opts.restart")
+        opts = replace(opts, restart=30)
     return _restart_driver(A, b, x0, opts, _arnoldi_cycles)
 
 

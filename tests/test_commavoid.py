@@ -27,21 +27,21 @@ class TestBuildBasis:
     def test_monomial_identity_powers(self, rng):
         w = rng.standard_normal(6)
         w /= np.linalg.norm(w)
-        W, conv = build_basis(np.eye(6), w, 2, MonomialBasis())
+        W, Bbar = build_basis(np.eye(6), w, 2, MonomialBasis())
         for k in range(3):
             assert np.allclose(W[:, k], w)
-        assert np.array_equal(conv.Bbar,
+        assert np.array_equal(Bbar,
                               np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
     def test_newton_shift_annihilates_eigencomponent(self):
         A = np.diag([1.0, 2.0])
         w = np.array([1.0, 1.0])
-        W, conv = build_basis(A, w, 2, NewtonBasis(shifts=(1.0, 2.0)))
+        W, Bbar = build_basis(A, w, 2, NewtonBasis(shifts=(1.0, 2.0)))
         # (A - 1 I) w has zero first component
         assert W[0, 1] == 0.0
         assert W[1, 1] == 1.0
-        assert conv.Bbar[0, 0] == 1.0
-        assert conv.Bbar[1, 1] == 2.0
+        assert Bbar[0, 0] == 1.0
+        assert Bbar[1, 1] == 2.0
 
     @pytest.mark.parametrize("spec_name", ["monomial", "newton", "chebyshev"])
     def test_conversion_relation(self, spec_name, rng):
@@ -52,8 +52,8 @@ class TestBuildBasis:
             "newton": newton_basis_from_warmup(A, w, 5),
             "chebyshev": chebyshev_basis_from_warmup(A, w, 5),
         }[spec_name]
-        W, conv = build_basis(A, w, 5, spec)
-        rel = np.linalg.norm(A @ W[:, :5] - W @ conv.Bbar)
+        W, Bbar = build_basis(A, w, 5, spec)
+        rel = np.linalg.norm(A @ W[:, :5] - W @ Bbar)
         assert rel <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(W)
 
     def test_newton_complex_pair_real_arithmetic(self):
@@ -63,9 +63,9 @@ class TestBuildBasis:
         assert np.max(np.abs(np.sort(ritz.imag) - [-1.0, 1.0])) < 1e-8
         spec = NewtonBasis(shifts=(2 + 1j, 2 - 1j))
         w = np.array([1.0, 0.3])
-        W, conv = build_basis(A, w, 2, spec)
+        W, Bbar = build_basis(A, w, 2, spec)
         assert np.isrealobj(W)
-        rel = np.linalg.norm(A @ W[:, :2] - W @ conv.Bbar)
+        rel = np.linalg.norm(A @ W[:, :2] - W @ Bbar)
         assert rel <= 1e-13 * np.linalg.norm(W)
 
     def test_rejects_unpaired_complex_shifts(self):
@@ -314,3 +314,38 @@ class TestSstepCoefficientIdentity:
             n = min(fH.shape[1], dec.Hbar.shape[1])
             dev = np.max(np.abs(fH[: n + 1, :n] - dec.Hbar[: n + 1, :n]))
             assert dev <= 1e-8 * np.linalg.norm(A), s
+
+
+class TestNamedBasis:
+    @staticmethod
+    def _report_bytes(rep):
+        return (rep.x.tobytes(), np.asarray(rep.residual_history).tobytes(),
+                rep.reduction_log, rep.diagnostics["hessenberg"].tobytes(),
+                rep.diagnostics["basis"])
+
+    @pytest.mark.parametrize("name,s", [("monomial", 3), ("newton", 3), ("chebyshev", 3),
+                                        (None, 3), (None, 1)])
+    def test_name_gives_the_bytes_of_its_spec_object(self, name, s):
+        A = gen_spectrum(np.linspace(1.0, 25.0, 30), seed=12)
+        b = np.random.default_rng(4).standard_normal(30)
+        explicit = {"monomial": lambda: MonomialBasis(),
+                    "newton": lambda: newton_basis_from_warmup(A, b, s),
+                    "chebyshev": lambda: chebyshev_basis_from_warmup(A, b, s),
+                    None: lambda: newton_basis_from_warmup(A, b, s) if s > 1
+                    else MonomialBasis()}[name]()
+        opts = GmresOptions(rtol=1e-10, max_iter=20)
+        named = sstep_gmres(A, b, s=s, t=2, spec=name, opts=opts)
+        assert named.diagnostics["basis"] == type(explicit).__name__
+        assert self._report_bytes(named) == self._report_bytes(
+            sstep_gmres(A, b, s=s, t=2, spec=explicit, opts=opts))
+
+    def test_unknown_name_fails_before_any_product(self):
+        products = []
+
+        def op(v):
+            products.append(v)
+            return v
+
+        with pytest.raises(ValueError, match="spec: unknown basis 'legendre'"):
+            sstep_gmres(op, np.ones(8), spec="legendre")
+        assert products == []

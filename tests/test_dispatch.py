@@ -18,7 +18,7 @@ from gmreskit.commavoid import (MonomialBasis, chebyshev_basis_from_warmup,
 from gmreskit.deflation import (build_poly_preconditioner, harmonic_ritz,
                                 polynomial_preconditioner)
 from gmreskit.harness import (SOLVER_DISPATCH, ConfigError, ExperimentConfig, _run_variant,
-                              _variant_csv, gen_convdiff, run)
+                              _variant_csv, compare, gen_convdiff, run)
 from gmreskit.linalg import CsrMatrix, mm_write
 from gmreskit.solvers import DiagonalPreconditioner, GmresOptions
 
@@ -260,6 +260,70 @@ class TestRunErrors:
         summary, _ = run(ExperimentConfig.from_dict(doc))
         assert summary["errors"] == 1
         assert summary["variants"]["p"]["error"].startswith("ValueError: H_m")
+
+
+class TestParseTimeChecks:
+    @pytest.mark.parametrize("basis", ["legendre", "Newton", None, 3])
+    def test_unknown_basis_is_named(self, basis):
+        doc = _doc("out", [{"name": "a", "solver": "gmres"},
+                           {"name": "b", "solver": "sstep-gmres", "options": {"basis": basis}}])
+        with pytest.raises(ConfigError, match=r"variants\[1\]\.options\.basis: unknown basis"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("pc,key", [
+        ({"kind": "jacobi", "side": "none"}, "side"),
+        ({"kind": "poly", "degre": 2}, "degre"),
+        ({"side": "left"}, "kind"),
+        ({}, "kind"),
+        ({"kind": "ilu"}, "kind"),
+        ({"kind": "jacobi", "degree": 3}, "degree"),
+        ({"kind": "poly", "degree": 0}, "degree"),
+        ({"kind": "poly", "degree": 2.5}, "degree"),
+        ({"kind": "poly", "degree": True}, "degree"),
+    ])
+    def test_bad_preconditioner_key_is_named(self, pc, key):
+        doc = _doc("out", [{"name": "a", "solver": "gmres"},
+                           {"name": "b", "solver": "gmres", "options": {"preconditioner": pc}}])
+        with pytest.raises(ConfigError, match=rf"variants\[1\]\.options\.preconditioner\.{key}:"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("pc", ["jacobi", ["kind"], False])
+    def test_preconditioner_must_be_an_object_or_null(self, pc):
+        doc = _doc("out", [{"name": "a", "solver": "gmres", "options": {"preconditioner": pc}}])
+        with pytest.raises(ConfigError, match=r"variants\[0\]\.options\.preconditioner: need"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("pc", [None, {"kind": "jacobi", "side": "left"},
+                                    {"kind": "poly", "side": "right", "degree": 2}])
+    def test_valid_preconditioners_are_accepted(self, pc):
+        ExperimentConfig.from_dict(_doc("out", [
+            {"name": "a", "solver": "gmres", "options": {"preconditioner": pc}}]))
+
+    def test_null_preconditioner_runs_unpreconditioned(self, problem):
+        A, b = problem
+        variant = {"solver": "gmres", "options": {"preconditioner": None}}
+        assert _outcome(lambda: _run_variant(A, b, variant)) == \
+            _outcome(lambda: _run_variant(A, b, {"solver": "gmres"}))
+
+
+class TestCompareErrors:
+    DOC_VARIANTS = [{"name": "mgs", "solver": "gmres"},
+                    {"name": "fg", "solver": "fgmres",
+                     "options": {"preconditioner": {"kind": "jacobi"}}}]
+
+    def test_error_row_has_empty_count_cells(self, tmp_path):
+        rows, table = compare(ExperimentConfig.from_dict(_doc(tmp_path, self.DOC_VARIANTS)))
+        assert rows[1] == ("fg", "error", "", "", "", "")
+        assert rows[0][1] == "converged"
+        assert table.splitlines()[2].split() == ["fg", "error"]
+        with open(os.path.join(tmp_path, "comparison.csv")) as fh:
+            assert fh.read().splitlines()[2] == "fg,error,,,,"
+
+    def test_cli_exits_one_when_a_variant_errored(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(_doc(tmp_path / "out", self.DOC_VARIANTS)))
+        assert main(["compare", str(cfg)]) == 1
+        assert "fg" in capsys.readouterr().out
 
 
 class TestHarmonicRitzFallback:

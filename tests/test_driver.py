@@ -254,3 +254,21 @@ def test_restarted_solve_holds_one_basis_at_a_time(solve, bases):
         tracemalloc.stop()
     assert rep.restarts == 2
     assert peak < bases * N * (m + 1) * 8
+
+
+def test_householder_solve_holds_one_basis_of_reflectors():
+    # the reflectors are the basis's only store: each v_j is rebuilt in its step
+    A = gen_convdiff(64, 64, peclet=10.0)
+    N, m = A.nrows, 30
+    b = np.random.default_rng(5).standard_normal(N)
+    A.matvec(b)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = hh_gmres(A, b, opts=GmresOptions(rtol=1e-14, restart=m, max_iter=3 * m))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.restarts == 2
+    assert peak < 1.5 * N * (m + 1) * 8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmreskit.harness import gen_spectrum
+from gmreskit.harness import gen_convdiff, gen_spectrum
 from gmreskit.linalg import forward_substitute_unit
 from gmreskit.ortho import (
     ArnoldiProcess,
@@ -143,6 +143,16 @@ class TestHouseholderArnoldi:
         expected = r0.copy()
         expected[0] += 5.0
         assert np.allclose(w1, expected)
+
+    def test_decomposition_counts_the_steps_only(self):
+        # step j (1-based) logs 2j + 2 and the start two; rebuilding V for the
+        # decomposition applies reflectors again, which its count leaves out
+        counter = ReductionCounter()
+        dec, _ = householder_arnoldi(gen_convdiff(10, 10, 10.0), np.ones(100), 30,
+                                     counter=counter)
+        assert dec.reduction_log == [2 * j + 2 for j in range(1, 31)]
+        assert dec.reductions == 2 + sum(dec.reduction_log) == 992
+        assert counter.total > dec.reductions
 
     def test_stays_orthogonal_on_ill_conditioned(self):
         # Hilbert-like matrix: MGS loses orthogonality, reflectors do not

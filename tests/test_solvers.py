@@ -118,6 +118,23 @@ class TestRestartedGmres:
         assert cyc.restarts == 0
         assert np.allclose(cyc.residual_history, full.residual_history)
 
+    @pytest.mark.parametrize("opts", [None, GmresOptions(rtol=1e-10, max_iter=75)])
+    def test_restart_defaults_to_thirty(self, opts):
+        A = gen_convdiff(32, 32, peclet=10.0)
+        b = np.random.default_rng(6).standard_normal(A.nrows)
+        got = gmres_restarted(A, b, opts=opts)
+        opts = opts if opts is not None else GmresOptions()
+        want = gmres_restarted(A, b, opts=GmresOptions(**{**vars(opts), "restart": 30}))
+        assert got.restarts >= 1
+
+        def record(rep):
+            return (rep.x.tobytes(), np.asarray(rep.residual_history).tobytes(),
+                    rep.true_residual_checkpoints, rep.reduction_log, rep.reduction_marks,
+                    rep.diagnostics["arnoldi"].tobytes(), rep.iterations, rep.restarts,
+                    rep.matvecs, rep.reductions, rep.termination)
+
+        assert record(got) == record(want)
+
     def test_restarting_costs_iterations(self, rng):
         n = 100
         A = np.diag(np.linspace(1.0, 100.0, n)) + 0.1 * np.diag(np.ones(n - 1), 1)

@@ -19,7 +19,8 @@ true-residual checkpoints, reduction log and marks, and the diagnostics
 counters reorthogonalizations, dropped_augmentations, augmented_cycles and
 theta (NaN where a solver has none), the Hessenberg factor the report
 records in diagnostics["arnoldi"] where it has one (the array itself, or
-the Hbar of an older report's ArnoldiDecomposition), or the type of the
+the Hbar of an older report's ArnoldiDecomposition) and otherwise the one
+s-step GMRES assembles in diagnostics["hessenberg"], or the type of the
 exception the call raised, and prints how many cases ended in each
 termination or exception type.  gmres-ir runs as the harness dispatches it, on its default inner
 options (rtol 1e-4, restart 50, max_iter 200); the variants change one of them each, to inner
@@ -208,7 +209,8 @@ def dump(path):
         diag = rep.diagnostics
         out[key + "|diagnostics"] = np.array(
             [np.nan if diag.get(k) is None else float(diag[k]) for k in DIAGNOSTICS])
-        recorded = diag.get("arnoldi")
+        # s-step records its assembled Hessenberg under its own key
+        recorded = diag.get("arnoldi", diag.get("hessenberg"))
         if recorded is not None:
             out[key + "|hessenberg"] = getattr(recorded, "Hbar", recorded)
     np.savez(path, **out)
