@@ -77,20 +77,25 @@ def elman_bound(A, n):
 
     Returns None when M is not positive definite (bound inapplicable).
     """
-    q = _elman_base(A)
-    if q is None:
-        return None
-    return q ** (n / 2.0)
+    return _power(_elman_base(*_symmetric_part(A)), n)
 
 
-def _elman_base(A):
+def _power(q, n):
+    """The bound q^(n/2) after n steps; None for an inapplicable base q."""
+    return None if q is None else q ** (n / 2.0)
+
+
+def _symmetric_part(A):
+    """A in binary64, and the ascending eigenvalues of its symmetric part."""
     dense = _dense(A)
-    M = 0.5 * (dense + dense.T)
-    lam_min = dense_eig_symmetric(M)[0]
-    if lam_min <= 0:
+    return dense, dense_eig_symmetric(0.5 * (dense + dense.T))
+
+
+def _elman_base(dense, lam):
+    if lam[0] <= 0:
         return None
     lam_max = np.linalg.norm(dense, 2) ** 2
-    return max(0.0, 1.0 - lam_min * lam_min / lam_max)
+    return max(0.0, 1.0 - lam[0] * lam[0] / lam_max)
 
 
 def fov_distance(A, grid_count=256):
@@ -106,28 +111,24 @@ def fov_distance(A, grid_count=256):
     when the origin lies in F(A).  grid_count (at least 8) is kept for
     callers and no longer changes the result.
     """
+    return _fov_distance(_symmetric_part(A)[1], grid_count)
+
+
+def _fov_distance(lam, grid_count):
     if grid_count < 8:
         raise ValueError("need at least 8 grid directions")
-    dense = _dense(A)
-    lam = dense_eig_symmetric(0.5 * (dense + dense.T))
-    best = float(max(lam[0], -lam[-1]))
-    if best > 0.0:
-        return best, False
-    return 0.0, True
+    mu = max(0.0, float(max(lam[0], -lam[-1])))
+    return mu, mu == 0.0
 
 
 def fov_bound(A, n, grid_count=256):
     """(1 - mu_F(A) mu_F(A^{-1}))^(n/2), requiring the origin outside both
     fields of values; None when inapplicable."""
-    q = _fov_base(A, grid_count)
-    if q is None:
-        return None
-    return q ** (n / 2.0)
+    return _power(_fov_base(*_symmetric_part(A), grid_count), n)
 
 
-def _fov_base(A, grid_count=256):
-    dense = _dense(A)
-    mu_a, inside_a = fov_distance(dense, grid_count)
+def _fov_base(dense, lam, grid_count):
+    mu_a, inside_a = _fov_distance(lam, grid_count)
     if inside_a:
         return None
     mu_inv, inside_inv = fov_distance(np.linalg.inv(dense), grid_count)
@@ -202,9 +203,10 @@ def bound_report(A, report, grid_count=256, max_eigen_degree=30):
     r0 = history[0]
     measured = [h / r0 for h in history]
     iterations = list(range(len(history)))
-    eigs, kappa_x = spectrum_and_conditioning(A)
-    elman_base = _elman_base(A)
-    fov_base = _fov_base(A, grid_count)
+    dense, lam = _symmetric_part(A)
+    eigs, kappa_x = spectrum_and_conditioning(dense)
+    elman_base = _elman_base(dense, lam)
+    fov_base = _fov_base(dense, lam, grid_count)
     Hbar = report.diagnostics.get("arnoldi")
 
     eigen_col = [1.0 * kappa_x if n == 0 else None for n in iterations]
@@ -215,10 +217,8 @@ def bound_report(A, report, grid_count=256, max_eigen_degree=30):
             eigen_col[n] = eigen_bound(eigs, kappa_x, residual_polynomial_from_run(report, n))
         except (ValueError, np.linalg.LinAlgError):
             eigen_col[n] = None
-    elman_col = [None if elman_base is None else elman_base ** (n / 2.0)
-                 for n in iterations]
-    fov_col = [None if fov_base is None else fov_base ** (n / 2.0)
-               for n in iterations]
+    elman_col = [_power(elman_base, n) for n in iterations]
+    fov_col = [_power(fov_base, n) for n in iterations]
     flags = {
         "kappa_x": kappa_x,
         "normal": kappa_x == 1.0,

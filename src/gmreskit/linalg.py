@@ -60,7 +60,6 @@ class _Layout(NamedTuple):
     gather: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    empty: np.ndarray
     tail_rows: np.ndarray
     tail_cols: np.ndarray
     tail_vals: np.ndarray
@@ -71,11 +70,13 @@ class CsrMatrix:
     """Compressed sparse row matrix with strictly increasing column indices per row.
 
     ``matvec`` runs on a layout of the entries (``_slots``), built on the
-    first product and cached on the instance: rows that lead with the
-    offsets most rows hold are summed a diagonal at a time from contiguous
-    slices of the vector, the other rows through slot-major gathers, and
-    the entries past either in a short tail.  Its result has the bits of a
-    per-row left-to-right binary64 sum over the stored entries.
+    first product and cached on the instance.  Each row is in one class: a
+    row whose entries all sit at offsets most rows hold is summed a
+    diagonal at a time from contiguous slices of the vector, when at least
+    half the rows are such; every other row through slot-major gathers,
+    with its entries past the last slot in a short tail.  Its result has
+    the bits of a per-row left-to-right binary64 sum over the stored
+    entries.
     """
 
     nrows: int
@@ -142,20 +143,19 @@ class CsrMatrix:
         """Product layout of the entries, built on first use.
 
         The band D is the set of offsets (column - row) that at least half of
-        the rows hold.  A row is *banded* if it holds some offset in D and
-        none of its other entries precedes one: its entries at D offsets go
-        into ``band``, one length-nrows array per offset in ascending order,
-        with 0 where the row lacks that offset; ``spans`` gives, per offset
-        d, the rows lo..hi whose column i + d is in range, with that slice of
-        the band.  A banded row that lacks an offset whose column is in range
-        is *padded*.  The other rows form the
-        gather class: slot k holds the k-th stored entry of each of them, as
-        (K, len(gather)) columns and values, for the K slots that at least
-        half of them reach.  A shorter gather row is padded with value 0 at its
-        own last stored column; an empty one, padded at some stored column,
-        is zeroed after the sum.  The remaining entries (a banded row's
-        entries past its band, a gather row's past slot K) form a tail of
-        (rows, columns, values) in storage order.
+        the rows hold, and a row is *banded* if every entry it stores sits at
+        an offset in D.  When D is nonempty and at least half of the rows are
+        banded, those rows go into ``band``: one length-nrows array per offset
+        in ascending order, 0 where a row lacks that offset; ``spans`` gives,
+        per offset d, the rows lo..hi whose column i + d is in range, with that
+        slice of the band.  Every other row gathers: slot k holds its k-th
+        stored entry, as (K, len(gather)) columns and values, for the K slots
+        that at least half of the gather rows reach, and a gather row's entries
+        past slot K form a tail of (rows, columns, values) in storage order.
+        A shorter gather row is padded with value 0 at its own last stored
+        column.  A row that reads a column it does not store through a zero is
+        *padded*: a banded row that lacks an offset whose column is in range,
+        and an empty gather row.
         """
         cache = getattr(self, "_slot_cache", None)
         if cache is not None:
@@ -174,13 +174,10 @@ class CsrMatrix:
         flat = place[key] + rows
         off = np.flatnonzero(flat >= nD)
         flat[off] = nD
-        # a row is banded if its band entries are its first ones
-        off_rows = rows[off]
-        width = lengths - np.bincount(off_rows, minlength=n)
-        banded = width > 0
-        banded[off_rows[off - ptr[off_rows] < width[off_rows]]] = False
-        if not banded.any():
-            D, nD, flat[:] = D[:0], 0, 0
+        # a row is banded if none of its entries is off the band
+        banded = np.bincount(rows[off], minlength=n) == 0
+        if not len(D) or 2 * np.count_nonzero(banded) < n:
+            D, nD, flat[:], banded[:] = D[:0], 0, 0, False
         gather = np.flatnonzero(~banded)
         # the entries off the band all land in one spare element
         band = np.zeros(nD + 1, dtype=self.values.dtype)
@@ -192,26 +189,28 @@ class CsrMatrix:
         lo, hi = np.maximum(-d, 0), np.minimum(self.ncols - d, n)
         in_range = np.cumsum(np.bincount(lo, minlength=n + 1)
                              - np.bincount(hi, minlength=n + 1))[:n]
-        padded = np.flatnonzero(banded & (width < in_range))
         glen = lengths[gather]
         K = int(np.sort(glen)[len(gather) // 2]) if len(gather) else 0
+        padded = np.flatnonzero(lengths < np.where(banded, in_range, min(K, 1)))
         k = np.arange(K)[:, None]
         first = ptr[gather]
-        # entry k of each row, clamped to its last; an empty row's
-        # first - 1 wraps to another row's entry, which K > 0 ensures
-        at = np.minimum(first + k, first + glen - 1)
+        # entry k of each row, clamped to its last; an empty row reads the
+        # entry before it, or entry 0, which K > 0 ensures is stored
+        at = np.minimum(first + k, first + glen - 1).clip(0)
         tail = off
         if len(gather):
             past = np.arange(self.nnz) - ptr[rows] >= K
-            tail = np.flatnonzero(np.where(banded[rows], flat == nD, past))
+            tail = np.flatnonzero(past & ~banded[rows])
         spans = tuple((vals[a:b], int(dk), int(a), int(b))
                       for vals, dk, a, b in zip(band, d, lo, hi))
         cache = _Layout(band, spans, padded, gather, self.col_idx[at],
-                        np.where(k < glen, self.values[at], 0), np.flatnonzero(glen == 0),
+                        np.where(k < glen, self.values[at], 0),
                         rows[tail], self.col_idx[tail], self.values[tail])
         object.__setattr__(self, "_slot_cache", cache)
         return cache
 
+    # padding makes invalid operations (0 * inf) that no stored entry makes
+    @np.errstate(invalid="ignore")
     def matvec(self, v):
         v = np.asarray(v)
         if v.shape != (self.ncols,):
@@ -222,8 +221,8 @@ class CsrMatrix:
         if dtype.kind not in "biuf":
             raise TypeError(f"cannot sum {dtype} products in binary64")
         # each row sums its products left to right in binary64 from +0.0:
-        # a banded row a diagonal at a time, a gather row a slot at a time,
-        # and both then along the tail.  A padded entry adds an exact zero
+        # a banded row a diagonal at a time, a gather row a slot at a time
+        # and then along the tail.  A padded entry adds an exact zero
         # for finite v, so the bits are those of a per-row sequential sum
         # over the stored entries in storage order
         out = np.zeros(self.nrows)
@@ -240,13 +239,12 @@ class CsrMatrix:
             acc = np.zeros(len(L.gather)) if L.spans else out
             for row in g:
                 acc += row
-            acc[L.empty] = 0.0
             if L.spans:
                 out[L.gather] = acc
         if len(L.tail_rows):
             np.add.at(out, L.tail_rows, L.tail_vals * v[L.tail_cols])
         # a padded zero times a non-finite v is NaN: such rows are summed again
-        if len(L.padded) and not math.isfinite(np.add.reduce(out)):
+        if len(L.padded) and not math.isfinite(np.add.reduce(out[L.padded])):
             bad = L.padded[~np.isfinite(out[L.padded])]
             out[bad] = self._row_sums(bad, v)
         return out

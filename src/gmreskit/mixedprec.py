@@ -264,7 +264,8 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     solves M^{-1} A d = M^{-1} r entirely in binary32 with M = LU.
     Terminates on the binary64 relative residual, the refinement budget, or
     a stagnation abort after two refinements in a row that fail to halve
-    the residual; stagnation takes precedence over convergence.
+    the residual; stagnation takes precedence over convergence.  A zero b
+    returns x = 0 before the LU, so its report has no diagnostics.
     """
     if not 0 < rtol < math.inf:
         raise ValueError("rtol must be positive and finite")
@@ -286,7 +287,7 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     matvec = _matvec_for(A, N)  # before the factorization
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return _zero_rhs_report(N)
+        return _zero_rhs_report(N, {})
     lu = lu_low(A)
     low_matvec = low_operator(A, LOW_DTYPE, n=N)
 

@@ -265,9 +265,9 @@ class _Run:
         return rho <= self.tol_abs
 
 
-def _zero_rhs_report(N):
-    return SolveReport(x=np.zeros(N), residual_history=[0.0],
-                       iterations=0, termination="converged")
+def _zero_rhs_report(N, diagnostics):
+    return SolveReport(x=np.zeros(N), residual_history=[0.0], iterations=0,
+                       termination="converged", diagnostics=diagnostics)
 
 
 def _finite_vector(name, v, like=None):
@@ -320,7 +320,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     tally = _Tally(_matvec_for(A, N))  # before any warm-up or factorization
     run = _Run(tally, opts, diagnostics)
     if np.linalg.norm(b) == 0.0:
-        return _zero_rhs_report(N)
+        return _zero_rhs_report(N, run.diagnostics)
 
     product = tally
     run.dtype = np.dtype(dtype)

@@ -81,6 +81,25 @@ def test_ir_zero_rhs_exits_before_factorizing():
     assert rep.converged and rep.iterations == 0
 
 
+# the diagnostics each driver solver seeds before its first cycle (SOLVE's s and t)
+SEEDED = {
+    "sgmres": {"kappa_z": 1.0}, "rb-sgmres": {"kappa_z": 1.0},
+    "adaptive-sgmres": {"kappa_z": 1.0},
+    "lgmres": {"augmented_cycles": 0}, "gmres-e": {"dropped_augmentations": 0},
+    "sstep-gmres": {"basis": None, "s": 4, "t": 2},
+    "pipelined-gmres": {"theta": None, "reorthogonalizations": 0},
+}
+
+
+@pytest.mark.parametrize("name", [name for name in SOLVE if name != "gmres-ir"])
+def test_zero_rhs_keeps_the_seeded_diagnostics(problem, name):
+    A, b = problem
+    rep = SOLVE[name](A, np.zeros(len(b)), None, _options(A, "none"))
+    assert rep.diagnostics == SEEDED.get(name, {})
+    # every key a zero b reports, a nonzero b reports too
+    assert set(rep.diagnostics) <= set(SOLVE[name](A, b, None, _options(A, "none")).diagnostics)
+
+
 @pytest.mark.parametrize("name", RESTARTING)
 def test_progress_value_is_history_over_tol_ref(problem, name):
     A, b = problem

@@ -134,13 +134,13 @@ class TestSlotMajorProduct:
         A = CsrMatrix.from_coo(n, n, rows, cols, rng.standard_normal(len(rows)))
         v = rng.standard_normal(n)
         assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
-        # the band is the diagonal, which only the dense row holds first;
-        # every other row gathers its two entries and the dense row's rest
-        # is the tail
+        # no row stores only the diagonal, so there is no band: every row
+        # gathers two slots and the dense row's other entries are the tail
         layout = A._slots()
-        assert layout.gather.tolist() == list(range(1, n))
-        assert layout.cols.shape == layout.vals.shape == (2, n - 1)
-        assert layout.tail_rows.tolist() == [0] * (n - 1)
+        assert not layout.spans
+        assert layout.gather.tolist() == list(range(n))
+        assert layout.cols.shape == layout.vals.shape == (2, n)
+        assert layout.tail_rows.tolist() == [0] * (n - 2)
         cached = sum(part.nbytes for part in layout if isinstance(part, np.ndarray))
         assert cached <= 2 * (A.values.nbytes + A.col_idx.nbytes)
 
@@ -235,6 +235,78 @@ class TestBandedProduct:
         assert not layout.band[:, 3].any()
         v = np.linspace(-1.0, 2.0, n)
         assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
+
+
+def same_product_as_bincount(A, v):
+    """matvec has bincount's non-finite entries and the bytes of its finite ones."""
+    got, expected = A.matvec(v), bincount_matvec(A, v)
+    finite = np.isfinite(expected)
+    return (np.array_equal(np.isfinite(got), finite)
+            and got[finite].tobytes() == expected[finite].tobytes())
+
+
+class TestOneClassPerRow:
+    def test_dense_pattern_has_no_band(self):
+        A = CsrMatrix.from_dense(np.random.default_rng(60).standard_normal((60, 60)))
+        layout = A._slots()
+        assert not layout.spans and layout.band.shape == (0, 60)
+        assert layout.gather.tolist() == list(range(60))
+        assert len(layout.tail_rows) == 0
+        v = np.random.default_rng(61).standard_normal(60)
+        assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
+
+    # tridiagonal of order 12, and rows 2, 3, ... also hold column 0
+    @pytest.mark.parametrize("strays, band", [(6, True), (7, False)])
+    def test_band_needs_half_the_rows(self, strays, band):
+        n = 12
+        rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1)
+        stray = np.arange(2, 2 + strays)
+        rows, cols = np.append(rows, stray), np.append(cols, np.zeros(strays, dtype=int))
+        A = CsrMatrix.from_coo(n, n, rows, cols, np.linspace(-3.0, 2.0, len(rows)))
+        layout = A._slots()
+        if band:
+            assert [d for _, d, _, _ in layout.spans] == [-1, 0, 1]
+            assert layout.gather.tolist() == stray.tolist()
+            assert not layout.band[:, stray].any()
+        else:
+            assert not layout.spans
+            assert layout.gather.tolist() == list(range(n))
+        v = np.random.default_rng(12).standard_normal(n)
+        assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
+
+    @pytest.mark.parametrize("band", [True, False])
+    def test_empty_rows_read_a_zero(self, band):
+        rng = np.random.default_rng(5)
+        n = 10
+        if band:
+            # tridiagonal without rows 0, 4 and 9
+            stored = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+        else:
+            stored = rng.random((n, n)) < 0.25
+        stored[[0, 4, 9]] = False
+        rows, cols = np.nonzero(stored)
+        A = CsrMatrix.from_coo(n, n, rows, cols, rng.standard_normal(len(rows)))
+        layout = A._slots()
+        assert bool(layout.spans) == band
+        assert {0, 4, 9} <= set(layout.padded.tolist())
+        base = rng.standard_normal(n)
+        assert A.matvec(base).tobytes() == bincount_matvec(A, base).tobytes()
+        for c in range(n):
+            for value in (np.inf, -np.inf, np.nan):
+                v = base.copy()
+                v[c] = value
+                assert same_product_as_bincount(A, v), (c, value)
+
+    def test_infinities_of_both_signs_raise_no_warning(self):
+        import warnings
+        A = gen_convdiff(6, 5, peclet=3.0)
+        v = np.arange(30.0)
+        v[6], v[29] = np.inf, -np.inf   # row 5 reads column 6 through a zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_product_as_bincount(A, v)
+        got = A.matvec(v)
+        assert np.isposinf(got).any() and np.isneginf(got).any()
 
 
 class TestCsrInvariants:

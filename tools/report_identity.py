@@ -29,8 +29,11 @@ budget are covered.  All four ignore max_iter, restart and x0.  It also stores t
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
 of gen_convdiff(128, 128, 10.0), of a 64x64 arrow matrix with ten empty
 rows, of convdiff 32x32 (Peclet 10) with a seeded tenth of its entries
-removed and of a 48x80 matrix with six diagonals, together with the bytes of A.matvec(v) for each of them on two seeded
-vectors, the second holding zeros of both signs.  And it stores the binary32
+removed, of a 48x80 matrix with six diagonals, of a seeded Gaussian
+60x60 matrix (from_dense) and of a seeded uniform random 64x64 pattern
+with five empty rows, the last two without a band, together with the
+bytes of A.matvec(v) for each of them on two seeded vectors, the second
+holding zeros of both signs.  And it stores the binary32
 LU factors (L, U, perm, growth) that lu_low computes, and their solves of
 three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
 200x200 matrix of acceptance criterion 13 and a nonsymmetric Gaussian
@@ -157,6 +160,15 @@ def operators():
     i, j = i[on], j[on]
     values = np.random.default_rng(13).standard_normal(len(i))
     yield "csr banded 48x80", CsrMatrix.from_coo(48, 80, i, j, values)
+    # two patterns without a band, where every row gathers
+    yield "csr gaussian 60^2", CsrMatrix.from_dense(
+        np.random.default_rng(14).standard_normal((60, 60)))
+    rng = np.random.default_rng(15)
+    stored = rng.random((64, 64)) < 0.1
+    stored[[0, 17, 18, 40, 63]] = False
+    i, j = np.nonzero(stored)
+    yield "csr random 64^2 with empty rows", CsrMatrix.from_coo(
+        64, 64, i, j, rng.standard_normal(len(i)))
 
 
 def factored():
