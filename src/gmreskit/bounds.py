@@ -38,7 +38,7 @@ DESK_SCALE_LIMIT = 2000
 
 def _dense(A):
     if isinstance(A, CsrMatrix):
-        return A.to_dense()
+        A = A.to_dense()
     return np.asarray(A, dtype=np.float64)
 
 

@@ -57,6 +57,7 @@ class _Layout(NamedTuple):
     band: np.ndarray
     spans: tuple
     padded: np.ndarray
+    zero_cols: np.ndarray
     gather: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -155,18 +156,20 @@ class CsrMatrix:
         A shorter gather row is padded with value 0 at its own last stored
         column.  A row that reads a column it does not store through a zero is
         *padded*: a banded row that lacks an offset whose column is in range,
-        and an empty gather row.
+        and an empty gather row.  ``zero_cols`` holds a superset of the
+        columns that a padding zero multiplies: the band's reach from padded
+        and gather rows, and the slots past a gather row's end.
         """
         cache = getattr(self, "_slot_cache", None)
         if cache is not None:
             return cache
         n, ptr = self.nrows, self.row_ptr
         lengths = np.diff(ptr)
-        rows = self._nnz_rows()
+        rows = np.repeat(np.arange(n), lengths)
         key = self.col_idx - rows
         key += n - 1  # the offset, counted from 1 - n
         held = np.bincount(key, minlength=n + self.ncols - 1)
-        D = np.flatnonzero(2 * held >= max(n, 1))
+        D = np.flatnonzero(held >= (max(n, 1) + 1) // 2)  # half the rows or more
         # each entry's place in the flattened band, or nD if it is off the band
         nD = len(D) * n
         place = np.full(len(held), nD)
@@ -184,33 +187,38 @@ class CsrMatrix:
         band[flat] = self.values
         band = band[:nD].reshape(len(D), n)
         band[:, gather] = 0
-        # rows i with 0 <= i + d < ncols, per offset d
+        # rows i with 0 <= i + d < ncols, per offset d; a banded row with
+        # fewer entries than such offsets is padded, a gather row if empty
         d = D - (n - 1)
         lo, hi = np.maximum(-d, 0), np.minimum(self.ncols - d, n)
-        in_range = np.cumsum(np.bincount(lo, minlength=n + 1)
-                             - np.bincount(hi, minlength=n + 1))[:n]
+        need = np.cumsum(np.bincount(lo, minlength=n + 1)
+                         - np.bincount(hi, minlength=n + 1))[:n]
         glen = lengths[gather]
         K = int(np.sort(glen)[len(gather) // 2]) if len(gather) else 0
-        padded = np.flatnonzero(lengths < np.where(banded, in_range, min(K, 1)))
-        k = np.arange(K)[:, None]
-        first = ptr[gather]
-        # entry k of each row, clamped to its last; an empty row reads the
-        # entry before it, or entry 0, which K > 0 ensures is stored
-        at = np.minimum(first + k, first + glen - 1).clip(0)
-        tail = off
+        need[gather] = min(K, 1)
+        padded = np.flatnonzero(lengths < need)
+        # a band zero meets v in the columns of padded and gather rows
+        i = np.concatenate((padded, gather))
+        reach = np.minimum(np.maximum(i[:, None] + d, 0), self.ncols - 1)
+        zero_cols, tail = reach[band[:, i].T == 0], off
+        at = short = np.zeros((0, 0), dtype=int)
         if len(gather):
+            k = np.arange(K)[:, None]
+            # entry k of each row, clamped to its last; an empty row reads the
+            # entry before it, or entry 0, which K > 0 ensures is stored
+            at = (ptr[gather] + np.minimum(k, glen - 1)).clip(0)
+            short = k >= glen
+            zero_cols = np.concatenate((zero_cols, self.col_idx[at[short]]))
             past = np.arange(self.nnz) - ptr[rows] >= K
             tail = np.flatnonzero(past & ~banded[rows])
-        spans = tuple((vals[a:b], int(dk), int(a), int(b))
-                      for vals, dk, a, b in zip(band, d, lo, hi))
-        cache = _Layout(band, spans, padded, gather, self.col_idx[at],
-                        np.where(k < glen, self.values[at], 0),
+        spans = tuple((vals[a:b], dk, a, b) for vals, dk, a, b
+                      in zip(band, d.tolist(), lo.tolist(), hi.tolist()))
+        cache = _Layout(band, spans, padded, zero_cols, gather, self.col_idx[at],
+                        np.where(short, 0, self.values[at]),
                         rows[tail], self.col_idx[tail], self.values[tail])
         object.__setattr__(self, "_slot_cache", cache)
         return cache
 
-    # padding makes invalid operations (0 * inf) that no stored entry makes
-    @np.errstate(invalid="ignore")
     def matvec(self, v):
         v = np.asarray(v)
         if v.shape != (self.ncols,):
@@ -224,14 +232,17 @@ class CsrMatrix:
         # a banded row a diagonal at a time, a gather row a slot at a time
         # and then along the tail.  A padded entry adds an exact zero
         # for finite v, so the bits are those of a per-row sequential sum
-        # over the stored entries in storage order
-        out = np.zeros(self.nrows)
-        if L.spans:
-            prod = np.empty(self.nrows, dtype)
-            for vals, d, lo, hi in L.spans:
-                p, o = prod[lo:hi], out[lo:hi]
-                np.multiply(vals, v[lo + d:hi + d], out=p)
-                np.add(o, p, out=o)
+        # over the stored entries in storage order.  A padding zero times inf
+        # or NaN is an invalid operation, so such a v gets that sum directly
+        z = L.zero_cols
+        if len(z) and np.count_nonzero(np.isfinite(v[z])) < len(z):
+            return np.bincount(self._nnz_rows(), weights=self.values * v[self.col_idx],
+                               minlength=self.nrows)
+        out, prod = np.zeros(self.nrows), np.empty(self.nrows, dtype)
+        for vals, d, lo, hi in L.spans:
+            p, o = prod[lo:hi], out[lo:hi]
+            np.multiply(vals, v[lo + d:hi + d], out=p)
+            np.add(o, p, out=o)
         if len(L.gather):
             g = np.take(v, L.cols).astype(dtype, copy=False)
             np.multiply(g, L.vals, out=g)
@@ -243,19 +254,7 @@ class CsrMatrix:
                 out[L.gather] = acc
         if len(L.tail_rows):
             np.add.at(out, L.tail_rows, L.tail_vals * v[L.tail_cols])
-        # a padded zero times a non-finite v is NaN: such rows are summed again
-        if len(L.padded) and not math.isfinite(np.add.reduce(out[L.padded])):
-            bad = L.padded[~np.isfinite(out[L.padded])]
-            out[bad] = self._row_sums(bad, v)
         return out
-
-    def _row_sums(self, rows, v):
-        """Per-row sequential sums over the stored entries of ``rows``."""
-        first, count = self.row_ptr[rows], np.diff(self.row_ptr)[rows]
-        local = np.repeat(np.arange(len(rows)), count)
-        at = np.arange(len(local)) + np.repeat(first - np.cumsum(count) + count, count)
-        return np.bincount(local, weights=self.values[at] * v[self.col_idx[at]],
-                           minlength=len(rows))
 
     def diagonal(self):
         """Main diagonal, 0 where the diagonal entry is not stored."""

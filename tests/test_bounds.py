@@ -192,6 +192,19 @@ def test_fov_distance_is_the_best_real_direction(rng, shift):
         assert swept >= mu - 1e-12
 
 
+
+def test_binary32_csr_gives_the_bounds_of_its_binary64_copy(rng):
+    # a binary32 CSR is read as the binary64 dense array it equals, as a
+    # binary32 dense array already was
+    dense = (4 * np.eye(12) + rng.standard_normal((12, 12))).astype(np.float32)
+    A32, A64 = CsrMatrix.from_dense(dense), dense.astype(np.float64)
+    assert elman_bound(A32, 7) == elman_bound(A64, 7) == elman_bound(dense, 7)
+    assert fov_bound(A32, 7) == fov_bound(A64, 7) == fov_bound(dense, 7)
+    assert fov_distance(A32) == fov_distance(A64)
+    rep = gmres(A64, np.ones(12), opts=GmresOptions(rtol=1e-10))
+    assert bound_report(A32, rep) == bound_report(A64, rep)
+
+
 class TestDeskScaleLimit:
     def test_rejects_a_large_operator_before_densifying(self):
         # densified, this identity would take 8 TB

@@ -308,6 +308,16 @@ class TestOneClassPerRow:
         got = A.matvec(v)
         assert np.isposinf(got).any() and np.isneginf(got).any()
 
+    def test_a_stored_invalid_operation_keeps_the_callers_errstate(self):
+        # a tridiagonal band that pads no row; row 1 itself sums inf - inf
+        A = CsrMatrix.from_dense(np.array([[2.0, 1, 0], [1, 0.5, -1], [0, 1, 2]]))
+        assert len(A._slots().spans) == 3 and not len(A._slots().zero_cols)
+        v = np.array([np.inf, 1.0, np.inf])
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            A.matvec(v)
+        with np.errstate(invalid="ignore"):
+            assert same_product_as_bincount(A, v)
+
 
 class TestCsrInvariants:
     def test_rejects_bad_row_ptr(self):
