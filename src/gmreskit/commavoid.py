@@ -406,7 +406,7 @@ def _sstep_cycle(run, r, s, t, spec, budget):
                 Bblock = Bbar[: pc + 1, :pc]
                 fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, fH[-1, -1])
             counter.end_step()
-            run.diagnostics["hessenberg"] = fH
+            run.diagnostics["arnoldi"] = fH
             yield fH, fH.shape[1], False
             if grade_hit:
                 raise SstepBlockError(

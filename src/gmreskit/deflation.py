@@ -18,11 +18,8 @@ from .linalg import as_matvec, dense_eig_general
 from .ortho import OrthoScheme, arnoldi
 from .solvers import (
     FunctionPreconditioner,
-    GmresOptions,
     _augmented_options,
     _flexible_cycle,
-    _reject_precond,
-    _reject_weight,
     _restart_driver,
 )
 
@@ -304,12 +301,7 @@ def gmres_e(A, b, x0=None, m1=20, m2=2, opts=None):
     augmentation source swapped to harmonic Ritz vectors; rank-deficient
     augmentation columns are dropped and counted in the diagnostics.
     """
-    if m1 < 1 or m2 < 0:
-        raise ValueError("need m1 >= 1 and m2 >= 0")
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, "gmres_e")
-    _reject_weight(opts, "gmres_e")
-    opts = _augmented_options(opts, len(b), m1 + m2)
+    opts = _augmented_options("gmres_e", opts, len(b), m1, m2)
 
     def make_cycle(run):
         aug = []            # harmonic Ritz vectors carried to the next cycle

@@ -36,6 +36,7 @@ from .solvers import (
     weighted_gmres,
     _finite_vector,
     _matvec_for,
+    _restarted_options,
 )
 
 __all__ = [
@@ -342,6 +343,8 @@ def _run_variant(A, b, variant, callback=None):
     kwargs = dict(fixed, **{k: options[k] for k in passed if k in options})
     if solve is not gmres_ir:
         kwargs["opts"] = _gmres_options(A, b, options, callback)
+    if variant["solver"] == "gmres-restarted":  # rerouted to hh-gmres too
+        kwargs["opts"] = _restarted_options(kwargs["opts"])
     if solve is sstep_gmres and "basis" in options:
         kwargs["spec"] = options["basis"]
     return solve(A, b, **kwargs)

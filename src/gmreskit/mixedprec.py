@@ -21,14 +21,13 @@ count on the benchmark still rests on them (ROADMAP item 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .linalg import CsrMatrix, SingularMatrixError, as_matvec
-from .ortho import OrthoScheme
-from .solvers import (GmresOptions, SolveReport, _arnoldi_cycles, _finite_vector,
-                      _matvec_for, _restart_driver, _Run, _Tally, _zero_rhs_report)
+from .solvers import (GmresOptions, _arnoldi_cycles, _finite_vector, _matvec_for,
+                      _restart_driver, _restarted_options, _Run)
 
 __all__ = [
     "LowLU",
@@ -241,7 +240,7 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0, 0
-    run = _Run(_Tally(matvec), GmresOptions(rtol=rtol))
+    run = _Run(matvec, GmresOptions(rtol=rtol))
     run.dtype = dtype
     run.tol_abs = rtol * bnorm
     cycle = _arnoldi_cycles(run)
@@ -254,7 +253,7 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
         x = x + update.astype(dtype)
         if status == "converged":
             break
-    return x, run.iterations, run.op.matvecs
+    return x, run.iterations, run.counter.matvecs
 
 
 def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
@@ -266,6 +265,8 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     a stagnation abort after two refinements in a row that fail to halve
     the residual; stagnation takes precedence over convergence.  A zero b
     returns x = 0 before the LU, so its report has no diagnostics.
+    matvecs counts the binary64 residual products and the inner binary32
+    ones; the inner reductions are not counted.
     """
     if not 0 < rtol < math.inf:
         raise ValueError("rtol must be positive and finite")
@@ -275,28 +276,25 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
         GmresOptions(rtol=1e-4, restart=50, max_iter=200)
     # the inner solve is binary32 MGS-GMRES on the LU-preconditioned
     # operator; it reads only rtol, restart and max_iter
-    for field, unused in (("scheme", inner_opts.scheme != OrthoScheme.MGS),
-                          ("precond_side", inner_opts.precond_side != "none"),
-                          ("preconditioner", inner_opts.preconditioner is not None),
-                          ("weight", inner_opts.weight is not None),
-                          ("iteration_callback", inner_opts.iteration_callback is not None)):
-        if unused:
-            raise ValueError(f"gmres_ir does not support inner_opts.{field}")
+    for f in fields(GmresOptions):
+        value = getattr(inner_opts, f.name)
+        if f.name not in ("rtol", "restart", "max_iter") and \
+                (value is not None if f.default is None else value != f.default):
+            raise ValueError(f"gmres_ir does not support inner_opts.{f.name}")
     b = _finite_vector("b", b)
     N = len(b)
-    matvec = _matvec_for(A, N)  # before the factorization
+    run = _Run(_matvec_for(A, N), GmresOptions(rtol=rtol))  # before the factorization
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return _zero_rhs_report(N, {})
+        return run.report(np.zeros(N), [0.0], "converged")
     lu = lu_low(A)
-    low_matvec = low_operator(A, LOW_DTYPE, n=N)
+    low_matvec = run.counter.counted(low_operator(A, LOW_DTYPE, n=N))
 
     def inner_matvec(v):
         return lu.solve(low_matvec(v))
 
     x = lu.solve(np.asarray(b, dtype=LOW_DTYPE)).astype(np.float64)
-    r = b - matvec(x)
-    matvecs = 1
+    r = b - run.op(x)
     history = [float(np.linalg.norm(r))]
     inner_iters = []
     no_progress = 0  # consecutive refinements that did not halve the residual
@@ -304,14 +302,12 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     while len(inner_iters) < max_refinements and no_progress < 2 \
             and not history[-1] <= rtol * bnorm:
         rhs = lu.solve(np.asarray(r, dtype=LOW_DTYPE))
-        d, iters, mv = _low_gmres(inner_matvec, rhs, LOW_DTYPE,
-                                  inner_opts.rtol, inner_opts.restart or 50,
-                                  200 if inner_opts.max_iter is None else inner_opts.max_iter)
-        matvecs += mv
+        d, iters, _ = _low_gmres(inner_matvec, rhs, LOW_DTYPE,
+                                 inner_opts.rtol, inner_opts.restart or 50,
+                                 200 if inner_opts.max_iter is None else inner_opts.max_iter)
         inner_iters.append(iters)
         x = x + d.astype(np.float64)
-        r = b - matvec(x)
-        matvecs += 1
+        r = b - run.op(x)
         history.append(float(np.linalg.norm(r)))
         no_progress = no_progress + 1 if history[-1] >= 0.5 * history[-2] else 0
     if no_progress >= 2:
@@ -320,17 +316,10 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
         termination = "converged"
     else:
         termination = "maxiter"
-
-    return SolveReport(
-        x=x,
-        residual_history=history,
-        iterations=len(history) - 1,
-        termination=termination,
-        matvecs=matvecs,
-        true_residual_checkpoints=[(len(history) - 1, history[-1])],
-        estimated_norm_checkpoints=[(len(history) - 1, history[-1])],
-        diagnostics={"growth_factor": lu.growth, "inner_iterations": inner_iters},
-    )
+    run.diagnostics.update(growth_factor=lu.growth, inner_iterations=inner_iters)
+    checkpoints = [(len(history) - 1, history[-1])]
+    return run.report(x, history, termination, checkpoints=checkpoints,
+                      est_checkpoints=checkpoints)
 
 
 def gmres_two_precision(A, b, x0=None, opts=None):
@@ -340,7 +329,5 @@ def gmres_two_precision(A, b, x0=None, opts=None):
     driver keeps the system itself, restart residuals and iterate updates in
     binary64.
     """
-    opts = opts if opts is not None else GmresOptions()
-    if opts.restart is None:
-        opts = replace(opts, restart=50)
-    return _restart_driver(A, b, x0, opts, _arnoldi_cycles, dtype=LOW_DTYPE)
+    return _restart_driver(A, b, x0, _restarted_options(opts, 50), _arnoldi_cycles,
+                           dtype=LOW_DTYPE)

@@ -62,7 +62,8 @@ class OrthogonalizationBreakdown(RuntimeError):
 
 
 class ReductionCounter:
-    """Counts modeled global reductions, optionally bucketed per Arnoldi step.
+    """Counts modeled global reductions, optionally bucketed per Arnoldi step,
+    and the operator products made through counted(matvec).
 
     marks snapshots the running total once per delivered solver iteration so
     reports can expose exact cumulative counts.
@@ -70,6 +71,7 @@ class ReductionCounter:
 
     def __init__(self):
         self.total = 0
+        self.matvecs = 0
         self.per_step = []
         self.marks = []
         self._in_step = False
@@ -88,6 +90,14 @@ class ReductionCounter:
 
     def mark(self):
         self.marks.append(self.total)
+
+    def counted(self, matvec):
+        """matvec, adding each of its calls to matvecs."""
+        def product(v):
+            self.matvecs += 1
+            return matvec(v)
+
+        return product
 
 
 @dataclass

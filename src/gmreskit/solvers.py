@@ -10,7 +10,7 @@ _restart_driver, and supplies only its cycle; gmres_ir's binary32 inner solve
 runs the Arnoldi cycle of gmres (_arnoldi_cycles) under its own restart loop.
 The driver owns:
 
-- coercion of A, b and x0, the counted products and the reduction counter;
+- coercion of A, b and x0, and the run (_Run) with its one counter;
 - the zero right-hand side, which returns x = 0, converged, 0 iterations;
 - the operator the cycles iterate on and the tolerance reference for each
   preconditioning side (none, left, right) and for the weighted norm,
@@ -21,7 +21,7 @@ The driver owns:
   of each update, the explicit residual recompute after every cycle (true
   and estimate-norm checkpoints), stagnation, the restart count and the
   termination;
-- the SolveReport.
+- the SolveReport, which _Run.report builds.
 
 make_cycle(run) is called once per solve, after the zero right-hand side
 exit and before the first product, and returns cycle(r, budget) ->
@@ -143,11 +143,18 @@ class SolveReport:
     and estimated_norm_checkpoints the same recomputation in the estimate's
     own norm (they coincide for plain runs).
 
+    matvecs counts the products of A, in any dtype, that the solve's cycles,
+    residual recomputes and breakdown scale make, and reductions the
+    modeled global reductions of its cycles.  Neither covers the products
+    inside a preconditioner's apply, pipelined's warm-up Arnoldi, s-step's
+    warm-up for a named basis, the polynomial preconditioner's build, or
+    GMRES-IR's inner reductions (ROADMAP item 1).
+
     diagnostics["arnoldi"], in the reports of the ArnoldiProcess cycles
-    (every scheme, weighted, low-sync and two-precision, but not pipelined)
-    and of hh_gmres, is the last cycle's (n+1) x n Hessenberg factor Hbar in
-    the cycle's working dtype, n its completed steps; a breakdown leaves its
-    last row zero.  No report keeps a Krylov basis.
+    (every scheme, weighted, low-sync and two-precision, but not pipelined),
+    of hh_gmres and of s-step, is the last cycle's (n+1) x n Hessenberg
+    factor Hbar in the cycle's working dtype, n its completed steps; a
+    breakdown leaves its last row zero.  No report keeps a Krylov basis.
     """
 
     x: np.ndarray
@@ -215,38 +222,26 @@ def backward_error(A, x, b):
 # The restart driver
 
 
-class _Tally:
-    """Matvec counting wrapper plus the reduction counter for one solve."""
-
-    def __init__(self, matvec):
-        self.base = matvec
-        self.matvecs = 0
-        self.counter = ReductionCounter()
-
-    def __call__(self, v):
-        self.matvecs += 1
-        return self.base(v)
-
-
 class _Run:
-    """One solve as its cycle sees it; built by _restart_driver (and by
-    mixedprec._low_gmres for its binary32 inner cycles).
+    """One solve as its cycle sees it; built by _restart_driver and by
+    mixedprec's gmres_ir and binary32 inner solve.
 
-    op is the operator the cycles iterate on (the counted product, with the
-    preconditioner on its side and in the working dtype), counter takes the
-    modeled reductions, and weight, tol_ref and tol_abs hold the current
-    cycle's norm and tolerance.  diagnostics becomes the report's; a cycle
-    that ends an Arnoldi or Householder process (pipelined's excepted) writes
-    a copy of its Hessenberg factor to diagnostics["arnoldi"] (SolveReport)
-    and drops the process, so a solve holds one basis at a time.
+    counter counts the products and the modeled reductions.  op is the
+    operator the cycles iterate on: the counted product, to which the driver
+    adds the preconditioner and the working dtype.  weight, tol_ref and
+    tol_abs hold the current cycle's norm and tolerance.  diagnostics
+    becomes the report's (report builds the SolveReport); a cycle that ends an
+    Arnoldi or Householder process (pipelined's excepted) writes a copy of
+    its Hessenberg factor to diagnostics["arnoldi"] (SolveReport) and drops
+    the process, so a solve holds one basis at a time.
     No attribute may refer back to the run (a closure over it, or the run
     itself): the reference cycle would keep a finished solve's arrays alive
     until the cyclic garbage collector runs.
     """
 
-    def __init__(self, tally, opts, diagnostics=None):
-        self.op = tally
-        self.counter = tally.counter
+    def __init__(self, matvec, opts, diagnostics=None):
+        self.counter = ReductionCounter()
+        self.op = self.counter.counted(matvec)
         self.opts = opts
         self.dtype = np.dtype(np.float64)
         self.weight = None
@@ -264,10 +259,23 @@ class _Run:
             self.opts.iteration_callback(self.iterations, rho / self.tol_ref)
         return rho <= self.tol_abs
 
-
-def _zero_rhs_report(N, diagnostics):
-    return SolveReport(x=np.zeros(N), residual_history=[0.0], iterations=0,
-                       termination="converged", diagnostics=diagnostics)
+    def report(self, x, history, termination, restarts=0, checkpoints=(),
+               est_checkpoints=()):
+        """The solve's SolveReport, with the counts its counter holds."""
+        return SolveReport(
+            x=x,
+            residual_history=history,
+            iterations=len(history) - 1,
+            termination=termination,
+            restarts=restarts,
+            reductions=self.counter.total,
+            matvecs=self.counter.matvecs,
+            true_residual_checkpoints=list(checkpoints),
+            estimated_norm_checkpoints=list(est_checkpoints),
+            reduction_log=list(self.counter.per_step),
+            reduction_marks=list(self.counter.marks),
+            diagnostics=self.diagnostics,
+        )
 
 
 def _finite_vector(name, v, like=None):
@@ -317,20 +325,16 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     b = _finite_vector("b", b)
     x0 = None if x0 is None else _finite_vector("x0", x0, like=b)
     N = len(b)
-    tally = _Tally(_matvec_for(A, N))  # before any warm-up or factorization
-    run = _Run(tally, opts, diagnostics)
+    # A is checked before any warm-up or factorization
+    run = _Run(_matvec_for(A, N), opts, diagnostics)
     if np.linalg.norm(b) == 0.0:
-        return _zero_rhs_report(N, run.diagnostics)
+        return run.report(np.zeros(N), [0.0], "converged")
 
-    product = tally
+    matvec = product = run.op  # the binary64 product the residuals take
     run.dtype = np.dtype(dtype)
     if run.dtype != np.float64:
         from .mixedprec import low_operator
-        low_matvec = low_operator(A, run.dtype, n=N)
-
-        def product(v):
-            tally.matvecs += 1
-            return low_matvec(v)
+        product = run.counter.counted(low_operator(A, run.dtype, n=N))
 
     M = opts.preconditioner
     side = opts.precond_side
@@ -346,7 +350,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
 
     cycle = make_cycle(run)
     x = np.zeros(N) if x0 is None else x0.copy()
-    r_true = b - tally(x)
+    r_true = b - matvec(x)
     r = precond_residual(r_true)
     weight = opts.weight if weight_refresh is None else weight_refresh(r)
     tol_ref = weighted_norm(precond_residual(b), weight)
@@ -378,7 +382,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
         history.extend(rhos)
         total_iter = len(history) - 1
 
-        r_true = b - tally(x)
+        r_true = b - matvec(x)
         r = precond_residual(r_true)
         rho_true = weighted_norm(r, weight)
         checkpoints.append((total_iter, float(np.linalg.norm(r_true))))
@@ -395,20 +399,8 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
             break
         restarts += 1
 
-    return SolveReport(
-        x=x,
-        residual_history=history,
-        iterations=len(history) - 1,
-        termination="maxiter" if status == "exhausted" else status,
-        restarts=restarts,
-        reductions=tally.counter.total,
-        matvecs=tally.matvecs,
-        true_residual_checkpoints=checkpoints,
-        estimated_norm_checkpoints=est_checkpoints,
-        reduction_log=list(tally.counter.per_step),
-        reduction_marks=list(tally.counter.marks),
-        diagnostics=run.diagnostics,
-    )
+    return run.report(x, history, "maxiter" if status == "exhausted" else status,
+                      restarts, checkpoints, est_checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +504,16 @@ def gmres(A, b, x0=None, opts=None):
     return _restart_driver(A, b, x0, opts, _arnoldi_cycles)
 
 
+def _restarted_options(opts, m=30):
+    """opts, or the default options, with restart length m if they set none."""
+    opts = opts if opts is not None else GmresOptions()
+    return opts if opts.restart is not None else replace(opts, restart=m)
+
+
 def gmres_restarted(A, b, x0=None, opts=None):
     """Restarted GMRES(m), m = opts.restart or 30 when unset; each cycle ends
     with an explicit residual recompute."""
-    opts = opts if opts is not None else GmresOptions()
-    if opts.restart is None:
-        opts = replace(opts, restart=30)
-    return _restart_driver(A, b, x0, opts, _arnoldi_cycles)
+    return _restart_driver(A, b, x0, _restarted_options(opts), _arnoldi_cycles)
 
 
 def _essai_weights(r):
@@ -649,8 +644,7 @@ def _gcr_like(A, b, x0, opts, direction_rule):
     _reject_weight(opts, "gcr/orthodir")
 
     def make_cycle(run):
-        matvec, _ = as_matvec(A, n=len(b))
-        anorm = operator_norm_estimate(A, matvec, probe=np.asarray(b, dtype=np.float64))
+        anorm = operator_norm_estimate(A, run.op, probe=np.asarray(b, dtype=np.float64))
 
         def cycle(r, budget):
             Q = basis(len(r), budget)    # search directions q_i
@@ -792,8 +786,15 @@ def fgmres(A, b, x0=None, opts=None, precond_sequence=None):
     return _restart_driver(A, b, x0, opts, make_cycle)
 
 
-def _augmented_options(opts, N, m):
-    """Cycles of m steps; the default budget covers at least one cycle."""
+def _augmented_options(name, opts, N, m1, m2):
+    """The options of the augmented solver name, with cycles of m = m1 + m2
+    steps; the default budget covers at least one cycle."""
+    if m1 < 1 or m2 < 0:
+        raise ValueError("need m1 >= 1 and m2 >= 0")
+    opts = opts if opts is not None else GmresOptions()
+    _reject_precond(opts, name)
+    _reject_weight(opts, name)
+    m = m1 + m2
     return replace(opts, restart=m,
                    max_iter=opts.max_iter if opts.max_iter is not None else max(N, m))
 
@@ -806,12 +807,7 @@ def lgmres(A, b, x0=None, m1=20, m2=3, opts=None):
     by the recorded directions so that A Z_m = V_{m+1} Hbar_m holds column by
     column.
     """
-    if m1 < 1 or m2 < 0:
-        raise ValueError("need m1 >= 1 and m2 >= 0")
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, "lgmres")
-    _reject_weight(opts, "lgmres")
-    opts = _augmented_options(opts, len(b), m1 + m2)
+    opts = _augmented_options("lgmres", opts, len(b), m1, m2)
 
     def make_cycle(run):
         us = []  # u_1, u_2, ... error approximations, one per finished cycle

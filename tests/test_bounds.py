@@ -12,6 +12,7 @@ from gmreskit.bounds import (
     residual_poly_check,
     spectrum_and_conditioning,
 )
+from gmreskit.commavoid import sstep_gmres
 from gmreskit.deflation import ResidualPolynomial
 from gmreskit.harness import gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix
@@ -169,6 +170,15 @@ class TestBoundReport:
             for v in (eig, elman, fov):
                 if v is not None:
                     assert v >= measured - 1e-10
+
+    def test_sstep_hessenberg_reaches_the_eigenvalue_column(self):
+        A = gen_convdiff(6, 6, peclet=2.0)
+        b = np.ones(36)
+        opts = GmresOptions(rtol=1e-10)
+        columns = [bound_report(A, solve(A, b, opts=opts), grid_count=32).eigen
+                   for solve in (gmres, sstep_gmres)]
+        assert [e is not None for e in columns[1]] == [e is not None for e in columns[0]]
+        assert sum(e is not None for e in columns[1]) > 1
 
 
 def _swept_fov_distance(A, grid_count):

@@ -309,7 +309,7 @@ class TestSstepCoefficientIdentity:
         for s in (2, 3, 6):
             rep = sstep_gmres(A, b, s=s, t=12 // s,
                               opts=GmresOptions(rtol=1e-300, max_iter=12))
-            fH = rep.diagnostics["hessenberg"]
+            fH = rep.diagnostics["arnoldi"]
             dec = arnoldi(A, b, 12, OrthoScheme.MGS)
             n = min(fH.shape[1], dec.Hbar.shape[1])
             dev = np.max(np.abs(fH[: n + 1, :n] - dec.Hbar[: n + 1, :n]))
@@ -320,7 +320,7 @@ class TestNamedBasis:
     @staticmethod
     def _report_bytes(rep):
         return (rep.x.tobytes(), np.asarray(rep.residual_history).tobytes(),
-                rep.reduction_log, rep.diagnostics["hessenberg"].tobytes(),
+                rep.reduction_log, rep.diagnostics["arnoldi"].tobytes(),
                 rep.diagnostics["basis"])
 
     @pytest.mark.parametrize("name,s", [("monomial", 3), ("newton", 3), ("chebyshev", 3),

@@ -185,11 +185,11 @@ class TestGmresE:
 
     def test_augmented_relation_audit(self, convdiff100, rhs100):
         # run a couple of augmented cycles and audit A Z = V Hbar directly
-        from gmreskit.solvers import _Run, _Tally, _flexible_cycle
+        from gmreskit.solvers import _Run, _flexible_cycle
         from gmreskit.deflation import _real_vectors_from_pairs
         dense = convdiff100.to_dense()
         opts = GmresOptions(rtol=1e-300)
-        run = _Run(_Tally(lambda v: dense @ v), opts)
+        run = _Run(lambda v: dense @ v, opts)
         r = rhs100.copy()
         update, rhos, status, V, H, Z, _ = _flexible_cycle(
             run, r, 12, lambda j, slot, VV: (VV[:, j], "krylov"))
@@ -215,11 +215,11 @@ class TestGmresE:
 
 class TestAugmentationDrop:
     def test_in_span_augmentation_dropped(self, rng):
-        from gmreskit.solvers import GmresOptions, _Run, _Tally, _flexible_cycle
+        from gmreskit.solvers import GmresOptions, _Run, _flexible_cycle
         A = rng.standard_normal((20, 20)) + 4.0 * np.eye(20)
         r = rng.standard_normal(20)
         opts = GmresOptions(rtol=1e-300)
-        run = _Run(_Tally(lambda v: A @ v), opts)
+        run = _Run(lambda v: A @ v, opts)
         # slot 2 feeds back the current residual direction r/||r|| = v_1,
         # whose image is already in the expanded space: projects to ~0 only
         # if it coincides with a basis vector, so use v_1 itself

@@ -71,13 +71,13 @@ def problem():
 
 def _direct(A, b, name, options):
     """The library call a variant stands for."""
-    if options.get("scheme") == "householder" and name in ("gmres", "gmres-restarted"):
-        name = "hh-gmres"
     kw = {k: v for k, v in options.items() if k in PASSED.get(name, {})}
     fields = {FIELDS[k]: v for k, v in options.items()
               if k in FIELDS and v != "householder"}
     if name == "gmres-restarted":
         fields.setdefault("restart", 30)
+    if options.get("scheme") == "householder" and name in ("gmres", "gmres-restarted"):
+        name = "hh-gmres"
     pc = options.get("preconditioner")
     if pc and pc["kind"] == "jacobi":
         fields.update(precond_side="right", preconditioner=DiagonalPreconditioner(A.diagonal()))
@@ -133,6 +133,17 @@ def test_passed_keys_reach_the_library_call(problem, options):
     want = _outcome(lambda: _direct(A, b, options["solver"], options["options"]))
     assert got == want
     assert isinstance(got, tuple)
+
+
+def test_householder_keeps_the_restart_length_of_gmres_restarted():
+    A = gen_convdiff(16, 16, peclet=10.0)
+    b = np.ones(256)
+    variant = {"solver": "gmres-restarted",
+               "options": {"scheme": "householder", "rtol": 1e-10}}
+    rep = _run_variant(A, b, variant)
+    assert rep.converged and rep.restarts >= 1
+    assert _outcome(lambda: _run_variant(A, b, variant)) == \
+        _outcome(lambda: hh_gmres(A, b, opts=GmresOptions(rtol=1e-10, restart=30)))
 
 
 def test_sstep_at_s_one_runs_the_library_monomial_basis(problem):

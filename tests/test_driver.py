@@ -9,6 +9,8 @@ from gmreskit import (DiagonalPreconditioner, GmresOptions, fgmres, gcr, gmres,
                       gmres_e, gmres_ir, gmres_restarted, gmres_two_precision,
                       hh_gmres, lgmres, lowsync_gmres, orthodir, pipelined_gmres,
                       simpler_gmres, sstep_gmres, weighted_gmres)
+from gmreskit import mixedprec
+from gmreskit.commavoid import MonomialBasis
 from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff
 from gmreskit.linalg import CsrMatrix, HessenbergLsState
 from gmreskit.ortho import OrthogonalizationBreakdown
@@ -136,6 +138,42 @@ def test_gcr_like_spends_no_product_past_its_budget(name):
     ref = gmres(A, b, None, opts)
     assert rep.iterations == ref.iterations == 13
     assert rep.matvecs == ref.matvecs
+
+
+# SOLVE with no warm-up product: s-step gets a basis object, pipelined a theta
+NO_WARMUP = dict(SOLVE, **{
+    "sstep-gmres": lambda A, b, x0, o: sstep_gmres(A, b, x0, s=4, t=2,
+                                                   spec=MonomialBasis(), opts=o),
+    "pipelined-gmres": lambda A, b, x0, o: pipelined_gmres(A, b, x0, o, theta=0.5),
+})
+
+
+def _counting(product, made, tag):
+    """product, appending tag to made at each call."""
+    def counted(*args):
+        made.append(tag)
+        return product(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_reported_matvecs_are_the_products_made(problem, name, monkeypatch):
+    A, b = problem
+    made = []
+    if name == "gmres-ir":
+        # the LU needs the matrix: count its binary64 and binary32 products
+        low = mixedprec.low_operator
+        monkeypatch.setattr(CsrMatrix, "matvec", _counting(CsrMatrix.matvec, made, "binary64"))
+        monkeypatch.setattr(mixedprec, "low_operator", lambda A, dtype, n=None: _counting(
+            low(A, dtype, n=n), made, "binary32"))
+        rep = gmres_ir(A, b)
+        assert {"binary64", "binary32"} <= set(made)
+    else:
+        dense = A.to_dense()
+        op = _counting(lambda v: dense @ v, made, "binary64")
+        rep = NO_WARMUP[name](op, b, None, GmresOptions(restart=8))
+    assert rep.matvecs == len(made) > 0
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -505,6 +505,7 @@ class TestGmresIrArguments:
         ("preconditioner", DiagonalPreconditioner(np.full(5, 2.0))),
         ("weight", np.full(5, 7.0)),
         ("iteration_callback", lambda *args: None),
+        ("simpler_omega", 0.9),
     ])
     def test_rejects_inner_option_it_would_ignore(self, field, value):
         kw = {field: value}

@@ -11,7 +11,7 @@ from gmreskit.ortho import (
     householder_arnoldi,
     mgs_pass,
 )
-from gmreskit.solvers import GmresOptions, _flexible_cycle, _Run, _Tally, fgmres
+from gmreskit.solvers import GmresOptions, _flexible_cycle, _Run, fgmres
 
 SCHEMES = [OrthoScheme.MGS, OrthoScheme.CGS, OrthoScheme.CGS2,
            OrthoScheme.CGSP, OrthoScheme.ICWY]
@@ -258,7 +258,7 @@ class TestMgsPass:
         opts = GmresOptions(restart=8, max_iter=8)
         rep = fgmres(convdiff100, rhs100, opts=opts)
         # the one cycle fgmres ran, rebuilt through the flexible cycle
-        run = _Run(_Tally(convdiff100.matvec), opts)
+        run = _Run(convdiff100.matvec, opts)
         run.tol_abs = opts.rtol * np.linalg.norm(rhs100)
         update, _, _, V, _, Z, _ = _flexible_cycle(
             run, rhs100, 8, lambda j, slot, V: (V[:, j], "krylov"))

@@ -11,7 +11,6 @@ from gmreskit.solvers import (
     GmresOptions,
     _flexible_cycle,
     _Run,
-    _Tally,
     backward_error,
     fgmres,
     gcr,
@@ -328,7 +327,7 @@ class TestFgmres:
         rep = fgmres(convdiff100, rhs100, opts=opts, precond_sequence=seq)
         assert rep.converged and rep.restarts == 0
         # the one cycle fgmres ran, rebuilt through the flexible cycle
-        run = _Run(_Tally(convdiff100.matvec), opts)
+        run = _Run(convdiff100.matvec, opts)
         run.tol_abs = opts.rtol * np.linalg.norm(rhs100)
         update, rhos, _, V, H, Z, _ = _flexible_cycle(
             run, rhs100, len(rhs100), lambda j, slot, V: (seq(j, V[:, j]), "krylov"))

@@ -20,7 +20,7 @@ counters reorthogonalizations, dropped_augmentations, augmented_cycles and
 theta (NaN where a solver has none), the Hessenberg factor the report
 records in diagnostics["arnoldi"] where it has one (the array itself, or
 the Hbar of an older report's ArnoldiDecomposition) and otherwise the one
-s-step GMRES assembles in diagnostics["hessenberg"], or the type of the
+an older s-step GMRES kept in diagnostics["hessenberg"], or the type of the
 exception the call raised, and prints how many cases ended in each
 termination or exception type.  gmres-ir runs as the harness dispatches it, on its default inner
 options (rtol 1e-4, restart 50, max_iter 200); the variants change one of them each, to inner
