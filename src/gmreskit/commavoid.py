@@ -15,8 +15,7 @@ import numpy as np
 from .deflation import _check_conjugate_pairs, leja_order
 from .linalg import HessenbergLsState, as_matvec, dense_eig_general
 from .ortho import OrthogonalizationBreakdown, OrthoScheme, arnoldi, basis
-from .solvers import (GmresOptions, _arnoldi_cycles, _givens_cycle, _reject_precond,
-                      _reject_weight, _restart_driver)
+from .solvers import _arnoldi_cycles, _check_count, _givens_cycle, _options, _restart_driver
 
 __all__ = [
     "MonomialBasis",
@@ -313,7 +312,8 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
     Parameters
     ----------
     s, t : int
-        Block size and blocks per restart cycle (restart length s*t).
+        Block size and blocks per restart cycle (restart length s*t;
+        opts.restart is ignored).
     spec : MonomialBasis, NewtonBasis, ChebyshevBasis or str, optional
         Polynomial basis, or the name "monomial", "newton" or "chebyshev" of
         one whose parameters come from s warmup Arnoldi steps on (A, b):
@@ -326,11 +326,9 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
         As for gmres; a vanishing block factor away from convergence raises
         SstepBlockError suggesting a smaller s.
     """
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, "sstep_gmres")
-    _reject_weight(opts, "sstep_gmres")
-    if s < 1 or t < 1:
-        raise ValueError("need s >= 1 and t >= 1")
+    opts = _options("sstep-gmres", opts)
+    _check_count("s", s, 1)
+    _check_count("t", t, 1)
     if spec is None:
         spec = "newton" if s > 1 else "monomial"
     if isinstance(spec, str) and spec not in _BASIS_NAMES:
@@ -458,9 +456,7 @@ def pipelined_gmres(A, b, x0=None, opts=None, theta=None):
     of a few warmup Ritz values.  Each cycle is a CGS-P ArnoldiProcess over
     the companion basis, whose reorthogonalizations the diagnostics sum.
     """
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, "pipelined_gmres")
-    _reject_weight(opts, "pipelined_gmres")
+    opts = _options("pipelined-gmres", opts)
     diagnostics = {"theta": theta, "reorthogonalizations": 0}
 
     def make_cycle(run):
@@ -483,6 +479,6 @@ def lowsync_gmres(A, b, x0=None, opts=None):
     projections, and the deferred norm, so one reduction per iteration
     suffices.  A vanishing deferred norm surfaces as a breakdown exit.
     """
-    opts = opts if opts is not None else GmresOptions()
+    opts = _options("lowsync-gmres", opts)
     return _restart_driver(A, b, x0, replace(opts, scheme=OrthoScheme.ICWY),
                            _arnoldi_cycles)

@@ -299,9 +299,10 @@ def gmres_e(A, b, x0=None, m1=20, m2=2, opts=None):
 
     The cycle mechanics follow the augmented-restart skeleton with the
     augmentation source swapped to harmonic Ritz vectors; rank-deficient
-    augmentation columns are dropped and counted in the diagnostics.
+    augmentation columns are dropped and counted in the diagnostics.  Cycles
+    are m1 + m2 steps long: opts.restart is ignored.
     """
-    opts = _augmented_options("gmres_e", opts, len(b), m1, m2)
+    opts = _augmented_options("gmres-e", opts, len(b), m1, m2)
 
     def make_cycle(run):
         aug = []            # harmonic Ritz vectors carried to the next cycle

@@ -22,6 +22,7 @@ from .deflation import build_poly_preconditioner, gmres_e, polynomial_preconditi
 from .linalg import CsrMatrix, as_matvec, mm_read, operator_norm_estimate
 from .mixedprec import gmres_ir, gmres_two_precision
 from .solvers import (
+    READS,
     DiagonalPreconditioner,
     GmresOptions,
     backward_error,
@@ -36,7 +37,6 @@ from .solvers import (
     weighted_gmres,
     _finite_vector,
     _matvec_for,
-    _restarted_options,
 )
 
 __all__ = [
@@ -267,17 +267,20 @@ SOLVER_DISPATCH = {
     "gmres-ir": (gmres_ir, {}, ("rtol", "max_refinements")),
 }
 
-# variant option key -> GmresOptions field, for every entry but gmres-ir
+# variant option key -> the GmresOptions field it sets, for every entry but
+# gmres-ir; "preconditioner" sets precond_side and preconditioner
 _OPTION_FIELDS = {"rtol": "rtol", "max_iter": "max_iter", "restart": "restart",
-                  "scheme": "scheme", "omega": "simpler_omega"}
+                  "scheme": "scheme", "omega": "simpler_omega",
+                  "preconditioner": "preconditioner"}
 
 
 def _option_keys(name):
-    """The variant option keys the dispatch entry ``name`` reads."""
+    """The variant option keys the dispatch entry ``name`` reads: those of its
+    fields in solvers.READS and the keywords it passes on."""
     solve, _, passed = SOLVER_DISPATCH[name]
     keys = set(passed)
     if solve is not gmres_ir:  # the one entry that takes no GmresOptions
-        keys.update(_OPTION_FIELDS, ["preconditioner"])
+        keys.update(k for k, f in _OPTION_FIELDS.items() if f in READS[name][0])
     if solve is sstep_gmres:
         keys.add("basis")
     return keys
@@ -307,12 +310,8 @@ def _check_preconditioner(pc, where):
 def _gmres_options(A, b, options, callback=None):
     """GmresOptions holding only the keys the variant sets."""
     fields = {_OPTION_FIELDS[k]: v for k, v in options.items() if k in _OPTION_FIELDS}
-    if fields.get("scheme") == "householder":
-        # reflector orthogonalization is its own solver; the dispatch
-        # reroutes gmres to hh-gmres and every other entry keeps its scheme
-        del fields["scheme"]
+    pc = fields.pop("preconditioner", None)
     opts = GmresOptions(iteration_callback=callback, **fields)
-    pc = options.get("preconditioner")
     if pc is None:
         return opts
     if pc["kind"] == "jacobi":
@@ -335,16 +334,11 @@ def _run_variant(A, b, variant, callback=None):
     # before the polynomial preconditioner runs on b
     b = _finite_vector("b", b)
     _matvec_for(A, len(b))
-    name = variant["solver"]
     options = variant.get("options", {})
-    if options.get("scheme") == "householder" and name in ("gmres", "gmres-restarted"):
-        name = "hh-gmres"
-    solve, fixed, passed = SOLVER_DISPATCH[name]
+    solve, fixed, passed = SOLVER_DISPATCH[variant["solver"]]
     kwargs = dict(fixed, **{k: options[k] for k in passed if k in options})
     if solve is not gmres_ir:
         kwargs["opts"] = _gmres_options(A, b, options, callback)
-    if variant["solver"] == "gmres-restarted":  # rerouted to hh-gmres too
-        kwargs["opts"] = _restarted_options(kwargs["opts"])
     if solve is sstep_gmres and "basis" in options:
         kwargs["spec"] = options["basis"]
     return solve(A, b, **kwargs)

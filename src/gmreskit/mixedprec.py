@@ -21,13 +21,13 @@ count on the benchmark still rests on them (ROADMAP item 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import CsrMatrix, SingularMatrixError, as_matvec
-from .solvers import (GmresOptions, _arnoldi_cycles, _finite_vector, _matvec_for,
-                      _restart_driver, _restarted_options, _Run)
+from .solvers import (GmresOptions, _arnoldi_cycles, _check_count, _finite_vector,
+                      _matvec_for, _options, _restart_driver, _restarted_options, _Run)
 
 __all__ = [
     "LowLU",
@@ -270,17 +270,10 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     """
     if not 0 < rtol < math.inf:
         raise ValueError("rtol must be positive and finite")
-    if not max_refinements >= 0:
-        raise ValueError("max_refinements must be at least 0")
-    inner_opts = inner_opts if inner_opts is not None else \
-        GmresOptions(rtol=1e-4, restart=50, max_iter=200)
-    # the inner solve is binary32 MGS-GMRES on the LU-preconditioned
-    # operator; it reads only rtol, restart and max_iter
-    for f in fields(GmresOptions):
-        value = getattr(inner_opts, f.name)
-        if f.name not in ("rtol", "restart", "max_iter") and \
-                (value is not None if f.default is None else value != f.default):
-            raise ValueError(f"gmres_ir does not support inner_opts.{f.name}")
+    _check_count("max_refinements", max_refinements, 0)
+    # the inner solve is binary32 MGS-GMRES on the LU-preconditioned operator
+    inner_opts = _options("gmres-ir", inner_opts if inner_opts is not None else
+                          GmresOptions(rtol=1e-4, restart=50, max_iter=200), "inner_opts")
     b = _finite_vector("b", b)
     N = len(b)
     run = _Run(_matvec_for(A, N), GmresOptions(rtol=rtol))  # before the factorization
@@ -327,7 +320,7 @@ def gmres_two_precision(A, b, x0=None, opts=None):
 
     The cycles' products, basis and Hessenberg run in binary32; the restart
     driver keeps the system itself, restart residuals and iterate updates in
-    binary64.
+    binary64; the Householder scheme, binary64 only, is refused.
     """
-    return _restart_driver(A, b, x0, _restarted_options(opts, 50), _arnoldi_cycles,
-                           dtype=LOW_DTYPE)
+    opts = _restarted_options(_options("two-precision", opts), 50)
+    return _restart_driver(A, b, x0, opts, _arnoldi_cycles, dtype=LOW_DTYPE)

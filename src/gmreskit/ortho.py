@@ -17,10 +17,14 @@ Per-step costs are structural properties of each scheme:
     ICWY         1   (lagged normalization merges everything into one batch)
     pipelined    1   (CGSP's batch over the shifted companion basis; a CGSP
                       or pipelined step that retries with CGS2 counts 3 more)
+    Householder 2j+2 (j reflector applications rebuild v_j and j reflect
+                      A v_j, then the tail norm and the new reflector)
 
 The initial normalization of r0 is counted toward the total but belongs to
-no step.  A direct step may project op(z) for a direction z of its caller's
-instead of op(v_j): flexible GMRES's relation A Z_n = V_{n+1} Hbar_n.
+no step (Householder adds its first reflector).  A direct step may project
+op(z) for a direction z of its caller's instead of op(v_j): flexible GMRES's
+relation A Z_n = V_{n+1} Hbar_n.  HouseholderArnoldi runs the Householder
+scheme, ArnoldiProcess every other; both give V_n y (eval_basis_combination).
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class OrthoScheme(str, Enum):
     CGS2 = "cgs2"
     CGSP = "cgsp"
     ICWY = "icwy"
+    HOUSEHOLDER = "householder"
 
 
 class OrthogonalizationBreakdown(RuntimeError):
@@ -210,6 +215,8 @@ class ArnoldiProcess:
                  counter=None, dtype=None, _shift=None):
         self.matvec, self.N = as_matvec(A, n=len(r0))
         self.scheme = OrthoScheme(scheme)
+        if self.scheme is OrthoScheme.HOUSEHOLDER:
+            raise ValueError("the householder scheme runs on HouseholderArnoldi")
         self.counter = counter if counter is not None else ReductionCounter()
         dtype = np.dtype(dtype) if dtype is not None else np.asarray(r0).dtype
         if dtype.kind != "f":
@@ -401,20 +408,22 @@ class ArnoldiProcess:
             self.counter.count()  # trailing batch of the deferred normalization
             self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
 
+    def eval_basis_combination(self, y):
+        """V_n y for the n = len(y) leading basis vectors."""
+        return self.V[:, : len(y)] @ y
+
     def decomposition(self):
-        n = self.completed
-        if self.breakdown_at is not None:
-            V = self.V[:, :n].copy()
-        else:
-            V = self.V[:, : n + 1].copy()
-        return ArnoldiDecomposition(
-            V=V,
-            Hbar=self.H[: n + 1, :n].copy(),
-            n=n,
-            reductions=self.counter.total,
-            reduction_log=list(self.counter.per_step),
-            breakdown_at=self.breakdown_at,
-        )
+        cols = self.completed + 1 if self.breakdown_at is None else self.completed
+        return _decomposition(self, self.V[:, :cols].copy(), self.counter.total)
+
+
+def _decomposition(proc, V, reductions):
+    """The ArnoldiDecomposition of proc's completed steps with the basis V."""
+    n = proc.completed
+    return ArnoldiDecomposition(V=V, Hbar=proc.H[: n + 1, :n].copy(), n=n,
+                                reductions=reductions,
+                                reduction_log=list(proc.counter.per_step),
+                                breakdown_at=proc.breakdown_at)
 
 
 def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None):
@@ -517,28 +526,23 @@ class HouseholderArnoldi:
         tail_norm = float(np.linalg.norm(tail))
         self.counter.count()
         col_scale = float(np.linalg.norm(u[: j + 2]))
+        if tail_norm <= BREAKDOWN_REL * max(col_scale, tail_norm):
+            # happy breakdown: the column's upper entries are still valid
+            reflector, h_sub, sub_sign = None, 0.0, 1.0
+            self.breakdown_at = j + 1
+        else:
+            w = np.zeros(self.N)
+            s = _sign(u[j + 1])
+            w[j + 1:] = tail
+            w[j + 1] += s * tail_norm
+            reflector = self._reflector(w)
+            h_sub = -s * tail_norm
+            sub_sign = _sign(h_sub)
+        self.reflectors.append(reflector)
+        self.sign.append(sub_sign)
         # u was formed from the sign-normalized basis vector, so the raw
         # Hessenberg column is sign[j] * u and the logical entries need only
         # the per-row signs.
-        if tail_norm <= BREAKDOWN_REL * max(col_scale, tail_norm):
-            # happy breakdown: the column's upper entries are still valid
-            self.H[: j + 1, j] = np.array(self.sign[: j + 1]) * u[: j + 1]
-            self.H[j + 1, j] = 0.0
-            self.reflectors.append(None)
-            self.sign.append(1.0)
-            self.breakdown_at = j + 1
-            self.completed = j + 1
-            self.counter.end_step()
-            self.steps += 1
-            return self.completed
-        w = np.zeros(self.N)
-        s = _sign(u[j + 1])
-        w[j + 1:] = tail
-        w[j + 1] += s * tail_norm
-        self.reflectors.append(self._reflector(w))
-        h_sub = -s * tail_norm
-        sub_sign = _sign(h_sub)
-        self.sign.append(sub_sign)
         self.H[: j + 1, j] = np.array(self.sign[: j + 1]) * u[: j + 1]
         self.H[j + 1, j] = sub_sign * h_sub
         self.counter.end_step()
@@ -559,19 +563,11 @@ class HouseholderArnoldi:
     def decomposition(self):
         """The factorization so far; its reductions are the steps', not those
         of the reflector applications that rebuild V here."""
-        n = self.completed
         reductions = self.counter.total
-        cols = n if self.breakdown_at is not None else n + 1
+        cols = self.completed + 1 if self.breakdown_at is None else self.completed
         V = np.column_stack([self.basis_vector(j) for j in range(cols)]) \
             if cols else basis(self.N, 0)
-        return ArnoldiDecomposition(
-            V=V,
-            Hbar=self.H[: n + 1, :n].copy(),
-            n=n,
-            reductions=reductions,
-            reduction_log=list(self.counter.per_step),
-            breakdown_at=self.breakdown_at,
-        )
+        return _decomposition(self, V, reductions)
 
 
 def householder_arnoldi(A, r0, n, *, counter=None):

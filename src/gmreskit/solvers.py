@@ -35,9 +35,9 @@ solver carries from cycle to cycle lives in the closure of make_cycle; a
 cycle is called again only when the driver restarts.
 
 Every cycle that grows a Hessenberg matrix (Arnoldi in each scheme and
-working dtype, low-sync and pipelined, all three on ortho.ArnoldiProcess;
-flexible and augmented on its step_along; Householder; s-step) is a
-step generator run by one least-squares loop,
+working dtype, low-sync and pipelined, all on ortho.ArnoldiProcess but
+Householder's on ortho.HouseholderArnoldi; flexible and augmented on
+ArnoldiProcess.step_along; s-step) is a step generator run by one least-squares loop,
 _givens_cycle(emit, ls, steps).  After each step the generator yields
 (H, completed, breakdown): the Hessenberg storage, how many of its leading
 columns are final, and whether the step found an invariant subspace.  The
@@ -52,7 +52,8 @@ vector, an error for a block that did not converge) runs only then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,7 +100,11 @@ class GmresOptions:
     """Knobs shared by the solver family.
 
     rtol is relative to ||b|| (in the inner-product norm the solver
-    minimizes); restart of None means a full, non-restarted run.
+    minimizes); restart of None means a full, non-restarted run.  A solver
+    uses every field it reads (READS) and refuses any other that differs
+    from its default, with a ValueError naming opts.<field>, but for
+    restart: the simpler family, gcr, orthodir, lgmres, gmres_e and
+    sstep_gmres fix their cycle length, accept restart and ignore it.
     """
 
     rtol: float = 1e-8
@@ -115,22 +120,75 @@ class GmresOptions:
     def __post_init__(self):
         if not 0 < self.rtol < math.inf:
             raise ValueError("rtol must be positive and finite")
-        if self.max_iter is not None and self.max_iter < 0:
-            raise ValueError("max_iter must be at least 0")
-        if self.restart is not None and self.restart < 1:
-            raise ValueError("restart length must be at least 1")
+        if self.max_iter is not None:
+            _check_count("max_iter", self.max_iter, 0)
+        if self.restart is not None:
+            _check_count("restart", self.restart, 1)
         self.scheme = OrthoScheme(self.scheme)
         if self.precond_side not in ("none", "left", "right"):
             raise ValueError("precond_side must be none, left or right")
         if self.precond_side != "none" and self.preconditioner is None:
             raise ValueError("preconditioner required for preconditioned runs")
+        M = self.preconditioner
+        if M is not None and not (hasattr(M, "apply") or callable(M)):
+            raise ValueError("preconditioner must have an apply method or be callable")
         if self.weight is not None:
-            w = np.asarray(self.weight, dtype=np.float64)
-            if np.any(w <= 0):
+            self.weight = _finite_vector("weight", self.weight)
+            if np.any(self.weight <= 0):
                 raise ValueError("weight entries must be positive")
-            self.weight = w
+            if self.scheme is OrthoScheme.HOUSEHOLDER:
+                raise ValueError("the householder scheme takes no weight")
         if not 0.0 <= self.simpler_omega <= 1.0:
             raise ValueError("simpler_omega must lie in [0, 1]")
+
+
+_RUN = ("rtol", "max_iter", "restart", "iteration_callback")
+_PRECOND = ("precond_side", "preconditioner")
+_ARNOLDI = _RUN + ("scheme",) + _PRECOND + ("weight",)
+_DIRECT = ("mgs", "cgs", "cgs2", "cgsp")  # the schemes of ArnoldiProcess.step_along
+
+# The GmresOptions fields each SOLVER_DISPATCH entry reads, with the schemes it
+# runs if it reads scheme; _options refuses every other non-default field.
+READS = {
+    "gmres": (_ARNOLDI, _DIRECT + ("icwy", "householder")),
+    "gmres-restarted": (_ARNOLDI, _DIRECT + ("icwy", "householder")),
+    "hh-gmres": (_RUN + ("scheme",) + _PRECOND, ("householder",)),
+    "sgmres": (_RUN, ()),
+    "rb-sgmres": (_RUN, ()),
+    "adaptive-sgmres": (_RUN + ("simpler_omega",), ()),
+    "gcr": (_RUN, ()),
+    "orthodir": (_RUN, ()),
+    "fgmres": (_RUN + ("scheme",), _DIRECT),
+    "lgmres": (_RUN + ("scheme",), _DIRECT),
+    "gmres-e": (_RUN + ("scheme",), _DIRECT),
+    "weighted-gmres": (_ARNOLDI, _DIRECT + ("icwy",)),
+    "sstep-gmres": (_RUN, ()),
+    "pipelined-gmres": (_RUN, ()),
+    "lowsync-gmres": (_RUN + _PRECOND + ("weight",), ()),
+    "two-precision": (_ARNOLDI, _DIRECT + ("icwy",)),
+    "gmres-ir": (("rtol", "max_iter", "restart"), ()),  # of its inner_opts
+}
+
+
+def _options(name, opts, arg="opts"):
+    """opts, or the default options, once the entry name reads every field that
+    differs from its default (READS); a ValueError names the first that fails."""
+    opts = opts if opts is not None else GmresOptions()
+    reads, schemes = READS[name]
+    for f in fields(GmresOptions):
+        value = getattr(opts, f.name)
+        if value is None if f.default is None else value == f.default:
+            continue
+        if f.name not in reads:
+            about = "one-sided preconditioning, " if f.name == "precond_side" else ""
+            raise ValueError(f"{name} does not support {about}{arg}.{f.name}")
+        if f.name == "scheme" and value.value not in schemes:
+            raise ValueError(f"{name} does not run {arg}.scheme {value.value}; "
+                             f"it runs {', '.join(schemes)}")
+    if opts.preconditioner is not None and opts.precond_side == "none":
+        raise ValueError(f"{name} applies {arg}.preconditioner only with "
+                         f"{arg}.precond_side left or right")
+    return opts
 
 
 @dataclass
@@ -150,9 +208,9 @@ class SolveReport:
     warm-up for a named basis, the polynomial preconditioner's build, or
     GMRES-IR's inner reductions (ROADMAP item 1).
 
-    diagnostics["arnoldi"], in the reports of the ArnoldiProcess cycles
-    (every scheme, weighted, low-sync and two-precision, but not pipelined),
-    of hh_gmres and of s-step, is the last cycle's (n+1) x n Hessenberg
+    diagnostics["arnoldi"], in the reports of the Arnoldi cycles (every
+    scheme, Householder included, weighted, low-sync and two-precision, but
+    not pipelined) and of s-step, is the last cycle's (n+1) x n Hessenberg
     factor Hbar in the cycle's working dtype, n its completed steps; a
     breakdown leaves its last row zero.  No report keeps a Krylov basis.
     """
@@ -231,7 +289,7 @@ class _Run:
     adds the preconditioner and the working dtype.  weight, tol_ref and
     tol_abs hold the current cycle's norm and tolerance.  diagnostics
     becomes the report's (report builds the SolveReport); a cycle that ends an
-    Arnoldi or Householder process (pipelined's excepted) writes a copy of
+    Arnoldi process of any scheme (pipelined's excepted) writes a copy of
     its Hessenberg factor to diagnostics["arnoldi"] (SolveReport) and drops
     the process, so a solve holds one basis at a time.
     No attribute may refer back to the run (a closure over it, or the run
@@ -301,15 +359,13 @@ def _matvec_for(A, N):
     return matvec
 
 
-def _reject_precond(opts, name):
-    if opts.precond_side != "none":
-        raise ValueError(f"{name} does not support one-sided preconditioning; "
-                         "precondition the operator explicitly")
-
-
-def _reject_weight(opts, name):
-    if opts.weight is not None:
-        raise ValueError(f"{name} does not support a weighted inner product")
+def _check_count(name, value, least):
+    """A ValueError naming the argument unless value is an integer (a numpy
+    integer, not a bool) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
@@ -324,6 +380,8 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     """
     b = _finite_vector("b", b)
     x0 = None if x0 is None else _finite_vector("x0", x0, like=b)
+    if opts.weight is not None:
+        _finite_vector("opts.weight", opts.weight, like=b)
     N = len(b)
     # A is checked before any warm-up or factorization
     run = _Run(_matvec_for(A, N), opts, diagnostics)
@@ -404,8 +462,8 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
 
 
 # ---------------------------------------------------------------------------
-# The Givens least-squares loop and the Arnoldi-process cycles (gmres /
-# restarted / weighted / low-sync / two-precision / Householder)
+# The Givens least-squares loop and the Arnoldi cycles of every scheme (gmres /
+# restarted / Householder / weighted / low-sync / two-precision)
 
 
 def _givens_cycle(emit, ls, steps):
@@ -426,7 +484,7 @@ def _givens_cycle(emit, ls, steps):
 
 
 def _process_steps(proc):
-    """Steps of an ArnoldiProcess or HouseholderArnoldi; once the budget is
+    """Steps of an ArnoldiProcess or a HouseholderArnoldi; once the budget is
     spent, ICWY's deferred normalization completes the last column."""
     while proc.steps < proc.max_steps:
         proc.step()
@@ -436,28 +494,26 @@ def _process_steps(proc):
         yield proc.H, proc.completed, proc.breakdown_at is not None
 
 
-def _hessenberg(proc):
-    """A copy of the completed (n+1) x n Hessenberg factor of proc."""
-    n = proc.completed
-    return proc.H[: n + 1, :n].copy()
-
-
 def _arnoldi_cycles(run, shift=None):
-    """Cycles of Arnoldi in opts.scheme with a running Givens QR of the
-    Hessenberg factor, in the run's weight and working dtype; each records
-    its Hessenberg factor.  A shift makes a CGS-P process pipelined
-    (commavoid.pipelined_gmres), which records its retries instead."""
+    """Cycles of Arnoldi in opts.scheme (Householder's on a HouseholderArnoldi)
+    with a running Givens QR of the Hessenberg factor, in the run's weight and
+    working dtype; each records its Hessenberg factor.  A shift makes a CGS-P
+    process pipelined (commavoid.pipelined_gmres), which records its retries
+    instead."""
 
     def cycle(r, budget):
-        proc = ArnoldiProcess(
-            run.op, r, budget, run.opts.scheme, weight=run.weight, counter=run.counter,
-            dtype=run.dtype, _shift=shift)
-        ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=proc.dtype)
+        if run.opts.scheme is OrthoScheme.HOUSEHOLDER:
+            proc = HouseholderArnoldi(run.op, r, budget, counter=run.counter)
+        else:
+            proc = ArnoldiProcess(
+                run.op, r, budget, run.opts.scheme, weight=run.weight,
+                counter=run.counter, dtype=run.dtype, _shift=shift)
+        ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=run.dtype)
         rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
-        n = ls.ncols
-        update = proc.V[:, :n] @ ls.solve(n)
-        if shift is None:
-            run.diagnostics["arnoldi"] = _hessenberg(proc)
+        update = proc.eval_basis_combination(ls.solve())
+        if shift is None:  # a copy of the completed (n+1) x n factor
+            n = proc.completed
+            run.diagnostics["arnoldi"] = proc.H[: n + 1, :n].copy()
         else:
             run.diagnostics["reorthogonalizations"] += proc.reorthogonalizations
         return np.asarray(update, dtype=np.float64), rhos, status
@@ -500,20 +556,27 @@ def gmres(A, b, x0=None, opts=None):
     record the true ones. Happy breakdown (an invariant Krylov subspace)
     surfaces as convergence at the grade.
     """
-    opts = opts if opts is not None else GmresOptions()
+    return _restart_driver(A, b, x0, _options("gmres", opts), _arnoldi_cycles)
+
+
+def hh_gmres(A, b, x0=None, opts=None):
+    """gmres with the Householder scheme, the one scheme it takes: the
+    solution update evaluates V_n y through the recursive reflector product
+    rather than storing the basis."""
+    opts = replace(_options("hh-gmres", opts), scheme=OrthoScheme.HOUSEHOLDER)
     return _restart_driver(A, b, x0, opts, _arnoldi_cycles)
 
 
 def _restarted_options(opts, m=30):
-    """opts, or the default options, with restart length m if they set none."""
-    opts = opts if opts is not None else GmresOptions()
+    """opts with restart length m if they set none."""
     return opts if opts.restart is not None else replace(opts, restart=m)
 
 
 def gmres_restarted(A, b, x0=None, opts=None):
     """Restarted GMRES(m), m = opts.restart or 30 when unset; each cycle ends
     with an explicit residual recompute."""
-    return _restart_driver(A, b, x0, _restarted_options(opts), _arnoldi_cycles)
+    opts = _restarted_options(_options("gmres-restarted", opts))
+    return _restart_driver(A, b, x0, opts, _arnoldi_cycles)
 
 
 def _essai_weights(r):
@@ -533,35 +596,9 @@ def weighted_gmres(A, b, x0=None, opts=None):
     weights follow the residual at every restart (Essai's rule), clamped
     below at 1e-10.
     """
-    opts = opts if opts is not None else GmresOptions()
+    opts = _options("weighted-gmres", opts)
     refresh = _essai_weights if opts.weight is None else None
     return _restart_driver(A, b, x0, opts, _arnoldi_cycles, weight_refresh=refresh)
-
-
-# ---------------------------------------------------------------------------
-# Householder GMRES
-
-
-def hh_gmres(A, b, x0=None, opts=None):
-    """GMRES with Householder-reflector orthogonalization.
-
-    The solution update evaluates V_n y through the recursive reflector
-    product rather than storing the basis.
-    """
-    opts = opts if opts is not None else GmresOptions()
-    _reject_weight(opts, "hh_gmres")
-
-    def make_cycle(run):
-        def cycle(r, budget):
-            proc = HouseholderArnoldi(run.op, r, budget, counter=run.counter)
-            ls = HessenbergLsState(proc.max_steps, proc.beta)
-            rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
-            run.diagnostics["arnoldi"] = _hessenberg(proc)
-            return proc.eval_basis_combination(ls.solve()), rhos, status
-
-        return cycle
-
-    return _restart_driver(A, b, x0, opts, make_cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +610,12 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
 
     variant selects the next direction z_n: "sgmres" always reuses v_{n-1},
     "rb" the normalized running residual, and "adaptive" switches on the
-    one-step residual decrease factor omega.  The run is one unrestarted
-    cycle.
+    one-step residual decrease factor opts.simpler_omega.  The run is one
+    unrestarted cycle: opts.restart is ignored.
     """
     if variant not in ("sgmres", "rb", "adaptive"):
         raise ValueError("variant must be sgmres, rb or adaptive")
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, "simpler_gmres")
-    _reject_weight(opts, "simpler_gmres")
+    opts = _options(variant if variant == "sgmres" else f"{variant}-sgmres", opts)
     omega = opts.simpler_omega if variant == "adaptive" else \
         (1.0 if variant == "rb" else 0.0)
 
@@ -636,12 +671,10 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
 # GCR and ORTHODIR
 
 
-def _gcr_like(A, b, x0, opts, direction_rule):
+def _gcr_like(name, A, b, x0, opts, direction_rule):
     """One unrestarted cycle of A-orthogonal directions; direction_rule(op, r,
     aq_last) -> (seed, A seed) proposes the next direction."""
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, "gcr/orthodir")
-    _reject_weight(opts, "gcr/orthodir")
+    opts = _options(name, opts)
 
     def make_cycle(run):
         anorm = operator_norm_estimate(A, run.op, probe=np.asarray(b, dtype=np.float64))
@@ -690,21 +723,23 @@ def _gcr_like(A, b, x0, opts, direction_rule):
 
 def gcr(A, b, x0=None, opts=None):
     """Generalized conjugate residuals; requires a definite symmetric part for
-    guaranteed progress, and reports a breakdown diagnostic otherwise."""
+    guaranteed progress, and reports a breakdown diagnostic otherwise.  One
+    unrestarted cycle: opts.restart is ignored."""
 
     def rule(op, r, aq_last):
         return r, op(r)
 
-    return _gcr_like(A, b, x0, opts, rule)
+    return _gcr_like("gcr", A, b, x0, opts, rule)
 
 
 def orthodir(A, b, x0=None, opts=None):
-    """ORTHODIR: same projection as GCR with directions grown from A q_j."""
+    """ORTHODIR: same projection as GCR with directions grown from A q_j.  One
+    unrestarted cycle: opts.restart is ignored."""
 
     def rule(op, r, aq_last):
         return aq_last, op(aq_last)
 
-    return _gcr_like(A, b, x0, opts, rule)
+    return _gcr_like("orthodir", A, b, x0, opts, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +747,7 @@ def orthodir(A, b, x0=None, opts=None):
 
 
 def _flexible_cycle(run, r0, m, direction_fn):
-    """One MGS cycle where step j expands the basis with A applied to an
+    """One cycle in opts.scheme (a direct one) where step j expands the basis with A applied to an
     arbitrary direction z_j (ArnoldiProcess.step_along).
 
     direction_fn(j, slot, V) -> (z, kind) or None; j is the basis step about
@@ -723,7 +758,7 @@ def _flexible_cycle(run, r0, m, direction_fn):
     FgmresBreakdownError otherwise.  Returns (update, rhos, status, V, Hbar,
     Z, dropped).
     """
-    proc = ArnoldiProcess(run.op, r0, m, counter=run.counter)
+    proc = ArnoldiProcess(run.op, r0, m, run.opts.scheme, counter=run.counter)
     Z = basis(proc.N, proc.max_steps)
     ls = HessenbergLsState(proc.max_steps, proc.beta)
     dropped = 0
@@ -760,9 +795,7 @@ def fgmres(A, b, x0=None, opts=None, precond_sequence=None):
     precond_sequence is a callable (j, v) -> M_j^{-1} v, a sequence of
     Preconditioner objects cycled per step, or None for the identity.
     """
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, "fgmres")  # the sequence argument is the mechanism
-    _reject_weight(opts, "fgmres")
+    opts = _options("fgmres", opts)  # precond_sequence is its preconditioner
     if precond_sequence is None:
         apply_mj = lambda j, v: v
     elif callable(precond_sequence) and not hasattr(precond_sequence, "apply"):
@@ -788,12 +821,11 @@ def fgmres(A, b, x0=None, opts=None, precond_sequence=None):
 
 def _augmented_options(name, opts, N, m1, m2):
     """The options of the augmented solver name, with cycles of m = m1 + m2
-    steps; the default budget covers at least one cycle."""
-    if m1 < 1 or m2 < 0:
-        raise ValueError("need m1 >= 1 and m2 >= 0")
-    opts = opts if opts is not None else GmresOptions()
-    _reject_precond(opts, name)
-    _reject_weight(opts, name)
+    steps in place of opts.restart; the default budget covers at least one
+    cycle."""
+    _check_count("m1", m1, 1)
+    _check_count("m2", m2, 0)
+    opts = _options(name, opts)
     m = m1 + m2
     return replace(opts, restart=m,
                    max_iter=opts.max_iter if opts.max_iter is not None else max(N, m))
@@ -805,7 +837,7 @@ def lgmres(A, b, x0=None, m1=20, m2=3, opts=None):
 
     The u vectors are kept unnormalized; each cycle's search space is spanned
     by the recorded directions so that A Z_m = V_{m+1} Hbar_m holds column by
-    column.
+    column.  Cycles are m1 + m2 steps long: opts.restart is ignored.
     """
     opts = _augmented_options("lgmres", opts, len(b), m1, m2)
 

@@ -2,9 +2,11 @@
 harness gives the bytes of the library call it names, variant option keys
 are checked against the table, and one variant's error does not stop a run."""
 
+import importlib.util
 import json
 import os
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,10 @@ from gmreskit.commavoid import (MonomialBasis, chebyshev_basis_from_warmup,
                                 newton_basis_from_warmup)
 from gmreskit.deflation import (build_poly_preconditioner, harmonic_ritz,
                                 polynomial_preconditioner)
-from gmreskit.harness import (SOLVER_DISPATCH, ConfigError, ExperimentConfig, _run_variant,
-                              _variant_csv, compare, gen_convdiff, run)
+from gmreskit.harness import (SOLVER_DISPATCH, ConfigError, ExperimentConfig, _option_keys,
+                              _run_variant, _variant_csv, compare, gen_convdiff, run)
 from gmreskit.linalg import CsrMatrix, mm_write
-from gmreskit.solvers import DiagonalPreconditioner, GmresOptions
+from gmreskit.solvers import READS, DiagonalPreconditioner, GmresOptions
 
 # dispatch name -> the library call it names, spelled out independently of the table
 DIRECT = {
@@ -72,12 +74,9 @@ def problem():
 def _direct(A, b, name, options):
     """The library call a variant stands for."""
     kw = {k: v for k, v in options.items() if k in PASSED.get(name, {})}
-    fields = {FIELDS[k]: v for k, v in options.items()
-              if k in FIELDS and v != "householder"}
+    fields = {FIELDS[k]: v for k, v in options.items() if k in FIELDS}
     if name == "gmres-restarted":
         fields.setdefault("restart", 30)
-    if options.get("scheme") == "householder" and name in ("gmres", "gmres-restarted"):
-        name = "hh-gmres"
     pc = options.get("preconditioner")
     if pc and pc["kind"] == "jacobi":
         fields.update(precond_side="right", preconditioner=DiagonalPreconditioner(A.diagonal()))
@@ -106,9 +105,18 @@ def _outcome(call):
 
 
 def test_table_names_and_passed_keys():
-    assert list(SOLVER_DISPATCH) == list(DIRECT)
+    assert list(SOLVER_DISPATCH) == list(DIRECT) == list(READS)
     for name, (_, _, passed) in SOLVER_DISPATCH.items():
         assert set(passed) == set(PASSED.get(name, {})), name
+
+
+def test_readme_option_table_is_the_declaration():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("option_table",
+                                                  root / "tools" / "option_table.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.table() in (root / "README.md").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("label", OPTION_SETS)
@@ -212,12 +220,9 @@ class TestOptionKeys:
 
     @pytest.mark.parametrize("name", SOLVER_DISPATCH)
     def test_every_key_an_entry_reads_is_accepted(self, name):
-        options = dict(PASSED.get(name, {}))
-        if name != "gmres-ir":
-            options.update(rtol=1e-8, max_iter=5, restart=4, scheme="mgs", omega=0.5,
-                           preconditioner={"kind": "jacobi"})
-        if name == "sstep-gmres":
-            options["basis"] = "newton"
+        valid = dict(PASSED.get(name, {}), rtol=1e-8, max_iter=5, restart=4, scheme="mgs",
+                     omega=0.5, preconditioner={"kind": "jacobi"}, basis="newton")
+        options = {k: valid[k] for k in _option_keys(name)}
         ExperimentConfig.from_dict(_doc("out", [{"name": "a", "solver": name,
                                                  "options": options}]))
 
@@ -239,15 +244,14 @@ class TestRunErrors:
     def test_variant_error_is_recorded_and_the_run_goes_on(self, tmp_path):
         doc = _doc(tmp_path, [
             {"name": "mgs", "solver": "gmres"},
-            {"name": "fg", "solver": "fgmres",
-             "options": {"preconditioner": {"kind": "jacobi"}}},
+            {"name": "fg", "solver": "fgmres", "options": {"scheme": "icwy"}},
             {"name": "cgs2", "solver": "gmres", "options": {"scheme": "cgs2"}}])
         summary, outdir = run(ExperimentConfig.from_dict(doc))
         assert summary["errors"] == 1
         assert summary["variants"]["fg"] == {
             "solver": "fgmres", "termination": "error",
-            "error": "ValueError: fgmres does not support one-sided preconditioning; "
-                     "precondition the operator explicitly"}
+            "error": "ValueError: fgmres does not run opts.scheme icwy; "
+                     "it runs mgs, cgs, cgs2, cgsp"}
         assert summary["variants"]["cgs2"]["termination"] == "converged"
         with open(os.path.join(outdir, "summary.json")) as fh:
             assert json.load(fh) == summary
@@ -319,8 +323,7 @@ class TestParseTimeChecks:
 
 class TestCompareErrors:
     DOC_VARIANTS = [{"name": "mgs", "solver": "gmres"},
-                    {"name": "fg", "solver": "fgmres",
-                     "options": {"preconditioner": {"kind": "jacobi"}}}]
+                    {"name": "fg", "solver": "fgmres", "options": {"scheme": "icwy"}}]
 
     def test_error_row_has_empty_count_cells(self, tmp_path):
         rows, table = compare(ExperimentConfig.from_dict(_doc(tmp_path, self.DOC_VARIANTS)))

@@ -1,6 +1,7 @@
 """Contracts of the shared restart driver, checked across the solver catalogue."""
 
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from gmreskit import (DiagonalPreconditioner, GmresOptions, fgmres, gcr, gmres,
                       simpler_gmres, sstep_gmres, weighted_gmres)
 from gmreskit import mixedprec
 from gmreskit.commavoid import MonomialBasis
-from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff
+from gmreskit.harness import SOLVER_DISPATCH, gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix, HessenbergLsState
-from gmreskit.ortho import OrthogonalizationBreakdown
-from gmreskit.solvers import _essai_weights, _givens_cycle
+from gmreskit.ortho import OrthogonalizationBreakdown, OrthoScheme
+from gmreskit.solvers import READS, _essai_weights, _givens_cycle
 
 # dispatch name -> solve(A, b, x0, opts); every restarting entry cycles 8 steps
 SOLVE = {
@@ -329,3 +330,83 @@ def test_householder_solve_holds_one_basis_of_reflectors():
         tracemalloc.stop()
     assert rep.restarts == 2
     assert peak < 1.5 * N * (m + 1) * 8
+
+
+# the entries whose cycle length is fixed: they accept restart and ignore it
+FIXED_CYCLE = {"sgmres": simpler_gmres, "rb-sgmres": simpler_gmres,
+               "adaptive-sgmres": simpler_gmres, "gcr": gcr, "orthodir": orthodir,
+               "lgmres": lgmres, "gmres-e": gmres_e, "sstep-gmres": sstep_gmres}
+
+
+def _use_case(name, problem):
+    """(A, b, the default options, solve(opts)) of one entry; refinement gets
+    its inner options and a problem on which its inner solves take 2 steps."""
+    if name == "gmres-ir":
+        A = gen_spectrum(np.geomspace(1e-6, 1.0, 64), seed=5)
+        b = np.random.default_rng(8).standard_normal(64)
+        return A, b, GmresOptions(rtol=1e-4, restart=50, max_iter=200), \
+            lambda o: gmres_ir(A, b, inner_opts=o)
+    A, b = problem
+    return A, b, GmresOptions(), lambda o: SOLVE[name](A, b, None, o)
+
+
+def _non_default(field, A, calls):
+    """Keywords that set field off its default; precond_side comes with a
+    preconditioner, and the callback records its iterations in calls."""
+    M = DiagonalPreconditioner(A.diagonal())
+    return {
+        "rtol": {"rtol": 1e-2},
+        "max_iter": {"max_iter": 1},
+        "restart": {"restart": 1},
+        "scheme": {"scheme": "cgs2"},
+        "precond_side": {"precond_side": "left", "preconditioner": M},
+        "preconditioner": {"preconditioner": M},
+        "weight": {"weight": np.linspace(0.5, 2.0, A.shape[0])},
+        "simpler_omega": {"simpler_omega": 0.9},
+        "iteration_callback": {"iteration_callback": lambda k, value: calls.append(k)},
+    }[field]
+
+
+def _result(rep):
+    return (rep.x.tobytes(), np.asarray(rep.residual_history).tobytes(),
+            rep.iterations, rep.restarts, rep.matvecs, rep.reductions, rep.termination)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(GmresOptions)])
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_every_option_is_used_or_refused(problem, name, field):
+    A, b, default, solve = _use_case(name, problem)
+    calls = []
+    opts = replace(default, **_non_default(field, A, calls))
+    if field == "restart" and name in FIXED_CYCLE:
+        assert _result(solve(opts)) == _result(solve(default))
+        assert "opts.restart is ignored" in " ".join(FIXED_CYCLE[name].__doc__.split())
+        return
+    try:
+        rep = solve(opts)
+    except ValueError as exc:
+        assert f"opts.{field}" in str(exc)
+        assert field not in READS[name][0] or field in ("scheme", "preconditioner")
+        return
+    assert field in READS[name][0]
+    assert _result(rep) != _result(solve(default)) or calls
+
+
+@pytest.mark.parametrize("scheme", [s.value for s in OrthoScheme])
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_each_entry_runs_the_schemes_it_declares(problem, name, scheme):
+    _, _, default, solve = _use_case(name, problem)
+    opts = replace(default, scheme=scheme)
+    if scheme == "mgs" or scheme in READS[name][1]:
+        assert solve(opts).iterations > 0
+    else:
+        with pytest.raises(ValueError, match="opts.scheme"):
+            solve(opts)
+
+
+def test_hh_gmres_is_gmres_with_the_householder_scheme(problem):
+    A, b = problem
+    opts = GmresOptions(rtol=1e-10, restart=8)
+    hh = hh_gmres(A, b, opts=opts)
+    assert hh.converged and hh.restarts >= 1
+    assert _result(hh) == _result(gmres(A, b, opts=replace(opts, scheme="householder")))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmreskit import gmres_e, gmres_ir, gmres_two_precision, sstep_gmres
 from gmreskit.harness import gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix
 from gmreskit.ortho import arnoldi
@@ -594,3 +595,107 @@ class TestOptionValidation:
         with pytest.raises(ValueError, match="max_iter"):
             GmresOptions(max_iter=-1)
         assert GmresOptions(max_iter=0).max_iter == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iter", 2.5), ("max_iter", True), ("max_iter", "8"),
+        ("restart", 2.5), ("restart", True), ("restart", np.float64(8.0)),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            GmresOptions(**{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        opts = GmresOptions(max_iter=np.int64(12), restart=np.int32(4))
+        A = gen_convdiff(6, 6, peclet=2.0)
+        ref = gmres(A, np.ones(36), opts=GmresOptions(max_iter=12, restart=4))
+        assert gmres(A, np.ones(36), opts=opts).x.tobytes() == ref.x.tobytes()
+
+    @pytest.mark.parametrize("call,arg", [
+        (lambda A, b: sstep_gmres(A, b, s=2.5, t=2), "s"),
+        (lambda A, b: sstep_gmres(A, b, s=2, t=False), "t"),
+        (lambda A, b: lgmres(A, b, m1=2.5, m2=1), "m1"),
+        (lambda A, b: gmres_e(A, b, m1=4, m2=1.0), "m2"),
+        (lambda A, b: gmres_ir(A, b, max_refinements=2.5),
+         "max_refinements"),
+    ])
+    def test_solver_counts_must_be_integers(self, call, arg):
+        A = gen_convdiff(6, 6, peclet=2.0)
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer, got "):
+            call(A, np.ones(36))
+
+    @pytest.mark.parametrize("weight,message", [
+        (np.full(36, np.inf), "weight must be finite"),
+        (np.full(36, np.nan), "weight must be finite"),
+        (np.ones((36, 1)), r"weight must be 1-D, got shape \(36, 1\)"),
+        (np.ones(36) + 1j, "weight must be real"),
+    ])
+    def test_rejects_a_weight_that_is_not_a_finite_vector(self, weight, message):
+        with pytest.raises(ValueError, match=message):
+            GmresOptions(weight=weight)
+
+    @pytest.mark.parametrize("solve", [gmres, weighted_gmres])
+    def test_rejects_a_weight_of_another_length(self, solve):
+        A = gen_convdiff(6, 6, peclet=2.0)
+        with pytest.raises(ValueError, match=r"opts.weight must have b's shape \(36,\), "
+                                             r"got \(3,\)"):
+            solve(A, np.ones(36), opts=GmresOptions(weight=np.ones(3)))
+
+    def test_householder_scheme_takes_no_weight(self):
+        with pytest.raises(ValueError, match="householder scheme takes no weight"):
+            GmresOptions(scheme="householder", weight=np.ones(4))
+
+    @pytest.mark.parametrize("M", [3, "jacobi", np.ones(4)])
+    def test_rejects_a_preconditioner_without_apply_that_is_not_callable(self, M):
+        with pytest.raises(ValueError, match="^preconditioner must have an apply method"):
+            GmresOptions(precond_side="right", preconditioner=M)
+
+    def test_a_callable_preconditioner_is_accepted(self):
+        A = gen_convdiff(6, 6, peclet=2.0)
+        d = A.diagonal()
+        rep = gmres(A, np.ones(36), opts=GmresOptions(
+            rtol=1e-10, precond_side="right", preconditioner=lambda v: v / d))
+        ref = gmres(A, np.ones(36), opts=GmresOptions(
+            rtol=1e-10, precond_side="right", preconditioner=DiagonalPreconditioner(d)))
+        assert rep.x.tobytes() == ref.x.tobytes()
+
+
+class TestStructuralReductionCounts:
+    """Modeled reductions of the entries that acceptance criterion 12 and
+    TestHhGmres do not pin, on convdiff 10^2 (Peclet 10) at rtol 1e-14."""
+
+    A = gen_convdiff(10, 10, peclet=10.0)
+    b = np.ones(100)
+
+    @pytest.mark.parametrize("solve", [gcr, orthodir])
+    def test_gcr_like(self, solve):
+        # step 1: (Aq, Aq), (r, Aq) and ||r||; every later step adds the
+        # batched A-orthogonalization: 4n - 1 in n steps
+        rep = solve(self.A, self.b, opts=GmresOptions(rtol=1e-14, max_iter=12))
+        assert (rep.iterations, rep.reductions) == (12, 4 * 12 - 1)
+
+    @pytest.mark.parametrize("variant", ["sgmres", "rb", "adaptive"])
+    def test_simpler_family(self, variant):
+        # step j (1-based): the MGS pass of A z_j over j - 1 columns and its
+        # norm, then (r, v_j) and ||r||: j + 2, so n(n + 5)/2 in n steps
+        rep = simpler_gmres(self.A, self.b, opts=GmresOptions(rtol=1e-14, max_iter=12),
+                            variant=variant)
+        assert (rep.iterations, rep.reductions) == (12, 12 * 17 // 2)
+
+    @pytest.mark.parametrize("solve", [
+        lambda A, b: fgmres(A, b, opts=GmresOptions(rtol=1e-14, restart=12, max_iter=24)),
+        lambda A, b: lgmres(A, b, m1=9, m2=3, opts=GmresOptions(rtol=1e-14, max_iter=24)),
+        lambda A, b: gmres_two_precision(
+            A, b, opts=GmresOptions(rtol=1e-14, restart=12, max_iter=24)),
+    ], ids=["fgmres", "lgmres", "two-precision"])
+    def test_mgs_cycles(self, solve):
+        # an MGS cycle of m steps: the norm of r0, then j + 1 in step j,
+        # 1 + m(m + 3)/2 in all
+        rep = solve(self.A, self.b)
+        assert (rep.iterations, rep.restarts) == (24, 1)
+        assert rep.reductions == 2 * (1 + 12 * 15 // 2) == 182
+
+    def test_gmres_ir_counts_no_inner_reduction(self):
+        # its inner binary32 solves keep their reductions on a private
+        # counter, so the report has none (ROADMAP item 1)
+        rep = gmres_ir(self.A, self.b)
+        assert rep.converged and rep.reductions == 0

@@ -9,11 +9,13 @@ on five problems with max_iter 13 and 60, restart unset and 8, and x0 zero
 and random (rtol 1e-8, seeded right-hand sides), 800 cases in all.  It also
 runs each SOLVER_DISPATCH name through harness._run_variant, as the CLI does,
 with options rtol 1e-8 and max_iter 60, on each problem: 85 more cases, keyed
-"harness:<name>".  The problems are convdiff 10x10 and
-32x32 (Peclet 10); convdiff 4x4, whose grade the budgets reach; a singular
-operator with eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues
-geometrically spaced over [1e-6, 1] (condition number 1e6).  The last three
-drive the solvers into their breakdown, stagnation and exception exits.
+"harness:<name>", and gmres and gmres-restarted with scheme householder as
+well: 10 more, keyed "harness:<name>+householder", 895 cases in all.  The
+problems are convdiff 10x10 and 32x32 (Peclet 10); convdiff 4x4, whose grade
+the budgets reach; a singular operator with eigenvalues 0, 0, 1, ..., 6; and
+one with 40 eigenvalues geometrically spaced over [1e-6, 1] (condition number
+1e6).  The last three drive the solvers into their breakdown, stagnation and
+exception exits.
 It writes each report's counts, termination, x, residual history,
 true-residual checkpoints, reduction log and marks, and the diagnostics
 counters reorthogonalizations, dropped_augmentations, augmented_cycles and
@@ -128,10 +130,16 @@ def cases():
                         yield (f"{name} {label} max_iter={max_iter} "
                                f"restart={restart} x0={x0_kind}",
                                partial(SOLVE[name], A, b, x0, opts))
-        # the CLI path: each dispatch name as harness.run hands it over
+        # the CLI path: each dispatch name as harness.run hands it over, and
+        # the two GMRES entries with the Householder scheme
         for name in SOLVER_DISPATCH:
             variant = {"solver": name, "options": {"rtol": 1e-8, "max_iter": 60}}
             yield f"harness:{name} {label} max_iter=60", partial(_run_variant, A, b, variant)
+        for name in ("gmres", "gmres-restarted"):
+            variant = {"solver": name, "options": {"rtol": 1e-8, "max_iter": 60,
+                                                   "scheme": "householder"}}
+            yield (f"harness:{name}+householder {label} max_iter=60",
+                   partial(_run_variant, A, b, variant))
 
 
 def operators():
