@@ -14,7 +14,7 @@ import numpy as np
 
 from .deflation import _check_conjugate_pairs, leja_order
 from .linalg import HessenbergLsState, as_matvec, dense_eig_general
-from .ortho import OrthogonalizationBreakdown, OrthoScheme, arnoldi, basis
+from .ortho import OrthogonalizationBreakdown, OrthoScheme, ReductionCounter, arnoldi, basis
 from .solvers import _arnoldi_cycles, _check_count, _givens_cycle, _options, _restart_driver
 
 __all__ = [
@@ -255,9 +255,7 @@ def bgs_project(Vprev, W, counter=None):
     W = np.asarray(W, dtype=np.float64)
     if Vprev is None or Vprev.size == 0:
         return np.zeros((0, W.shape[1])), W.copy()
-    R = Vprev.T @ W
-    if counter is not None:
-        counter.count()
+    R = (counter or ReductionCounter()).dots(Vprev, W)
     return R, W - Vprev @ R
 
 
@@ -354,7 +352,8 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
 def _sstep_cycle(run, r, s, t, spec, budget):
     counter = run.counter
     N = len(r)
-    beta = float(np.linalg.norm(r))
+    with counter.step():  # block 0's bucket, which holds the entry normalization
+        beta = counter.norm(r)
     blocks = min(t, max(1, -(-budget // s)))
     fV = basis(N, s * blocks + 1)  # orthonormal basis, fH.shape[0] columns in use
     ls = HessenbergLsState(budget, beta)
@@ -365,45 +364,27 @@ def _sstep_cycle(run, r, s, t, spec, budget):
         return int(cut[0]) if len(cut) else None
 
     def steps():
-        fH = None                  # running Hessenberg, (n+1) x n
+        fH = Racc = None           # running Hessenberg, (n+1) x n
         for j in range(blocks):
-            counter.begin_step()
-            if j == 0:
-                counter.count()             # entry normalization of the cycle
-                W, Bbar = build_basis(run.op, r / beta, s, spec)
-                tree = tsqr(W, min(_TSQR_BLOCKS, max(1, N // (s + 1))))
-                counter.count()             # one TSQR tree
+            with counter if j == 0 else counter.step():
+                nv = fH.shape[0] if j else 0  # basis vectors before the block
+                W, Bbar = build_basis(run.op, fV[:, nv - 1] if j else r / beta, s, spec)
+                if j:  # the block start already sits in the basis
+                    Racc, W = bgs_project(fV[:, :nv], W[:, 1:], counter)
+                with counter.batch():       # one TSQR tree
+                    tree = tsqr(W, min(_TSQR_BLOCKS, max(1, N // W.shape[1])))
+                # a vanishing diagonal at c means column c of W is dependent:
+                # the block keeps c + 1 new basis vectors, and the assembled
+                # columns end with a ~0 subdiagonal (the grade)
                 cut = diag_cut(tree.R)
-                # a vanishing diagonal at c means basis vector c is dependent:
-                # the assembled columns then end with a ~0 subdiagonal (grade)
-                p = s if cut is None else cut
-                grade_hit = p < s
+                kept = W.shape[1] if cut is None else cut + 1
+                p = kept if j else kept - 1  # new Hessenberg columns
                 if p == 0:
-                    counter.end_step()
                     raise OrthogonalizationBreakdown("s-step block starts singular")
-                fV[:, : p + 1] = tree.q_explicit()[:, : p + 1]
-                Twin = tree.R[: p + 1, : p + 1]
-                Bblock = Bbar[: p + 1, :p]
-                fH = _assemble_sstep_hessenberg(None, None, Twin, Bblock, None)
-            else:
-                nv = fH.shape[0]
-                W, Bbar = build_basis(run.op, fV[:, nv - 1], s, spec)
-                Wacc = W[:, 1:]
-                Racc, Wacc = bgs_project(fV[:, :nv], Wacc, counter)
-                tree = tsqr(Wacc, min(_TSQR_BLOCKS, max(1, N // s)))
-                counter.count()
-                cut = diag_cut(tree.R)
-                # here the block start already sits in the basis, so a dependency
-                # at c still yields c+1 assembled columns, the last with a ~0
-                # subdiagonal carried by the vanishing triangular entry
-                pc = s if cut is None else cut + 1
-                grade_hit = cut is not None
-                fV[:, nv: nv + pc] = tree.q_explicit()[:, :pc]
-                Twin = tree.R[:pc, :pc]
-                Racc = Racc[:, :pc]
-                Bblock = Bbar[: pc + 1, :pc]
-                fH = _assemble_sstep_hessenberg(fH, Racc, Twin, Bblock, fH[-1, -1])
-            counter.end_step()
+                grade_hit = cut is not None and cut < s
+                fV[:, nv: nv + kept] = tree.q_explicit()[:, :kept]
+                fH = _assemble_sstep_hessenberg(fH, Racc, tree.R[:kept, :kept],
+                                                Bbar[: p + 1, :p])
             run.diagnostics["arnoldi"] = fH
             yield fH, fH.shape[1], False
             if grade_hit:
@@ -417,13 +398,13 @@ def _sstep_cycle(run, r, s, t, spec, budget):
     return update, rhos, status
 
 
-def _assemble_sstep_hessenberg(fH, Racc, Tfull, Bblock, eta):
+def _assemble_sstep_hessenberg(fH, Racc, Tfull, Bblock):
     """Splice one block's factors into the running Hessenberg matrix.
 
     First block: Hbar = T_{p+1} Bbar T_p^{-1}.  Later blocks build the
-    bordered conversion and triangular matrices and form
-    T_{n+p+1} Bfrak T_{n+p}^{-1}; the previously assembled columns are
-    unchanged by construction.
+    bordered conversion and triangular matrices from the leading p columns
+    of the projection coefficients Racc and form T_{n+p+1} Bfrak T_{n+p}^{-1};
+    the previously assembled columns are unchanged by construction.
     """
     p = Bblock.shape[1]
     if fH is None:
@@ -432,10 +413,10 @@ def _assemble_sstep_hessenberg(fH, Racc, Tfull, Bblock, eta):
         n_prev = fH.shape[1]
         Bfrak = np.zeros((n_prev + p + 1, n_prev + p))
         Bfrak[:n_prev, :n_prev] = fH[:n_prev, :n_prev]
-        Bfrak[n_prev, n_prev - 1] = eta
+        Bfrak[n_prev, n_prev - 1] = fH[-1, -1]
         Bfrak[n_prev:, n_prev:] = Bblock
         Tbig = np.eye(n_prev + p + 1)
-        Tbig[: n_prev + 1, n_prev + 1:] = Racc
+        Tbig[: n_prev + 1, n_prev + 1:] = Racc[:, :p]
         Tbig[n_prev + 1:, n_prev + 1:] = Tfull
     Tsub = Tbig[: n_prev + p, : n_prev + p]
     M = Tbig @ Bfrak

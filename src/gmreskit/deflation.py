@@ -302,7 +302,7 @@ def gmres_e(A, b, x0=None, m1=20, m2=2, opts=None):
     augmentation columns are dropped and counted in the diagnostics.  Cycles
     are m1 + m2 steps long: opts.restart is ignored.
     """
-    opts = _augmented_options("gmres-e", opts, len(b), m1, m2)
+    opts = _augmented_options("gmres-e", opts, b, m1, m2)
 
     def make_cycle(run):
         aug = []            # harmonic Ritz vectors carried to the next cycle

@@ -5,9 +5,13 @@ V[:, i] is contiguous), and every caller projects against one through the
 same two Gram-Schmidt kernels: ``mgs_pass`` (modified, a column at a time)
 and ``cgs2_pass`` (classical, twice, in batched products).
 
-Every scheme builds the relation A V_n = V_{n+1} Hbar_n and is instrumented
-with a counter of modeled global reductions: one reduction = one batch of
-inner products / norms whose operands are all available at the same time.
+Every scheme builds the relation A V_n = V_{n+1} Hbar_n.  One modeled global
+reduction is one batch of inner products / norms whose operands are all
+available at the same time, and the ReductionCounter primitive that computes
+it counts it (dots, norm, or a batch() around several).  The drivers' own
+norms are outside the model and uncounted: ||b|| for the tolerance, the
+initial residual norm, the explicit residual norm after each cycle, and
+GMRES-IR's outer residual norms.
 Per-step costs are structural properties of each scheme:
 
     MGS        j+1   (j sequential projections plus the norm)
@@ -67,8 +71,10 @@ class OrthogonalizationBreakdown(RuntimeError):
 
 
 class ReductionCounter:
-    """Counts modeled global reductions, optionally bucketed per Arnoldi step,
-    and the operator products made through counted(matvec).
+    """Counts modeled global reductions, each by the primitive that computes
+    it (dots, norm, or one per batch() block around them), optionally
+    bucketed per Arnoldi step (step()), and the operator products made
+    through counted(matvec).
 
     marks snapshots the running total once per delivered solver iteration so
     reports can expose exact cumulative counts.
@@ -80,18 +86,12 @@ class ReductionCounter:
         self.per_step = []
         self.marks = []
         self._in_step = False
+        self._per_call = 1  # what each dots or norm adds: 0 inside a batch
 
     def count(self, n=1):
         self.total += n
         if self._in_step:
             self.per_step[-1] += n
-
-    def begin_step(self):
-        self.per_step.append(0)
-        self._in_step = True
-
-    def end_step(self):
-        self._in_step = False
 
     def mark(self):
         self.marks.append(self.total)
@@ -103,6 +103,51 @@ class ReductionCounter:
             return matvec(v)
 
         return product
+
+    def dots(self, B, w, weight=None):
+        """B^T w, or B^T D w with the diagonal weight D: one reduction."""
+        self.count(self._per_call)
+        return B.T @ w if weight is None else B.T @ (weight * w)
+
+    def norm(self, w, weight=None):
+        """The (D-)norm of w as a float: one reduction."""
+        self.count(self._per_call)
+        return weighted_norm(w, weight)
+
+    def batch(self):
+        """A block whose dots and norms, however many, are one reduction."""
+        return self._Batch(self)
+
+    def step(self):
+        """Open a per-step bucket; returns the counter, whose with-block counts
+        into the newest bucket until it exits, also on a raise."""
+        self.per_step.append(0)
+        return self
+
+    def __enter__(self):
+        self._in_step = True
+
+    def __exit__(self, *exc):
+        self._in_step = False
+
+    def begin_step(self):
+        self.step().__enter__()
+
+    end_step = __exit__
+
+    class _Batch:
+        """batch()'s block (a contextlib.contextmanager costs five times more)."""
+        __slots__ = ("counter",)
+
+        def __init__(self, counter):
+            self.counter = counter
+
+        def __enter__(self):
+            self.counter._per_call = 0
+
+        def __exit__(self, *exc):
+            self.counter._per_call = 1
+            self.counter.count()
 
 
 @dataclass
@@ -133,10 +178,6 @@ class ArnoldiDecomposition:
         return float(np.linalg.norm(G - np.eye(G.shape[0]), 2))
 
 
-def _ip_block(B, w, weight=None):
-    return B.T @ w if weight is None else B.T @ (weight * w)
-
-
 def weighted_norm(w, weight=None):
     if weight is None:
         return float(np.linalg.norm(w))
@@ -160,13 +201,10 @@ def mgs_pass(V, k, w, counter, weight=None):
         tmp = np.empty_like(w)
     for i in range(k):
         v = V[:, i]
-        h[i] = _ip_block(v, w, weight)
-        counter.count()
+        h[i] = counter.dots(v, w, weight)
         np.multiply(v, h[i], out=tmp)
         w -= tmp
-    h_sub = weighted_norm(w, weight)
-    counter.count()
-    return h, w, h_sub
+    return h, w, counter.norm(w, weight)
 
 
 def cgs2_pass(V, w, counter, weight=None):
@@ -175,15 +213,11 @@ def cgs2_pass(V, w, counter, weight=None):
     weight is given.  Returns (coefficients, projected w, its norm); the two
     projections and the norm count as three reductions.
     """
-    h1 = _ip_block(V, w, weight)
-    counter.count()
+    h1 = counter.dots(V, w, weight)
     w = w - V @ h1
-    h2 = _ip_block(V, w, weight)
-    counter.count()
+    h2 = counter.dots(V, w, weight)
     w = w - V @ h2
-    h_sub = weighted_norm(w, weight)
-    counter.count()
-    return h1 + h2, w, h_sub
+    return h1 + h2, w, counter.norm(w, weight)
 
 
 class ArnoldiProcess:
@@ -232,8 +266,7 @@ class ArnoldiProcess:
             raise ValueError("weights must be positive")
 
         r0 = np.asarray(r0, dtype=dtype)
-        self.beta = weighted_norm(r0, self.weight)
-        self.counter.count()  # initial normalization
+        self.beta = self.counter.norm(r0, self.weight)  # initial normalization
         if self.beta == 0.0:
             raise ValueError("starting vector must be nonzero")
         self.V = basis(self.N, max_steps + 1, dtype)
@@ -260,16 +293,13 @@ class ArnoldiProcess:
             raise RuntimeError("process already broke down")
         if self.steps >= self.max_steps:
             raise RuntimeError("max_steps exhausted")
-        self.counter.begin_step()
-        try:
+        with self.counter.step():
             if self.scheme is OrthoScheme.ICWY:
                 self._step_icwy()
             elif self.W is not None:
                 self._step_pipelined()
             elif not self._step_direct():
                 return self.completed
-        finally:
-            self.counter.end_step()
         self.steps += 1
         return self.completed
 
@@ -330,17 +360,15 @@ class ArnoldiProcess:
         if self.scheme is OrthoScheme.MGS:
             h, w, h_sub = mgs_pass(self.V, j + 1, w, self.counter, self.weight)
         elif self.scheme is OrthoScheme.CGS:
-            h = _ip_block(V, w, self.weight)
-            self.counter.count()
+            h = self.counter.dots(V, w, self.weight)
             w = w - V @ h
-            h_sub = weighted_norm(w, self.weight)
-            self.counter.count()
+            h_sub = self.counter.norm(w, self.weight)
         elif self.scheme is OrthoScheme.CGS2:
             h, w, h_sub = cgs2_pass(V, w, self.counter, self.weight)
         elif self.scheme is OrthoScheme.CGSP:
-            h = _ip_block(V, w, self.weight)
-            sigma = weighted_norm(w, self.weight)  # shares the batch with the projections
-            self.counter.count()
+            with self.counter.batch():  # the projections and the norm
+                h = self.counter.dots(V, w, self.weight)
+                sigma = self.counter.norm(w, self.weight)
             h, w_retry, h_sub = self._cgsp_norm(j, V, w, h, sigma * sigma)
             w = w - V @ h if w_retry is None else w_retry
         else:  # pragma: no cover
@@ -351,9 +379,9 @@ class ArnoldiProcess:
         j = self.steps
         V = self.V[:, : j + 1]
         wj = self.W[:, j]
-        c = _ip_block(V, wj, self.weight)
-        sigma_sq = float(_ip_block(wj, wj, self.weight))
-        self.counter.count()                # merged projections + squared norm
+        with self.counter.batch():          # merged projections + squared norm
+            c = self.counter.dots(V, wj, self.weight)
+            sigma_sq = float(self.counter.dots(wj, wj, self.weight))
         u = np.asarray(self.matvec(wj), dtype=self.dtype)  # next product, overlappable
         # v_{j+1} comes from w_j and the combined coefficients, also after a retry
         c, _, h_sub = self._cgsp_norm(j, V, wj, c, sigma_sq)
@@ -370,8 +398,7 @@ class ArnoldiProcess:
         if k == 0:
             # inferred first step: w1 = A v1, projected against v1 only
             w = np.asarray(self.matvec(self.V[:, 0]), dtype=self.dtype)
-            h00 = _ip_block(self.V[:, 0], w, self.weight)
-            self.counter.count()
+            h00 = self.counter.dots(self.V[:, 0], w, self.weight)
             self.H[0, 0] = h00
             self._w_pending = w - h00 * self.V[:, 0]
             self.completed = 0
@@ -381,12 +408,12 @@ class ArnoldiProcess:
         # one merged reduction: the L-row for the incoming basis vector, the
         # projections of A w_pending, and the deferred normalization
         Vk = self.V[:, :k]
-        l_row = _ip_block(Vk, wp, self.weight)
         u = np.empty(k + 1, dtype=self.dtype)
-        u[:k] = _ip_block(Vk, w_new, self.weight)
-        u[k] = _ip_block(wp, w_new, self.weight)
-        h_sub = weighted_norm(wp, self.weight)
-        self.counter.count()
+        with self.counter.batch():
+            l_row = self.counter.dots(Vk, wp, self.weight)
+            u[:k] = self.counter.dots(Vk, w_new, self.weight)
+            u[k] = self.counter.dots(wp, w_new, self.weight)
+            h_sub = self.counter.norm(wp, self.weight)
         self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
         if self.breakdown_at is not None:
             return
@@ -404,8 +431,7 @@ class ArnoldiProcess:
                 and self.steps > 0 and self.completed < self.steps):
             k = self.steps
             wp = self._w_pending
-            h_sub = weighted_norm(wp, self.weight)
-            self.counter.count()  # trailing batch of the deferred normalization
+            h_sub = self.counter.norm(wp, self.weight)  # the deferred normalization
             self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
 
     def eval_basis_combination(self, y):
@@ -477,8 +503,7 @@ class HouseholderArnoldi:
         self.counter = counter if counter is not None else ReductionCounter()
         self.max_steps = min(max_steps, self.N)
         r0 = np.asarray(r0, dtype=np.float64)
-        self.beta = np.linalg.norm(r0)
-        self.counter.count()
+        self.beta = self.counter.norm(r0)
         if self.beta == 0.0:
             raise ValueError("starting vector must be nonzero")
         w1 = r0.copy()
@@ -492,8 +517,7 @@ class HouseholderArnoldi:
         self.breakdown_at = None
 
     def _reflector(self, w):
-        nrm2 = float(w @ w)
-        self.counter.count()
+        nrm2 = float(self.counter.dots(w, w))
         if nrm2 == 0.0:
             return None
         return (w, 2.0 / nrm2)
@@ -503,8 +527,7 @@ class HouseholderArnoldi:
         if item is None:
             return x
         w, tau = item
-        self.counter.count()
-        return x - (tau * float(w @ x)) * w
+        return x - (tau * float(self.counter.dots(w, x))) * w
 
     def basis_vector(self, j):
         """v_{j+1} = P_1 ... P_{j+1} e_{j+1} with the logical sign applied."""
@@ -518,26 +541,25 @@ class HouseholderArnoldi:
         j = self.steps
         if self.breakdown_at is not None or j >= self.max_steps:
             raise RuntimeError("cannot step further")
-        self.counter.begin_step()
-        u = self.matvec(self.basis_vector(j))
-        for idx in range(j + 1):
-            u = self._apply(idx, u)
-        tail = u[j + 1:]
-        tail_norm = float(np.linalg.norm(tail))
-        self.counter.count()
-        col_scale = float(np.linalg.norm(u[: j + 2]))
-        if tail_norm <= BREAKDOWN_REL * max(col_scale, tail_norm):
-            # happy breakdown: the column's upper entries are still valid
-            reflector, h_sub, sub_sign = None, 0.0, 1.0
-            self.breakdown_at = j + 1
-        else:
-            w = np.zeros(self.N)
-            s = _sign(u[j + 1])
-            w[j + 1:] = tail
-            w[j + 1] += s * tail_norm
-            reflector = self._reflector(w)
-            h_sub = -s * tail_norm
-            sub_sign = _sign(h_sub)
+        with self.counter.step():
+            u = self.matvec(self.basis_vector(j))
+            for idx in range(j + 1):
+                u = self._apply(idx, u)
+            tail = u[j + 1:]
+            tail_norm = self.counter.norm(tail)
+            col_scale = float(np.linalg.norm(u[: j + 2]))
+            if tail_norm <= BREAKDOWN_REL * max(col_scale, tail_norm):
+                # happy breakdown: the column's upper entries are still valid
+                reflector, h_sub, sub_sign = None, 0.0, 1.0
+                self.breakdown_at = j + 1
+            else:
+                w = np.zeros(self.N)
+                s = _sign(u[j + 1])
+                w[j + 1:] = tail
+                w[j + 1] += s * tail_norm
+                reflector = self._reflector(w)
+                h_sub = -s * tail_norm
+                sub_sign = _sign(h_sub)
         self.reflectors.append(reflector)
         self.sign.append(sub_sign)
         # u was formed from the sign-normalized basis vector, so the raw
@@ -545,7 +567,6 @@ class HouseholderArnoldi:
         # the per-row signs.
         self.H[: j + 1, j] = np.array(self.sign[: j + 1]) * u[: j + 1]
         self.H[j + 1, j] = sub_sign * h_sub
-        self.counter.end_step()
         self.steps += 1
         self.completed = j + 1
         return self.completed

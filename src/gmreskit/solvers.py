@@ -203,7 +203,11 @@ class SolveReport:
 
     matvecs counts the products of A, in any dtype, that the solve's cycles,
     residual recomputes and breakdown scale make, and reductions the
-    modeled global reductions of its cycles.  Neither covers the products
+    modeled global reductions of its cycles, each counted by the counter
+    primitive that computes it (ortho.ReductionCounter).  The driver's own
+    norms are outside the model and uncounted: ||b|| for tol_ref, the
+    initial residual norm, the explicit residual norm after each cycle, and
+    GMRES-IR's outer residual norms.  Neither count covers the products
     inside a preconditioner's apply, pipelined's warm-up Arnoldi, s-step's
     warm-up for a named basis, the polynomial preconditioner's build, or
     GMRES-IR's inner reductions (ROADMAP item 1).
@@ -646,11 +650,9 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
                 T[j, j] = t_jj
                 V[:, j] = w / t_jj
                 Z[:, j] = z
-                alpha[j] = float(r @ V[:, j])
-                run.counter.count()
+                alpha[j] = run.counter.dots(r, V[:, j])
                 r = r - alpha[j] * V[:, j]
-                rho = float(np.linalg.norm(r))
-                run.counter.count()
+                rho = run.counter.norm(r)
                 rho_prev2 = rho_prev
                 rhos.append(rho)
                 n = j + 1
@@ -692,25 +694,21 @@ def _gcr_like(name, A, b, x0, opts, direction_rule):
                 else:
                     # next direction: seed w and its image A w, then A-orthogonalize
                     seed, aseed = direction_rule(run.op, r, AQ[:, k - 1])
-                    betas = -(AQ[:, :k].T @ aseed) / aq_sq[:k]
-                    run.counter.count()
+                    betas = -run.counter.dots(AQ[:, :k], aseed) / aq_sq[:k]
                     q = seed + Q[:, :k] @ betas
                     aq = aseed + AQ[:, :k] @ betas
                 Q[:, k] = q
                 AQ[:, k] = aq
-                denom = float(aq @ aq)
-                run.counter.count()
+                denom = float(run.counter.dots(aq, aq))
                 aq_sq[k] = denom
                 if denom <= 1e-28 * anorm * anorm:
                     status = "breakdown"
                     run.diagnostics["breakdown_reason"] = "indefinite symmetric part"
                     break
-                alpha = float(r @ aq) / denom
-                run.counter.count()
+                alpha = float(run.counter.dots(r, aq)) / denom
                 update = update + alpha * q
                 r = r - alpha * aq
-                rhos.append(float(np.linalg.norm(r)))
-                run.counter.count()
+                rhos.append(run.counter.norm(r))
                 if run.emit(rhos[-1]):
                     status = "converged"
                     break
@@ -819,16 +817,16 @@ def fgmres(A, b, x0=None, opts=None, precond_sequence=None):
     return _restart_driver(A, b, x0, opts, make_cycle)
 
 
-def _augmented_options(name, opts, N, m1, m2):
+def _augmented_options(name, opts, b, m1, m2):
     """The options of the augmented solver name, with cycles of m = m1 + m2
-    steps in place of opts.restart; the default budget covers at least one
-    cycle."""
+    steps in place of opts.restart; the default budget, max(len(b), m) with
+    b checked first, covers at least one cycle."""
     _check_count("m1", m1, 1)
     _check_count("m2", m2, 0)
     opts = _options(name, opts)
     m = m1 + m2
-    return replace(opts, restart=m,
-                   max_iter=opts.max_iter if opts.max_iter is not None else max(N, m))
+    return replace(opts, restart=m, max_iter=opts.max_iter if opts.max_iter is not None
+                   else max(len(_finite_vector("b", b)), m))
 
 
 def lgmres(A, b, x0=None, m1=20, m2=3, opts=None):
@@ -839,7 +837,7 @@ def lgmres(A, b, x0=None, m1=20, m2=3, opts=None):
     by the recorded directions so that A Z_m = V_{m+1} Hbar_m holds column by
     column.  Cycles are m1 + m2 steps long: opts.restart is ignored.
     """
-    opts = _augmented_options("lgmres", opts, len(b), m1, m2)
+    opts = _augmented_options("lgmres", opts, b, m1, m2)
 
     def make_cycle(run):
         us = []  # u_1, u_2, ... error approximations, one per finished cycle

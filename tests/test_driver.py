@@ -212,6 +212,9 @@ def test_rejects_b_that_is_not_1d(problem, name):
     A, b = problem
     with pytest.raises(ValueError, match=r"b must be 1-D, got shape \(8, 8\)"):
         SOLVE[name](A, b.reshape(8, 8), None, _options(A, "none"))
+    # a scalar b: the augmented entries derive their budget from len(b)
+    with pytest.raises(ValueError, match=r"b must be 1-D, got shape \(\)"):
+        SOLVE[name](A, 3.0, None, _options(A, "none"))
 
 
 @pytest.mark.parametrize("name", SOLVER_DISPATCH)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gmreskit
 from gmreskit.harness import gen_convdiff, gen_spectrum
 from gmreskit.linalg import forward_substitute_unit
 from gmreskit.ortho import (
@@ -191,6 +195,50 @@ class TestCounter:
         assert c.total == 3
         assert c.per_step == [2]
         assert c.marks == [3]
+
+    def test_batch_counts_one(self, rng):
+        c = ReductionCounter()
+        B, w = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        with c.step():
+            with c.batch():
+                c.dots(B, w)
+                c.dots(w, w)
+                c.norm(w)
+            with c.batch():
+                pass
+            c.norm(w)
+        assert (c.total, c.per_step) == (3, [3])
+
+    def test_weighted_primitives(self, rng):
+        c = ReductionCounter()
+        B, w = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        d = rng.uniform(0.5, 2.0, 10)
+        np.testing.assert_allclose(c.dots(B, w, d), B.T @ np.diag(d) @ w, rtol=1e-13)
+        assert c.norm(w, d) == pytest.approx(np.sqrt(w @ np.diag(d) @ w), rel=1e-14)
+        assert c.norm(w) == np.linalg.norm(w)
+        assert c.total == 3
+
+    def test_step_closes_its_bucket_on_a_raise(self):
+        c = ReductionCounter()
+        with pytest.raises(ZeroDivisionError):
+            with c.step():
+                c.count()
+                1 / 0
+        c.count()
+        assert (c.total, c.per_step) == (2, [1])
+
+    def test_only_the_counter_calls_count(self):
+        # every modeled reduction is counted by the primitive that computes
+        # it, so no module outside ReductionCounter counts by hand
+        calls = []
+        for path in sorted(Path(gmreskit.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                      and c.name == "ReductionCounter" for n in ast.walk(c)}
+            calls += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and n.func.attr == "count" and id(n) not in inside]
+        assert calls == []
 
 
 class TestInvariantSweeps:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gmreskit import gmres_e, gmres_ir, gmres_two_precision, sstep_gmres
+from gmreskit import (gmres_e, gmres_ir, gmres_two_precision, lowsync_gmres,
+                      pipelined_gmres, sstep_gmres)
 from gmreskit.harness import gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix
 from gmreskit.ortho import arnoldi
@@ -686,13 +687,43 @@ class TestStructuralReductionCounts:
         lambda A, b: lgmres(A, b, m1=9, m2=3, opts=GmresOptions(rtol=1e-14, max_iter=24)),
         lambda A, b: gmres_two_precision(
             A, b, opts=GmresOptions(rtol=1e-14, restart=12, max_iter=24)),
-    ], ids=["fgmres", "lgmres", "two-precision"])
+        lambda A, b: gmres_e(A, b, m1=10, m2=2, opts=GmresOptions(rtol=1e-14, max_iter=24)),
+        lambda A, b: weighted_gmres(
+            A, b, opts=GmresOptions(rtol=1e-14, restart=12, max_iter=24)),
+    ], ids=["fgmres", "lgmres", "two-precision", "gmres-e", "weighted-gmres"])
     def test_mgs_cycles(self, solve):
         # an MGS cycle of m steps: the norm of r0, then j + 1 in step j,
         # 1 + m(m + 3)/2 in all
         rep = solve(self.A, self.b)
         assert (rep.iterations, rep.restarts) == (24, 1)
         assert rep.reductions == 2 * (1 + 12 * 15 // 2) == 182
+
+    def test_lowsync_cycles(self):
+        # a cycle of m ICWY steps: the norm of r0, step 1's projection, one
+        # merged batch in each later step and the flush of the deferred
+        # normalization, which sits outside any step: m + 2 per cycle
+        rep = lowsync_gmres(self.A, self.b,
+                            opts=GmresOptions(rtol=1e-14, restart=12, max_iter=24))
+        assert (rep.iterations, rep.restarts) == (24, 1)
+        assert rep.reductions == 2 * (12 + 2) == 28
+        assert rep.reduction_log == [1] * 24
+
+    def test_pipelined_cycles(self):
+        # the norm of r0, then one merged batch per step and no retry: m + 1
+        rep = pipelined_gmres(self.A, self.b, theta=0.0,
+                              opts=GmresOptions(rtol=1e-14, restart=12, max_iter=24))
+        assert (rep.iterations, rep.restarts) == (24, 1)
+        assert rep.diagnostics["reorthogonalizations"] == 0
+        assert rep.reductions == 2 * (12 + 1) == 26
+
+    def test_sstep_cycles(self):
+        # two per block: block 0 holds the entry normalization and its TSQR
+        # tree, every later one its block Gram-Schmidt and its tree
+        rep = sstep_gmres(self.A, self.b, s=4, t=3, spec="monomial",
+                          opts=GmresOptions(rtol=1e-14, max_iter=24))
+        assert (rep.iterations, rep.restarts) == (24, 1)
+        assert rep.reductions == 12
+        assert rep.reduction_log == [2] * 6
 
     def test_gmres_ir_counts_no_inner_reduction(self):
         # its inner binary32 solves keep their reductions on a private
