@@ -9,13 +9,21 @@ Low-format products keep CSR input sparse (``low_operator``); only the LU
 factorization of GMRES-IR densifies, once and straight into binary32, into a
 blocked right-looking factorization.  Each panel of _BLOCK columns is
 factored in a contiguous transposed copy, its block row of U comes from one
-GEMV per row and the trailing update is one binary32 GEMM.  The factors stay
-packed in that one n x n array, as LAPACK's getrf leaves them; the
-triangular solves substitute inside transposed copies of its diagonal
-blocks and read the off-diagonal blocks from it.  The operation order and
-the GEMV and GEMM shapes are pinned: they give the bits of the column-wise
-factorization, and binary32 bits may not move while GMRES-IR's refinement
-count on the benchmark still rests on them (ROADMAP item 1).
+GEMV per row and the trailing update is one binary32 GEMM.  A panel's
+row-by-row work (pivot search, scaling, rank-1 updates) stops at its reach:
+1 + its last row whose bit pattern is not +0.0 (a -0.0 counts), and at
+least its last column.  The rows past the reach get +0.0 / pivot, the
+signed zeros a full-width panel writes there; a panel that ends holding an
+inf or NaN is factored again at full width, since inf x 0 there gives NaN
+rows the pivot search can pick.  Only elementwise work is cut and every
+GEMV and GEMM keeps its shape, so the bits are the full-width ones; on a
+band matrix that in-panel work is a banded LU's (Golub & Van Loan, 4.3).
+The factors stay packed in that one n x n array, as LAPACK's getrf leaves
+them; the triangular solves substitute inside transposed copies of its
+diagonal blocks and read the off-diagonal blocks from it.  The operation
+order and the GEMV and GEMM shapes are pinned: they give the bits of the
+column-wise factorization, and binary32 bits may not move while GMRES-IR's
+refinement count on the benchmark still rests on them (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import CsrMatrix, SingularMatrixError, as_matvec
+from .linalg import CsrMatrix, SingularMatrixError, _check_real, as_matvec
 from .solvers import (GmresOptions, _arnoldi_cycles, _check_count, _finite_vector,
                       _matvec_for, _options, _restart_driver, _restarted_options, _Run)
 
@@ -43,8 +51,10 @@ _BLOCK = 64  # column block width of lu_low and LowLU.solve
 
 
 def _dense_shape(A):
-    """A's shape, or a TypeError unless A is an explicit matrix."""
+    """A's shape, or a TypeError unless A is an explicit matrix and a
+    ValueError unless it is real."""
     if isinstance(A, (CsrMatrix, np.ndarray)):
+        _check_real(A)
         return A.shape
     raise TypeError("mixed-precision routines need an explicit matrix "
                     "(CsrMatrix or ndarray) at desk scale")
@@ -60,10 +70,17 @@ def _dense_low(A, dtype):
 
 def _abs_max(F, upper=False):
     """float(np.abs(F).max()), of np.triu(F) when upper, or 0.0 for an empty F;
-    taken a block row at a time, so no n x n temporary is made."""
-    maxima = [np.abs(np.triu(F[k0:k0 + _BLOCK, k0:]) if upper else F[k0:k0 + _BLOCK]).max()
-              for k0 in range(0, len(F), _BLOCK)]
-    return float(np.max(maxima)) if maxima else 0.0
+    taken a block row at a time, so no n x n temporary is made, and with
+    np.triu of the diagonal blocks only."""
+    maxima = [0.0]
+    for k0 in range(0, len(F), _BLOCK):
+        k1 = k0 + _BLOCK
+        rows = F[k0:k1]
+        if upper:
+            maxima.append(np.abs(np.triu(rows[:, k0:k1])).max())
+            rows = rows[:, k1:]
+        maxima.append(np.abs(rows).max(initial=0.0))
+    return float(np.max(maxima))
 
 
 def low_operator(A, dtype, n=None):
@@ -170,17 +187,54 @@ class LowLU:
         return y
 
 
+def _reach(panel):
+    """1 + the last row of panel whose bit pattern is not +0.0 in some column
+    (a stored -0.0 counts), and at least the panel's width."""
+    bits = panel.view(np.dtype(f"u{panel.itemsize}"))
+    nonzero = np.flatnonzero(bits.any(axis=1))
+    return max(nonzero[-1] + 1 if len(nonzero) else 0, panel.shape[1])
+
+
+def _factor_panel(panel, k0, buf):
+    """(P, rows): the panel, whose first column is column k0 of the matrix,
+    factored in a contiguous transposed copy P (one row per column: pivot
+    search, scaling and rank-1 updates); rows[i] is the panel row that moves
+    to i.  SingularMatrixError when a pivot vanishes."""
+    P = panel.T.copy()  # P[j, i] = panel[i, j]
+    w, m = P.shape
+    rows = np.arange(m)
+    for j in range(w):
+        col = P[j, j:]
+        p = int(np.argmax(np.abs(col)))
+        if col[p] == 0:
+            raise SingularMatrixError(k0 + j, "matrix is singular in the low format")
+        if p:
+            P[:, [j, j + p]] = P[:, [j + p, j]]
+            rows[[j, j + p]] = rows[[j + p, j]]
+        col[1:] /= col[0]
+        rest = (w - j - 1, m - j - 1)
+        t = np.multiply.outer(P[j + 1:, j], P[j, j + 1:],
+                              out=buf[:rest[0] * rest[1]].reshape(rest))
+        np.subtract(P[j + 1:, j + 1:], t, out=P[j + 1:, j + 1:])
+    return P, rows
+
+
 def lu_low(A, dtype=LOW_DTYPE):
     """LU factorization with partial pivoting carried out in the low format.
 
     Right-looking and blocked: each panel of _BLOCK columns is factored in a
     contiguous transposed copy (one row per column: pivot search, scaling
     and rank-1 updates), written back, and its row swaps applied to whole
-    rows as one permutation; then its block row of U is formed by forward
-    substitution (one GEMV per row) and the trailing matrix is updated by
-    one GEMM.  Every entry sees the same exactly rounded operations in the
-    same order as a column-by-column right-looking factorization, and the
-    GEMV and GEMM shapes are fixed: binary32 results may not move until
+    rows as one permutation.  That row-by-row work covers the panel's rows
+    up to its reach, 1 + the last one whose bit pattern is not +0.0 (at
+    least the panel's last column); rows past it get +0.0 / pivot, the
+    signed zeros the full-width scaling writes, unless the panel ends
+    holding an inf or NaN: it is then factored again at full width.  Then
+    its block row of U is formed by forward substitution (one GEMV per row)
+    and the trailing matrix is updated by one GEMM.  Every entry sees the
+    same exactly rounded operations in the same order as a column-by-column
+    right-looking factorization: only elementwise work is cut, and the GEMV
+    and GEMM shapes are fixed, since binary32 results may not move until
     GMRES-IR's refinement count no longer rests on their last bits.
     The factors stay packed in the array A was densified into (LowLU).
     Reports the growth factor max|U| / max|A| as a quality diagnostic and
@@ -199,26 +253,19 @@ def lu_low(A, dtype=LOW_DTYPE):
     buf = np.empty(_BLOCK * n, dtype=F.dtype)  # the rank-1 products, contiguous
     for k0 in range(0, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
-        # P[j, i] = F[k0 + i, k0 + j]; rows[i] is the panel row that moves to i
-        P = F[k0:, k0:k1].T.copy()
-        rows = np.arange(n - k0)
-        for j in range(k1 - k0):
-            col = P[j, j:]
-            p = int(np.argmax(np.abs(col)))
-            if col[p] == 0:
-                raise SingularMatrixError(k0 + j, "matrix is singular in the low format")
-            if p:
-                P[:, [j, j + p]] = P[:, [j + p, j]]
-                rows[[j, j + p]] = rows[[j + p, j]]
-            col[1:] /= col[0]
-            rest = (k1 - k0 - j - 1, n - k0 - j - 1)
-            t = np.multiply.outer(P[j + 1:, j], P[j, j + 1:],
-                                  out=buf[:rest[0] * rest[1]].reshape(rest))
-            np.subtract(P[j + 1:, j + 1:], t, out=P[j + 1:, j + 1:])
-        moved = np.flatnonzero(rows != np.arange(n - k0))
+        e = k0 + _reach(F[k0:, k0:k1])
+        P, rows = _factor_panel(F[k0:e, k0:k1], k0, buf)
+        if e < n and not np.isfinite(P).all():
+            # inf x +-0.0 puts NaNs past the reach that the full-width
+            # pivot search can pick: factor this panel again at full width
+            e = n
+            P, rows = _factor_panel(F[k0:, k0:k1], k0, buf)
+        moved = np.flatnonzero(rows != np.arange(e - k0))
         F[k0 + moved] = F[k0 + rows[moved]]
         perm[k0 + moved] = perm[k0 + rows[moved]]
-        F[k0:, k0:k1] = P.T
+        F[k0:e, k0:k1] = P.T
+        # what the full-width scaling writes into the +0.0 rows past the reach
+        F[e:, k0:k1] = np.zeros(1, dtype=F.dtype) / P.diagonal()
         for k in range(k0 + 1, k1):
             F[k, k1:] -= F[k, k0:k] @ F[k0:k, k1:]
         F[k1:, k1:] -= F[k1:, k0:k1] @ F[k0:k1, k1:]

@@ -207,6 +207,19 @@ def test_rejects_complex_b_and_x0(problem, name, arg, imag):
         SOLVE[name](A, args["b"], args["x0"], _options(A, "none"))
 
 
+@pytest.mark.parametrize("form", ["csr", "ndarray"])
+@pytest.mark.parametrize("imag", [0.0, 1.0])
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_rejects_complex_operator(problem, name, imag, form):
+    # any complex dtype, even with a zero imaginary part: a complex array
+    # would otherwise be solved for its real part
+    A, b = problem
+    values = A.values * (1 + imag * 1j)
+    C = replace(A, values=values) if form == "csr" else replace(A, values=values).to_dense()
+    with pytest.raises(ValueError, match="operator must be real"):
+        SOLVE[name](C, b, None, _options(A, "none"))
+
+
 @pytest.mark.parametrize("name", SOLVER_DISPATCH)
 def test_rejects_b_that_is_not_1d(problem, name):
     A, b = problem

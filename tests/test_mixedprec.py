@@ -1,6 +1,6 @@
 import itertools
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -163,6 +163,63 @@ def lu_inputs(draw):
     return A, rhs
 
 
+def _stored(A, csr):
+    """A as a CsrMatrix storing every entry that is not +0.0 (a -0.0 too), or
+    A itself."""
+    if not csr:
+        return A
+    rows, cols = np.nonzero((A != 0) | np.signbit(A))
+    return CsrMatrix.from_coo(*A.shape, rows, cols, A[rows, cols])
+
+
+def overflow_band():
+    """A 200^2 band of width 10 with unit diagonal whose first panel overflows:
+    step 61 makes an inf of 3e38 + 3e38 in column 63.  A[73, 61:63] give every
+    row up to the panel's last, 73, a nonzero multiplier in columns 61 and 62,
+    so at step 63 those rows hold infs while inf x 0 has made the rows past
+    them NaN, and the full-width pivot search picks row 74."""
+    n = 200
+    rng = np.random.default_rng(5)
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    A = np.where(np.abs(offsets) <= 10, 0.1 * rng.standard_normal((n, n)), 0.0)
+    np.fill_diagonal(A, 1.0)
+    A[61, 61] = A[62, 61] = 1.0
+    A[61, 63], A[62, 63] = 3e38, -3e38
+    A[73, 61:63] = 1.0
+    return A
+
+
+@st.composite
+def banded_lu_inputs(draw):
+    """(A, A as given to lu_low, right-hand sides): a seeded band matrix of
+    order 1 to 3 panels + 5, lower and upper bandwidths 0 to past one panel,
+    Gaussian entries (so pivots of both signs) on a diagonal of 0 or +-2,
+    given as a CsrMatrix or an ndarray.  It may hold a stored -0.0 just past
+    the band, a dense last row, a zero column past the first panel
+    (singular) or entries of +-3e38 whose updates overflow."""
+    n = draw(st.integers(1, 3 * _BLOCK + 5))
+    lower, upper = draw(st.integers(0, _BLOCK + 8)), draw(st.integers(0, _BLOCK + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    A = np.where((offsets <= lower) & (-offsets <= upper), rng.standard_normal((n, n)), 0.0)
+    A += draw(st.sampled_from([0.0, 2.0])) * np.diag(rng.choice([-1.0, 1.0], n))
+    k0 = draw(st.integers(0, (n - 1) // _BLOCK)) * _BLOCK
+    if draw(st.booleans()) and min(k0 + _BLOCK, n) + lower < n:
+        # in the first column of a panel, one row past its last band row
+        A[min(k0 + _BLOCK, n) + lower, k0] = -0.0
+    if draw(st.booleans()):
+        A[-1] = rng.standard_normal(n)
+    if draw(st.booleans()) and n > _BLOCK:
+        A[:, draw(st.integers(_BLOCK, n - 1))] = 0.0
+    if draw(st.booleans()):
+        i, j = rng.integers(0, n, (2, 3))
+        keep = np.abs(i - j) <= min(lower, upper)
+        A[i[keep], j[keep]] = 3e38 * rng.choice([-1.0, 1.0], keep.sum())
+    rhs = [rng.standard_normal(n), rng.standard_normal(n).astype(np.float32),
+           A @ np.ones(n), np.zeros(n)]
+    return A, _stored(A, draw(st.booleans())), rhs
+
+
 def _criterion_13_matrix():
     rng = np.random.default_rng(133)
     Q1, _ = np.linalg.qr(rng.standard_normal((200, 200)))
@@ -241,6 +298,13 @@ class TestLuLow:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             lu_low(np.zeros((3, 3)))
+
+    def test_rejects_complex(self):
+        # even with a zero imaginary part: its real part would be factored
+        A = gen_convdiff(4, 4, peclet=1.0)
+        for C in (replace(A, values=A.values + 0j), A.to_dense() + 0j):
+            with pytest.raises(ValueError, match="operator must be real"):
+                lu_low(C)
 
     @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_blocked_factorization_across_panels(self, rng, n):
@@ -374,6 +438,51 @@ class TestLuLowMatchesReference:
         lu = lu_low(np.zeros((0, 0)))
         assert lu.L.shape == lu.U.shape == (0, 0) and lu.growth == 0.0
         assert lu.solve(np.zeros(0)).shape == (0,)
+
+
+class TestBandedLuMatchesReference:
+    """Each panel's row-by-row work stops at its reach, the last row not +0.0
+    in its columns, and rows past it get the signed zeros of the full-width
+    scaling: the bytes of the column-wise original, for band matrices given
+    as CsrMatrix or ndarray, also where the panel overflows."""
+
+    @staticmethod
+    def check(dense, A, rhs):
+        # overflowing entries make infs and NaNs, which are compared too
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                ref = reference_lu_low(dense)
+            except SingularMatrixError as err:
+                with pytest.raises(SingularMatrixError) as got:
+                    lu_low(A)
+                assert got.value.index == err.index
+                return
+            lu = lu_low(A)
+            for name in ("L", "U", "perm"):
+                a, b = getattr(lu, name), getattr(ref, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            assert np.float64(lu.growth).tobytes() == np.float64(ref.growth).tobytes()
+            for r in rhs:
+                x, x_ref = lu.solve(r), ref.solve(r)
+                assert x.dtype == x_ref.dtype == np.float32
+                assert x.tobytes() == x_ref.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(banded_lu_inputs())
+    def test_same_bytes_as_reference(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("csr", [True, False], ids=["csr", "ndarray"])
+    def test_convdiff(self, csr):
+        A = gen_convdiff(32, 32, peclet=10.0)
+        rhs = [np.random.default_rng(3).standard_normal(A.nrows)]
+        self.check(A.to_dense(), A if csr else A.to_dense(), rhs)
+
+    @pytest.mark.parametrize("csr", [True, False], ids=["csr", "ndarray"])
+    def test_overflow_needs_the_full_width_panel(self, csr):
+        A = overflow_band()
+        self.check(A, _stored(A, csr), [np.ones(len(A))])
 
 
 class TestLowOperator:

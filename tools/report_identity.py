@@ -38,8 +38,9 @@ bytes of A.matvec(v) for each of them on two seeded vectors, the second
 holding zeros of both signs.  And it stores the binary32
 LU factors (L, U, perm, growth) that lu_low computes, and their solves of
 three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
-200x200 matrix of acceptance criterion 13 and a nonsymmetric Gaussian
-150x150 matrix.
+200x200 matrix of acceptance criterion 13, a nonsymmetric Gaussian
+150x150 matrix, the negated convdiff 20x20 (Peclet 50), whose pivots are
+negative, and a 200x200 band of width 10 whose first panel overflows.
 
 `compare` prints each case whose counts, termination or exception type
 moved, each reduction-log entry that moved (index, before -> after), and
@@ -187,6 +188,26 @@ def factored():
     Q2, _ = np.linalg.qr(rng.standard_normal((200, 200)))
     yield "lu kappa~1e3 200^2", Q1 @ np.diag(np.logspace(0.0, 3.0, 200)) @ Q2.T
     yield "lu gaussian 150^2", np.random.default_rng(17).standard_normal((150, 150))
+    # two band matrices whose panels stop at their reach, of orders that are
+    # not multiples of the panel width
+    A = gen_convdiff(20, 20, 50.0)
+    yield "lu negated convdiff 20^2 Peclet 50", CsrMatrix(
+        A.nrows, A.ncols, A.row_ptr, A.col_idx, -A.values)
+    yield "lu overflowing band 200^2", overflow_band()
+
+
+def overflow_band():
+    """A 200^2 band of width 10 with unit diagonal whose first panel overflows
+    to -inf in column 63, so that the panel is factored again at full width."""
+    n = 200
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    A = np.where(np.abs(offsets) <= 10,
+                 0.1 * np.random.default_rng(5).standard_normal((n, n)), 0.0)
+    np.fill_diagonal(A, 1.0)
+    A[61, 61] = A[62, 61] = 1.0
+    A[61, 63], A[62, 63] = 3e38, -3e38
+    A[73, 61:63] = 1.0
+    return A
 
 
 def vectors(n):
@@ -204,11 +225,13 @@ def dump(path):
         out.update({f"{prefix}|matvec {k}": A.matvec(v)
                     for k, v in enumerate(vectors(A.ncols))})
     for prefix, A in factored():
-        lu = lu_low(A)
-        out.update({f"{prefix}|{name}": np.asarray(getattr(lu, name)) for name in LU})
-        n = len(lu.perm)
-        rhs = (*vectors(n), np.random.default_rng(2).standard_normal(n).astype(np.float32))
-        out.update({f"{prefix}|solve {k}": lu.solve(r) for k, r in enumerate(rhs)})
+        # the overflowing band's factors and solves hold infs and NaNs
+        with np.errstate(over="ignore", invalid="ignore"):
+            lu = lu_low(A)
+            out.update({f"{prefix}|{name}": np.asarray(getattr(lu, name)) for name in LU})
+            n = len(lu.perm)
+            rhs = (*vectors(n), np.random.default_rng(2).standard_normal(n).astype(np.float32))
+            out.update({f"{prefix}|solve {k}": lu.solve(r) for k, r in enumerate(rhs)})
     outcomes = Counter()  # termination or exception type -> cases
     for key, solve in cases():
         try:
