@@ -515,25 +515,29 @@ def dense_eig_general(M, vectors=False):
 # ---------------------------------------------------------------------------
 # Operator coercion helpers
 
-def _check_real(A):
+def _check_entries(A):
     """A ValueError unless the explicit matrix A (CsrMatrix or ndarray) has a
-    real dtype; a complex one is refused even with a zero imaginary part."""
-    if np.iscomplexobj(A.values if isinstance(A, CsrMatrix) else A):
+    real dtype and finite entries; a complex one is refused even with a zero
+    imaginary part."""
+    values = A.values if isinstance(A, CsrMatrix) else A
+    if np.iscomplexobj(values):
         raise ValueError("operator must be real")
+    if not np.isfinite(values).all():
+        raise ValueError("operator must be finite")
 
 
 def as_matvec(A, n=None):
     """Coerce A (CsrMatrix, 2-D array, or callable) to ``(matvec, dimension)``;
-    a complex CsrMatrix or array is refused."""
+    a complex CsrMatrix or array, or one holding an inf or NaN, is refused."""
     if isinstance(A, CsrMatrix):
         if A.nrows != A.ncols:
             raise ValueError("operator must be square")
-        _check_real(A)
+        _check_entries(A)
         return A.matvec, A.nrows
     if isinstance(A, np.ndarray):
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("operator must be a square 2-D array")
-        _check_real(A)
+        _check_entries(A)
         return (lambda v: A @ v), A.shape[0]
     if callable(A):
         dim = n if n is not None else getattr(A, "n", None)

@@ -9,21 +9,27 @@ Low-format products keep CSR input sparse (``low_operator``); only the LU
 factorization of GMRES-IR densifies, once and straight into binary32, into a
 blocked right-looking factorization.  Each panel of _BLOCK columns is
 factored in a contiguous transposed copy, its block row of U comes from one
-GEMV per row and the trailing update is one binary32 GEMM.  A panel's
-row-by-row work (pivot search, scaling, rank-1 updates) stops at its reach:
-1 + its last row whose bit pattern is not +0.0 (a -0.0 counts), and at
-least its last column.  The rows past the reach get +0.0 / pivot, the
-signed zeros a full-width panel writes there; a panel that ends holding an
-inf or NaN is factored again at full width, since inf x 0 there gives NaN
-rows the pivot search can pick.  Only elementwise work is cut and every
-GEMV and GEMM keeps its shape, so the bits are the full-width ones; on a
-band matrix that in-panel work is a banded LU's (Golub & Van Loan, 4.3).
+GEMV per row and the trailing update is one binary32 GEMM.  All of it runs
+at band shape: a panel's row-by-row work (pivot search, scaling, rank-1
+updates) stops at its reach, 1 + its last row whose bit pattern is not +0.0
+(a -0.0 counts), and at least its last column, and the rows past the reach
+get +0.0 / pivot, the signed zeros a full-width panel writes there; the U
+block row's GEMVs stop at its last column not +0.0 and the trailing GEMM
+covers only the rows and columns up to those two reaches; the triangular
+solves' GEMVs cover only the rows of each block column not +0.0.  On a band
+matrix of bandwidth b the update then costs O(n b^2) instead of O(n^3), and
+its temporary takes O(b^2) memory, as in a banded LU (Golub & Van Loan,
+4.3).  Past the band a full-shape product only subtracts zeros, except that
+inf x 0 is NaN: a panel or U block row that holds an inf or NaN keeps the
+full shapes (the panel is factored again at full width, since the
+full-width pivot search can pick those NaN rows), and so does a solve whose
+result holds one.
+BLAS rounds a sub-shape's entries differently, so on a general band matrix
+the bits are not the full-shape ones but keep their error bounds; on the
+benchmark's convdiff 32^2 they are the same.
 The factors stay packed in that one n x n array, as LAPACK's getrf leaves
 them; the triangular solves substitute inside transposed copies of its
-diagonal blocks and read the off-diagonal blocks from it.  The operation
-order and the GEMV and GEMM shapes are pinned: they give the bits of the
-column-wise factorization, and binary32 bits may not move while GMRES-IR's
-refinement count on the benchmark still rests on them (ROADMAP item 2).
+diagonal blocks and read the off-diagonal blocks from it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import CsrMatrix, SingularMatrixError, _check_real, as_matvec
+from .linalg import CsrMatrix, SingularMatrixError, _check_entries, as_matvec
 from .solvers import (GmresOptions, _arnoldi_cycles, _check_count, _finite_vector,
                       _matvec_for, _options, _restart_driver, _restarted_options, _Run)
 
@@ -52,9 +58,9 @@ _BLOCK = 64  # column block width of lu_low and LowLU.solve
 
 def _dense_shape(A):
     """A's shape, or a TypeError unless A is an explicit matrix and a
-    ValueError unless it is real."""
+    ValueError unless it is real and finite."""
     if isinstance(A, (CsrMatrix, np.ndarray)):
-        _check_real(A)
+        _check_entries(A)
         return A.shape
     raise TypeError("mixed-precision routines need an explicit matrix "
                     "(CsrMatrix or ndarray) at desk scale")
@@ -133,11 +139,18 @@ class LowLU:
         # a shared buffer its products go to (so solve is not thread-safe)
         self._buf = np.empty(_BLOCK, dtype=self.LU.dtype)
         self._lower, self._upper = [], []
+        # per block column: the end of its rows below the diagonal block and
+        # the start of its rows above it that hold a bit other than +0.0
+        self._below, self._above = [], []
+        F = self.LU
         for k0 in range(0, len(self.perm), _BLOCK):
-            Dt = self.LU[k0:k0 + _BLOCK, k0:k0 + _BLOCK].T.copy()
+            k1 = k0 + _BLOCK
+            Dt = F[k0:k1, k0:k1].T.copy()
             w = len(Dt)
             self._lower.append([(Dt[j, j + 1:], self._buf[:w - j - 1]) for j in range(w - 1)])
             self._upper.append([(Dt[j, j], Dt[j, :j], self._buf[:j]) for j in range(w)])
+            self._below.append(k1 + _reach(F[k1:, k0:k1]))
+            self._above.append(k0 - _reach(F[:k0][::-1, k0:k1]))
 
     @property
     def L(self):
@@ -159,40 +172,49 @@ class LowLU:
         operations of ``y[k+1:k1] -= L[k+1:k1, k] * y[k]`` (and of U's
         steps) in the same order.  The GEMVs read the packed array's blocks
         below and above the diagonal, which hold exactly L's and U's entries,
-        and keep their shapes.  Binary32 results may not move until GMRES-IR's
-        refinement count no longer rests on their last bits.  A ValueError
+        at band shape: only the rows of the block column that hold a bit
+        other than +0.0, which leaves the other rows' values as they are.  A
+        solve whose result holds an inf or NaN is done again at full shapes,
+        since inf x +0.0 puts NaNs into the rows past the band.  A ValueError
         names rhs unless it is 1-D of length n.
         """
-        F, n = self.LU, len(self.perm)
-        y = np.asarray(rhs, dtype=F.dtype)
+        n = len(self.perm)
+        y = np.asarray(rhs, dtype=self.LU.dtype)
         if y.shape != (n,):
             raise ValueError(f"rhs must be a 1-D vector of length {n}, got shape {y.shape}")
-        y = y[self.perm]
+        x = self._substitute(y[self.perm], self._below, self._above)
+        if not np.isfinite(x).all():
+            x = self._substitute(y[self.perm], [n] * len(self._below), [0] * len(self._above))
+        return x
+
+    def _substitute(self, y, below, above):
+        """solve's substitutions on y = rhs[perm], in place, with the GEMVs of
+        each block column on its rows k1:below[i] and above[i]:k0."""
+        F, n = self.LU, len(y)
         mul, sub = np.multiply, np.subtract
         starts = range(0, n, _BLOCK)
-        for k0, steps in zip(starts, self._lower):
+        for k0, steps, end in zip(starts, self._lower, below):
             k1 = min(k0 + _BLOCK, n)
             for k, (col, t) in enumerate(steps, k0):
-                below = y[k + 1:k1]
-                sub(below, mul(col, y[k], t), below)
-            y[k1:] -= F[k1:, k0:k1] @ y[k0:k1]
-        for k0, steps in zip(reversed(starts), reversed(self._upper)):
+                rest = y[k + 1:k1]
+                sub(rest, mul(col, y[k], t), rest)
+            y[k1:end] -= F[k1:end, k0:k1] @ y[k0:k1]
+        for k0, steps, start in zip(reversed(starts), reversed(self._upper), reversed(above)):
             k1 = min(k0 + _BLOCK, n)
             for k in range(k1 - 1, k0 - 1, -1):
                 pivot, col, t = steps[k - k0]
                 y[k] = yk = y[k] / pivot
-                above = y[k0:k]
-                sub(above, mul(col, yk, t), above)
-            y[:k0] -= F[:k0, k0:k1] @ y[k0:k1]
+                rest = y[k0:k]
+                sub(rest, mul(col, yk, t), rest)
+            y[start:k0] -= F[start:k0, k0:k1] @ y[k0:k1]
         return y
 
 
-def _reach(panel):
-    """1 + the last row of panel whose bit pattern is not +0.0 in some column
-    (a stored -0.0 counts), and at least the panel's width."""
-    bits = panel.view(np.dtype(f"u{panel.itemsize}"))
-    nonzero = np.flatnonzero(bits.any(axis=1))
-    return max(nonzero[-1] + 1 if len(nonzero) else 0, panel.shape[1])
+def _reach(block):
+    """1 + the last row of block whose bit pattern is not +0.0 in some column
+    (a stored -0.0 counts), or 0."""
+    nonzero = np.flatnonzero(block.view(np.dtype(f"u{block.itemsize}")).any(axis=1))
+    return nonzero[-1] + 1 if len(nonzero) else 0
 
 
 def _factor_panel(panel, k0, buf):
@@ -225,17 +247,20 @@ def lu_low(A, dtype=LOW_DTYPE):
     Right-looking and blocked: each panel of _BLOCK columns is factored in a
     contiguous transposed copy (one row per column: pivot search, scaling
     and rank-1 updates), written back, and its row swaps applied to whole
-    rows as one permutation.  That row-by-row work covers the panel's rows
-    up to its reach, 1 + the last one whose bit pattern is not +0.0 (at
-    least the panel's last column); rows past it get +0.0 / pivot, the
-    signed zeros the full-width scaling writes, unless the panel ends
-    holding an inf or NaN: it is then factored again at full width.  Then
-    its block row of U is formed by forward substitution (one GEMV per row)
-    and the trailing matrix is updated by one GEMM.  Every entry sees the
-    same exactly rounded operations in the same order as a column-by-column
-    right-looking factorization: only elementwise work is cut, and the GEMV
-    and GEMM shapes are fixed, since binary32 results may not move until
-    GMRES-IR's refinement count no longer rests on their last bits.
+    rows as one permutation.  Then its block row of U is formed by forward
+    substitution (one GEMV per row) and the trailing matrix is updated by
+    one GEMM.  Each step runs at band shape: the panel's row-by-row work
+    covers its rows up to its reach e, 1 + the last one whose bit pattern is
+    not +0.0 (at least the panel's last column), and rows past it get
+    +0.0 / pivot, the signed zeros the full-width scaling writes; the GEMVs
+    cover the U block row's columns up to its reach ue, 1 + the last one not
+    +0.0 after the row swaps, and the GEMM updates rows k1:e and columns
+    k1:ue only.  A panel or U block row that holds an inf or NaN keeps the
+    full shapes, since inf x 0 puts NaNs outside the band (a panel is then
+    factored again at full width).  Every entry sees the operations of a
+    column-by-column right-looking factorization in the same order; BLAS
+    may round a sub-shape's entries differently from the full shape's, so
+    the factors keep that factorization's error bounds.
     The factors stay packed in the array A was densified into (LowLU).
     Reports the growth factor max|U| / max|A| as a quality diagnostic and
     raises SingularMatrixError when a pivot vanishes in the low format.
@@ -253,9 +278,10 @@ def lu_low(A, dtype=LOW_DTYPE):
     buf = np.empty(_BLOCK * n, dtype=F.dtype)  # the rank-1 products, contiguous
     for k0 in range(0, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
-        e = k0 + _reach(F[k0:, k0:k1])
+        e = max(k0 + _reach(F[k0:, k0:k1]), k1)
         P, rows = _factor_panel(F[k0:e, k0:k1], k0, buf)
-        if e < n and not np.isfinite(P).all():
+        finite = np.isfinite(P).all()
+        if not finite and e < n:
             # inf x +-0.0 puts NaNs past the reach that the full-width
             # pivot search can pick: factor this panel again at full width
             e = n
@@ -266,9 +292,13 @@ def lu_low(A, dtype=LOW_DTYPE):
         F[k0:e, k0:k1] = P.T
         # what the full-width scaling writes into the +0.0 rows past the reach
         F[e:, k0:k1] = np.zeros(1, dtype=F.dtype) / P.diagonal()
+        # the U block row's reach: 1 + its last column not +0.0
+        ue = k1 + _reach(F[k0:k1, k1:].T) if finite else n
         for k in range(k0 + 1, k1):
-            F[k, k1:] -= F[k, k0:k] @ F[k0:k, k1:]
-        F[k1:, k1:] -= F[k1:, k0:k1] @ F[k0:k1, k1:]
+            F[k, k1:ue] -= F[k, k0:k] @ F[k0:k, k1:ue]
+        if not np.isfinite(F[k0:k1, k1:ue]).all():
+            e = ue = n  # inf x +0.0 past the band gives NaN: full shapes
+        F[k1:e, k1:ue] -= F[k1:e, k0:k1] @ F[k0:k1, k1:ue]
     growth = _abs_max(F, upper=True) / amax if amax else 0.0
     return LowLU(F, perm, growth)
 

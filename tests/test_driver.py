@@ -220,6 +220,20 @@ def test_rejects_complex_operator(problem, name, imag, form):
         SOLVE[name](C, b, None, _options(A, "none"))
 
 
+@pytest.mark.parametrize("form", ["csr", "ndarray"])
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+@pytest.mark.parametrize("name", SOLVER_DISPATCH)
+def test_rejects_nonfinite_operator(problem, name, entry, form):
+    # one stored entry: the solvers would otherwise spend their whole budget
+    # on NaN residuals
+    A, b = problem
+    values = A.values.copy()
+    values[7] = entry
+    C = replace(A, values=values) if form == "csr" else replace(A, values=values).to_dense()
+    with pytest.raises(ValueError, match="operator must be finite"):
+        SOLVE[name](C, b, None, _options(A, "none"))
+
+
 @pytest.mark.parametrize("name", SOLVER_DISPATCH)
 def test_rejects_b_that_is_not_1d(problem, name):
     A, b = problem

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,17 @@ from gmreskit.mixedprec import (
 )
 from gmreskit.ortho import ReductionCounter, basis, mgs_pass
 from gmreskit.solvers import DiagonalPreconditioner, GmresOptions, _givens_cycle, gmres_restarted
+
+
+def _load_report_identity():
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_identity.py"
+    spec = importlib.util.spec_from_file_location("report_identity", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+report_identity = _load_report_identity()
 
 
 def conditioned_matrix(n, kappa, seed):
@@ -374,9 +387,11 @@ class TestLuLowMemory:
         return (peak - base) / matrix, (kept - base) / matrix
 
     def test_peak_of_the_factorization(self, traced):
-        # the matrix and the first trailing GEMM's product; 3.07 matrices
-        # when densified in binary64 and stored as separate L and U
-        assert traced[0] <= 2.25
+        # the matrix and its densified copy's transient; the trailing GEMM's
+        # product is band-sized.  1.97 matrices when that product spanned the
+        # whole trailing matrix, 3.07 when densified in binary64 and stored
+        # as separate L and U
+        assert traced[0] <= 1.4
 
     def test_memory_kept_by_the_factors(self, traced):
         assert traced[1] <= 1.4
@@ -443,8 +458,11 @@ class TestLuLowMatchesReference:
 class TestBandedLuMatchesReference:
     """Each panel's row-by-row work stops at its reach, the last row not +0.0
     in its columns, and rows past it get the signed zeros of the full-width
-    scaling: the bytes of the column-wise original, for band matrices given
-    as CsrMatrix or ndarray, also where the panel overflows."""
+    scaling; the U-row GEMVs, the trailing GEMM and the solve's GEMVs run at
+    band shape.  BLAS rounds those sub-shapes differently, so on a general
+    band matrix the factors keep the column-wise original's error bounds,
+    not its bytes; on convdiff 32^2 and where a panel overflows they keep
+    the bytes too."""
 
     @staticmethod
     def check(dense, A, rhs):
@@ -468,10 +486,49 @@ class TestBandedLuMatchesReference:
                 assert x.dtype == x_ref.dtype == np.float32
                 assert x.tobytes() == x_ref.tobytes()
 
+    @staticmethod
+    def factor(lu, A):
+        """(factors, None), or (None, index) when a pivot vanishes."""
+        try:
+            return lu(A), None
+        except SingularMatrixError as err:
+            return None, err.index
+
     @settings(max_examples=150, deadline=None)
     @given(banded_lu_inputs())
-    def test_same_bytes_as_reference(self, case):
-        self.check(*case)
+    def test_within_the_bounds_of_reference(self, case):
+        # the singular index of the reference; else report_identity's
+        # envelope against it, and the reference's sign wherever both hold a
+        # zero, in L in the columns whose pivots agree in sign (the +0.0 /
+        # pivot past each panel's reach)
+        dense, A, rhs = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            (ref, ref_index), (lu, index) = self.factor(reference_lu_low, dense), \
+                self.factor(lu_low, A)
+            if ref_index is not None or index is not None:
+                if ref_index != index:
+                    # a matrix singular to working precision: the pivot that
+                    # vanished on one side is zero to within rounding on the
+                    # other
+                    j, other = (ref_index, lu) if index is None else (index, ref)
+                    assert other is not None
+                    scale = (np.abs(other.L) @ np.abs(other.U)).max()
+                    assert abs(other.U[j, j]) <= report_identity._gamma(len(dense)) * scale
+                return
+            before, after = ({"L": f.L, "U": f.U, "perm": f.perm, "growth": f.growth,
+                              **{f"solve {k}": f.solve(r) for k, r in enumerate(rhs)}}
+                             for f in (ref, lu))
+        finite = [np.isfinite(f.L).all() and np.isfinite(f.U).all() for f in (ref, lu)]
+        if not finite[0]:
+            assert not finite[1]
+            return
+        ratios = report_identity.lu_envelope(dense, rhs, before, after)
+        assert all(r <= 1 for r in ratios.values()), ratios
+        zeros = {name: (before[name] == 0) & (after[name] == 0) for name in ("L", "U")}
+        zeros["L"] &= np.signbit(np.diag(ref.U)) == np.signbit(np.diag(lu.U))
+        for name, zero in zeros.items():
+            assert np.array_equal(np.signbit(before[name][zero]),
+                                  np.signbit(after[name][zero])), name
 
     @pytest.mark.parametrize("csr", [True, False], ids=["csr", "ndarray"])
     def test_convdiff(self, csr):
@@ -483,6 +540,62 @@ class TestBandedLuMatchesReference:
     def test_overflow_needs_the_full_width_panel(self, csr):
         A = overflow_band()
         self.check(A, _stored(A, csr), [np.ones(len(A))])
+
+    def test_overflowing_solve_keeps_the_full_shapes(self):
+        # L = A, U = I exactly; the forward substitution overflows at the
+        # first block's last row only, the band row past it turns inf, and
+        # inf x +0.0 makes the full-shape GEMVs' rows outside the band NaN,
+        # where band-shape GEMVs would leave them finite until they turn inf
+        n = 2 * _BLOCK + 3
+        A = np.eye(n) - np.eye(n, k=-1)
+        rhs = np.zeros(n)
+        rhs[_BLOCK - 2:_BLOCK] = 3e38
+        self.check(A, A, [rhs])
+
+
+class TestEnvelope:
+    """report_identity's compare --envelope --moves lu holds moved LU arrays
+    to their error bounds, on two dumps of one small factored matrix."""
+
+    PREFIX = "lu convdiff 5^2"
+
+    @pytest.fixture()
+    def compare(self, tmp_path, monkeypatch, capsys):
+        """compare(L, moves): the exit status of comparing the dump of
+        convdiff 5^2's LU with a copy whose L is replaced, and its output."""
+        A = gen_convdiff(5, 5, peclet=10.0)
+        monkeypatch.setattr(report_identity, "factored", lambda: [(self.PREFIX, A)])
+        before = report_identity.lu_arrays(self.PREFIX, A)
+        np.savez(tmp_path / "before.npz", **before)
+
+        def run(L, moves):
+            np.savez(tmp_path / "after.npz", **dict(before, **{f"{self.PREFIX}|L": L}))
+            status = report_identity.compare(tmp_path / "before.npz", tmp_path / "after.npz",
+                                             exact=True, moves=moves)
+            return status, capsys.readouterr().out
+
+        return before[f"{self.PREFIX}|L"], run
+
+    @staticmethod
+    def largest_multiplier(L):
+        return np.unravel_index(np.argmax(np.abs(np.tril(L, -1))), L.shape)
+
+    def test_accepts_an_ulp(self, compare):
+        L, run = compare
+        L = L.copy()
+        ij = self.largest_multiplier(L)
+        L[ij] = np.nextafter(L[ij], np.float32(np.inf))
+        status, out = run(L, ["lu"])
+        assert status == 0 and f"moved: {self.PREFIX}|L: " in out
+        # without --moves the moved bytes fail it
+        assert run(L, [])[0] == 1
+
+    def test_rejects_a_dropped_multiplier(self, compare):
+        L, run = compare
+        L = L.copy()
+        L[self.largest_multiplier(L)] = 0.0
+        status, out = run(L, ["lu"])
+        assert status == 1 and "outside the envelope" in out
 
 
 class TestLowOperator:

@@ -3,6 +3,7 @@
     PYTHONPATH=src python tools/report_identity.py dump after.npz
     PYTHONPATH=/path/to/other/checkout/src python tools/report_identity.py dump before.npz
     PYTHONPATH=src python tools/report_identity.py compare [--exact] before.npz after.npz
+    PYTHONPATH=src python tools/report_identity.py compare --envelope --moves lu before.npz after.npz
 
 `dump` runs every SOLVER_DISPATCH entry, and three more GMRES-IR variants,
 on five problems with max_iter 13 and 60, restart unset and 8, and x0 zero
@@ -58,6 +59,17 @@ move rounding can be checked against its parent.  It also names each case
 whose x, residual history or true-residual checkpoints differ in dtype, shape
 or any byte; with --exact those cases make it exit with status 1 too, so a
 change that should move no bit at all can be checked.
+
+--envelope keeps every check of --exact, except for the families of arrays
+that --moves names.  With --moves lu, the LU factors, growth and solves of
+each factored() matrix whose bytes differ are not failed for their bytes:
+the tool regenerates the matrix and holds the second dump's arrays to their
+error bounds (lu_envelope): the backward error of the factors within
+gamma_n max(|L||U|), each solve's residual within gamma_3n max(|L||U||x|),
+growth within a factor 2 of the first dump's, and the same infs and NaNs at
+the same positions wherever either side holds one.  It prints every moved
+array with its ratio to its bound and exits with status 1 when one is
+outside.  No solve case may move under --envelope yet.
 """
 
 from __future__ import annotations
@@ -218,6 +230,77 @@ def vectors(n):
     return v, w
 
 
+def right_hand_sides(n):
+    """The three right-hand sides every stored LU solves."""
+    return (*vectors(n), np.random.default_rng(2).standard_normal(n).astype(np.float32))
+
+
+def lu_arrays(prefix, A):
+    """{prefix|name: array} of A's binary32 LU factors, growth and solves."""
+    # the overflowing band's factors and solves hold infs and NaNs
+    with np.errstate(over="ignore", invalid="ignore"):
+        lu = lu_low(A)
+        out = {f"{prefix}|{name}": np.asarray(getattr(lu, name)) for name in LU}
+        out.update({f"{prefix}|solve {k}": lu.solve(r)
+                    for k, r in enumerate(right_hand_sides(len(lu.perm)))})
+    return out
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u) of binary32, u = 2^-24."""
+    u = 2.0 ** -24
+    return k * u / (1 - k * u)
+
+
+def _ratio(measured, bound):
+    # 0 for an exact result, even against a zero bound; NaN stays NaN
+    return 0.0 if measured == 0 else float(measured / bound)
+
+
+def _same_nonfinite(a, b):
+    """Whether a and b hold the same infs and NaNs at the same positions."""
+    fa, fb = np.isfinite(a), np.isfinite(b)
+    return np.array_equal(fa, fb) and np.array_equal(a[~fa], b[~fb], equal_nan=True)
+
+
+def lu_envelope(A, rhs, before, after):
+    """{name: ratio} of each array of the binary32 LU `after` of A (L, U,
+    perm, growth, and "solve k" of rhs[k]) to its bound; a ratio above 1, or
+    NaN, is outside the envelope.  L, U and perm get the backward error
+    max|A32[perm] - L U| over gamma_n max(|L||U|) (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 9.3), each solve x the residual
+    max|b32[perm] - A32[perm] x| over gamma_3n max(|L||U||x|) (Thm 9.4), and
+    growth its factor to before's growth over 2.  |L|, |U| and |x| are taken
+    plus the smallest normal binary32 number, so that underflow, whose
+    absolute error the theorems leave out, stays inside (Higham, eq. 2.8).
+    An array that holds an inf or NaN on either side gets 0 when both hold
+    the same ones at the same positions, else inf.  A32 and b32 are A and b
+    rounded to binary32, as lu_low and LowLU.solve read them."""
+    perm = after["perm"]
+    n = len(perm)
+    dense = A.to_dense() if isinstance(A, CsrMatrix) else np.asarray(A, dtype=np.float64)
+    PA = dense.astype(np.float32).astype(np.float64)[perm]
+    L, U = (after[name].astype(np.float64) for name in ("L", "U"))
+    ratios = {}
+    with np.errstate(all="ignore"):
+        mL, mU = (np.abs(M) + np.finfo(np.float32).tiny for M in (L, U))
+        backward = _ratio(np.abs(PA - L @ U).max(initial=0.0),
+                          _gamma(n) * (mL @ mU).max(initial=0.0))
+        ratios.update(L=backward, U=backward, perm=backward)
+        for k, b in enumerate(rhs):
+            x = after[f"solve {k}"].astype(np.float64)
+            b32 = np.asarray(b, dtype=np.float32).astype(np.float64)[perm]
+            mx = np.abs(x) + np.finfo(np.float32).tiny
+            ratios[f"solve {k}"] = _ratio(np.abs(b32 - PA @ x).max(initial=0.0),
+                                          _gamma(3 * n) * (mL @ (mU @ mx)).max(initial=0.0))
+        growth = sorted(float(g) for g in (before["growth"], after["growth"]))
+        ratios["growth"] = _ratio(growth[1], 2 * growth[0])
+    for name in ratios:
+        if not (np.isfinite(before[name]).all() and np.isfinite(after[name]).all()):
+            ratios[name] = 0.0 if _same_nonfinite(before[name], after[name]) else np.inf
+    return ratios
+
+
 def dump(path):
     out = {}
     for prefix, A in operators():
@@ -225,13 +308,7 @@ def dump(path):
         out.update({f"{prefix}|matvec {k}": A.matvec(v)
                     for k, v in enumerate(vectors(A.ncols))})
     for prefix, A in factored():
-        # the overflowing band's factors and solves hold infs and NaNs
-        with np.errstate(over="ignore", invalid="ignore"):
-            lu = lu_low(A)
-            out.update({f"{prefix}|{name}": np.asarray(getattr(lu, name)) for name in LU})
-            n = len(lu.perm)
-            rhs = (*vectors(n), np.random.default_rng(2).standard_normal(n).astype(np.float32))
-            out.update({f"{prefix}|solve {k}": lu.solve(r) for k, r in enumerate(rhs)})
+        out.update(lu_arrays(prefix, A))
     outcomes = Counter()  # termination or exception type -> cases
     for key, solve in cases():
         try:
@@ -276,7 +353,25 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def compare(path_a, path_b, exact=False):
+def _judge_lu(a, b, differ):
+    """Print each moved LU array of a factored() matrix with its ratio to its
+    bound (lu_envelope); return how many are outside the envelope."""
+    matrices = dict(factored())
+    outside = 0
+    for prefix in sorted({k.split("|")[0] for k in differ}):
+        before, after = ({k.split("|")[1]: d[k] for k in d.files if k.startswith(prefix + "|")}
+                         for d in (a, b))
+        ratios = lu_envelope(matrices[prefix], right_hand_sides(len(after["perm"])),
+                             before, after)
+        for key in (k for k in differ if k.startswith(prefix + "|")):
+            ratio = ratios[key.split("|")[1]]
+            outside += not ratio <= 1
+            print(f"moved: {key}: {ratio:.3g} of its bound"
+                  + ("" if ratio <= 1 else " (outside the envelope)"))
+    return outside
+
+
+def compare(path_a, path_b, exact=False, moves=()):
     a, b = np.load(path_a), np.load(path_b)
     keys = sorted(k[: -len("|raised")] for k in a.files if k.endswith("|raised"))
     if sorted(k for k in b.files if k.endswith("|raised")) != [k + "|raised" for k in keys]:
@@ -345,8 +440,9 @@ def compare(path_a, path_b, exact=False):
     print(f"all counts, logs, diagnostics and Hessenbergs equal: "
           f"{'yes' if not moved else f'no ({moved} cases)'}; "
           f"exception type changed: {raised} cases; "
-          f"largest relative difference in x {max(r[3] for r in rows.values()):.3g}, "
-          f"in the histories {max(r[4] for r in rows.values()):.3g}")
+          f"largest relative difference in x "
+          f"{max((r[3] for r in rows.values()), default=0):.3g}, "
+          f"in the histories {max((r[4] for r in rows.values()), default=0):.3g}")
     print(f"x, histories and checkpoints byte-equal: "
           f"{'yes' if not unequal_bytes else f'no ({unequal_bytes} cases)'}")
     arrays_moved = 0
@@ -354,14 +450,15 @@ def compare(path_a, path_b, exact=False):
                          ("lu ", "LU factors and solves")):
         keys_a = {k for k in a.files if k.startswith(prefix)}
         keys_b = {k for k in b.files if k.startswith(prefix)}
-        differ = sorted(keys_a ^ keys_b) + sorted(
-            k for k in keys_a & keys_b
-            if not _same_bytes(a[k], b[k]))
-        for key in differ:
+        missing = sorted(keys_a ^ keys_b)
+        differ = sorted(k for k in keys_a & keys_b if not _same_bytes(a[k], b[k]))
+        judged = prefix == "lu " and "lu" in moves
+        for key in missing + ([] if judged else differ):
             print(f"differs or is missing: {key}")
-        print(f"{what} identical: {'yes' if not differ else f'no ({len(differ)})'} "
+        print(f"{what} identical: "
+              f"{'yes' if not missing + differ else f'no ({len(missing + differ)})'} "
               f"({len(keys_a | keys_b)} arrays)")
-        arrays_moved += len(differ)
+        arrays_moved += len(missing) + (_judge_lu(a, b, differ) if judged else len(differ))
     failed = moved or raised or arrays_moved or (exact and unequal_bytes)
     return 1 if failed else 0
 
@@ -375,11 +472,19 @@ def main(argv=None):
     cmp_parser.add_argument("after")
     cmp_parser.add_argument("--exact", action="store_true",
                             help="also exit 1 when any x, history or checkpoint differs in a byte")
+    cmp_parser.add_argument("--envelope", action="store_true",
+                            help="--exact, but the arrays of the families that --moves names "
+                                 "are held to their error bounds instead of their bytes")
+    cmp_parser.add_argument("--moves", action="append", choices=["lu"], default=[],
+                            help="with --envelope: a family of arrays allowed to move "
+                                 "(lu: the binary32 LU factors, growth and solves)")
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.path)
         return 0
-    return compare(args.before, args.after, exact=args.exact)
+    if args.moves and not args.envelope:
+        parser.error("--moves needs --envelope")
+    return compare(args.before, args.after, exact=args.exact or args.envelope, moves=args.moves)
 
 
 if __name__ == "__main__":
