@@ -3,7 +3,9 @@
 Every Krylov basis in the package comes from ``basis`` (column-major, so each
 V[:, i] is contiguous), and every caller projects against one through the
 same two Gram-Schmidt kernels: ``mgs_pass`` (modified, a column at a time)
-and ``cgs2_pass`` (classical, twice, in batched products).
+and ``cgs2_pass`` (classical, twice, in batched products).  Every inner
+product is the Euclidean one: a D-inner-product solve runs these schemes on
+the diagonally scaled system (solvers._restart_driver).
 
 Every scheme builds the relation A V_n = V_{n+1} Hbar_n.  One modeled global
 reduction is one batch of inner products / norms whose operands are all
@@ -104,15 +106,15 @@ class ReductionCounter:
 
         return product
 
-    def dots(self, B, w, weight=None):
-        """B^T w, or B^T D w with the diagonal weight D: one reduction."""
+    def dots(self, B, w):
+        """B^T w: one reduction."""
         self.count(self._per_call)
-        return B.T @ w if weight is None else B.T @ (weight * w)
+        return B.T @ w
 
-    def norm(self, w, weight=None):
-        """The (D-)norm of w as a float: one reduction."""
+    def norm(self, w):
+        """The 2-norm of w as a float: one reduction."""
         self.count(self._per_call)
-        return weighted_norm(w, weight)
+        return float(np.linalg.norm(w))
 
     def batch(self):
         """A block whose dots and norms, however many, are one reduction."""
@@ -129,11 +131,6 @@ class ReductionCounter:
 
     def __exit__(self, *exc):
         self._in_step = False
-
-    def begin_step(self):
-        self.step().__enter__()
-
-    end_step = __exit__
 
     class _Batch:
         """batch()'s block (a contextlib.contextmanager costs five times more)."""
@@ -178,21 +175,15 @@ class ArnoldiDecomposition:
         return float(np.linalg.norm(G - np.eye(G.shape[0]), 2))
 
 
-def weighted_norm(w, weight=None):
-    if weight is None:
-        return float(np.linalg.norm(w))
-    return float(math.sqrt(abs(np.dot(w, weight * w))))
-
-
 def basis(N, k, dtype=np.float64):
     """Zeroed column-major storage for k basis vectors of length N."""
     return np.zeros((N, k), dtype=dtype, order="F")
 
 
-def mgs_pass(V, k, w, counter, weight=None):
+def mgs_pass(V, k, w, counter):
     """Project w against the first k orthonormal columns of V one at a time
-    (modified Gram-Schmidt), in the D-inner product when weight is given.
-    Returns (coefficients, projected w, its norm) in w's dtype; k + 1 reductions."""
+    (modified Gram-Schmidt).  Returns (coefficients, projected w, its norm)
+    in w's dtype; k + 1 reductions."""
     h = np.zeros(k, dtype=w.dtype)
     if k:
         # w - h[i] * v in place, on a private copy of w (an operator may
@@ -201,23 +192,23 @@ def mgs_pass(V, k, w, counter, weight=None):
         tmp = np.empty_like(w)
     for i in range(k):
         v = V[:, i]
-        h[i] = counter.dots(v, w, weight)
+        h[i] = counter.dots(v, w)
         np.multiply(v, h[i], out=tmp)
         w -= tmp
-    return h, w, counter.norm(w, weight)
+    return h, w, counter.norm(w)
 
 
-def cgs2_pass(V, w, counter, weight=None):
+def cgs2_pass(V, w, counter):
     """Project w against the orthonormal columns of V twice (classical
-    Gram-Schmidt with one reorthogonalization), in the D-inner product when
-    weight is given.  Returns (coefficients, projected w, its norm); the two
-    projections and the norm count as three reductions.
+    Gram-Schmidt with one reorthogonalization).  Returns (coefficients,
+    projected w, its norm); the two projections and the norm count as three
+    reductions.
     """
-    h1 = counter.dots(V, w, weight)
+    h1 = counter.dots(V, w)
     w = w - V @ h1
-    h2 = counter.dots(V, w, weight)
+    h2 = counter.dots(V, w)
     w = w - V @ h2
-    return h1 + h2, w, counter.norm(w, weight)
+    return h1 + h2, w, counter.norm(w)
 
 
 class ArnoldiProcess:
@@ -236,16 +227,13 @@ class ArnoldiProcess:
     advance and step_along returns False, while the counter keeps the step's
     reductions and its per_step entry.
 
-    weight, when given, replaces the Euclidean inner product with the
-    D-inner product (u, v)_D = v^T D u throughout.
-
     A CGSP process given the private ``_shift`` theta runs pipelined GMRES
     (Ghysels, Ashby, Meerbergen & Vanroose): it keeps the companion basis
     W = (A - theta I) V, takes the merged batch over w_j, and issues the next
     product op(w_j) before the norm is resolved.
     """
 
-    def __init__(self, A, r0, max_steps, scheme=OrthoScheme.MGS, *, weight=None,
+    def __init__(self, A, r0, max_steps, scheme=OrthoScheme.MGS, *,
                  counter=None, dtype=None, _shift=None):
         self.matvec, self.N = as_matvec(A, n=len(r0))
         self.scheme = OrthoScheme(scheme)
@@ -261,12 +249,9 @@ class ArnoldiProcess:
         if max_steps >= self.N + 1 and _shift is None:
             max_steps = self.N
         self.max_steps = max_steps
-        self.weight = None if weight is None else np.asarray(weight, dtype=dtype)
-        if self.weight is not None and np.any(self.weight <= 0):
-            raise ValueError("weights must be positive")
 
         r0 = np.asarray(r0, dtype=dtype)
-        self.beta = self.counter.norm(r0, self.weight)  # initial normalization
+        self.beta = self.counter.norm(r0)  # initial normalization
         if self.beta == 0.0:
             raise ValueError("starting vector must be nonzero")
         self.V = basis(self.N, max_steps + 1, dtype)
@@ -328,7 +313,7 @@ class ArnoldiProcess:
         # the basis's orthogonality defect enters it squared: retry once
         eps = float(np.finfo(self.dtype).eps)
         if radicand < sigma_sq * max(64.0 * (j + 2) * eps, 1e-8):
-            h, w, h_sub = cgs2_pass(V, w, self.counter, self.weight)
+            h, w, h_sub = cgs2_pass(V, w, self.counter)
             self.reorthogonalizations += 1
             if not math.isfinite(h_sub):
                 raise OrthogonalizationBreakdown(
@@ -358,17 +343,17 @@ class ArnoldiProcess:
         z, droppable = self._direction or (self.V[:, j], False)
         w = np.asarray(self.matvec(z), dtype=self.dtype)
         if self.scheme is OrthoScheme.MGS:
-            h, w, h_sub = mgs_pass(self.V, j + 1, w, self.counter, self.weight)
+            h, w, h_sub = mgs_pass(self.V, j + 1, w, self.counter)
         elif self.scheme is OrthoScheme.CGS:
-            h = self.counter.dots(V, w, self.weight)
+            h = self.counter.dots(V, w)
             w = w - V @ h
-            h_sub = self.counter.norm(w, self.weight)
+            h_sub = self.counter.norm(w)
         elif self.scheme is OrthoScheme.CGS2:
-            h, w, h_sub = cgs2_pass(V, w, self.counter, self.weight)
+            h, w, h_sub = cgs2_pass(V, w, self.counter)
         elif self.scheme is OrthoScheme.CGSP:
             with self.counter.batch():  # the projections and the norm
-                h = self.counter.dots(V, w, self.weight)
-                sigma = self.counter.norm(w, self.weight)
+                h = self.counter.dots(V, w)
+                sigma = self.counter.norm(w)
             h, w_retry, h_sub = self._cgsp_norm(j, V, w, h, sigma * sigma)
             w = w - V @ h if w_retry is None else w_retry
         else:  # pragma: no cover
@@ -380,8 +365,8 @@ class ArnoldiProcess:
         V = self.V[:, : j + 1]
         wj = self.W[:, j]
         with self.counter.batch():          # merged projections + squared norm
-            c = self.counter.dots(V, wj, self.weight)
-            sigma_sq = float(self.counter.dots(wj, wj, self.weight))
+            c = self.counter.dots(V, wj)
+            sigma_sq = float(self.counter.dots(wj, wj))
         u = np.asarray(self.matvec(wj), dtype=self.dtype)  # next product, overlappable
         # v_{j+1} comes from w_j and the combined coefficients, also after a retry
         c, _, h_sub = self._cgsp_norm(j, V, wj, c, sigma_sq)
@@ -398,7 +383,7 @@ class ArnoldiProcess:
         if k == 0:
             # inferred first step: w1 = A v1, projected against v1 only
             w = np.asarray(self.matvec(self.V[:, 0]), dtype=self.dtype)
-            h00 = self.counter.dots(self.V[:, 0], w, self.weight)
+            h00 = self.counter.dots(self.V[:, 0], w)
             self.H[0, 0] = h00
             self._w_pending = w - h00 * self.V[:, 0]
             self.completed = 0
@@ -410,10 +395,10 @@ class ArnoldiProcess:
         Vk = self.V[:, :k]
         u = np.empty(k + 1, dtype=self.dtype)
         with self.counter.batch():
-            l_row = self.counter.dots(Vk, wp, self.weight)
-            u[:k] = self.counter.dots(Vk, w_new, self.weight)
-            u[k] = self.counter.dots(wp, w_new, self.weight)
-            h_sub = self.counter.norm(wp, self.weight)
+            l_row = self.counter.dots(Vk, wp)
+            u[:k] = self.counter.dots(Vk, w_new)
+            u[k] = self.counter.dots(wp, w_new)
+            h_sub = self.counter.norm(wp)
         self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
         if self.breakdown_at is not None:
             return
@@ -431,7 +416,7 @@ class ArnoldiProcess:
                 and self.steps > 0 and self.completed < self.steps):
             k = self.steps
             wp = self._w_pending
-            h_sub = self.counter.norm(wp, self.weight)  # the deferred normalization
+            h_sub = self.counter.norm(wp)  # the deferred normalization
             self._commit(k - 1, self.H[:k, k - 1], wp, h_sub)
 
     def eval_basis_combination(self, y):
@@ -452,7 +437,7 @@ def _decomposition(proc, V, reductions):
                                 breakdown_at=proc.breakdown_at)
 
 
-def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None):
+def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, counter=None):
     """Run n Arnoldi steps of the requested scheme starting from r0.
 
     Parameters
@@ -465,8 +450,6 @@ def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None):
         Number of steps (capped at the space dimension).
     scheme : OrthoScheme or str
         mgs, cgs, cgs2, cgsp or icwy.
-    weight : ndarray, optional
-        Positive diagonal replacing the Euclidean inner product.
     counter : ReductionCounter, optional
         Receives the modeled global-reduction events.
 
@@ -477,7 +460,7 @@ def arnoldi(A, r0, n, scheme=OrthoScheme.MGS, *, weight=None, counter=None):
         breakdown_at set to the grade on early termination (a subdiagonal
         entry at most BREAKDOWN_REL times its column's norm).
     """
-    proc = ArnoldiProcess(A, r0, n, scheme, weight=weight, counter=counter)
+    proc = ArnoldiProcess(A, r0, n, scheme, counter=counter)
     while proc.steps < proc.max_steps and proc.breakdown_at is None:
         proc.step()
     proc.finish()

@@ -13,8 +13,8 @@ The driver owns:
 - coercion of A, b and x0, and the run (_Run) with its one counter;
 - the zero right-hand side, which returns x = 0, converged, 0 iterations;
 - the operator the cycles iterate on and the tolerance reference for each
-  preconditioning side (none, left, right) and for the weighted norm,
-  including a per-cycle weight refresh such as Essai's;
+  preconditioning side (none, left, right) and for a weight, with a
+  per-cycle weight refresh such as Essai's (below);
 - the initial residual, with an early converged exit at iteration 0 when x0
   already meets the tolerance;
 - the restart loop: the iteration budget, the right-preconditioner map-back
@@ -33,6 +33,12 @@ reduction counter, calls opts.iteration_callback(k, rho / tol_ref) with the
 global iteration k, and returns whether rho meets the tolerance.  State a
 solver carries from cycle to cycle lives in the closure of make_cycle; a
 cycle is called again only when the driver restarts.
+
+A weight d runs weighted GMRES as GMRES on S A S^-1, S = diag(sqrt(d))
+(Guttel & Pestana, Numer. Algorithms 67, 2014): each cycle iterates on
+v -> s * op(v / s) from s * r, and the driver divides its update by s
+before any right preconditioner and keeps the one weighted norm ||s * r||,
+for the history and tol_ref.  The cycles see only Euclidean products.
 
 Every cycle that grows a Hessenberg matrix (Arnoldi in each scheme and
 working dtype, low-sync and pipelined, all on ortho.ArnoldiProcess but
@@ -65,7 +71,7 @@ from .linalg import (
 )
 from .ortho import (BREAKDOWN_REL, ArnoldiProcess, HouseholderArnoldi,
                     OrthogonalizationBreakdown, OrthoScheme, ReductionCounter, basis,
-                    mgs_pass, weighted_norm)
+                    mgs_pass)
 
 __all__ = [
     "GmresOptions",
@@ -136,8 +142,6 @@ class GmresOptions:
             self.weight = _finite_vector("weight", self.weight)
             if np.any(self.weight <= 0):
                 raise ValueError("weight entries must be positive")
-            if self.scheme is OrthoScheme.HOUSEHOLDER:
-                raise ValueError("the householder scheme takes no weight")
         if not 0.0 <= self.simpler_omega <= 1.0:
             raise ValueError("simpler_omega must lie in [0, 1]")
 
@@ -146,12 +150,13 @@ _RUN = ("rtol", "max_iter", "restart", "iteration_callback")
 _PRECOND = ("precond_side", "preconditioner")
 _ARNOLDI = _RUN + ("scheme",) + _PRECOND + ("weight",)
 _DIRECT = ("mgs", "cgs", "cgs2", "cgsp")  # the schemes of ArnoldiProcess.step_along
+_EVERY = _DIRECT + ("icwy", "householder")
 
 # The GmresOptions fields each SOLVER_DISPATCH entry reads, with the schemes it
 # runs if it reads scheme; _options refuses every other non-default field.
 READS = {
-    "gmres": (_ARNOLDI, _DIRECT + ("icwy", "householder")),
-    "gmres-restarted": (_ARNOLDI, _DIRECT + ("icwy", "householder")),
+    "gmres": (_ARNOLDI, _EVERY),
+    "gmres-restarted": (_ARNOLDI, _EVERY),
     "hh-gmres": (_RUN + ("scheme",) + _PRECOND, ("householder",)),
     "sgmres": (_RUN, ()),
     "rb-sgmres": (_RUN, ()),
@@ -161,7 +166,7 @@ READS = {
     "fgmres": (_RUN + ("scheme",), _DIRECT),
     "lgmres": (_RUN + ("scheme",), _DIRECT),
     "gmres-e": (_RUN + ("scheme",), _DIRECT),
-    "weighted-gmres": (_ARNOLDI, _DIRECT + ("icwy",)),
+    "weighted-gmres": (_ARNOLDI, _EVERY),
     "sstep-gmres": (_RUN, ()),
     "pipelined-gmres": (_RUN, ()),
     "lowsync-gmres": (_RUN + _PRECOND + ("weight",), ()),
@@ -196,10 +201,11 @@ class SolveReport:
     """Outcome of one solve.
 
     residual_history[k] is the estimated residual norm after k iterations
-    (in whatever norm the variant minimizes); true_residual_checkpoints holds
-    explicitly recomputed Euclidean ||b - A x|| values at restarts and exit,
-    and estimated_norm_checkpoints the same recomputation in the estimate's
-    own norm (they coincide for plain runs).
+    in the norm the variant minimizes (||D^(1/2) r|| with a weight D);
+    true_residual_checkpoints holds explicitly recomputed Euclidean
+    ||b - A x|| values at restarts and exit, and estimated_norm_checkpoints
+    the same recomputation in the estimate's own norm (they coincide for
+    plain runs).
 
     matvecs counts the products of A, in any dtype, that the solve's cycles,
     residual recomputes and breakdown scale make, and reductions the
@@ -215,7 +221,8 @@ class SolveReport:
     diagnostics["arnoldi"], in the reports of the Arnoldi cycles (every
     scheme, Householder included, weighted, low-sync and two-precision, but
     not pipelined) and of s-step, is the last cycle's (n+1) x n Hessenberg
-    factor Hbar in the cycle's working dtype, n its completed steps; a
+    factor Hbar in the cycle's working dtype, n its completed steps (with a
+    weight D, that of D^(1/2) A D^(-1/2), the D-inner product's); a
     breakdown leaves its last row zero.  No report keeps a Krylov basis.
     """
 
@@ -290,8 +297,8 @@ class _Run:
 
     counter counts the products and the modeled reductions.  op is the
     operator the cycles iterate on: the counted product, to which the driver
-    adds the preconditioner and the working dtype.  weight, tol_ref and
-    tol_abs hold the current cycle's norm and tolerance.  diagnostics
+    adds the preconditioner, the working dtype and a weight's scaling.
+    tol_ref and tol_abs hold the current cycle's tolerance.  diagnostics
     becomes the report's (report builds the SolveReport); a cycle that ends an
     Arnoldi process of any scheme (pipelined's excepted) writes a copy of
     its Hessenberg factor to diagnostics["arnoldi"] (SolveReport) and drops
@@ -306,7 +313,6 @@ class _Run:
         self.op = self.counter.counted(matvec)
         self.opts = opts
         self.dtype = np.dtype(np.float64)
-        self.weight = None
         self.tol_ref = 1.0
         self.tol_abs = 0.0
         self.iterations = 0
@@ -378,7 +384,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
 
     diagnostics seeds the report's diagnostics.  weight_refresh(r) -> weights,
     when given, replaces opts.weight: it is applied to the initial residual
-    and again before every cycle.  A dtype other than binary64 carries the
+    and again at every restart.  A dtype other than binary64 carries the
     cycle products out in that format (mixedprec.low_operator); residuals
     and solution updates stay binary64.
     """
@@ -401,22 +407,26 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
     M = opts.preconditioner
     side = opts.precond_side
     if side == "right":
-        run.op = lambda v: product(_apply_precond(M, v))
+        run.op = op = lambda v: product(_apply_precond(M, v))
     elif side == "left":
-        run.op = lambda v: _apply_precond(M, product(v))
+        run.op = op = lambda v: _apply_precond(M, product(v))
     else:
-        run.op = product
+        run.op = op = product
 
     def precond_residual(r):
         return _apply_precond(M, r) if side == "left" else r
+
+    def norm(v):  # the D-norm ||s * v|| of a weighted solve
+        return float(np.linalg.norm(v if s is None else s * v))
 
     cycle = make_cycle(run)
     x = np.zeros(N) if x0 is None else x0.copy()
     r_true = b - matvec(x)
     r = precond_residual(r_true)
     weight = opts.weight if weight_refresh is None else weight_refresh(r)
-    tol_ref = weighted_norm(precond_residual(b), weight)
-    history = [weighted_norm(r, weight)]
+    s = None if weight is None else np.sqrt(weight)
+    tol_ref = norm(precond_residual(b))
+    history = [norm(r)]
     checkpoints = []
     est_checkpoints = []
     restarts = 0
@@ -432,12 +442,14 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
         budget = min(m, max_iter - (len(history) - 1))
         if budget <= 0:
             break
-        if weight_refresh is not None:
-            weight = weight_refresh(r)
-            tol_ref = weighted_norm(precond_residual(b), weight)
-        run.weight, run.tol_ref, run.tol_abs = weight, tol_ref, opts.rtol * tol_ref
+        run.tol_ref, run.tol_abs = tol_ref, opts.rtol * tol_ref
         rho_start = history[-1]
-        update, rhos, status = cycle(r, budget)
+        # with a weight, GMRES on S A S^-1 from S r, S in the working dtype
+        sc = 1.0 if s is None else s.astype(run.dtype, copy=False)
+        if s is not None:
+            run.op = lambda v: sc * op(v / sc)
+        update, rhos, status = cycle(sc * r, budget)
+        update = update / sc
         if side == "right":
             update = _apply_precond(M, update)
         x = x + update
@@ -446,7 +458,7 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
 
         r_true = b - matvec(x)
         r = precond_residual(r_true)
-        rho_true = weighted_norm(r, weight)
+        rho_true = norm(r)
         checkpoints.append((total_iter, float(np.linalg.norm(r_true))))
         est_checkpoints.append((total_iter, rho_true))
         if status == "converged" or rho_true <= run.tol_abs:
@@ -460,6 +472,9 @@ def _restart_driver(A, b, x0, opts, make_cycle, *, diagnostics=None,
             status = "stagnation"
             break
         restarts += 1
+        if weight_refresh is not None:
+            s = np.sqrt(weight_refresh(r))
+            tol_ref = norm(precond_residual(b))
 
     return run.report(x, history, "maxiter" if status == "exhausted" else status,
                       restarts, checkpoints, est_checkpoints)
@@ -500,8 +515,8 @@ def _process_steps(proc):
 
 def _arnoldi_cycles(run, shift=None):
     """Cycles of Arnoldi in opts.scheme (Householder's on a HouseholderArnoldi)
-    with a running Givens QR of the Hessenberg factor, in the run's weight and
-    working dtype; each records its Hessenberg factor.  A shift makes a CGS-P
+    with a running Givens QR of the Hessenberg factor, in the run's working
+    dtype; each records its Hessenberg factor.  A shift makes a CGS-P
     process pipelined (commavoid.pipelined_gmres), which records its retries
     instead."""
 
@@ -509,9 +524,8 @@ def _arnoldi_cycles(run, shift=None):
         if run.opts.scheme is OrthoScheme.HOUSEHOLDER:
             proc = HouseholderArnoldi(run.op, r, budget, counter=run.counter)
         else:
-            proc = ArnoldiProcess(
-                run.op, r, budget, run.opts.scheme, weight=run.weight,
-                counter=run.counter, dtype=run.dtype, _shift=shift)
+            proc = ArnoldiProcess(run.op, r, budget, run.opts.scheme,
+                                  counter=run.counter, dtype=run.dtype, _shift=shift)
         ls = HessenbergLsState(proc.max_steps, proc.beta, dtype=run.dtype)
         rhos, status = _givens_cycle(run.emit, ls, _process_steps(proc))
         update = proc.eval_basis_combination(ls.solve())
@@ -594,7 +608,7 @@ def _essai_weights(r):
 
 
 def weighted_gmres(A, b, x0=None, opts=None):
-    """GMRES in the D-inner product.
+    """GMRES in the D-inner product, on the scaled system (module docstring).
 
     With an explicit opts.weight the diagonal stays fixed; without one the
     weights follow the residual at every restart (Essai's rule), clamped

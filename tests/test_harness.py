@@ -426,6 +426,24 @@ def test_jacobi_under_inexact_product_runs(tmp_path):
     assert os.path.exists(os.path.join(outdir, "summary.json"))
 
 
+def test_final_true_residual_of_an_inexact_run_takes_the_exact_product(tmp_path):
+    # the report's checkpoints go through the perturbed product; the summary's
+    # final residual is ||b - A x|| with A itself
+    doc = config_doc(str(tmp_path / "out"))
+    doc["problem"] = {"kind": "convdiff", "nx": 10, "ny": 10, "peclet": 10.0}
+    doc["variants"] = [{"name": "mgs", "solver": "gmres", "options": {"rtol": 1e-8}}]
+    doc["inexact"] = {"mode": "fixed", "eta": 1e-6, "seed": 1}
+    summary, _ = run(ExperimentConfig.from_dict(doc))
+    A = gen_convdiff(10, 10, peclet=10.0)
+    b = np.random.default_rng(3).standard_normal(100)
+    # the same seeded perturbations, so the same iterate
+    operator = inexact_operator(A, PerturbationSchedule(eta=1e-6), seed=1)
+    report = _run_variant(operator, b, doc["variants"][0])
+    final = summary["variants"]["mgs"]["final_true_residual"]
+    assert final == float(np.linalg.norm(b - A.matvec(report.x)))
+    assert final != report.true_residual_checkpoints[-1][1]
+
+
 class TestCliInfo:
     @staticmethod
     def info(tmp_path, capsys, symmetry, body):

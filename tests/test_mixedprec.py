@@ -597,6 +597,16 @@ class TestEnvelope:
         status, out = run(L, ["lu"])
         assert status == 1 and "outside the envelope" in out
 
+    def test_overflowing_factors_get_a_ratio_for_every_array(self):
+        # the overflowing band's factors hold infs on both sides: perm's
+        # backward error is taken over the finite entries, not a NaN
+        A = report_identity.overflow_band()
+        arrays = {key.split("|")[1]: value
+                  for key, value in report_identity.lu_arrays("lu", A).items()}
+        ratios = report_identity.lu_envelope(
+            A, report_identity.right_hand_sides(len(A)), arrays, arrays)
+        assert all(ratio <= 1 for ratio in ratios.values()), ratios
+
 
 class TestLowOperator:
     def test_csr_product_in_low_format(self, convdiff100, rhs100):

@@ -400,11 +400,14 @@ class TestWeightedGmres:
         d = rng.random(30) + 0.5
         rep = weighted_gmres(A, b, opts=GmresOptions(rtol=1e-300, max_iter=15,
                                                      weight=d))
-        # the basis of the same single cycle, rebuilt by ortho.arnoldi
-        dec = arnoldi(A, b, 15, weight=d)
+        # the basis of the same single cycle, rebuilt by ortho.arnoldi on the
+        # scaled system; unscaled, it is D-orthonormal
+        s = np.sqrt(d)
+        dec = arnoldi(lambda v: s * (A @ (v / s)), s * b, 15)
         Hbar = rep.diagnostics["arnoldi"]
         assert Hbar.dtype == dec.Hbar.dtype and Hbar.tobytes() == dec.Hbar.tobytes()
-        G = dec.V.T @ (d[:, None] * dec.V)
+        V = dec.V / s[:, None]
+        G = V.T @ (d[:, None] * V)
         assert np.linalg.norm(G - np.eye(G.shape[0])) <= 1e-10
 
     def test_transformed_system_equivalence(self, rng):
@@ -641,9 +644,16 @@ class TestOptionValidation:
                                              r"got \(3,\)"):
             solve(A, np.ones(36), opts=GmresOptions(weight=np.ones(3)))
 
-    def test_householder_scheme_takes_no_weight(self):
-        with pytest.raises(ValueError, match="householder scheme takes no weight"):
-            GmresOptions(scheme="householder", weight=np.ones(4))
+    def test_householder_scheme_takes_a_weight(self):
+        # the weight scales the system the scheme runs on: Householder's
+        # history is MGS's to rounding
+        A = gen_convdiff(6, 6, peclet=2.0)
+        d = np.linspace(0.5, 2.0, 36)
+        hh, mgs = (weighted_gmres(A, np.ones(36), opts=GmresOptions(
+            rtol=1e-10, scheme=scheme, weight=d)) for scheme in ("householder", "mgs"))
+        assert hh.converged and hh.iterations == mgs.iterations
+        a, m = np.array(hh.residual_history), np.array(mgs.residual_history)
+        assert np.max(np.abs(a - m)) <= 1e-12 * m[0]
 
     @pytest.mark.parametrize("M", [3, "jacobi", np.ones(4)])
     def test_rejects_a_preconditioner_without_apply_that_is_not_callable(self, M):

@@ -3,7 +3,10 @@
     PYTHONPATH=src python tools/report_identity.py dump after.npz
     PYTHONPATH=/path/to/other/checkout/src python tools/report_identity.py dump before.npz
     PYTHONPATH=src python tools/report_identity.py compare [--exact] before.npz after.npz
-    PYTHONPATH=src python tools/report_identity.py compare --envelope --moves lu before.npz after.npz
+    PYTHONPATH=src python tools/report_identity.py compare --envelope --moves lu \
+        before.npz after.npz
+    PYTHONPATH=src python tools/report_identity.py compare --envelope \
+        --moves weighted-gmres before.npz after.npz
 
 `dump` runs every SOLVER_DISPATCH entry, and three more GMRES-IR variants,
 on five problems with max_iter 13 and 60, restart unset and 8, and x0 zero
@@ -25,10 +28,11 @@ records in diagnostics["arnoldi"] where it has one (the array itself, or
 the Hbar of an older report's ArnoldiDecomposition) and otherwise the one
 an older s-step GMRES kept in diagnostics["hessenberg"], or the type of the
 exception the call raised, and prints how many cases ended in each
-termination or exception type.  gmres-ir runs as the harness dispatches it, on its default inner
-options (rtol 1e-4, restart 50, max_iter 200); the variants change one of them each, to inner
-restart 5, max_iter 3 or rtol 1e-6, so that the inner restart loop and its
-budget are covered.  All four ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
+termination or exception type.  gmres-ir runs as the harness dispatches
+it, on its default inner options (rtol 1e-4, restart 50, max_iter 200); the
+variants change one of them each, to inner restart 5, max_iter 3 or rtol
+1e-6, so that the inner restart loop and its budget are covered.  All four
+ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
 of gen_convdiff(128, 128, 10.0), of a 64x64 arrow matrix with ten empty
 rows, of convdiff 32x32 (Peclet 10) with a seeded tenth of its entries
@@ -69,7 +73,21 @@ gamma_n max(|L||U|), each solve's residual within gamma_3n max(|L||U||x|),
 growth within a factor 2 of the first dump's, and the same infs and NaNs at
 the same positions wherever either side holds one.  It prints every moved
 array with its ratio to its bound and exits with status 1 when one is
-outside.  No solve case may move under --envelope yet.
+outside.
+
+With --moves <name>, a SOLVER_DISPATCH name, the cases of that solver
+(its harness: cases included) whose x, history, checkpoints or recorded
+Hessenberg differ in bytes are not failed for their bytes.  Their exception
+type, termination, counts, reduction log and marks and diagnostics counters
+must still be equal, with no iteration slack, and their recorded Hessenberg
+must keep its dtype and shape.  Each history entry and the last explicit
+residual are held to the bounds solve_envelope states and derives from
+Paige, Rozloznik & Strakos (SIMAX 28, 2006), and the tool prints each such
+case with its ratios to them and exits with status 1 when one is outside.
+A case whose problem is singular to working precision (the singular
+problem) falls outside that theory: it is listed as excluded, and its
+bytes are not judged.  Every case of a solver --moves does not name must
+stay byte-equal, as under --exact.
 """
 
 from __future__ import annotations
@@ -79,7 +97,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -128,12 +146,16 @@ def problems():
     yield "kappa=1e6", gen_spectrum(np.geomspace(1e-6, 1.0, 40), seed=5), 5
 
 
+def right_hand_side(A, seed):
+    """(b, the random x0) of the problem A with its seed."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(A.nrows), rng.standard_normal(A.nrows)
+
+
 def cases():
     """(key, solve()) of every case."""
     for label, A, seed in problems():
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal(A.nrows)
-        x_random = rng.standard_normal(A.nrows)
+        b, x_random = right_hand_side(A, seed)
         for max_iter in (13, 60):
             for restart in (None, 8):
                 for x0_kind, x0 in (("zero", None), ("random", x_random)):
@@ -270,9 +292,12 @@ def lu_envelope(A, rhs, before, after):
     max|A32[perm] - L U| over gamma_n max(|L||U|) (Higham, Accuracy and
     Stability of Numerical Algorithms, Thm 9.3), each solve x the residual
     max|b32[perm] - A32[perm] x| over gamma_3n max(|L||U||x|) (Thm 9.4), and
-    growth its factor to before's growth over 2.  |L|, |U| and |x| are taken
-    plus the smallest normal binary32 number, so that underflow, whose
-    absolute error the theorems leave out, stays inside (Higham, eq. 2.8).
+    growth its factor to before's growth over 2.  The backward error and its
+    bound are taken over the entries where L U and |L||U| are finite, so that
+    perm gets a number also when the factors hold an inf.  |L|, |U| and |x|
+    are taken plus the smallest normal binary32 number, so that underflow,
+    whose absolute error the theorems leave out, stays inside (Higham, eq.
+    2.8).
     An array that holds an inf or NaN on either side gets 0 when both hold
     the same ones at the same positions, else inf.  A32 and b32 are A and b
     rounded to binary32, as lu_low and LowLU.solve read them."""
@@ -284,8 +309,10 @@ def lu_envelope(A, rhs, before, after):
     ratios = {}
     with np.errstate(all="ignore"):
         mL, mU = (np.abs(M) + np.finfo(np.float32).tiny for M in (L, U))
-        backward = _ratio(np.abs(PA - L @ U).max(initial=0.0),
-                          _gamma(n) * (mL @ mU).max(initial=0.0))
+        LU, scale = L @ U, mL @ mU
+        finite = np.isfinite(LU) & np.isfinite(scale)
+        backward = _ratio(np.abs(PA - LU)[finite].max(initial=0.0),
+                          _gamma(n) * scale[finite].max(initial=0.0))
         ratios.update(L=backward, U=backward, perm=backward)
         for k, b in enumerate(rhs):
             x = after[f"solve {k}"].astype(np.float64)
@@ -311,31 +338,38 @@ def dump(path):
         out.update(lu_arrays(prefix, A))
     outcomes = Counter()  # termination or exception type -> cases
     for key, solve in cases():
-        try:
-            rep = solve()
-        except Exception as exc:  # the exception type is part of the record
-            out[key + "|raised"] = np.array(type(exc).__name__)
-            outcomes[type(exc).__name__] += 1
-            continue
-        outcomes[rep.termination] += 1
-        out[key + "|raised"] = np.array("")
-        out[key + "|counts"] = np.array([getattr(rep, c) for c in COUNTS])
-        out[key + "|termination"] = np.array(rep.termination)
-        out[key + "|x"] = np.asarray(rep.x, dtype=np.float64)
-        out[key + "|history"] = np.asarray(rep.residual_history, dtype=np.float64)
-        out[key + "|checkpoints"] = np.array([v for _, v in rep.true_residual_checkpoints])
-        out[key + "|reduction_log"] = np.array(rep.reduction_log, dtype=np.int64)
-        out[key + "|reduction_marks"] = np.array(rep.reduction_marks, dtype=np.int64)
-        diag = rep.diagnostics
-        out[key + "|diagnostics"] = np.array(
-            [np.nan if diag.get(k) is None else float(diag[k]) for k in DIAGNOSTICS])
-        # s-step records its assembled Hessenberg under its own key
-        recorded = diag.get("arnoldi", diag.get("hessenberg"))
-        if recorded is not None:
-            out[key + "|hessenberg"] = getattr(recorded, "Hbar", recorded)
+        out.update(record(key, solve))
+        outcomes[str(out[key + "|raised"]) or str(out[key + "|termination"])] += 1
     np.savez(path, **out)
     print(f"{path}: {sum(outcomes.values())} cases; "
           + ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items())))
+
+
+def record(key, solve):
+    """{key|part: array} of the report solve() returns, or of the type of
+    the exception it raises."""
+    out = {}
+    try:
+        rep = solve()
+    except Exception as exc:  # the exception type is part of the record
+        out[key + "|raised"] = np.array(type(exc).__name__)
+        return out
+    out[key + "|raised"] = np.array("")
+    out[key + "|counts"] = np.array([getattr(rep, c) for c in COUNTS])
+    out[key + "|termination"] = np.array(rep.termination)
+    out[key + "|x"] = np.asarray(rep.x, dtype=np.float64)
+    out[key + "|history"] = np.asarray(rep.residual_history, dtype=np.float64)
+    out[key + "|checkpoints"] = np.array([v for _, v in rep.true_residual_checkpoints])
+    out[key + "|reduction_log"] = np.array(rep.reduction_log, dtype=np.int64)
+    out[key + "|reduction_marks"] = np.array(rep.reduction_marks, dtype=np.int64)
+    diag = rep.diagnostics
+    out[key + "|diagnostics"] = np.array(
+        [np.nan if diag.get(k) is None else float(diag[k]) for k in DIAGNOSTICS])
+    # s-step records its assembled Hessenberg under its own key
+    recorded = diag.get("arnoldi", diag.get("hessenberg"))
+    if recorded is not None:
+        out[key + "|hessenberg"] = getattr(recorded, "Hbar", recorded)
+    return out
 
 
 def _rel_x(a, b):
@@ -371,6 +405,76 @@ def _judge_lu(a, b, differ):
     return outside
 
 
+def solver_of(key):
+    """The SOLVER_DISPATCH name (or variant) a case key runs."""
+    return key.split()[0].removeprefix("harness:").split("+")[0]
+
+
+@lru_cache(maxsize=None)
+def conditioning(label):
+    """(N, kappa(A), {x0 kind: ||b - A x0||}) of the problem label."""
+    A, seed = next((A, seed) for name, A, seed in problems() if name == label)
+    dense = A.to_dense()
+    b, x_random = right_hand_side(A, seed)
+    return (A.nrows, float(np.linalg.cond(dense)),
+            {"zero": float(np.linalg.norm(b)),
+             "random": float(np.linalg.norm(b - dense @ x_random))})
+
+
+def solve_envelope(key, before, after):
+    """{"history": ratio, "residual": ratio} of a case's moved history and
+    last explicit residual to the bound tau = (k + 1) N eps kappa(A), or None
+    for a problem singular to working precision (kappa(A) eps >= 1).
+
+    MGS-GMRES is backward stable (Paige, Rozloznik & Strakos, SIMAX 28,
+    2006): its k-th residual is the minimal residual of a problem within a
+    normwise relative distance of order k N eps of (A, b), whose minimal
+    residual moves by at most kappa(A) times that.  So two runs that differ
+    only in rounding keep their histories within tau rho_0 of each other
+    until the relative residual nears kappa(A) eps, where both stay below
+    it; the 1 of k + 1 covers the norm of r0 itself.  Each history entry is
+    held to tau rho_0 and the last explicit residual to tau ||b - A x0||.
+    k is the case's iteration count, N the order and kappa(A) the condition
+    number of its problem, and eps that of the recorded Hessenberg's dtype
+    (the cycle's working precision), binary64 where none is recorded."""
+    label = key.split()[1]
+    x0 = next((w[3:] for w in key.split() if w.startswith("x0=")), "zero")
+    N, kappa, r0 = conditioning(label)
+    hessenberg = after.get(key + "|hessenberg")
+    eps = np.finfo(np.float64 if hessenberg is None else hessenberg.dtype).eps
+    if kappa * eps >= 1:
+        return None
+    tau = (after[key + "|counts"][0] + 1) * N * eps * kappa
+    h_a, h_b = before[key + "|history"], after[key + "|history"]
+    c_a, c_b = before[key + "|checkpoints"], after[key + "|checkpoints"]
+    return {"history": _rel_series(h_a, h_b, h_a[0]) / tau,
+            "residual": abs(c_a[-1] - c_b[-1]) / (tau * r0[x0]) if len(c_a) else 0.0}
+
+
+def _judge_solves(a, b, moved):
+    """Print each moved case of a named solver with its ratios to its bounds
+    (solve_envelope), or as excluded; return how many are outside."""
+    print("bounds: each history entry within (k + 1) N eps kappa(A) rho_0 and the "
+          "last explicit residual within (k + 1) N eps kappa(A) ||b - A x0|| of "
+          "the first dump's (Paige, Rozloznik & Strakos, SIMAX 28, 2006)")
+    outside = excluded = 0
+    for key in moved:
+        ratios = solve_envelope(key, a, b)
+        if ratios is None:
+            excluded += 1
+            print(f"excluded: {key}: its problem is singular to working precision "
+                  f"(kappa(A) eps >= 1), outside the theory of the bounds")
+            continue
+        bad = not all(r <= 1 for r in ratios.values())
+        outside += bad
+        print(f"moved: {key}: history {ratios['history']:.3g}, last explicit residual "
+              f"{ratios['residual']:.3g} of its bound"
+              + (" (outside the envelope)" if bad else ""))
+    print(f"cases of the named solvers whose bytes moved: {len(moved)}; "
+          f"outside their bounds: {outside}; excluded: {excluded}")
+    return outside
+
+
 def compare(path_a, path_b, exact=False, moves=()):
     a, b = np.load(path_a), np.load(path_b)
     keys = sorted(k[: -len("|raised")] for k in a.files if k.endswith("|raised"))
@@ -380,7 +484,9 @@ def compare(path_a, path_b, exact=False, moves=()):
     rows = {}  # solver -> [cases, record changes, exception changes, max dx, max dhist]
     hessenbergs = 0  # cases with a recorded Hessenberg on either side
     unequal_bytes = 0  # cases whose x, history or checkpoints differ in a byte
+    held = []  # cases of a solver --moves names whose bytes differ
     for key in keys:
+        named = solver_of(key) in moves
         row = rows.setdefault(key.split()[0], [0, 0, 0, 0.0, 0.0])
         row[0] += 1
         ra, rb = str(a[key + "|raised"]), str(b[key + "|raised"])
@@ -413,16 +519,22 @@ def compare(path_a, path_b, exact=False, moves=()):
             print(f"{key}: diagnostics {dict(zip(DIAGNOSTICS, da.tolist()))} -> "
                   f"{dict(zip(DIAGNOSTICS, db.tolist()))}")
         ha, hb = (d.get(key + "|hessenberg") for d in (a, b))
+        unequal = [part for part in ("x", "history", "checkpoints")
+                   if not _same_bytes(a[f"{key}|{part}"], b[f"{key}|{part}"])]
         if ha is not None or hb is not None:
             hessenbergs += 1
-            if ha is None or hb is None or not _same_bytes(ha, hb):
+            same_kind = ha is not None and hb is not None and \
+                (ha.dtype, ha.shape) == (hb.dtype, hb.shape)
+            if same_kind and named and not _same_bytes(ha, hb):
+                unequal.append("hessenberg")  # a named solver's keeps dtype and shape
+            elif not (same_kind and _same_bytes(ha, hb)):
                 moved = True
                 print(f"{key}: recorded Hessenberg "
                       + " -> ".join("none" if h is None else f"{h.dtype} {h.shape}"
                                     for h in (ha, hb)) + " differs")
-        unequal = [part for part in ("x", "history", "checkpoints")
-                   if not _same_bytes(a[f"{key}|{part}"], b[f"{key}|{part}"])]
-        if unequal:
+        if unequal and named:
+            held.append(key)
+        elif unequal:
             unequal_bytes += 1
             print(f"{key}: bytes of {', '.join(unequal)} differ")
         row[1] += moved
@@ -459,7 +571,8 @@ def compare(path_a, path_b, exact=False, moves=()):
               f"{'yes' if not missing + differ else f'no ({len(missing + differ)})'} "
               f"({len(keys_a | keys_b)} arrays)")
         arrays_moved += len(missing) + (_judge_lu(a, b, differ) if judged else len(differ))
-    failed = moved or raised or arrays_moved or (exact and unequal_bytes)
+    outside = _judge_solves(a, b, held) if held else 0
+    failed = moved or raised or arrays_moved or outside or (exact and unequal_bytes)
     return 1 if failed else 0
 
 
@@ -475,9 +588,11 @@ def main(argv=None):
     cmp_parser.add_argument("--envelope", action="store_true",
                             help="--exact, but the arrays of the families that --moves names "
                                  "are held to their error bounds instead of their bytes")
-    cmp_parser.add_argument("--moves", action="append", choices=["lu"], default=[],
+    cmp_parser.add_argument("--moves", action="append", choices=["lu", *SOLVER_DISPATCH],
+                            default=[],
                             help="with --envelope: a family of arrays allowed to move "
-                                 "(lu: the binary32 LU factors, growth and solves)")
+                                 "(lu: the binary32 LU factors, growth and solves; a "
+                                 "SOLVER_DISPATCH name: the cases of that solver)")
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.path)
