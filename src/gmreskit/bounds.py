@@ -32,7 +32,8 @@ __all__ = [
 
 
 # bound_report densifies A and solves a nonsymmetric eigenproblem with
-# vectors in O(n^3), so it is capped, like the binary32 LU, at desk scale
+# vectors in O(n^3), so it is capped at desk scale (the binary32 LU's cap
+# is on its storage's bytes instead, mixedprec.LU_BYTES_LIMIT)
 DESK_SCALE_LIMIT = 2000
 
 

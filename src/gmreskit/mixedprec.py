@@ -5,37 +5,19 @@ Arnoldi cycle of solvers._arnoldi_cycles and keep residuals and solution
 updates in binary64.  That two-precision rule holds by construction: the
 restart driver and the refinement loop compute both in binary64 only.
 
-Low-format products keep CSR input sparse (``low_operator``); only the LU
-factorization of GMRES-IR densifies, once and straight into binary32, into a
-blocked right-looking factorization.  Each panel of _BLOCK columns is
-factored in a contiguous transposed copy, its block row of U comes from one
-GEMV per row and the trailing update is one binary32 GEMM.  All of it runs
-at band shape: a panel's row-by-row work (pivot search, scaling, rank-1
-updates) stops at its reach, 1 + its last row whose bit pattern is not +0.0
-(a -0.0 counts), and at least its last column, and the rows past the reach
-get +0.0 / pivot, the signed zeros a full-width panel writes there; the U
-block row's GEMVs stop at its last column not +0.0 and the trailing GEMM
-covers only the rows and columns up to those two reaches; the triangular
-solves' GEMVs cover only the rows of each block column not +0.0.  On a band
-matrix of bandwidth b the update then costs O(n b^2) instead of O(n^3), and
-its temporary takes O(b^2) memory, as in a banded LU (Golub & Van Loan,
-4.3).  Past the band a full-shape product only subtracts zeros, except that
-inf x 0 is NaN: a panel or U block row that holds an inf or NaN keeps the
-full shapes (the panel is factored again at full width, since the
-full-width pivot search can pick those NaN rows), and so does a solve whose
-result holds one.
-BLAS rounds a sub-shape's entries differently, so on a general band matrix
-the bits are not the full-shape ones but keep their error bounds; on the
-benchmark's convdiff 32^2 they are the same.
-The factors stay packed in that one n x n array, as LAPACK's getrf leaves
-them; the triangular solves substitute inside transposed copies of its
-diagonal blocks and read the off-diagonal blocks from it.
+Low-format products keep CSR input sparse (``low_operator``), and so does
+GMRES-IR's binary32 LU factorization (``lu_low``): it stores a CSR band
+matrix straight into band storage by rows, O(n b) entries for bandwidth b,
+as LAPACK's gbtrf stores a band LU, and an ndarray in one n x n array,
+which one code factors at band shape, O(n b^2) work on a band (Golub & Van
+Loan, 4.3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,41 +34,63 @@ __all__ = [
 ]
 
 LOW_DTYPE = np.float32
-DESK_SCALE_LIMIT = 2000
+LU_BYTES_LIMIT = 2000 ** 2 * 4  # lu_low's storage: n x n binary32 up to n = 2000
 _BLOCK = 64  # column block width of lu_low and LowLU.solve
 
 
-def _dense_shape(A):
-    """A's shape, or a TypeError unless A is an explicit matrix and a
-    ValueError unless it is real and finite."""
-    if isinstance(A, (CsrMatrix, np.ndarray)):
-        _check_entries(A)
-        return A.shape
-    raise TypeError("mixed-precision routines need an explicit matrix "
-                    "(CsrMatrix or ndarray) at desk scale")
-
-
-def _dense_low(A, dtype):
-    """A as a dense array in dtype.  CSR values are cast first, so no binary64
-    copy of the matrix is made; an ndarray is read as binary64, then cast."""
+def _stored_low(A, dtype):
+    """(F, kd): the square A in dtype, stored as _view reads it.  A CSR
+    matrix of lower and upper bandwidths kl and ku in its stored pattern
+    gets rows of W = 2 _BLOCK - 1 + 2 kl + ku entries, kd = _BLOCK - 1 + kl:
+    under partial pivoting a panel's rows reach at most kl past its last
+    column, and its U block row's fill kl + ku.  An ndarray, and a band no
+    narrower than the matrix, get the n x n array (kd None).  A ValueError
+    unless the storage's bytes are within LU_BYTES_LIMIT, before it is
+    made.  CSR values are cast first and written straight into it."""
+    n = W = A.shape[0]
+    kd = None
     if isinstance(A, CsrMatrix):
-        return replace(A, values=A.values.astype(dtype)).to_dense()
-    return np.asarray(A, dtype=np.float64).astype(dtype)
+        rows = A._nnz_rows()
+        offsets = rows - A.col_idx
+        kl, ku = int(offsets.max(initial=0)), int((-offsets).max(initial=0))
+        if 2 * _BLOCK - 1 + 2 * kl + ku < n:
+            kd, W = _BLOCK - 1 + kl, 2 * _BLOCK - 1 + 2 * kl + ku
+    if n * W * np.dtype(dtype).itemsize > LU_BYTES_LIMIT:
+        raise ValueError(f"LU storage of {n} x {W} entries is past the cap of "
+                         f"{LU_BYTES_LIMIT} bytes")
+    if not isinstance(A, CsrMatrix):
+        return np.asarray(A, dtype=np.float64).astype(dtype), kd
+    F = np.zeros((n, W), dtype=dtype)
+    F[rows, A.col_idx if kd is None else A.col_idx - rows + kd] = A.values.astype(dtype)
+    return F, kd
 
 
-def _abs_max(F, upper=False):
-    """float(np.abs(F).max()), of np.triu(F) when upper, or 0.0 for an empty F;
-    taken a block row at a time, so no n x n temporary is made, and with
-    np.triu of the diagonal blocks only."""
-    maxima = [0.0]
-    for k0 in range(0, len(F), _BLOCK):
-        k1 = k0 + _BLOCK
-        rows = F[k0:k1]
-        if upper:
-            maxima.append(np.abs(np.triu(rows[:, k0:k1])).max())
-            rows = rows[:, k1:]
-        maxima.append(np.abs(rows).max(initial=0.0))
-    return float(np.max(maxima))
+def _view(F, kd, r0, r1, c0, c1):
+    """Rows r0 to r1 - 1 and columns c0 to c1 - 1 of the matrix stored in F,
+    as a view.  F is the n x n array when kd is None; else F[p] holds the
+    columns p - kd to p - kd + W - 1 of row p (LAPACK's band storage, by
+    rows), so column c of row p is entry p (W - 1) + c + kd of F, and a
+    rectangle inside the band of each of its rows is one strided view."""
+    if kd is None:
+        return F[r0:r1, c0:c1]
+    if r1 <= r0 or c1 <= c0:
+        return np.empty((max(r1 - r0, 0), max(c1 - c0, 0)), dtype=F.dtype)
+    size, stride = F.itemsize, F.shape[1] - 1
+    return np.ndarray((r1 - r0, c1 - c0), F.dtype, F, (r0 * stride + c0 + kd) * size,
+                      (stride * size, size))
+
+
+def _limits(n, W, kd, k0):
+    """(top, bottom, right, lead) of the panel whose first column is k0 in
+    the storage _view reads: rows top to bottom - 1 store all its columns,
+    its U block row stores the columns up to right - 1, and every row from
+    k0 to bottom - 1 stores the columns from lead (a multiple of _BLOCK) to
+    right - 1.  (0, n, n, 0) in the n x n array."""
+    if kd is None:
+        return 0, n, n, 0
+    bottom = min(n, k0 + kd + 1)
+    return (max(0, k0 + _BLOCK + kd - W), bottom, min(n, k0 - kd + W),
+            -(-max(0, bottom - 1 - kd) // _BLOCK) * _BLOCK)
 
 
 def low_operator(A, dtype, n=None):
@@ -113,7 +117,7 @@ def low_operator(A, dtype, n=None):
 
         return sparse_matvec
     if isinstance(A, np.ndarray):
-        dense = _dense_low(A, dtype)
+        dense = np.asarray(A, dtype=np.float64).astype(dtype)
         return lambda v: dense @ np.asarray(v, dtype=dtype)
     matvec, _ = as_matvec(A, n=n)
     return lambda v: np.asarray(matvec(np.asarray(v, dtype=np.float64)), dtype=dtype)
@@ -121,92 +125,132 @@ def low_operator(A, dtype, n=None):
 
 @dataclass
 class LowLU:
-    """Partial-pivoting LU factors in the low format with A[perm] = L U, packed
-    in one n x n array as LAPACK's getrf stores them: U on and above the
-    diagonal of LU, the multipliers of the unit lower triangular L below it.
+    """Partial-pivoting LU factors in the low format with A[perm] = L U,
+    packed as LAPACK's getrf packs them: U on and above the diagonal, the
+    multipliers of the unit lower triangular L below it.  LU holds them as
+    lu_low stores them (_view, kd): the n x n array, or band storage, past
+    whose band U is +0.0 and L +0.0 / pivot.  swaps holds each panel's row
+    moves, (destination rows, source rows); a panel moves the columns from
+    its lead on (_limits), so in band storage the multipliers left of it
+    stay where it found them, as in LAPACK's gbtrf, and solve and L apply
+    the moves their columns lack.  None stands for perm's moves.
 
-    The L and U properties build fresh full-size arrays on each access (two
-    n x n allocations); writing into them leaves the factors unchanged.
+    The L and U properties build fresh full-size arrays on each access;
+    writing into them leaves the factors unchanged.
     """
 
     LU: np.ndarray
     perm: np.ndarray
     growth: float
+    kd: int | None = None
+    swaps: list | None = None
 
     def __post_init__(self):
-        # per diagonal block and substitution step: the step's column of the
-        # block as a contiguous row of the transposed block, and the slice of
-        # a shared buffer its products go to (so solve is not thread-safe)
+        n = len(self.perm)
+        self._view = partial(_view, self.LU, self.kd)
+        self._limits = partial(_limits, n, self.LU.shape[1], self.kd)
+        # per block column: the row moves a vector needs before it, to be
+        # in the order of the multipliers stored in it; per diagonal block
+        # and substitution step: the step's column of the block as a
+        # contiguous row of the transposed block, and the slice of a shared
+        # buffer its products go to (so solve is not thread-safe); per block
+        # column, its GEMV blocks below and above the diagonal block: first
+        # their rows that hold a bit other than +0.0, then all stored rows
+        swaps = self.swaps if self.swaps is not None else [(np.arange(n), self.perm)]
+        self._moves = [[] for _ in range(0, n, _BLOCK)]
+        for k0, move in zip(range(0, n, _BLOCK), swaps):
+            if len(move[0]):
+                self._moves[self._limits(k0)[3] // _BLOCK].append(move)
         self._buf = np.empty(_BLOCK, dtype=self.LU.dtype)
-        self._lower, self._upper = [], []
-        # per block column: the end of its rows below the diagonal block and
-        # the start of its rows above it that hold a bit other than +0.0
-        self._below, self._above = [], []
-        F = self.LU
-        for k0 in range(0, len(self.perm), _BLOCK):
-            k1 = k0 + _BLOCK
-            Dt = F[k0:k1, k0:k1].T.copy()
+        self._lower, self._upper, self._gemvs = [], [], []
+        for k0 in range(0, n, _BLOCK):
+            k1 = min(k0 + _BLOCK, n)
+            top, bottom, _, _ = self._limits(k0)
+            Dt = self._view(k0, k1, k0, k1).T.copy()
             w = len(Dt)
             self._lower.append([(Dt[j, j + 1:], self._buf[:w - j - 1]) for j in range(w - 1)])
             self._upper.append([(Dt[j, j], Dt[j, :j], self._buf[:j]) for j in range(w)])
-            self._below.append(k1 + _reach(F[k1:, k0:k1]))
-            self._above.append(k0 - _reach(F[:k0][::-1, k0:k1]))
+            below, above = self._view(k1, bottom, k0, k1), self._view(top, k0, k0, k1)
+            self._gemvs.append(((below[:_reach(below)], above[len(above) - _reach(above[::-1]):]),
+                                (below, above)))
 
     @property
     def L(self):
-        L = np.tril(self.LU, -1)
+        n = len(self.perm)
+        L = np.empty((n, n), dtype=self.LU.dtype)
+        for k0 in range(0, n, _BLOCK):
+            k1, bottom = min(k0 + _BLOCK, n), self._limits(k0)[1]
+            # past the stored rows, what lu_low writes past a panel's reach
+            L[:, k0:k1] = np.zeros(1, dtype=L.dtype) / self._view(k0, k1, k0, k1).diagonal()
+            L[k0:bottom, k0:k1] = self._view(k0, bottom, k0, k1)
+        for j, moves in enumerate(self._moves):
+            for dst, src in moves:
+                L[dst, :j * _BLOCK] = L[src, :j * _BLOCK]
+        L = np.tril(L, -1)
         np.fill_diagonal(L, 1)
         return L
 
     @property
     def U(self):
-        return np.triu(self.LU)
+        n = len(self.perm)
+        U = np.zeros((n, n), dtype=self.LU.dtype)
+        for k0 in range(0, n, _BLOCK):
+            right = self._limits(k0)[2]
+            U[k0:k0 + _BLOCK, k0:right] = self._view(k0, min(k0 + _BLOCK, n), k0, right)
+        return np.triu(U)
 
     def solve(self, rhs):
         """Triangular solves in the factors' own format, by blocks: substitution
         inside each diagonal block, one GEMV for the rest of the vector.
 
+        Before each block column the vector gets the row moves of its stored
+        multipliers (all of perm's before the first, in the n x n array).
         The substitution reads each diagonal block's columns as contiguous
         rows of its transposed copy, built once with the factors, and writes
         the products into a preallocated buffer; each entry still gets the
         operations of ``y[k+1:k1] -= L[k+1:k1, k] * y[k]`` (and of U's
-        steps) in the same order.  The GEMVs read the packed array's blocks
-        below and above the diagonal, which hold exactly L's and U's entries,
-        at band shape: only the rows of the block column that hold a bit
-        other than +0.0, which leaves the other rows' values as they are.  A
-        solve whose result holds an inf or NaN is done again at full shapes,
-        since inf x +0.0 puts NaNs into the rows past the band.  A ValueError
-        names rhs unless it is 1-D of length n.
+        steps) in the same order.  The GEMVs read the stored blocks below and
+        above the diagonal, which hold exactly L's and U's entries, at band
+        shape: only the rows of the block column that hold a bit other than
+        +0.0, which leaves the other rows' values as they are.  A solve
+        whose result holds an inf or NaN is done again with every stored
+        row, since inf x +0.0 puts NaNs into the rows past the band.  A
+        ValueError names rhs unless it is 1-D of length n.
         """
         n = len(self.perm)
         y = np.asarray(rhs, dtype=self.LU.dtype)
         if y.shape != (n,):
             raise ValueError(f"rhs must be a 1-D vector of length {n}, got shape {y.shape}")
-        x = self._substitute(y[self.perm], self._below, self._above)
+        x = self._substitute(y.copy(), 0)
         if not np.isfinite(x).all():
-            x = self._substitute(y[self.perm], [n] * len(self._below), [0] * len(self._above))
+            x = self._substitute(y.copy(), 1)
         return x
 
-    def _substitute(self, y, below, above):
-        """solve's substitutions on y = rhs[perm], in place, with the GEMVs of
-        each block column on its rows k1:below[i] and above[i]:k0."""
-        F, n = self.LU, len(y)
+    def _substitute(self, y, shape):
+        """solve's substitutions on y = rhs, in place, with the GEMV blocks
+        at band shape (shape 0) or with every stored row (shape 1)."""
+        n = len(y)
         mul, sub = np.multiply, np.subtract
         starts = range(0, n, _BLOCK)
-        for k0, steps, end in zip(starts, self._lower, below):
+        for k0, moves, steps, gemvs in zip(starts, self._moves, self._lower, self._gemvs):
             k1 = min(k0 + _BLOCK, n)
+            for dst, src in moves:
+                y[dst] = y[src]
             for k, (col, t) in enumerate(steps, k0):
                 rest = y[k + 1:k1]
                 sub(rest, mul(col, y[k], t), rest)
-            y[k1:end] -= F[k1:end, k0:k1] @ y[k0:k1]
-        for k0, steps, start in zip(reversed(starts), reversed(self._upper), reversed(above)):
+            below = gemvs[shape][0]
+            y[k1:k1 + len(below)] -= below @ y[k0:k1]
+        for k0, steps, gemvs in zip(reversed(starts), reversed(self._upper),
+                                    reversed(self._gemvs)):
             k1 = min(k0 + _BLOCK, n)
             for k in range(k1 - 1, k0 - 1, -1):
                 pivot, col, t = steps[k - k0]
                 y[k] = yk = y[k] / pivot
                 rest = y[k0:k]
                 sub(rest, mul(col, yk, t), rest)
-            y[start:k0] -= F[start:k0, k0:k1] @ y[k0:k1]
+            above = gemvs[shape][1]
+            y[k0 - len(above):k0] -= above @ y[k0:k1]
         return y
 
 
@@ -244,69 +288,83 @@ def _factor_panel(panel, k0, buf):
 def lu_low(A, dtype=LOW_DTYPE):
     """LU factorization with partial pivoting carried out in the low format.
 
-    Right-looking and blocked: each panel of _BLOCK columns is factored in a
-    contiguous transposed copy (one row per column: pivot search, scaling
-    and rank-1 updates), written back, and its row swaps applied to whole
-    rows as one permutation.  Then its block row of U is formed by forward
-    substitution (one GEMV per row) and the trailing matrix is updated by
-    one GEMM.  Each step runs at band shape: the panel's row-by-row work
-    covers its rows up to its reach e, 1 + the last one whose bit pattern is
-    not +0.0 (at least the panel's last column), and rows past it get
-    +0.0 / pivot, the signed zeros the full-width scaling writes; the GEMVs
-    cover the U block row's columns up to its reach ue, 1 + the last one not
-    +0.0 after the row swaps, and the GEMM updates rows k1:e and columns
-    k1:ue only.  A panel or U block row that holds an inf or NaN keeps the
-    full shapes, since inf x 0 puts NaNs outside the band (a panel is then
-    factored again at full width).  Every entry sees the operations of a
-    column-by-column right-looking factorization in the same order; BLAS
-    may round a sub-shape's entries differently from the full shape's, so
-    the factors keep that factorization's error bounds.
-    The factors stay packed in the array A was densified into (LowLU).
+    A CSR band matrix is stored straight into band storage, an ndarray into
+    one n x n array (_stored_low; the cap is on that storage's bytes).
+    Right-looking and blocked: each panel of _BLOCK columns is factored in
+    a contiguous transposed copy (one row per column: pivot search, scaling
+    and rank-1 updates), written back, and its row swaps applied as one
+    permutation to the columns from its lead on (_limits: whole rows in the
+    n x n array, as getrf swaps them; in band storage the multipliers left
+    of the lead stay, as gbtrf leaves them).  Then its block row of U is
+    formed by forward substitution (one GEMV per row) and the trailing
+    matrix is updated by one GEMM.  Each step runs at band shape: the
+    panel's row-by-row work covers its rows up to its reach e, 1 + the last
+    one whose bit pattern is not +0.0 (a -0.0 counts; at least the panel's
+    last column), and the stored rows past it get +0.0 / pivot, the signed
+    zeros the full-width scaling writes; the GEMVs cover the U block row's
+    columns up to its reach ue, 1 + the last one not +0.0 after the swaps,
+    and the GEMM updates rows k1:e and columns k1:ue only.  Past the band a
+    product only subtracts zeros, except that inf x 0 is NaN: a panel or U
+    block row that holds an inf or NaN keeps the storage's full shapes (the
+    panel is factored again at full width, whose pivot search can pick
+    those NaN rows).  Every entry sees the operations of a column-by-column
+    factorization in the same order; BLAS may round a sub-shape's entries
+    differently, so on a general band matrix the factors keep its error
+    bounds, and on the benchmark's convdiff 32^2 its bytes.
     Reports the growth factor max|U| / max|A| as a quality diagnostic and
     raises SingularMatrixError when a pivot vanishes in the low format.
-    The shape is checked before anything is densified.
     """
-    shape = _dense_shape(A)
-    n = shape[0] if shape else 0
-    if shape != (n, n):
+    if not isinstance(A, (CsrMatrix, np.ndarray)):
+        raise TypeError("mixed-precision routines need an explicit matrix "
+                        "(CsrMatrix or ndarray) at desk scale")
+    _check_entries(A)
+    n = A.shape[0] if A.shape else 0
+    if A.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n > DESK_SCALE_LIMIT:
-        raise ValueError(f"dense factorization capped at n <= {DESK_SCALE_LIMIT}")
-    F = _dense_low(A, dtype)  # L's multipliers below the diagonal, U on and above
-    amax = _abs_max(F)
+    F, kd = _stored_low(A, dtype)  # L's multipliers below the diagonal, U on and above
+    view, W = partial(_view, F, kd), F.shape[1]
+    amax = float(np.max([0.0, *(np.abs(F[k0:k0 + _BLOCK]).max() for k0 in range(0, n, _BLOCK))]))
     perm = np.arange(n)
-    buf = np.empty(_BLOCK * n, dtype=F.dtype)  # the rank-1 products, contiguous
+    swaps, umax = [], [0.0]
+    buf = np.empty(_BLOCK * W, dtype=F.dtype)  # the rank-1 products, contiguous
     for k0 in range(0, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
-        e = max(k0 + _reach(F[k0:, k0:k1]), k1)
-        P, rows = _factor_panel(F[k0:e, k0:k1], k0, buf)
+        w = k1 - k0
+        _, bottom, right, lead = _limits(n, W, kd, k0)
+        e = max(k0 + _reach(view(k0, bottom, k0, k1)), k1)
+        P, rows = _factor_panel(view(k0, e, k0, k1), k0, buf)
         finite = np.isfinite(P).all()
-        if not finite and e < n:
+        if not finite and e < bottom:
             # inf x +-0.0 puts NaNs past the reach that the full-width
             # pivot search can pick: factor this panel again at full width
-            e = n
-            P, rows = _factor_panel(F[k0:, k0:k1], k0, buf)
+            e = bottom
+            P, rows = _factor_panel(view(k0, e, k0, k1), k0, buf)
+        stored = view(k0, e, lead, right)  # the columns rows k0:e all store
         moved = np.flatnonzero(rows != np.arange(e - k0))
-        F[k0 + moved] = F[k0 + rows[moved]]
+        stored[moved] = stored[rows[moved]]
         perm[k0 + moved] = perm[k0 + rows[moved]]
-        F[k0:e, k0:k1] = P.T
+        swaps.append((k0 + moved, k0 + rows[moved]))
+        stored[:, k0 - lead:k1 - lead] = P.T
         # what the full-width scaling writes into the +0.0 rows past the reach
-        F[e:, k0:k1] = np.zeros(1, dtype=F.dtype) / P.diagonal()
+        view(e, bottom, k0, k1)[:] = np.zeros(1, dtype=F.dtype) / P.diagonal()
         # the U block row's reach: 1 + its last column not +0.0
-        ue = k1 + _reach(F[k0:k1, k1:].T) if finite else n
-        for k in range(k0 + 1, k1):
-            F[k, k1:ue] -= F[k, k0:k] @ F[k0:k, k1:ue]
-        if not np.isfinite(F[k0:k1, k1:ue]).all():
-            e = ue = n  # inf x +0.0 past the band gives NaN: full shapes
-        F[k1:e, k1:ue] -= F[k1:e, k0:k1] @ F[k0:k1, k1:ue]
-    growth = _abs_max(F, upper=True) / amax if amax else 0.0
-    return LowLU(F, perm, growth)
+        ue = k1 + _reach(stored[:w, k1 - lead:].T) if finite else right
+        B = stored[:w, k0 - lead:ue - lead]
+        for k in range(1, w):
+            B[k, w:] -= B[k, :k] @ B[:k, w:]
+        if not np.isfinite(B[:, w:]).all():
+            e, ue = bottom, right  # inf x +0.0 past the band gives NaN: full shapes
+        trailing = view(k1, e, k1, ue)
+        trailing -= view(k1, e, k0, k1) @ stored[:w, k1 - lead:ue - lead]
+        umax += [np.abs(np.triu(B[:, :w])).max(), np.abs(stored[:w, k1 - lead:]).max(initial=0)]
+    growth = float(np.max(umax)) / amax if amax else 0.0
+    return LowLU(F, perm, growth, kd, swaps)
 
 
 def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
     """Restarted MGS-GMRES running entirely in the given dtype: every cycle
     is the shared Arnoldi cycle at that dtype, restarted from the residual
-    recomputed in it.
+    recomputed in it; the first starts from x = 0, whose residual is b.
 
     Inner solver for refinement; returns (x, iterations, matvecs).  Its
     reductions go to a private counter and are not reported.
@@ -322,7 +380,8 @@ def _low_gmres(matvec, b, dtype, rtol, restart, max_iter):
     run.tol_abs = rtol * bnorm
     cycle = _arnoldi_cycles(run)
     while run.iterations < max_iter:
-        r = b - np.asarray(run.op(x), dtype=dtype)
+        # x is 0 until a cycle has taken a step
+        r = b - np.asarray(run.op(x), dtype=dtype) if run.iterations else b
         if float(np.linalg.norm(r)) <= run.tol_abs:
             break
         update, _, status = cycle(r, min(restart, max_iter - run.iterations))
@@ -341,9 +400,12 @@ def gmres_ir(A, b, inner_opts=None, *, rtol=1e-13, max_refinements=40):
     Terminates on the binary64 relative residual, the refinement budget, or
     a stagnation abort after two refinements in a row that fail to halve
     the residual; stagnation takes precedence over convergence.  A zero b
-    returns x = 0 before the LU, so its report has no diagnostics.
+    returns x = 0 before the LU, so its report has no diagnostics.  The LU
+    of a CSR band matrix takes band storage, O(n b) bytes (lu_low); the cap
+    is on those bytes, LU_BYTES_LIMIT, 2000 x 2000 binary32 entries.
     matvecs counts the binary64 residual products and the inner binary32
-    ones; the inner reductions are not counted.
+    ones, none for the inner solve's zero starting iterate, whose residual
+    is its right-hand side; the inner reductions are not counted.
     """
     if not 0 < rtol < math.inf:
         raise ValueError("rtol must be positive and finite")

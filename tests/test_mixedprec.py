@@ -13,7 +13,8 @@ from gmreskit.harness import gen_convdiff
 from gmreskit.linalg import CsrMatrix, HessenbergLsState, SingularMatrixError
 from gmreskit.mixedprec import (
     _BLOCK,
-    DESK_SCALE_LIMIT,
+    LU_BYTES_LIMIT,
+    LowLU,
     _low_gmres,
     gmres_ir,
     gmres_two_precision,
@@ -128,8 +129,8 @@ def reference_lu_low(A, dtype=np.float32):
     n = F.shape[0]
     if F.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n > DESK_SCALE_LIMIT:
-        raise ValueError(f"dense factorization capped at n <= {DESK_SCALE_LIMIT}")
+    if n * n * F.itemsize > LU_BYTES_LIMIT:
+        raise ValueError(f"dense factorization capped at {LU_BYTES_LIMIT} bytes")
     amax = float(np.abs(F).max()) if n else 0.0
     perm = np.arange(n)
     for k0 in range(0, n, _BLOCK):
@@ -270,7 +271,9 @@ class TestLowGmres:
             case = (form, restart, max_iter, rtol)
             assert x.dtype == x_ref.dtype == np.float32, case
             assert x.tobytes() == x_ref.tobytes(), case
-            assert (iters, mv) == (iters_ref, mv_ref), case
+            # the reference multiplies its zero starting iterate; _low_gmres
+            # takes b as that residual, one product fewer
+            assert (iters, mv) == (iters_ref, mv_ref - 1), case
 
     def test_zero_rhs(self):
         x, iters, mv = _low_gmres(lambda v: v, np.zeros(4), np.float32, 1e-4, 5, 10)
@@ -368,8 +371,9 @@ class TestLuLow:
 
 
 class TestLuLowMemory:
-    """The factors are one packed n x n binary32 array: CSR input is densified
-    straight into it and factoring it adds about one more."""
+    """The factors of a CSR band matrix are stored straight into binary32
+    band storage, well under one n x n binary32 array, and factoring them
+    adds little more."""
 
     @pytest.fixture(scope="class")
     def traced(self):
@@ -405,6 +409,35 @@ class TestLuLowMemory:
         lu.U[:] = 3.0
         assert lu.solve(b).tobytes() == x.tobytes()
         assert np.all(np.diag(lu.L) == 1) and not np.triu(lu.L, 1).any()
+
+
+class TestBandStorage:
+    """GMRES-IR past the n x n array's cap: CSR convdiff 64^2, of order
+    4096, is factored in band storage."""
+
+    @pytest.fixture(scope="class")
+    def convdiff64(self):
+        return gen_convdiff(64, 64, peclet=10.0)
+
+    def test_gmres_ir_reaches_the_forward_error(self, convdiff64):
+        x_star = np.random.default_rng(21).standard_normal(convdiff64.nrows)
+        rep = gmres_ir(convdiff64, convdiff64.matvec(x_star))
+        assert rep.converged
+        assert np.linalg.norm(rep.x - x_star) <= 1e-12 * np.linalg.norm(x_star)
+
+    def test_peak_of_the_factorization(self, convdiff64):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lu = lu_low(convdiff64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # kl = ku = 64: rows of 127 + 2 kl + ku entries, 5.2 MB against the
+        # 67 MB of the n x n array
+        assert lu.LU.shape == (4096, 319)
+        assert peak - base <= 3 * lu.LU.nbytes
 
 
 class TestLowLuSolveInput:
@@ -539,7 +572,23 @@ class TestBandedLuMatchesReference:
     @pytest.mark.parametrize("csr", [True, False], ids=["csr", "ndarray"])
     def test_overflow_needs_the_full_width_panel(self, csr):
         A = overflow_band()
-        self.check(A, _stored(A, csr), [np.ones(len(A))])
+        if not csr:
+            self.check(A, A, [np.ones(len(A))])
+            return
+        # band storage keeps the reference's perm, L, growth and solve, and
+        # its U but where the full shapes of the n x n array put NaNs past
+        # the band: there U keeps its structural +0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref, lu = reference_lu_low(A), lu_low(_stored(A, True))
+            x, x_ref = lu.solve(np.ones(len(A))), ref.solve(np.ones(len(A)))
+        assert lu.kd is not None
+        for name in ("L", "perm"):
+            assert getattr(lu, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert np.float64(lu.growth).tobytes() == np.float64(ref.growth).tobytes()
+        assert x.tobytes() == x_ref.tobytes()
+        bits, ref_bits = lu.U.view(np.uint32), ref.U.view(np.uint32)
+        moved = bits != ref_bits
+        assert moved.any() and np.isnan(ref.U[moved]).all() and not bits[moved].any()
 
     def test_overflowing_solve_keeps_the_full_shapes(self):
         # L = A, U = I exactly; the forward substitution overflows at the
@@ -646,19 +695,30 @@ class TestDensification:
         assert to_dense_calls == []
 
     def test_lu_checks_the_shape_before_densifying(self, to_dense_calls):
-        # convdiff 48^2 is of order 2304, past the desk-scale cap
-        with pytest.raises(ValueError, match=f"capped at n <= {DESK_SCALE_LIMIT}"):
-            lu_low(gen_convdiff(48, 48, peclet=10.0))
+        # the cap is on the storage's bytes, checked before it is made: an
+        # entry at (2000, 0) makes the band of a CSR matrix of order 2001 as
+        # wide as the matrix, while convdiff 48^2 (order 2304) is factored
+        wide_band = CsrMatrix.from_coo(2001, 2001, [*range(2001), 2000], [*range(2001), 0],
+                                       np.ones(2002))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"past the cap of {LU_BYTES_LIMIT} bytes"):
+                lu_low(wide_band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < LU_BYTES_LIMIT / 100
         wide = CsrMatrix(2, 3, np.array([0, 1, 2]), np.array([0, 2]), np.ones(2))
         with pytest.raises(ValueError, match="matrix must be square"):
             lu_low(wide)
+        assert lu_low(gen_convdiff(48, 48, peclet=10.0)).kd is not None
         assert to_dense_calls == []
 
-    def test_ir_densifies_once_for_the_factorization(self, to_dense_calls):
-        A = gen_convdiff(8, 8, peclet=10.0)
-        rep = gmres_ir(A, np.ones(64))
+    def test_ir_keeps_csr_sparse(self, to_dense_calls):
+        A = gen_convdiff(16, 16, peclet=10.0)
+        rep = gmres_ir(A, np.ones(256))
         assert rep.converged
-        assert to_dense_calls == [(64, 64)]
+        assert to_dense_calls == []
 
 
 class TestGmresIr:
@@ -714,6 +774,20 @@ class TestGmresIr:
         assert rep.diagnostics["inner_iterations"]
         assert set(rep.diagnostics["inner_iterations"]) == {0}
         assert rep.termination in ("stagnation", "maxiter", "converged")
+
+    def test_no_solve_of_a_zero_vector(self, monkeypatch):
+        # each inner solve starts from x = 0 and takes its right-hand side
+        # as that residual: one binary64 residual per refinement, after the
+        # first, and one inner binary32 product per inner iteration
+        A = gen_convdiff(32, 32, peclet=10.0)
+        zero = []
+        solve = LowLU.solve
+        monkeypatch.setattr(LowLU, "solve",
+                            lambda lu, rhs: zero.append(not np.any(rhs)) or solve(lu, rhs))
+        rep = gmres_ir(A, np.random.default_rng(3).standard_normal(A.nrows))
+        assert rep.converged and rep.diagnostics["inner_iterations"] == [1, 1]
+        assert zero and not any(zero)
+        assert rep.matvecs == 5
 
     def test_growth_factor_reported(self):
         A = conditioned_matrix(40, 1e2, seed=17)

@@ -103,3 +103,13 @@ def test_a_singular_case_is_listed_as_excluded(before, compare):
     history[1:] *= 2.0
     status, out = compare({f"{SINGULAR}|history": history})
     assert status == 0 and f"excluded: {SINGULAR}: " in out
+
+
+def test_the_solver_row_leaves_out_its_excluded_cases(before, compare):
+    # the singular case's O(1) move is counted as excluded, and the row's
+    # largest differences cover the judged case only
+    history = before[f"{SINGULAR}|history"].copy()
+    history[1:] *= 2.0
+    status, out = compare({f"{SINGULAR}|history": history})
+    row = next(line.split() for line in out.splitlines() if line.startswith("weighted-gmres "))
+    assert status == 0 and row[1:] == ["2", "0", "0", "1", "0", "0"]

@@ -51,11 +51,13 @@ negative, and a 200x200 band of width 10 whose first panel overflows.
 moved, each reduction-log entry that moved (index, before -> after), and
 each case whose reduction marks, diagnostics counters or recorded
 Hessenberg (present on one side only, or of another dtype, shape or bytes)
-moved.  Then it prints one row per solver: its cases, how many moved, and the largest
-relative difference in x (normwise) and in the residual histories and
-true-residual checkpoints (largest entry difference over the common prefix,
-relative to the initial residual norm).  It then names each CSR array or
-matvec output, and each LU factor or solve, whose dtype or bytes differ.
+moved.  Then it prints one row per solver: its cases, how many moved, how
+many --moves excluded (below), and the largest relative difference in x
+(normwise) and in the residual histories and true-residual checkpoints
+(largest entry difference over the common prefix, relative to the initial
+residual norm) over the cases it did not exclude.  It then names each CSR
+array or matvec output, and each LU factor or solve, whose dtype or bytes
+differ.
 It exits with status 1 when a count, a termination, an exception type, a
 reduction log or its marks, a diagnostics counter, a recorded Hessenberg,
 a CSR array, a matvec output, an LU factor or an LU solve differs, so a change that should only
@@ -421,6 +423,19 @@ def conditioning(label):
              "random": float(np.linalg.norm(b - dense @ x_random))})
 
 
+def _eps(key, after):
+    """The unit roundoff of the case's recorded Hessenberg's dtype, binary64's
+    where none is recorded."""
+    hessenberg = after.get(key + "|hessenberg")
+    return np.finfo(np.float64 if hessenberg is None else hessenberg.dtype).eps
+
+
+def singular(key, after):
+    """Whether the case's problem is singular to its working precision,
+    kappa(A) eps >= 1, outside the theory of solve_envelope's bounds."""
+    return conditioning(key.split()[1])[1] * _eps(key, after) >= 1
+
+
 def solve_envelope(key, before, after):
     """{"history": ratio, "residual": ratio} of a case's moved history and
     last explicit residual to the bound tau = (k + 1) N eps kappa(A), or None
@@ -437,14 +452,11 @@ def solve_envelope(key, before, after):
     k is the case's iteration count, N the order and kappa(A) the condition
     number of its problem, and eps that of the recorded Hessenberg's dtype
     (the cycle's working precision), binary64 where none is recorded."""
-    label = key.split()[1]
-    x0 = next((w[3:] for w in key.split() if w.startswith("x0=")), "zero")
-    N, kappa, r0 = conditioning(label)
-    hessenberg = after.get(key + "|hessenberg")
-    eps = np.finfo(np.float64 if hessenberg is None else hessenberg.dtype).eps
-    if kappa * eps >= 1:
+    if singular(key, after):
         return None
-    tau = (after[key + "|counts"][0] + 1) * N * eps * kappa
+    x0 = next((w[3:] for w in key.split() if w.startswith("x0=")), "zero")
+    N, kappa, r0 = conditioning(key.split()[1])
+    tau = (after[key + "|counts"][0] + 1) * N * _eps(key, after) * kappa
     h_a, h_b = before[key + "|history"], after[key + "|history"]
     c_a, c_b = before[key + "|checkpoints"], after[key + "|checkpoints"]
     return {"history": _rel_series(h_a, h_b, h_a[0]) / tau,
@@ -481,13 +493,15 @@ def compare(path_a, path_b, exact=False, moves=()):
     if sorted(k for k in b.files if k.endswith("|raised")) != [k + "|raised" for k in keys]:
         print("the two dumps cover different cases")
         return 1
-    rows = {}  # solver -> [cases, record changes, exception changes, max dx, max dhist]
+    # solver -> [cases, record changes, exception changes, excluded cases,
+    # max dx, max dhist], the largest differences over the cases not excluded
+    rows = {}
     hessenbergs = 0  # cases with a recorded Hessenberg on either side
     unequal_bytes = 0  # cases whose x, history or checkpoints differ in a byte
     held = []  # cases of a solver --moves names whose bytes differ
     for key in keys:
         named = solver_of(key) in moves
-        row = rows.setdefault(key.split()[0], [0, 0, 0, 0.0, 0.0])
+        row = rows.setdefault(key.split()[0], [0, 0, 0, 0, 0.0, 0.0])
         row[0] += 1
         ra, rb = str(a[key + "|raised"]), str(b[key + "|raised"])
         if ra != rb:
@@ -538,14 +552,18 @@ def compare(path_a, path_b, exact=False, moves=()):
             unequal_bytes += 1
             print(f"{key}: bytes of {', '.join(unequal)} differ")
         row[1] += moved
-        row[3] = max(row[3], _rel_x(a[key + "|x"], b[key + "|x"]))
+        if unequal and named and singular(key, b):
+            row[3] += 1  # its bytes are not judged (_judge_solves)
+            continue
+        row[4] = max(row[4], _rel_x(a[key + "|x"], b[key + "|x"]))
         r0 = a[key + "|history"][0]
-        row[4] = max(row[4], *(_rel_series(a[key + part], b[key + part], r0)
+        row[5] = max(row[5], *(_rel_series(a[key + part], b[key + part], r0)
                                for part in ("|history", "|checkpoints")))
     print(f"{'solver':<23} {'cases':>5} {'record moved':>12} {'raised moved':>12} "
-          f"{'max rel dx':>10} {'max rel dhist':>13}")
-    for name, (n, moved, raised, dx, dh) in rows.items():
-        print(f"{name:<23} {n:>5} {moved:>12} {raised:>12} {dx:>10.3g} {dh:>13.3g}")
+          f"{'excluded':>8} {'max rel dx':>10} {'max rel dhist':>13}")
+    for name, (n, moved, raised, excluded, dx, dh) in rows.items():
+        print(f"{name:<23} {n:>5} {moved:>12} {raised:>12} {excluded:>8} {dx:>10.3g} "
+              f"{dh:>13.3g}")
     moved = sum(r[1] for r in rows.values())
     raised = sum(r[2] for r in rows.values())
     print(f"recorded Hessenbergs compared: {hessenbergs} cases")
@@ -553,8 +571,8 @@ def compare(path_a, path_b, exact=False, moves=()):
           f"{'yes' if not moved else f'no ({moved} cases)'}; "
           f"exception type changed: {raised} cases; "
           f"largest relative difference in x "
-          f"{max((r[3] for r in rows.values()), default=0):.3g}, "
-          f"in the histories {max((r[4] for r in rows.values()), default=0):.3g}")
+          f"{max((r[4] for r in rows.values()), default=0):.3g}, "
+          f"in the histories {max((r[5] for r in rows.values()), default=0):.3g}")
     print(f"x, histories and checkpoints byte-equal: "
           f"{'yes' if not unequal_bytes else f'no ({unequal_bytes} cases)'}")
     arrays_moved = 0
