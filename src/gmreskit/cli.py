@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,7 +43,9 @@ def _apply_overrides(config: ExperimentConfig, args):
         variant.setdefault("options", {}).update(overrides)
     if args.seed is not None and config.rhs.get("kind") == "random":
         config.rhs["seed"] = args.seed
-    return config
+    # parsed again: an override the entry does not read is the ConfigError
+    # that the same key in the document's options is
+    return ExperimentConfig.from_dict(asdict(config))
 
 
 def _add_solver_flags(p):

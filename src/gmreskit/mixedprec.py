@@ -8,9 +8,9 @@ restart driver and the refinement loop compute both in binary64 only.
 Low-format products keep CSR input sparse (``low_operator``), and so does
 GMRES-IR's binary32 LU factorization (``lu_low``): it stores a CSR band
 matrix straight into band storage by rows, O(n b) entries for bandwidth b,
-as LAPACK's gbtrf stores a band LU, and an ndarray in one n x n array,
-which one code factors at band shape, O(n b^2) work on a band (Golub & Van
-Loan, 4.3).
+as LAPACK's gbtrf stores a band LU, and factors it at band shape, O(n b^2)
+work (Golub & Van Loan, 4.3); an ndarray gets one n x n array and its full
+shapes.
 """
 
 from __future__ import annotations
@@ -154,8 +154,7 @@ class LowLU:
         # and substitution step: the step's column of the block as a
         # contiguous row of the transposed block, and the slice of a shared
         # buffer its products go to (so solve is not thread-safe); per block
-        # column, its GEMV blocks below and above the diagonal block: first
-        # their rows that hold a bit other than +0.0, then all stored rows
+        # column, its stored GEMV blocks below and above the diagonal block
         swaps = self.swaps if self.swaps is not None else [(np.arange(n), self.perm)]
         self._moves = [[] for _ in range(0, n, _BLOCK)]
         for k0, move in zip(range(0, n, _BLOCK), swaps):
@@ -170,9 +169,7 @@ class LowLU:
             w = len(Dt)
             self._lower.append([(Dt[j, j + 1:], self._buf[:w - j - 1]) for j in range(w - 1)])
             self._upper.append([(Dt[j, j], Dt[j, :j], self._buf[:j]) for j in range(w)])
-            below, above = self._view(k1, bottom, k0, k1), self._view(top, k0, k0, k1)
-            self._gemvs.append(((below[:_reach(below)], above[len(above) - _reach(above[::-1]):]),
-                                (below, above)))
+            self._gemvs.append((self._view(k1, bottom, k0, k1), self._view(top, k0, k0, k1)))
 
     @property
     def L(self):
@@ -180,7 +177,7 @@ class LowLU:
         L = np.empty((n, n), dtype=self.LU.dtype)
         for k0 in range(0, n, _BLOCK):
             k1, bottom = min(k0 + _BLOCK, n), self._limits(k0)[1]
-            # past the stored rows, what lu_low writes past a panel's reach
+            # past the stored rows, what the n x n array's scaling writes
             L[:, k0:k1] = np.zeros(1, dtype=L.dtype) / self._view(k0, k1, k0, k1).diagonal()
             L[k0:bottom, k0:k1] = self._view(k0, bottom, k0, k1)
         for j, moves in enumerate(self._moves):
@@ -201,7 +198,8 @@ class LowLU:
 
     def solve(self, rhs):
         """Triangular solves in the factors' own format, by blocks: substitution
-        inside each diagonal block, one GEMV for the rest of the vector.
+        inside each diagonal block, one GEMV over the stored rows for the rest
+        of the vector.
 
         Before each block column the vector gets the row moves of its stored
         multipliers (all of perm's before the first, in the n x n array).
@@ -209,56 +207,33 @@ class LowLU:
         rows of its transposed copy, built once with the factors, and writes
         the products into a preallocated buffer; each entry still gets the
         operations of ``y[k+1:k1] -= L[k+1:k1, k] * y[k]`` (and of U's
-        steps) in the same order.  The GEMVs read the stored blocks below and
-        above the diagonal, which hold exactly L's and U's entries, at band
-        shape: only the rows of the block column that hold a bit other than
-        +0.0, which leaves the other rows' values as they are.  A solve
-        whose result holds an inf or NaN is done again with every stored
-        row, since inf x +0.0 puts NaNs into the rows past the band.  A
-        ValueError names rhs unless it is 1-D of length n.
+        steps) in the same order.  A ValueError names rhs unless it is 1-D
+        of length n.
         """
         n = len(self.perm)
-        y = np.asarray(rhs, dtype=self.LU.dtype)
+        y = np.array(rhs, dtype=self.LU.dtype)
         if y.shape != (n,):
             raise ValueError(f"rhs must be a 1-D vector of length {n}, got shape {y.shape}")
-        x = self._substitute(y.copy(), 0)
-        if not np.isfinite(x).all():
-            x = self._substitute(y.copy(), 1)
-        return x
-
-    def _substitute(self, y, shape):
-        """solve's substitutions on y = rhs, in place, with the GEMV blocks
-        at band shape (shape 0) or with every stored row (shape 1)."""
-        n = len(y)
         mul, sub = np.multiply, np.subtract
         starts = range(0, n, _BLOCK)
-        for k0, moves, steps, gemvs in zip(starts, self._moves, self._lower, self._gemvs):
+        for k0, moves, steps, (below, _) in zip(starts, self._moves, self._lower, self._gemvs):
             k1 = min(k0 + _BLOCK, n)
             for dst, src in moves:
                 y[dst] = y[src]
             for k, (col, t) in enumerate(steps, k0):
                 rest = y[k + 1:k1]
                 sub(rest, mul(col, y[k], t), rest)
-            below = gemvs[shape][0]
             y[k1:k1 + len(below)] -= below @ y[k0:k1]
-        for k0, steps, gemvs in zip(reversed(starts), reversed(self._upper),
-                                    reversed(self._gemvs)):
+        for k0, steps, (_, above) in zip(reversed(starts), reversed(self._upper),
+                                         reversed(self._gemvs)):
             k1 = min(k0 + _BLOCK, n)
             for k in range(k1 - 1, k0 - 1, -1):
                 pivot, col, t = steps[k - k0]
                 y[k] = yk = y[k] / pivot
                 rest = y[k0:k]
                 sub(rest, mul(col, yk, t), rest)
-            above = gemvs[shape][1]
             y[k0 - len(above):k0] -= above @ y[k0:k1]
         return y
-
-
-def _reach(block):
-    """1 + the last row of block whose bit pattern is not +0.0 in some column
-    (a stored -0.0 counts), or 0."""
-    nonzero = np.flatnonzero(block.view(np.dtype(f"u{block.itemsize}")).any(axis=1))
-    return nonzero[-1] + 1 if len(nonzero) else 0
 
 
 def _factor_panel(panel, k0, buf):
@@ -297,20 +272,10 @@ def lu_low(A, dtype=LOW_DTYPE):
     n x n array, as getrf swaps them; in band storage the multipliers left
     of the lead stay, as gbtrf leaves them).  Then its block row of U is
     formed by forward substitution (one GEMV per row) and the trailing
-    matrix is updated by one GEMM.  Each step runs at band shape: the
-    panel's row-by-row work covers its rows up to its reach e, 1 + the last
-    one whose bit pattern is not +0.0 (a -0.0 counts; at least the panel's
-    last column), and the stored rows past it get +0.0 / pivot, the signed
-    zeros the full-width scaling writes; the GEMVs cover the U block row's
-    columns up to its reach ue, 1 + the last one not +0.0 after the swaps,
-    and the GEMM updates rows k1:e and columns k1:ue only.  Past the band a
-    product only subtracts zeros, except that inf x 0 is NaN: a panel or U
-    block row that holds an inf or NaN keeps the storage's full shapes (the
-    panel is factored again at full width, whose pivot search can pick
-    those NaN rows).  Every entry sees the operations of a column-by-column
-    factorization in the same order; BLAS may round a sub-shape's entries
-    differently, so on a general band matrix the factors keep its error
-    bounds, and on the benchmark's convdiff 32^2 its bytes.
+    matrix is updated by one GEMM.  Each step runs at the storage's shape:
+    the panel over its stored rows and the U block row out to its stored
+    columns (_limits), so band storage gives band shapes and the n x n
+    array its full shapes.
     Reports the growth factor max|U| / max|A| as a quality diagnostic and
     raises SingularMatrixError when a pivot vanishes in the low format.
     """
@@ -331,32 +296,18 @@ def lu_low(A, dtype=LOW_DTYPE):
         k1 = min(k0 + _BLOCK, n)
         w = k1 - k0
         _, bottom, right, lead = _limits(n, W, kd, k0)
-        e = max(k0 + _reach(view(k0, bottom, k0, k1)), k1)
-        P, rows = _factor_panel(view(k0, e, k0, k1), k0, buf)
-        finite = np.isfinite(P).all()
-        if not finite and e < bottom:
-            # inf x +-0.0 puts NaNs past the reach that the full-width
-            # pivot search can pick: factor this panel again at full width
-            e = bottom
-            P, rows = _factor_panel(view(k0, e, k0, k1), k0, buf)
-        stored = view(k0, e, lead, right)  # the columns rows k0:e all store
-        moved = np.flatnonzero(rows != np.arange(e - k0))
+        P, rows = _factor_panel(view(k0, bottom, k0, k1), k0, buf)
+        stored = view(k0, bottom, lead, right)  # the columns rows k0:bottom all store
+        moved = np.flatnonzero(rows != np.arange(bottom - k0))
         stored[moved] = stored[rows[moved]]
         perm[k0 + moved] = perm[k0 + rows[moved]]
         swaps.append((k0 + moved, k0 + rows[moved]))
         stored[:, k0 - lead:k1 - lead] = P.T
-        # what the full-width scaling writes into the +0.0 rows past the reach
-        view(e, bottom, k0, k1)[:] = np.zeros(1, dtype=F.dtype) / P.diagonal()
-        # the U block row's reach: 1 + its last column not +0.0
-        ue = k1 + _reach(stored[:w, k1 - lead:].T) if finite else right
-        B = stored[:w, k0 - lead:ue - lead]
+        B = stored[:w, k0 - lead:]
         for k in range(1, w):
             B[k, w:] -= B[k, :k] @ B[:k, w:]
-        if not np.isfinite(B[:, w:]).all():
-            e, ue = bottom, right  # inf x +0.0 past the band gives NaN: full shapes
-        trailing = view(k1, e, k1, ue)
-        trailing -= view(k1, e, k0, k1) @ stored[:w, k1 - lead:ue - lead]
-        umax += [np.abs(np.triu(B[:, :w])).max(), np.abs(stored[:w, k1 - lead:]).max(initial=0)]
+        stored[w:, k1 - lead:] -= stored[w:, k0 - lead:k1 - lead] @ B[:, w:]
+        umax += [np.abs(np.triu(B[:, :w])).max(), np.abs(B[:, w:]).max(initial=0)]
     growth = float(np.max(umax)) / amax if amax else 0.0
     return LowLU(F, perm, growth, kd, swaps)
 

@@ -231,13 +231,20 @@ class TestOptionKeys:
         with pytest.raises(ConfigError, match=r"variants\[0\]\.options"):
             ExperimentConfig.from_dict(doc)
 
-    def test_cli_overrides_stay_unchecked(self, tmp_path, capsys):
+    def test_cli_override_the_entry_does_not_read_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps(_doc(tmp_path / "out", [
-            {"name": "ir", "solver": "gmres-ir"}, {"name": "mgs", "solver": "gmres"}])))
-        assert main(["run", str(cfg), "--max-iter", "40", "--restart", "10"]) == 0
+            {"name": name, "solver": name} for name in SOLVER_DISPATCH])))
+        assert main(["run", str(cfg), "--max-iter", "40", "--restart", "10"]) == 1
+        ir = list(SOLVER_DISPATCH).index("gmres-ir")
+        assert (f"variants[{ir}].options.max_iter: gmres-ir does not read this key"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+        # rtol, which every entry reads, is taken by them all
+        assert main(["run", str(cfg), "--rtol", "1e-6"]) == 0
         summary = json.loads(capsys.readouterr().out.strip())
-        assert summary["variants"]["ir"]["termination"] == "converged"
+        assert all(summary["variants"][name]["termination"] == "converged"
+                   for name in SOLVER_DISPATCH)
 
 
 class TestRunErrors:

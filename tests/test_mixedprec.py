@@ -189,9 +189,10 @@ def _stored(A, csr):
 def overflow_band():
     """A 200^2 band of width 10 with unit diagonal whose first panel overflows:
     step 61 makes an inf of 3e38 + 3e38 in column 63.  A[73, 61:63] give every
-    row up to the panel's last, 73, a nonzero multiplier in columns 61 and 62,
-    so at step 63 those rows hold infs while inf x 0 has made the rows past
-    them NaN, and the full-width pivot search picks row 74."""
+    row up to 73, the panel's last in band storage, a nonzero multiplier in
+    columns 61 and 62, so at step 63 those rows hold infs while inf x 0 has
+    made the rows past them NaN, and the n x n array's pivot search picks
+    row 74."""
     n = 200
     rng = np.random.default_rng(5)
     offsets = np.subtract.outer(np.arange(n), np.arange(n))
@@ -489,11 +490,10 @@ class TestLuLowMatchesReference:
 
 
 class TestBandedLuMatchesReference:
-    """Each panel's row-by-row work stops at its reach, the last row not +0.0
-    in its columns, and rows past it get the signed zeros of the full-width
-    scaling; the U-row GEMVs, the trailing GEMM and the solve's GEMVs run at
-    band shape.  BLAS rounds those sub-shapes differently, so on a general
-    band matrix the factors keep the column-wise original's error bounds,
+    """An ndarray is factored and solved at the n x n array's full shapes,
+    the column-wise original's, and keeps its bytes.  A CSR band runs at the
+    shapes of its band storage; BLAS rounds those sub-shapes differently, so
+    on a general band matrix the factors keep the original's error bounds,
     not its bytes; on convdiff 32^2 and where a panel overflows they keep
     the bytes too."""
 
@@ -533,7 +533,7 @@ class TestBandedLuMatchesReference:
         # the singular index of the reference; else report_identity's
         # envelope against it, and the reference's sign wherever both hold a
         # zero, in L in the columns whose pivots agree in sign (the +0.0 /
-        # pivot past each panel's reach)
+        # pivot past each panel's stored rows)
         dense, A, rhs = case
         with np.errstate(over="ignore", invalid="ignore"):
             (ref, ref_index), (lu, index) = self.factor(reference_lu_low, dense), \
@@ -562,6 +562,12 @@ class TestBandedLuMatchesReference:
         for name, zero in zeros.items():
             assert np.array_equal(np.signbit(before[name][zero]),
                                   np.signbit(after[name][zero])), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(banded_lu_inputs())
+    def test_an_ndarray_keeps_the_reference_bytes(self, case):
+        dense, _, rhs = case
+        self.check(dense, dense, rhs)
 
     @pytest.mark.parametrize("csr", [True, False], ids=["csr", "ndarray"])
     def test_convdiff(self, csr):

@@ -10,16 +10,19 @@
 
 `dump` runs every SOLVER_DISPATCH entry, and three more GMRES-IR variants,
 on five problems with max_iter 13 and 60, restart unset and 8, and x0 zero
-and random (rtol 1e-8, seeded right-hand sides), 800 cases in all.  It also
-runs each SOLVER_DISPATCH name through harness._run_variant, as the CLI does,
-with options rtol 1e-8 and max_iter 60, on each problem: 85 more cases, keyed
-"harness:<name>", and gmres and gmres-restarted with scheme householder as
-well: 10 more, keyed "harness:<name>+householder", 895 cases in all.  The
-problems are convdiff 10x10 and 32x32 (Peclet 10); convdiff 4x4, whose grade
-the budgets reach; a singular operator with eigenvalues 0, 0, 1, ..., 6; and
-one with 40 eigenvalues geometrically spaced over [1e-6, 1] (condition number
-1e6).  The last three drive the solvers into their breakdown, stagnation and
-exception exits.
+and random (rtol 1e-8, seeded right-hand sides), 800 cases in all; and
+gmres, gmres-restarted, lowsync-gmres, two-precision and weighted-gmres,
+which read opts.weight, with a seeded positive weight, max_iter 60, restart
+8 and x0 zero on each problem: 25 more, keyed "<name>+weight", 825 cases.
+It also runs each SOLVER_DISPATCH name through harness._run_variant, as the
+CLI does, with options rtol 1e-8 and max_iter 60, on each problem: 85 more
+cases, keyed "harness:<name>", and gmres and gmres-restarted with scheme
+householder as well: 10 more, keyed "harness:<name>+householder", 920
+cases in all.  The problems are convdiff 10x10 and 32x32 (Peclet 10);
+convdiff 4x4, whose grade the budgets reach; a singular operator with
+eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues geometrically
+spaced over [1e-6, 1] (condition number 1e6).  The last three drive the
+solvers into their breakdown, stagnation and exception exits.
 It writes each report's counts, termination, x, residual history,
 true-residual checkpoints, reduction log and marks, and the diagnostics
 counters reorthogonalizations, dropped_augmentations, augmented_cycles and
@@ -45,7 +48,8 @@ LU factors (L, U, perm, growth) that lu_low computes, and their solves of
 three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
 200x200 matrix of acceptance criterion 13, a nonsymmetric Gaussian
 150x150 matrix, the negated convdiff 20x20 (Peclet 50), whose pivots are
-negative, and a 200x200 band of width 10 whose first panel overflows.
+negative, and a 200x200 band of width 10 whose first panel overflows, as an
+ndarray and as CSR.
 
 `compare` prints each case whose counts, termination or exception type
 moved, each reduction-log entry that moved (index, before -> after), and
@@ -177,6 +181,13 @@ def cases():
                                                    "scheme": "householder"}}
             yield (f"harness:{name}+householder {label} max_iter=60",
                    partial(_run_variant, A, b, variant))
+        # the solvers that read opts.weight, given a fixed seeded one
+        weight = np.random.default_rng(seed + 100).uniform(0.5, 2.0, A.nrows)
+        opts = GmresOptions(rtol=1e-8, max_iter=60, restart=8, weight=weight)
+        for name in ("gmres", "gmres-restarted", "lowsync-gmres", "two-precision",
+                     "weighted-gmres"):
+            yield (f"{name}+weight {label} max_iter=60 restart=8 x0=zero",
+                   partial(SOLVE[name], A, b, None, opts))
 
 
 def operators():
@@ -224,17 +235,18 @@ def factored():
     Q2, _ = np.linalg.qr(rng.standard_normal((200, 200)))
     yield "lu kappa~1e3 200^2", Q1 @ np.diag(np.logspace(0.0, 3.0, 200)) @ Q2.T
     yield "lu gaussian 150^2", np.random.default_rng(17).standard_normal((150, 150))
-    # two band matrices whose panels stop at their reach, of orders that are
-    # not multiples of the panel width
+    # band matrices of orders that are not multiples of the panel width, the
+    # CSR ones in band storage
     A = gen_convdiff(20, 20, 50.0)
     yield "lu negated convdiff 20^2 Peclet 50", CsrMatrix(
         A.nrows, A.ncols, A.row_ptr, A.col_idx, -A.values)
     yield "lu overflowing band 200^2", overflow_band()
+    yield "lu overflowing band 200^2 csr", CsrMatrix.from_dense(overflow_band())
 
 
 def overflow_band():
     """A 200^2 band of width 10 with unit diagonal whose first panel overflows
-    to -inf in column 63, so that the panel is factored again at full width."""
+    to -inf in column 63, so that inf x 0 puts NaNs into its factors."""
     n = 200
     offsets = np.subtract.outer(np.arange(n), np.arange(n))
     A = np.where(np.abs(offsets) <= 10,
