@@ -324,10 +324,11 @@ class HessenbergLsState:
         if col.shape != (j + 2,):
             raise ValueError(f"column {j} must have {j + 2} leading entries")
         col = col.tolist() if col.dtype == np.float64 else list(col)
+        a = col[0]  # rotation i takes entry i as rotated so far and entry i + 1
         for i, rot in enumerate(self.rotations):
-            col[i], col[i + 1] = rot.apply(col[i], col[i + 1])
-        rot, r = make_givens(col[j], col[j + 1])
-        col[j] = r
+            c, s, b = rot.c, rot.s, col[i + 1]
+            col[i], a = c * a + s * b, -s * a + c * b
+        rot, col[j] = make_givens(a, col[j + 1])
         col[j + 1] = 0.0
         gj, gj1 = rot.apply(self.g[j], self.g[j + 1])
         self.g[j] = gj

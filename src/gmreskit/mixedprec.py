@@ -105,14 +105,17 @@ def low_operator(A, dtype, n=None):
         values = A.values.astype(dtype)
         nonempty = np.flatnonzero(np.diff(A.row_ptr))
         # reduceat over the starts of the nonempty rows only: an empty row
-        # would otherwise receive the entry at its repeated start index
+        # would otherwise receive the entry at its repeated start index; its
+        # sums are the product when no row is empty
         starts = A.row_ptr[nonempty]
 
         def sparse_matvec(v):
+            products = np.take(np.asarray(v, dtype=dtype), A.col_idx)
+            sums = np.add.reduceat(np.multiply(values, products, out=products), starts)
+            if len(sums) == A.nrows:
+                return sums
             out = np.zeros(A.nrows, dtype=dtype)
-            if len(starts):
-                products = values * np.asarray(v, dtype=dtype)[A.col_idx]
-                out[nonempty] = np.add.reduceat(products, starts)
+            out[nonempty] = sums
             return out
 
         return sparse_matvec
@@ -152,24 +155,28 @@ class LowLU:
         # per block column: the row moves a vector needs before it, to be
         # in the order of the multipliers stored in it; per diagonal block
         # and substitution step: the step's column of the block as a
-        # contiguous row of the transposed block, and the slice of a shared
-        # buffer its products go to (so solve is not thread-safe); per block
+        # contiguous row of the transposed block (and U's pivot); per block
         # column, its stored GEMV blocks below and above the diagonal block
         swaps = self.swaps if self.swaps is not None else [(np.arange(n), self.perm)]
         self._moves = [[] for _ in range(0, n, _BLOCK)]
         for k0, move in zip(range(0, n, _BLOCK), swaps):
             if len(move[0]):
                 self._moves[self._limits(k0)[3] // _BLOCK].append(move)
-        self._buf = np.empty(_BLOCK, dtype=self.LU.dtype)
         self._lower, self._upper, self._gemvs = [], [], []
         for k0 in range(0, n, _BLOCK):
             k1 = min(k0 + _BLOCK, n)
             top, bottom, _, _ = self._limits(k0)
             Dt = self._view(k0, k1, k0, k1).T.copy()
-            w = len(Dt)
-            self._lower.append([(Dt[j, j + 1:], self._buf[:w - j - 1]) for j in range(w - 1)])
-            self._upper.append([(Dt[j, j], Dt[j, :j], self._buf[:j]) for j in range(w)])
+            self._lower.append([Dt[j, j + 1:] for j in range(len(Dt) - 1)])
+            self._upper.append([(Dt[j, j], Dt[j, :j]) for j in range(len(Dt))])
             self._gemvs.append((self._view(k1, bottom, k0, k1), self._view(top, k0, k0, k1)))
+        # per diagonal block width and step (lower, upper): views of the
+        # entries it updates in a shared copy of the block's entries and of
+        # its products in a second buffer (so solve is not thread-safe)
+        yb, t = np.empty((2, _BLOCK), dtype=self.LU.dtype)
+        self._yb, self._steps = yb, {w: ([(yb[i:w], t[:w - i]) for i in range(1, w)],
+                                         [(yb[:i], t[:i]) for i in range(w)])
+                                     for w in {min(_BLOCK, n - k0) for k0 in range(0, n, _BLOCK)}}
 
     @property
     def L(self):
@@ -204,34 +211,37 @@ class LowLU:
         Before each block column the vector gets the row moves of its stored
         multipliers (all of perm's before the first, in the n x n array).
         The substitution reads each diagonal block's columns as contiguous
-        rows of its transposed copy, built once with the factors, and writes
-        the products into a preallocated buffer; each entry still gets the
-        operations of ``y[k+1:k1] -= L[k+1:k1, k] * y[k]`` (and of U's
-        steps) in the same order.  A ValueError names rhs unless it is 1-D
-        of length n.
+        rows of its transposed copy, and runs on a copy of the block's
+        entries in a preallocated buffer, its products going to a second
+        one, all through views built once with the factors; each entry still
+        gets the operations of ``y[k+1:k1] -= L[k+1:k1, k] * y[k]`` (and of
+        U's steps) in the same order.  A ValueError names rhs unless it is
+        1-D of length n.
         """
         n = len(self.perm)
         y = np.array(rhs, dtype=self.LU.dtype)
         if y.shape != (n,):
             raise ValueError(f"rhs must be a 1-D vector of length {n}, got shape {y.shape}")
-        mul, sub = np.multiply, np.subtract
+        mul, sub, yb = np.multiply, np.subtract, self._yb
         starts = range(0, n, _BLOCK)
-        for k0, moves, steps, (below, _) in zip(starts, self._moves, self._lower, self._gemvs):
+        for k0, moves, cols, (below, _) in zip(starts, self._moves, self._lower, self._gemvs):
             k1 = min(k0 + _BLOCK, n)
             for dst, src in moves:
                 y[dst] = y[src]
-            for k, (col, t) in enumerate(steps, k0):
-                rest = y[k + 1:k1]
-                sub(rest, mul(col, y[k], t), rest)
+            yb[:k1 - k0] = y[k0:k1]
+            for i, (col, (rest, t)) in enumerate(zip(cols, self._steps[k1 - k0][0])):
+                sub(rest, mul(col, yb[i], t), rest)
+            y[k0:k1] = yb[:k1 - k0]
             y[k1:k1 + len(below)] -= below @ y[k0:k1]
         for k0, steps, (_, above) in zip(reversed(starts), reversed(self._upper),
                                          reversed(self._gemvs)):
             k1 = min(k0 + _BLOCK, n)
-            for k in range(k1 - 1, k0 - 1, -1):
-                pivot, col, t = steps[k - k0]
-                y[k] = yk = y[k] / pivot
-                rest = y[k0:k]
+            yb[:k1 - k0] = y[k0:k1]
+            for i, (pivot, col), (rest, t) in zip(range(k1 - k0 - 1, -1, -1), reversed(steps),
+                                                  reversed(self._steps[k1 - k0][1])):
+                yb[i] = yk = yb[i] / pivot
                 sub(rest, mul(col, yk, t), rest)
+            y[k0:k1] = yb[:k1 - k0]
             y[k0 - len(above):k0] -= above @ y[k0:k1]
         return y
 
@@ -244,19 +254,20 @@ def _factor_panel(panel, k0, buf):
     P = panel.T.copy()  # P[j, i] = panel[i, j]
     w, m = P.shape
     rows = np.arange(m)
+    mag = np.empty(m, dtype=P.dtype)  # |col|, for the pivot search
     for j in range(w):
         col = P[j, j:]
-        p = int(np.argmax(np.abs(col)))
+        p = int(np.abs(col, out=mag[j:]).argmax())
         if col[p] == 0:
             raise SingularMatrixError(k0 + j, "matrix is singular in the low format")
         if p:
             P[:, [j, j + p]] = P[:, [j + p, j]]
-            rows[[j, j + p]] = rows[[j + p, j]]
+            rows[j], rows[j + p] = rows[j + p], rows[j]
         col[1:] /= col[0]
-        rest = (w - j - 1, m - j - 1)
-        t = np.multiply.outer(P[j + 1:, j], P[j, j + 1:],
-                              out=buf[:rest[0] * rest[1]].reshape(rest))
-        np.subtract(P[j + 1:, j + 1:], t, out=P[j + 1:, j + 1:])
+        trail = P[j + 1:, j + 1:]
+        t = np.multiply.outer(P[j + 1:, j], col[1:],
+                              out=buf[:trail.size].reshape(trail.shape))
+        np.subtract(trail, t, out=trail)
     return P, rows
 
 

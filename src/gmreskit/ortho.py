@@ -10,7 +10,7 @@ the diagonally scaled system (solvers._restart_driver).
 Every scheme builds the relation A V_n = V_{n+1} Hbar_n.  One modeled global
 reduction is one batch of inner products / norms whose operands are all
 available at the same time, and the ReductionCounter primitive that computes
-it counts it (dots, norm, or a batch() around several).  The drivers' own
+it counts it (dots, norm, sweep, or a batch() around several).  The drivers' own
 norms are outside the model and uncounted: ||b|| for the tolerance, the
 initial residual norm, the explicit residual norm after each cycle, and
 GMRES-IR's outer residual norms.
@@ -74,7 +74,7 @@ class OrthogonalizationBreakdown(RuntimeError):
 
 class ReductionCounter:
     """Counts modeled global reductions, each by the primitive that computes
-    it (dots, norm, or one per batch() block around them), optionally
+    it (dots, norm, sweep, or one per batch() block around them), optionally
     bucketed per Arnoldi step (step()), and the operator products made
     through counted(matvec).
 
@@ -115,6 +115,16 @@ class ReductionCounter:
         """The 2-norm of w as a float: one reduction."""
         self.count(self._per_call)
         return float(np.linalg.norm(w))
+
+    def sweep(self, V, h, w):
+        """Modified Gram-Schmidt: project w in place against the first len(h)
+        columns of V one at a time, storing each coefficient in h before
+        w -= v * h[i] uses it as stored; one reduction per column."""
+        self.count(len(h) * self._per_call)
+        dot, mul, sub, tmp = np.dot, np.multiply, np.subtract, np.empty_like(w)
+        for i, v in enumerate(V.T[:len(h)]):
+            h[i] = dot(v, w)
+            sub(w, mul(v, h[i], tmp), w)
 
     def batch(self):
         """A block whose dots and norms, however many, are one reduction."""
@@ -186,15 +196,10 @@ def mgs_pass(V, k, w, counter):
     in w's dtype; k + 1 reductions."""
     h = np.zeros(k, dtype=w.dtype)
     if k:
-        # w - h[i] * v in place, on a private copy of w (an operator may
-        # return its input, a column of V): the same type and two roundings
+        # on a private copy of w (an operator may return its input, a column
+        # of V): the same type and two roundings per entry and column
         w = w.astype(np.result_type(w, V))
-        tmp = np.empty_like(w)
-    for i in range(k):
-        v = V[:, i]
-        h[i] = counter.dots(v, w)
-        np.multiply(v, h[i], out=tmp)
-        w -= tmp
+        counter.sweep(V, h, w)
     return h, w, counter.norm(w)
 
 

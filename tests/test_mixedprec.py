@@ -15,6 +15,7 @@ from gmreskit.mixedprec import (
     _BLOCK,
     LU_BYTES_LIMIT,
     LowLU,
+    _factor_panel,
     _low_gmres,
     gmres_ir,
     gmres_two_precision,
@@ -401,6 +402,21 @@ class TestLuLowMemory:
     def test_memory_kept_by_the_factors(self, traced):
         assert traced[1] <= 1.4
 
+    def test_scaffolding_of_the_solve(self):
+        # LowLU's per-block views and buffers besides the factors: 0.21 n x n
+        # binary32 matrices when each substitution step sliced its own
+        # views of the product buffer, 0.15 with views shared by all blocks
+        A = gen_convdiff(32, 32, peclet=10.0)
+        lu = lu_low(A)
+        tracemalloc.start()
+        try:
+            rebuilt = LowLU(lu.LU, lu.perm, lu.growth, lu.kd, lu.swaps)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rebuilt.solve(np.ones(A.nrows)).tobytes() == lu.solve(np.ones(A.nrows)).tobytes()
+        assert kept / (A.nrows ** 2 * 4) <= 0.18
+
     def test_factor_arrays_are_copies(self, rng):
         n = 2 * _BLOCK + 3
         lu = lu_low(rng.standard_normal((n, n)) + 4.0 * np.eye(n))
@@ -661,6 +677,93 @@ class TestEnvelope:
         ratios = report_identity.lu_envelope(
             A, report_identity.right_hand_sides(len(A)), arrays, arrays)
         assert all(ratio <= 1 for ratio in ratios.values()), ratios
+
+
+def reference_low_product(A, dtype, v):
+    """low_operator's CSR product as it was before it returned reduceat's
+    sums directly, kept verbatim as the oracle its bytes must match."""
+    values = A.values.astype(dtype)
+    nonempty = np.flatnonzero(np.diff(A.row_ptr))
+    starts = A.row_ptr[nonempty]
+    out = np.zeros(A.nrows, dtype=dtype)
+    if len(starts):
+        products = values * np.asarray(v, dtype=dtype)[A.col_idx]
+        out[nonempty] = np.add.reduceat(products, starts)
+    return out
+
+
+def reference_factor_panel(panel, k0, buf):
+    """_factor_panel as it was before its pivot search wrote into one
+    buffer, kept verbatim as the oracle its bytes must match."""
+    P = panel.T.copy()
+    w, m = P.shape
+    rows = np.arange(m)
+    for j in range(w):
+        col = P[j, j:]
+        p = int(np.argmax(np.abs(col)))
+        if col[p] == 0:
+            raise SingularMatrixError(k0 + j, "matrix is singular in the low format")
+        if p:
+            P[:, [j, j + p]] = P[:, [j + p, j]]
+            rows[[j, j + p]] = rows[[j + p, j]]
+        col[1:] /= col[0]
+        rest = (w - j - 1, m - j - 1)
+        t = np.multiply.outer(P[j + 1:, j], P[j, j + 1:],
+                              out=buf[:rest[0] * rest[1]].reshape(rest))
+        np.subtract(P[j + 1:, j + 1:], t, out=P[j + 1:, j + 1:])
+    return P, rows
+
+
+def ragged_csr(rng, nrows, ncols, counts):
+    """A CSR matrix whose row i holds counts[i] entries at random columns,
+    a fifth of them zeros of either sign, the rest over six decades."""
+    cols = [np.sort(rng.choice(ncols, c, replace=False)) for c in counts]
+    values = rng.standard_normal(sum(counts)) * 10.0 ** rng.uniform(-3, 3, sum(counts))
+    zeros = rng.random(len(values)) < 0.2
+    values[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return CsrMatrix(nrows, ncols, np.concatenate([[0], np.cumsum(counts)]),
+                     np.concatenate(cols).astype(np.int64), values)
+
+
+class TestKernelBytes:
+    """The low-format product and the panel factorization keep the bytes of
+    their reference formulations."""
+
+    @pytest.mark.parametrize("empty_rows", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_low_product(self, rng, dtype, empty_rows):
+        # rows of 1 to 12 entries, past reduceat's 8-entry pairwise blocks
+        counts = np.tile(np.arange(1, 13), 4)
+        if empty_rows:
+            counts[[0, 5, 17, 47]] = 0
+        A = ragged_csr(rng, len(counts), 30, counts)
+        product = low_operator(A, dtype)
+        for v in (rng.standard_normal(30) * 10.0 ** rng.uniform(-4, 4, 30),
+                  np.where(rng.random(30) < 0.3, -0.0, rng.standard_normal(30))):
+            y = product(v)
+            assert y.dtype == dtype
+            assert y.tobytes() == reference_low_product(A, dtype, v).tobytes()
+            assert not np.shares_memory(y, product(v))
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_factor_panel_that_pivots(self, rng, strided):
+        m, w = 150, _BLOCK
+        F = (rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-2, 2, (m, m))).astype(np.float32)
+        F[rng.random((m, m)) < 0.1] = -0.0
+        panel = F[:, 7:7 + w] if strided else np.ascontiguousarray(F[:, :w])
+        buf, buf_ref = np.empty(w * m, np.float32), np.empty(w * m, np.float32)
+        P, rows = _factor_panel(panel, 0, buf)
+        P_ref, rows_ref = reference_factor_panel(panel, 0, buf_ref)
+        assert np.count_nonzero(rows_ref != np.arange(m)) > w // 2
+        assert P.tobytes() == P_ref.tobytes()
+        assert np.array_equal(rows, rows_ref)
+
+    def test_factor_panel_singular(self):
+        panel = np.zeros((5, 3), np.float32)
+        panel[:, 0] = [0.0, 0.0, 2.0, 0.0, 0.0]
+        with pytest.raises(SingularMatrixError) as exc:
+            _factor_panel(panel, 64, np.empty(15, np.float32))
+        assert exc.value.index == 65
 
 
 class TestLowOperator:

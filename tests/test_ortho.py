@@ -12,6 +12,7 @@ from gmreskit.ortho import (
     OrthoScheme,
     ReductionCounter,
     arnoldi,
+    basis,
     householder_arnoldi,
     mgs_pass,
 )
@@ -271,6 +272,78 @@ class TestInvariantSweeps:
             # well determined over the run
             dec_m = arnoldi(A, r0, 30, OrthoScheme.MGS)
             assert dec_m.gram_residual() <= 1e-8, kappa
+
+
+def reference_mgs_pass(V, k, w, counter):
+    """mgs_pass as it was before ReductionCounter.sweep ran its loop, kept
+    verbatim as the oracle its bytes must match."""
+    h = np.zeros(k, dtype=w.dtype)
+    if k:
+        w = w.astype(np.result_type(w, V))
+        tmp = np.empty_like(w)
+    for i in range(k):
+        v = V[:, i]
+        h[i] = counter.dots(v, w)
+        np.multiply(v, h[i], out=tmp)
+        w -= tmp
+    return h, w, counter.norm(w)
+
+
+class TestMgsSweepBytes:
+    """mgs_pass through ReductionCounter.sweep keeps the reference's bytes
+    and counts, whatever the dtypes of V and w."""
+
+    @pytest.mark.parametrize("v_dtype, w_dtype", [
+        (np.float64, np.float64), (np.float32, np.float32),
+        (np.float64, np.float32), (np.float32, np.float64)])
+    @pytest.mark.parametrize("k", [0, 1, 5, 17])
+    def test_same_bytes_as_reference(self, rng, v_dtype, w_dtype, k):
+        V = np.asfortranarray(np.linalg.qr(rng.standard_normal((41, 18)))[0], v_dtype)
+        w = (rng.standard_normal(41) * np.logspace(-3, 3, 41)).astype(w_dtype)
+        w[::7] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+        ours, ref = ReductionCounter(), ReductionCounter()
+        h, w_out, h_sub = mgs_pass(V, k, w.copy(), ours)
+        h_ref, w_ref, h_sub_ref = reference_mgs_pass(V, k, w.copy(), ref)
+        assert h.dtype == h_ref.dtype == w_dtype
+        assert w_out.dtype == w_ref.dtype
+        assert h.tobytes() == h_ref.tobytes()
+        assert w_out.tobytes() == w_ref.tobytes()
+        assert np.float64(h_sub).tobytes() == np.float64(h_sub_ref).tobytes()
+        assert ours.total == ref.total == k + 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_w_a_column_of_v(self, rng, dtype):
+        # an operator may return its input: V stays as it was
+        V = basis(30, 6, dtype)
+        V[:] = np.linalg.qr(rng.standard_normal((30, 6)))[0]
+        before = V.copy()
+        h, w, h_sub = mgs_pass(V, 4, V[:, 3], ReductionCounter())
+        h_ref, w_ref, h_sub_ref = reference_mgs_pass(V, 4, V[:, 3], ReductionCounter())
+        assert np.array_equal(V, before)
+        assert (h.tobytes(), w.tobytes(), h_sub) == (h_ref.tobytes(), w_ref.tobytes(), h_sub_ref)
+        # k = 0 hands back w itself, projected against nothing
+        w0 = V[:, 2]
+        h, w, h_sub = mgs_pass(V, 0, w0, ReductionCounter())
+        assert h.shape == (0,) and w is w0 and h_sub == np.linalg.norm(w0)
+
+    def test_counts_inside_step_and_batch(self, rng):
+        V = np.linalg.qr(rng.standard_normal((20, 6)))[0]
+        c = ReductionCounter()
+        with c.step():
+            c.sweep(V, np.zeros(4), rng.standard_normal(20))
+        with c.step():
+            with c.batch():
+                c.sweep(V, np.zeros(5), rng.standard_normal(20))
+        assert (c.total, c.per_step) == (5, [4, 1])
+
+    def test_per_step_of_an_mgs_process(self, rng):
+        # step j projects against j + 1 columns and takes one norm
+        A = well_conditioned(rng, 15)
+        proc = ArnoldiProcess(A, rng.standard_normal(15), 6, OrthoScheme.MGS)
+        for _ in range(6):
+            proc.step()
+        assert proc.counter.per_step == [j + 2 for j in range(6)]
+        assert proc.counter.total == 1 + sum(j + 2 for j in range(6))
 
 
 class TestMgsPass:
