@@ -72,7 +72,7 @@ def test_parent_goes_first_on_even_pairs(tmp_path):
     assert calls == ["parent 3 0", "change 3 0", "change 4 0", "parent 4 0",
                      "parent 5 0", "change 5 0", "change 6 0", "parent 6 0",
                      "parent 3 1", "change 3 1"]
-    out = json.loads((tmp_path / "bench" / "BENCH_w-parent-change.json").read_text())
+    out = json.loads((tmp_path / "bench" / "BENCH_w-parent-change-3-6.json").read_text())
     assert status == 0 and out["all_correct"] and out["counts_equal"]
     assert [p["first"] for p in out["pairs"]] == ["parent", "change"] * 2
     assert [p["seed"] for p in out["pairs"]] == [3, 4, 5, 6]

@@ -20,8 +20,8 @@ medians, the parent's quartiles (linear interpolation), the number of
 pairs the change wins (a strictly better value, "better" as BENCHMARK.json
 declares it) and loses, and a verdict; the traced pair's per-layer metrics;
 and whether every run was correct with 0 failed operations and the same
-counts as its partner.  Its label names the workload and the two sides (a
-revision's short commit, a checkout's directory name).  A verdict is
+counts as its partner.  Its label names the workload, the two sides (a
+revision's short commit, a checkout's directory name) and the seeds.  A verdict is
 "better" (or "worse") when the change wins (or loses) at least WIN_SHARE of
 the pairs and its median is off the parent's by more than the parent's
 interquartile range, "equal" when every pair ties, and "unresolved"
@@ -206,7 +206,8 @@ def main(argv=None):
 
         pairs, traced = run_pairs(run, args.seeds,
                                   log=lambda line: print(line, file=sys.stderr, flush=True))
-    label = "-".join([args.workload, *(sides[s][1]["name"] for s in sides)])
+    label = "-".join([args.workload, *(sides[s][1]["name"] for s in sides),
+                      str(args.seeds[0]), str(args.seeds[-1])])
     out = report(pairs, traced, declared_better(), label=label, workload=args.workload,
                  parent=sides["parent"][1], change=sides["change"][1], seeds=args.seeds,
                  seconds=args.seconds, win_share=WIN_SHARE)
