@@ -118,27 +118,23 @@ def leja_order(points):
     Greedy: start from the largest modulus, then repeatedly pick the point
     maximizing the product of distances to the chosen prefix (accumulated in
     log magnitude); a chosen complex point drags its conjugate along so pairs
-    stay adjacent.
+    stay adjacent.  Each candidate keeps a running sum of its log distances,
+    to which every chosen point adds its term in choice order, so the sums
+    are those of a fresh pass over the prefix, in O(n^2) work in all.
     """
     pts = [complex(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     remaining = list(range(len(pts)))
     order = []
-
-    def log_products(cands):
-        out = []
-        for i in cands:
-            acc = 0.0
-            for j in order:
-                d = abs(pts[i] - pts[j])
-                acc += math.log(d) if d > 0 else -math.inf
-            out.append(acc)
-        return out
+    logs = [0.0] * len(pts)  # per candidate: log of its distance product to order
 
     def take(i):
         order.append(i)
         remaining.remove(i)
+        for k in remaining:
+            d = abs(pts[k] - pts[i])
+            logs[k] += math.log(d) if d > 0 else -math.inf
 
     def take_with_conjugate(i):
         take(i)
@@ -163,9 +159,7 @@ def leja_order(points):
     first = max(remaining, key=lambda i: (abs(pts[i]), -i))
     take_with_conjugate(first)
     while remaining:
-        logs = log_products(remaining)
-        best = max(range(len(remaining)), key=lambda k: (logs[k], -remaining[k]))
-        take_with_conjugate(remaining[best])
+        take_with_conjugate(max(remaining, key=lambda i: (logs[i], -i)))
     return [pts[i] for i in order]
 
 

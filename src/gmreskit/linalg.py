@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,11 +121,19 @@ class CsrMatrix:
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, values):
-        """CSR from entries in any order; a repeated position fails validation."""
+        """CSR from entries in any order; a repeated position fails validation.
+
+        The entries go into row-major order by one stable sort of the int64
+        key row * ncols + column (``_row_major``), linear in time on entries
+        already in that order or made of a few such runs.  A shape with
+        nrows * ncols >= 2**63, whose key could overflow, is sorted by
+        ``np.lexsort`` instead, which gives the same permutation.
+        """
         rows = np.asarray(rows, dtype=np.int64)
-        order = np.lexsort((cols, rows))  # row-major, columns ascending in a row
+        cols = np.asarray(cols, dtype=np.int64)
+        order = _row_major(nrows, ncols, rows, cols)
         row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nrows))))
-        return cls(nrows, ncols, row_ptr, np.asarray(cols)[order], np.asarray(values)[order])
+        return cls(nrows, ncols, row_ptr, cols[order], np.asarray(values)[order])
 
     @classmethod
     def from_dense(cls, dense, drop_tol=0.0):
@@ -369,6 +379,22 @@ def back_substitute(R, g):
     return y
 
 
+def _row_major(nrows, ncols, rows, cols):
+    """The stable permutation that puts the int64 (row, column) pairs in
+    row-major order, equal pairs in their input order.
+
+    One stable sort (TimSort, linear on presorted runs) of the key
+    row * ncols + column, which is distinct for in-range pairs; an
+    out-of-range pair may share its key with another pair.  When nrows *
+    ncols >= 2**63 the key could overflow, so ``np.lexsort`` sorts the pairs.
+    """
+    if max(int(nrows), 1) * max(int(ncols), 1) >= 2**63:
+        return np.lexsort((cols, rows))
+    key = rows * ncols
+    key += cols
+    return np.argsort(key, kind="stable")
+
+
 def forward_substitute_unit(L, rhs):
     """Solve (I + L) x = rhs with L strictly lower triangular."""
     rhs = np.asarray(rhs)
@@ -397,6 +423,15 @@ def mm_read(path) -> CsrMatrix:
     Duplicate entries are rejected rather than summed so that corpus errors
     surface instead of silently changing the operator.  The first offending
     entry in file order is named (out of range, above the diagonal, repeated).
+
+    ``np.loadtxt`` reads the entries from the path itself, past the lines
+    the header and size line used, so numpy parses the body in chunks.  When
+    it refuses the body (a whole-line comment, a malformed line, a count of
+    entries other than the size line's, or no entries declared), the rest of
+    the open file is read again, its whole-line comments removed, and parsed
+    from memory (``_parse_body``), which gives the same entries or names the
+    fault.  The duplicate check orders the entries as ``CsrMatrix.from_coo``
+    does, by one stable sort of the row-major key (``_row_major``).
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -412,9 +447,9 @@ def mm_read(path) -> CsrMatrix:
             raise MatrixMarketError(f"unsupported field type: {fieldtype}")
         if symmetry not in ("general", "symmetric"):
             raise MatrixMarketError(f"unsupported symmetry: {symmetry}")
-        line = fh.readline()
+        line, skip = fh.readline(), 2
         while line.strip().startswith("%") or line.strip() == "":
-            line = fh.readline()
+            line, skip = fh.readline(), skip + 1
             if line == "":
                 raise MatrixMarketError("missing size line")
         try:
@@ -423,22 +458,15 @@ def mm_read(path) -> CsrMatrix:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
         if min(nrows, ncols, nnz) < 0:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
-        body = fh.read()
-    if "%" in body:
-        # whole comment lines only: an inline % leaves too many fields
-        body = _COMMENT_LINE.sub("", body)
-    entries = np.empty(0, dtype=_ENTRY_DTYPE)
-    if body.strip():
-        try:
-            entries = np.loadtxt(io.StringIO(body), dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
-        except ValueError as exc:
-            line = _BAD_ENTRY_LINE.search(body)
-            raise MatrixMarketError("malformed entry line: "
-                                    + (repr(line.group().strip()) if line else str(exc))) from exc
+        entries = _loadtxt_path(path, skip, nnz)
+        if entries is None:
+            entries = _parse_body(fh.read())
     i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
     out_of_range = (i < 0) | (i >= nrows) | (j < 0) | (j >= ncols)
     upper = (j > i) & (symmetry == "symmetric")
-    order = np.lexsort((j, i))  # stable: the first of equal positions is the earliest
+    # stable, so the first of equal positions is the earliest; a position
+    # whose key it shares with another lies out of range, and is named first
+    order = _row_major(nrows, ncols, i, j)
     repeated = np.zeros(len(i), dtype=bool)
     repeated[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
     bad = out_of_range | upper | repeated
@@ -457,6 +485,40 @@ def mm_read(path) -> CsrMatrix:
         i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
                    np.concatenate((v, v[off])))
     return CsrMatrix.from_coo(nrows, ncols, i, j, v)
+
+
+def _loadtxt_path(path, skip, nnz):
+    """The entries ``np.loadtxt`` parses from the file at path past its first
+    skip lines, or None unless it parses exactly nnz of them.  numpy opens a
+    name with a compressed suffix through a decompressor and reads only a
+    str path in chunks, so such paths are left to the caller's second read."""
+    path = os.fspath(path)
+    if not isinstance(path, str) or path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # a body without entries warns
+            entries = np.loadtxt(path, dtype=_ENTRY_DTYPE, comments=None, skiprows=skip,
+                                 encoding="ascii", ndmin=1)
+    except (ValueError, UserWarning):  # a malformed line or a non-ASCII byte among them
+        return None
+    return entries if len(entries) == nnz else None
+
+
+def _parse_body(body):
+    """The entries of a body held in memory, its whole-line comments removed;
+    a MatrixMarketError names the first malformed line."""
+    if "%" in body:
+        # whole comment lines only: an inline % leaves too many fields
+        body = _COMMENT_LINE.sub("", body)
+    if not body.strip():
+        return np.empty(0, dtype=_ENTRY_DTYPE)
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
+    except ValueError as exc:
+        line = _BAD_ENTRY_LINE.search(body)
+        raise MatrixMarketError("malformed entry line: "
+                                + (repr(line.group().strip()) if line else str(exc))) from exc
 
 
 def mm_write(path, A: CsrMatrix):

@@ -351,7 +351,10 @@ def _finite_vector(name, v, like=None):
     real, finite 1-D vector, of like's shape when like is given."""
     if np.iscomplexobj(v):
         raise ValueError(f"{name} must be real")
-    v = np.asarray(v, dtype=np.float64)
+    try:
+        v = np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # GmresOptions passed where x0 goes, say
+        raise ValueError(f"{name} must be a real vector, got {type(v).__name__}") from exc
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if like is not None and v.shape != like.shape:

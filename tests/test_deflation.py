@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmreskit.deflation import (
     ResidualPolynomial,
@@ -89,6 +91,109 @@ class TestLejaOrder:
         assert len(out) == len(pts)
         assert sorted((z.real, z.imag) for z in out) == \
             sorted((complex(z).real, complex(z).imag) for z in pts)
+
+
+def reference_leja_order(points):
+    """leja_order as it was before its running log-products: each pick sums
+    a candidate's log distances to the whole prefix afresh, in O(n^3).
+
+    Modified Leja ordering of a conjugate-closed point set.
+
+    Greedy: start from the largest modulus, then repeatedly pick the point
+    maximizing the product of distances to the chosen prefix (accumulated in
+    log magnitude); a chosen complex point drags its conjugate along so pairs
+    stay adjacent.
+    """
+    pts = [complex(p) for p in points]
+    if not pts:
+        raise ValueError("need at least one point")
+    remaining = list(range(len(pts)))
+    order = []
+
+    def log_products(cands):
+        out = []
+        for i in cands:
+            acc = 0.0
+            for j in order:
+                d = abs(pts[i] - pts[j])
+                acc += math.log(d) if d > 0 else -math.inf
+            out.append(acc)
+        return out
+
+    def take(i):
+        order.append(i)
+        remaining.remove(i)
+
+    def take_with_conjugate(i):
+        take(i)
+        if pts[i].imag != 0.0:
+            conj = pts[i].conjugate()
+            partner = None
+            for j in remaining:
+                if pts[j] == conj:
+                    partner = j
+                    break
+            if partner is None:
+                best = None
+                for j in remaining:
+                    d = abs(pts[j] - conj)
+                    if d <= 1e-12 * max(1.0, abs(conj)) and (best is None or d < best[1]):
+                        best = (j, d)
+                if best is None:
+                    raise ValueError("points are not closed under conjugation")
+                partner = best[0]
+            take(partner)
+
+    first = max(remaining, key=lambda i: (abs(pts[i]), -i))
+    take_with_conjugate(first)
+    while remaining:
+        logs = log_products(remaining)
+        best = max(range(len(remaining)), key=lambda k: (logs[k], -remaining[k]))
+        take_with_conjugate(remaining[best])
+    return [pts[i] for i in order]
+
+
+@st.composite
+def conjugate_closed_sets(draw):
+    """A conjugate-closed point list in any order: small integer and float
+    coordinates, so that ties and repeated points (distance 0) are common."""
+    coord = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-4.0, 4.0, allow_nan=False, width=64))
+    reals = draw(st.lists(coord, max_size=8))
+    pairs = draw(st.lists(st.tuples(coord, coord.filter(lambda y: y != 0.0)), max_size=8))
+    pts = [complex(x) for x in reals]
+    for x, y in pairs:
+        pts += [complex(x, y), complex(x, -y)]
+    pts = draw(st.permutations(pts))
+    return pts if pts else [complex(draw(coord))]
+
+
+def _same_points(a, b):
+    return [(z.real, z.imag) for z in a] == [(z.real, z.imag) for z in b] and \
+        [math.copysign(1.0, z.imag) for z in a] == [math.copysign(1.0, z.imag) for z in b]
+
+
+class TestLejaOrderMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(conjugate_closed_sets())
+    def test_same_points_in_the_same_order(self, pts):
+        assert _same_points(leja_order(pts), reference_leja_order(pts))
+
+    def test_random_conjugate_closed_sets(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n_real, n_pairs = rng.integers(0, 10), rng.integers(0, 10)
+            z = rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)
+            pts = [*rng.standard_normal(n_real), *np.ravel(np.column_stack((z, z.conj())))]
+            pts = [pts[k] for k in rng.permutation(len(pts))] or [1.0]
+            assert _same_points(leja_order(pts), reference_leja_order(pts))
+
+    def test_an_unclosed_set_raises_as_the_reference_does(self):
+        for pts in ([1 + 1j], [1 + 1j, 2 - 1j, 3.0]):
+            with pytest.raises(ValueError, match="closed under conjugation"):
+                reference_leja_order(pts)
+            with pytest.raises(ValueError, match="closed under conjugation"):
+                leja_order(pts)
 
 
 class TestResidualPolynomial:

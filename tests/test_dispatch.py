@@ -143,6 +143,15 @@ def test_passed_keys_reach_the_library_call(problem, options):
     assert isinstance(got, tuple)
 
 
+@pytest.mark.parametrize("name", [name for name in SOLVER_DISPATCH
+                                  if name != "gmres-ir"])  # its third parameter is inner_opts
+def test_options_passed_where_x0_goes_is_a_value_error_naming_x0(problem, name):
+    A, b = problem
+    solve, fixed, _ = SOLVER_DISPATCH[name]
+    with pytest.raises(ValueError, match=r"^x0 must be a real vector, got GmresOptions$"):
+        solve(A, b, GmresOptions(rtol=1e-6), **fixed)
+
+
 def test_householder_keeps_the_restart_length_of_gmres_restarted():
     A = gen_convdiff(16, 16, peclet=10.0)
     b = np.ones(256)

@@ -1,10 +1,14 @@
+import io
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmreskit import linalg
 from gmreskit.harness import gen_convdiff
 from gmreskit.linalg import (
     CsrMatrix,
@@ -812,3 +816,345 @@ def test_mm_symmetric_round_trip_bit_for_bit(tmp_path_factory, data, n):
     _assert_same_csr(mm_read(path), A)
     mm_write(path, A)
     _assert_same_csr(mm_read(path), A)
+
+
+# ---------------------------------------------------------------------------
+# from_coo and mm_read against their forms before the key sort and the path
+# reader, kept here as references
+
+def reference_from_coo(nrows, ncols, rows, cols, values):
+    """CsrMatrix.from_coo as it was before the key sort: a two-key lexsort."""
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.lexsort((cols, rows))  # row-major, columns ascending in a row
+    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nrows))))
+    return CsrMatrix(nrows, ncols, row_ptr, np.asarray(cols)[order], np.asarray(values)[order])
+
+
+def reference_mm_read(path):
+    """mm_read as it was before the path reader and the key sort: the body
+    parsed from a StringIO, and two-key lexsorts here and in from_coo.
+
+    Read a Matrix Market coordinate file into CSR form.
+
+    Symmetric storage (lower triangle on disk) is expanded to full.
+    Duplicate entries are rejected rather than summed so that corpus errors
+    surface instead of silently changing the operator.  The first offending
+    entry in file order is named (out of range, above the diagonal, repeated).
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline()
+        if not header.startswith("%%MatrixMarket"):
+            raise MatrixMarketError("missing %%MatrixMarket header")
+        parts = header.strip().split()
+        if len(parts) != 5:
+            raise MatrixMarketError(f"malformed header: {header.strip()!r}")
+        _, obj, fmt, fieldtype, symmetry = (p.lower() for p in parts)
+        if obj != "matrix" or fmt != "coordinate":
+            raise MatrixMarketError(f"unsupported object/format: {obj} {fmt}")
+        if fieldtype != "real":
+            raise MatrixMarketError(f"unsupported field type: {fieldtype}")
+        if symmetry not in ("general", "symmetric"):
+            raise MatrixMarketError(f"unsupported symmetry: {symmetry}")
+        line = fh.readline()
+        while line.strip().startswith("%") or line.strip() == "":
+            line = fh.readline()
+            if line == "":
+                raise MatrixMarketError("missing size line")
+        try:
+            nrows, ncols, nnz = (int(t) for t in line.split())
+        except ValueError as exc:
+            raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
+        if min(nrows, ncols, nnz) < 0:
+            raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
+        body = fh.read()
+    if "%" in body:
+        # whole comment lines only: an inline % leaves too many fields
+        body = linalg._COMMENT_LINE.sub("", body)
+    entries = np.empty(0, dtype=linalg._ENTRY_DTYPE)
+    if body.strip():
+        try:
+            entries = np.loadtxt(io.StringIO(body), dtype=linalg._ENTRY_DTYPE, comments=None,
+                                 ndmin=1)
+        except ValueError as exc:
+            line = linalg._BAD_ENTRY_LINE.search(body)
+            raise MatrixMarketError("malformed entry line: "
+                                    + (repr(line.group().strip()) if line else str(exc))) from exc
+    i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    out_of_range = (i < 0) | (i >= nrows) | (j < 0) | (j >= ncols)
+    upper = (j > i) & (symmetry == "symmetric")
+    order = np.lexsort((j, i))  # stable: the first of equal positions is the earliest
+    repeated = np.zeros(len(i), dtype=bool)
+    repeated[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+    bad = out_of_range | upper | repeated
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"({i[k] + 1},{j[k] + 1})"
+        if out_of_range[k]:
+            raise MatrixMarketError(f"entry {where} out of range")
+        if upper[k]:
+            raise MatrixMarketError(f"entry {where} above the diagonal in a symmetric file")
+        raise MatrixMarketError(f"duplicate entry at {where}")
+    if len(v) != nnz:
+        raise MatrixMarketError(f"expected {nnz} entries, found {len(v)}")
+    if symmetry == "symmetric":
+        off = i != j
+        i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
+                   np.concatenate((v, v[off])))
+    return reference_from_coo(nrows, ncols, i, j, v)
+
+
+def _csr_outcome(call):
+    """The shape and the CSR arrays' dtypes and bytes, or the exception's type
+    and message; a warning counts as an exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            A = call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return A.shape, [(getattr(A, name).dtype.str, getattr(A, name).tobytes())
+                     for name in ("row_ptr", "col_idx", "values")]
+
+
+@st.composite
+def coo_entries(draw):
+    """(nrows, ncols, rows, cols, values): a rectangular shape with empty
+    rows, positions in any order or row-major, at times repeated or with an
+    index out of range, and indices as int32, int64 or a list."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    grid = [(i, j) for i in range(nrows) for j in range(ncols)]
+    positions = draw(st.lists(st.sampled_from(grid), max_size=25,
+                              unique=draw(st.booleans()))) if grid else []
+    fault = draw(st.sampled_from([None, None, None, "row", "col"]))
+    if fault and positions:
+        k = draw(st.integers(0, len(positions) - 1))
+        bad = draw(st.sampled_from([-1, nrows if fault == "row" else ncols]))
+        i, j = positions[k]
+        positions[k] = (bad, j) if fault == "row" else (i, bad)
+    if draw(st.booleans()):
+        positions.sort()
+    rows, cols = [p[0] for p in positions], [p[1] for p in positions]
+    kind = draw(st.sampled_from([np.int32, np.int64, list]))
+    if kind is not list:
+        rows, cols = np.array(rows, dtype=kind), np.array(cols, dtype=kind)
+    values = np.array(draw(st.lists(st.floats(width=64), min_size=len(positions),
+                                    max_size=len(positions))), dtype=np.float64)
+    return nrows, ncols, rows, cols, values
+
+
+FILLER_LINES = ["% a comment", "%", "", "   ", "\t", "  % indented", " \x0c "]
+MALFORMED_LINES = ["1 1", "1 1 1.0 2.0", "1 1 x", "1 1 1.0 % note", "1.5 1 1.0", "# 1 1",
+                   "1 1 1.0 # note"]
+RARELY = st.sampled_from([False] * 9 + [True])  # hypothesis favours a low integer
+
+
+@st.composite
+def mm_files(draw):
+    """The bytes of a Matrix Market file, general or symmetric, its entries in
+    any order.  At times it holds comment and blank lines, a malformed line,
+    a repeated position, an index out of range (one past the last column
+    shares its key with the next row's first entry), an entry above the
+    diagonal, a size line that declares one entry more or fewer, CRLF line
+    ends or a non-ASCII byte."""
+    symmetric = draw(st.booleans())
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    grid = [(i, j) for i in range(1, nrows + 1) for j in range(1, ncols + 1)
+            if j <= i or not symmetric]
+    positions = draw(st.lists(st.sampled_from(grid), unique=True, max_size=15)) if grid else []
+    fault = draw(st.sampled_from([None, None, None, None, "repeat", "row", "col", "upper"]))
+    if fault == "repeat" and positions:
+        positions.insert(draw(st.integers(0, len(positions))), draw(st.sampled_from(positions)))
+    elif fault in ("row", "col", "upper"):
+        i, j = draw(st.sampled_from(grid)) if grid else (1, 1)
+        bad = draw(st.sampled_from([0, -1, (nrows if fault == "row" else ncols) + 1]))
+        wrong = {"row": (bad, j), "col": (i, bad), "upper": (1, 2)}[fault]
+        positions.insert(draw(st.integers(0, len(positions))), wrong)
+    sep = draw(st.sampled_from([" ", "\t", "   "]))
+    values = draw(st.lists(st.floats(width=64), min_size=len(positions),
+                           max_size=len(positions)))
+    lines = [f"{i}{sep}{j}{sep}{v!r}" for (i, j), v in zip(positions, values)]
+    nnz = max(len(lines) + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 3]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLER_LINES)))
+    if draw(RARELY):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_LINES)))
+    head = ["%%MatrixMarket matrix coordinate real " + ("symmetric" if symmetric else "general"),
+            *draw(st.sampled_from([[], [], ["% a comment"], ["", "%"]])),
+            f"{nrows} {ncols} {nnz}"]
+    text = "\n".join(head + lines) + draw(st.sampled_from(["\n", ""]))
+    data = text.replace("\n", draw(st.sampled_from(["\n", "\r\n"]))).encode("ascii")
+    if draw(RARELY):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xe9" + data[k:]
+    return data
+
+
+class TestFromCooMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(coo_entries())
+    def test_same_arrays_or_the_same_error(self, case):
+        assert _csr_outcome(lambda: CsrMatrix.from_coo(*case)) == \
+            _csr_outcome(lambda: reference_from_coo(*case))
+
+    def test_stencil_runs_merge_to_the_reference(self):
+        A = gen_convdiff(9, 7, 10.0)
+        rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
+        # entries grouped by diagonal, each group row-major, as gen_convdiff makes them
+        by_diagonal = np.argsort(A.col_idx - rows, kind="stable")
+        case = (A.nrows, A.ncols, rows[by_diagonal], A.col_idx[by_diagonal],
+                A.values[by_diagonal])
+        assert _csr_outcome(lambda: CsrMatrix.from_coo(*case)) == \
+            _csr_outcome(lambda: reference_from_coo(*case)) == _csr_outcome(lambda: A)
+
+
+class TestRowMajorKeyRange:
+    """Shapes with nrows * ncols >= 2**63, whose row-major key would overflow
+    int64, are sorted by lexsort; past that no shape reaches the key."""
+
+    NCOLS = 2**62  # four rows: the key of row 2 would wrap
+
+    def test_from_coo_of_a_shape_past_the_key_range(self):
+        rows = [3, 2, 3, 0, 2, 1]
+        cols = [self.NCOLS - 1, 5, 0, self.NCOLS - 1, self.NCOLS - 2, 7]
+        values = np.arange(1.0, 7.0)
+        A = CsrMatrix.from_coo(4, self.NCOLS, rows, cols, values)
+        assert A.row_ptr.tolist() == [0, 1, 2, 4, 6]
+        assert A.col_idx.tolist() == [self.NCOLS - 1, 7, 5, self.NCOLS - 2, 0, self.NCOLS - 1]
+        assert A.values.tolist() == [4.0, 6.0, 2.0, 5.0, 3.0, 1.0]
+        assert _csr_outcome(lambda: A) == \
+            _csr_outcome(lambda: reference_from_coo(4, self.NCOLS, rows, cols, values))
+
+    @pytest.mark.parametrize("shape", [(2, 2**62), (1, 2**63), (2**31, 2**32), (1, 2**63 - 1)])
+    def test_the_boundary_shapes_sort_like_lexsort(self, shape):
+        nrows, ncols = shape
+        rows = np.array([0, nrows - 1, 0, nrows - 1], dtype=np.int64)
+        cols = np.array([ncols - 1, 0, 0, ncols - 1], dtype=np.int64)
+        assert linalg._row_major(nrows, ncols, rows, cols).tolist() == \
+            np.lexsort((cols, rows)).tolist()
+
+    def test_mm_read_of_a_shape_past_the_key_range(self, tmp_path):
+        path = tmp_path / "wide.mtx"
+        path.write_text(GENERAL + f"4 {self.NCOLS} 4\n4 {self.NCOLS} 1.0\n"
+                        f"3 1 2.0\n2 5 4.0\n3 {self.NCOLS} 3.0\n")
+        A = mm_read(path)
+        assert A.row_ptr.tolist() == [0, 0, 1, 3, 4]
+        assert A.col_idx.tolist() == [4, 0, self.NCOLS - 1, self.NCOLS - 1]
+        assert A.values.tolist() == [4.0, 2.0, 3.0, 1.0]
+        assert _csr_outcome(lambda: A) == _csr_outcome(lambda: reference_mm_read(path))
+        path.write_text(GENERAL + f"4 {self.NCOLS} 3\n4 {self.NCOLS} 1.0\n"
+                        f"3 1 2.0\n4 {self.NCOLS} 3.0\n")
+        with pytest.raises(MatrixMarketError, match=rf"^duplicate entry at \(4,{self.NCOLS}\)$"):
+            mm_read(path)
+        # with five rows, the keys of (1,1) and (5,1) would wrap to the same
+        path.write_text(GENERAL + f"5 {self.NCOLS} 2\n5 1 2.0\n1 1 1.0\n")
+        A = mm_read(path)
+        assert A.row_ptr.tolist() == [0, 1, 1, 1, 1, 2] and A.values.tolist() == [1.0, 2.0]
+        path.write_text(GENERAL + f"5 {self.NCOLS} 3\n1 1 1.0\n5 1 2.0\n1 1 3.0\n")
+        with pytest.raises(MatrixMarketError, match=r"^duplicate entry at \(1,1\)$"):
+            mm_read(path)
+
+
+class TestMatrixMarketMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(mm_files())
+    def test_same_arrays_or_the_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("mm") / "a.mtx"
+        path.write_bytes(data)
+        assert _csr_outcome(lambda: mm_read(path)) == \
+            _csr_outcome(lambda: reference_mm_read(path))
+
+    @pytest.mark.parametrize("entries", [
+        ["2 1 1.0", "1 4 2.0"], ["1 4 2.0", "2 1 1.0"],  # (1,4) shares (2,1)'s key
+        ["1 4 2.0", "2 1 1.0", "2 1 3.0"], ["2 1 1.0", "1 4 2.0", "2 1 3.0"],
+        ["1 2 1.0", "4611686018427387905 2 2.0"],  # its key wraps round to (1,2)'s
+        ["4611686018427387905 2 2.0", "1 2 1.0"],
+    ])
+    def test_a_key_shared_with_an_out_of_range_entry_names_it(self, tmp_path, entries):
+        path = tmp_path / "k.mtx"
+        path.write_text(GENERAL + f"3 3 {len(entries)}\n" + "".join(e + "\n" for e in entries))
+        wrong = next(e for e in entries if e.startswith(("1 4", "46")))
+        row, col, _ = wrong.split()
+        with pytest.raises(MatrixMarketError, match=rf"^entry \({row},{col}\) out of range$"):
+            mm_read(path)
+        assert _csr_outcome(lambda: mm_read(path)) == \
+            _csr_outcome(lambda: reference_mm_read(path))
+
+    def test_a_duplicate_before_a_colliding_out_of_range_entry_is_named(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text(GENERAL + "3 3 3\n2 1 1.0\n2 1 3.0\n1 4 2.0\n")
+        with pytest.raises(MatrixMarketError, match=r"^duplicate entry at \(2,1\)$"):
+            mm_read(path)
+
+
+class TestMatrixMarketPathReader:
+    """mm_read's first read, np.loadtxt on the path, and the cases it refuses."""
+
+    def test_a_written_file_is_read_from_its_path(self, tmp_path):
+        A = gen_convdiff(6, 5, 10.0)
+        path = tmp_path / "a.mtx"
+        mm_write(path, A)
+        entries = linalg._loadtxt_path(path, 2, A.nnz)
+        assert entries is not None
+        assert entries["j"].tolist() == (A.col_idx + 1).tolist()
+        assert entries["v"].tobytes() == A.values.tobytes()
+        _assert_same_csr(mm_read(path), A)
+
+    def test_the_lines_before_the_body_are_skipped(self, tmp_path, monkeypatch):
+        read = []
+        monkeypatch.setattr(linalg, "_loadtxt_path",
+                            lambda *args: read.append(self.path_reader(*args)) or read[-1])
+        path = tmp_path / "h.mtx"
+        path.write_text(GENERAL + "% a comment\n\n  \n2 3 2\n2 3 -1.5\n1 1 0.25\n")
+        assert mm_read(path).to_dense().tolist() == [[0.25, 0.0, 0.0], [0.0, 0.0, -1.5]]
+        assert len(read) == 1 and read[0]["v"].tolist() == [-1.5, 0.25]
+
+    path_reader = staticmethod(linalg._loadtxt_path)
+
+    @pytest.mark.parametrize("body, nnz", [
+        ("1 1 1.0\n% a comment\n2 2 2.0\n", 2),
+        ("1 1 1.0\n2 2 2.0 % note\n", 2),
+        ("1 1 1.0\n# note\n2 2 2.0\n", 2),
+        ("1 1 1.0\n2 2\n", 2),
+        ("1 1 1.0\n2 2 2.0\n", 1),
+        ("1 1 1.0\n", 2),
+        ("", 1),
+        ("\n  \n", 1),
+    ])
+    def test_the_path_reader_refuses(self, tmp_path, body, nnz):
+        path = tmp_path / "r.mtx"
+        path.write_text(GENERAL + f"2 2 {nnz}\n" + body)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert linalg._loadtxt_path(path, 2, nnz) is None
+        assert not shown
+        assert _csr_outcome(lambda: mm_read(path)) == \
+            _csr_outcome(lambda: reference_mm_read(path))
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "% none\n"])
+    def test_declared_entries_missing_are_named_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "m.mtx"
+        path.write_text(GENERAL + "3 3 2\n" + body)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            with pytest.raises(MatrixMarketError, match=r"^expected 2 entries, found 0$"):
+                mm_read(path)
+        assert not shown
+
+    @pytest.mark.parametrize("name", ["a.mtx.gz", "a.bz2", "a.xz", "a.lzma", b"a.mtx"])
+    def test_a_compressed_suffix_or_a_bytes_name_is_read_as_text(self, tmp_path, name):
+        A = gen_convdiff(4, 4, 1.0)
+        path = os.path.join(os.fsencode(tmp_path) if isinstance(name, bytes) else tmp_path, name)
+        mm_write(path, A)
+        _assert_same_csr(mm_read(path), A)
+
+    def test_a_non_ascii_byte_past_the_first_buffer(self, tmp_path):
+        # the header's readline decodes the first 8 KiB; the byte lies beyond
+        lines = "".join(f"{k} {k} {k}.5\n" for k in range(1, 2001))
+        path = tmp_path / "u.mtx"
+        path.write_bytes((GENERAL + "2000 2000 2000\n" + lines).encode("ascii")[:-3]
+                         + b"\xe9\n")
+        with pytest.raises(UnicodeDecodeError) as got:
+            mm_read(path)
+        with pytest.raises(UnicodeDecodeError) as want:
+            reference_mm_read(path)
+        assert str(got.value) == str(want.value)

@@ -37,19 +37,22 @@ variants change one of them each, to inner restart 5, max_iter 3 or rtol
 1e-6, so that the inner restart loop and its budget are covered.  All four
 ignore max_iter, restart and x0.  It also stores the CSR arrays (row_ptr,
 col_idx, values) of each problem after an mm_write -> mm_read round trip,
-of gen_convdiff(128, 128, 10.0), of a 64x64 arrow matrix with ten empty
-rows, of convdiff 32x32 (Peclet 10) with a seeded tenth of its entries
-removed, of a 48x80 matrix with six diagonals, of a seeded Gaussian
-60x60 matrix (from_dense) and of a seeded uniform random 64x64 pattern
-with five empty rows, the last two without a band, together with the
-bytes of A.matvec(v) for each of them on two seeded vectors, the second
-holding zeros of both signs.  And it stores the binary32
-LU factors (L, U, perm, growth) that lu_low computes, and their solves of
-three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
-200x200 matrix of acceptance criterion 13, a nonsymmetric Gaussian
-150x150 matrix, the negated convdiff 20x20 (Peclet 50), whose pivots are
-negative, and a 200x200 band of width 10 whose first panel overflows, as an
-ndarray and as CSR.
+of convdiff 10x10 (Peclet 10) read from a general file with whole-line
+comments and blank lines between its entries (mm_read's second read
+path), of the symmetric A + A^T of that matrix read from a symmetric file
+that stores its lower triangle column by column, of gen_convdiff(128, 128,
+10.0), of a 64x64 arrow matrix with ten empty rows, of convdiff 32x32
+(Peclet 10) with a seeded tenth of its entries removed, of a 48x80 matrix
+with six diagonals, of a seeded Gaussian 60x60 matrix (from_dense) and of
+a seeded uniform random 64x64 pattern with five empty rows, the last two
+without a band, together with the bytes of A.matvec(v) for each of them on
+two seeded vectors, the second holding zeros of both signs.  And it
+stores the binary32 LU factors (L, U, perm, growth) that lu_low computes,
+and their solves of three seeded right-hand sides, for convdiff 32x32
+(Peclet 10), the kappa~1e3 200x200 matrix of acceptance criterion 13, a
+nonsymmetric Gaussian 150x150 matrix, the negated convdiff 20x20 (Peclet
+50), whose pivots are negative, and a 200x200 band of width 10 whose first
+panel overflows, as an ndarray and as CSR.
 
 `compare` prints each case whose counts, termination or exception type
 moved, each reduction-log entry that moved (index, before -> after), and
@@ -196,6 +199,26 @@ def operators():
         for label, A, _ in problems():
             mm_write(os.path.join(tmp, "A.mtx"), A)
             yield f"csr {label} mm round trip", mm_read(os.path.join(tmp, "A.mtx"))
+        # mm_read's second read path: whole-line comments and blank lines
+        # between the entries, which numpy's reader of the path refuses
+        A = gen_convdiff(10, 10, peclet=10.0)
+        mm_write(os.path.join(tmp, "A.mtx"), A)
+        with open(os.path.join(tmp, "A.mtx"), encoding="ascii") as fh:
+            lines = fh.readlines()
+        for k in range(len(lines) - 7, 2, -7):
+            lines.insert(k, "% a comment\n" if k % 2 else "\n")
+        with open(os.path.join(tmp, "A.mtx"), "w", encoding="ascii") as fh:
+            fh.writelines(lines)
+        yield "csr n=10^2 mm with comments", mm_read(os.path.join(tmp, "A.mtx"))
+        # a symmetric file, its lower triangle stored column by column
+        S = np.tril(A.to_dense() + A.to_dense().T)
+        cols, rows = np.nonzero(S.T)
+        with open(os.path.join(tmp, "S.mtx"), "w", encoding="ascii") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real symmetric\n"
+                     f"{A.nrows} {A.ncols} {len(rows)}\n"
+                     + "".join(f"{i + 1} {j + 1} {float(S[i, j])!r}\n"
+                               for i, j in zip(rows, cols)))
+        yield "csr n=10^2 mm symmetric", mm_read(os.path.join(tmp, "S.mtx"))
     yield "csr convdiff 128^2 Peclet 10", gen_convdiff(128, 128, 10.0)
     # a dense first row and first column over the diagonal, rows 20-29 empty
     n = 64
