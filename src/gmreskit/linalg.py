@@ -123,14 +123,16 @@ class CsrMatrix:
     def from_coo(cls, nrows, ncols, rows, cols, values):
         """CSR from entries in any order; a repeated position fails validation.
 
-        The entries go into row-major order by one stable sort of the int64
-        key row * ncols + column (``_row_major``), linear in time on entries
-        already in that order or made of a few such runs.  A shape with
-        nrows * ncols >= 2**63, whose key could overflow, is sorted by
-        ``np.lexsort`` instead, which gives the same permutation.
+        The entries go into row-major order by one stable sort (TimSort) of
+        the int64 key row * ncols + column (``_row_major``), linear in time
+        on entries already in that order or made of a few such runs.  A
+        shape with nrows * ncols >= 2**63, whose key could overflow, is
+        sorted by ``np.lexsort`` instead, which gives the same permutation.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        if rows.shape != cols.shape:  # the key would broadcast one against the other
+            raise ValueError(f"rows and cols differ in shape: {rows.shape}, {cols.shape}")
         order = _row_major(nrows, ncols, rows, cols)
         row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=nrows))))
         return cls(nrows, ncols, row_ptr, cols[order], np.asarray(values)[order])
@@ -380,14 +382,9 @@ def back_substitute(R, g):
 
 
 def _row_major(nrows, ncols, rows, cols):
-    """The stable permutation that puts the int64 (row, column) pairs in
-    row-major order, equal pairs in their input order.
-
-    One stable sort (TimSort, linear on presorted runs) of the key
-    row * ncols + column, which is distinct for in-range pairs; an
-    out-of-range pair may share its key with another pair.  When nrows *
-    ncols >= 2**63 the key could overflow, so ``np.lexsort`` sorts the pairs.
-    """
+    """The stable permutation that puts int64 (row, column) pairs in row-major
+    order, as ``CsrMatrix.from_coo`` describes; the key is distinct for
+    in-range pairs, but an out-of-range pair may share another's."""
     if max(int(nrows), 1) * max(int(ncols), 1) >= 2**63:
         return np.lexsort((cols, rows))
     key = rows * ncols

@@ -174,7 +174,7 @@ def _same_points(a, b):
 
 
 class TestLejaOrderMatchesReference:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(conjugate_closed_sets())
     def test_same_points_in_the_same_order(self, pts):
         assert _same_points(leja_order(pts), reference_leja_order(pts))

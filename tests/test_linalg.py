@@ -996,6 +996,14 @@ class TestFromCooMatchesReference:
         assert _csr_outcome(lambda: CsrMatrix.from_coo(*case)) == \
             _csr_outcome(lambda: reference_from_coo(*case))
 
+    @pytest.mark.parametrize("rows, cols", [([0, 1], [0]), ([0], [0, 1]), ([0, 1], [1, 0, 1])])
+    def test_rows_and_cols_of_another_length_are_a_value_error(self, rows, cols):
+        values = np.ones(max(len(rows), len(cols)))
+        with pytest.raises(ValueError, match="all keys need to be the same shape"):
+            reference_from_coo(2, 2, rows, cols, values)
+        with pytest.raises(ValueError, match=r"^rows and cols differ in shape: "):
+            CsrMatrix.from_coo(2, 2, rows, cols, values)
+
     def test_stencil_runs_merge_to_the_reference(self):
         A = gen_convdiff(9, 7, 10.0)
         rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))

@@ -40,19 +40,20 @@ col_idx, values) of each problem after an mm_write -> mm_read round trip,
 of convdiff 10x10 (Peclet 10) read from a general file with whole-line
 comments and blank lines between its entries (mm_read's second read
 path), of the symmetric A + A^T of that matrix read from a symmetric file
-that stores its lower triangle column by column, of gen_convdiff(128, 128,
-10.0), of a 64x64 arrow matrix with ten empty rows, of convdiff 32x32
-(Peclet 10) with a seeded tenth of its entries removed, of a 48x80 matrix
-with six diagonals, of a seeded Gaussian 60x60 matrix (from_dense) and of
-a seeded uniform random 64x64 pattern with five empty rows, the last two
-without a band, together with the bytes of A.matvec(v) for each of them on
-two seeded vectors, the second holding zeros of both signs.  And it
-stores the binary32 LU factors (L, U, perm, growth) that lu_low computes,
-and their solves of three seeded right-hand sides, for convdiff 32x32
-(Peclet 10), the kappa~1e3 200x200 matrix of acceptance criterion 13, a
-nonsymmetric Gaussian 150x150 matrix, the negated convdiff 20x20 (Peclet
-50), whose pivots are negative, and a 200x200 band of width 10 whose first
-panel overflows, as an ndarray and as CSR.
+that stores its lower triangle column by column,
+of gen_convdiff(128, 128, 10.0), of a 64x64 arrow matrix with ten empty
+rows, of convdiff 32x32 (Peclet 10) with a seeded tenth of its entries
+removed, of a 48x80 matrix with six diagonals, of a seeded Gaussian
+60x60 matrix (from_dense) and of a seeded uniform random 64x64 pattern
+with five empty rows, the last two without a band, together with the
+bytes of A.matvec(v) for each of them on two seeded vectors, the second
+holding zeros of both signs.  And it stores the binary32
+LU factors (L, U, perm, growth) that lu_low computes, and their solves of
+three seeded right-hand sides, for convdiff 32x32 (Peclet 10), the kappa~1e3
+200x200 matrix of acceptance criterion 13, a nonsymmetric Gaussian
+150x150 matrix, the negated convdiff 20x20 (Peclet 50), whose pivots are
+negative, and a 200x200 band of width 10 whose first panel overflows, as an
+ndarray and as CSR.
 
 `compare` prints each case whose counts, termination or exception type
 moved, each reduction-log entry that moved (index, before -> after), and
