@@ -41,7 +41,10 @@ def _apply_overrides(config: ExperimentConfig, args):
         overrides["scheme"] = args.scheme
     for variant in config.variants:
         variant.setdefault("options", {}).update(overrides)
-    if args.seed is not None and config.rhs.get("kind") == "random":
+    if args.seed is not None:
+        kind = config.rhs.get("kind", "ones")
+        if kind != "random":
+            raise ConfigError(f"rhs.seed: rhs kind {kind!r} does not read a seed")
         config.rhs["seed"] = args.seed
     # parsed again: an override the entry does not read is the ConfigError
     # that the same key in the document's options is

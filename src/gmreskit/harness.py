@@ -169,13 +169,23 @@ class ExperimentConfig:
         missing = [k for k in ("problem", "rhs", "variants") if k not in doc]
         if missing:
             raise ConfigError(f"missing required keys: {', '.join(missing)}")
+        inexact = doc.get("inexact")
+        for key, part in (("problem", doc["problem"]), ("rhs", doc["rhs"]),
+                          ("inexact", {} if inexact is None else inexact)):
+            if not isinstance(part, dict):
+                raise ConfigError(f"{key}: need a JSON object")
         variants = doc["variants"]
         if not isinstance(variants, list) or not variants:
             raise ConfigError("variants: need a nonempty list")
         names = set()
         for i, v in enumerate(variants):
+            if not isinstance(v, dict):
+                raise ConfigError(f"variants[{i}]: need a JSON object")
             if "name" not in v or "solver" not in v:
                 raise ConfigError(f"variants[{i}]: need name and solver")
+            for key in ("name", "solver"):
+                if not isinstance(v[key], str):
+                    raise ConfigError(f"variants[{i}].{key}: need a string")
             if v["solver"] not in SOLVER_DISPATCH:
                 raise ConfigError(f"variants[{i}].solver: unknown solver "
                                   f"{v['solver']!r}")
@@ -201,7 +211,6 @@ class ExperimentConfig:
         prob = doc["problem"]
         if prob.get("kind") == "spectrum" and "seed" not in prob:
             raise ConfigError("problem.seed: seeds are mandatory for randomized choices")
-        inexact = doc.get("inexact")
         if inexact is not None and "seed" not in inexact:
             raise ConfigError("inexact.seed: seeds are mandatory for randomized choices")
         return cls(problem=prob, rhs=rhs, variants=variants,

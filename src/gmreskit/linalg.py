@@ -54,18 +54,16 @@ class EigenConvergenceError(RuntimeError):
 
 
 class _Layout(NamedTuple):
-    """``CsrMatrix._slots``: the band, the gather slots and the tail."""
+    """``CsrMatrix._slots``: the band, and the entries of every other row."""
 
     band: np.ndarray
     spans: tuple
     padded: np.ndarray
     zero_cols: np.ndarray
     gather: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    tail_rows: np.ndarray
-    tail_cols: np.ndarray
-    tail_vals: np.ndarray
+    entry_rows: np.ndarray
+    entry_cols: np.ndarray
+    entry_vals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,10 +74,9 @@ class CsrMatrix:
     first product and cached on the instance.  Each row is in one class: a
     row whose entries all sit at offsets most rows hold is summed a
     diagonal at a time from contiguous slices of the vector, when at least
-    half the rows are such; every other row through slot-major gathers,
-    with its entries past the last slot in a short tail.  Its result has
-    the bits of a per-row left-to-right binary64 sum over the stored
-    entries.
+    half the rows are such; every other row by one ``np.bincount`` over its
+    stored entries.  Its result has the bits of a per-row left-to-right
+    binary64 sum over the stored entries.
     """
 
     nrows: int
@@ -161,22 +158,18 @@ class CsrMatrix:
         banded, those rows go into ``band``: one length-nrows array per offset
         in ascending order, 0 where a row lacks that offset; ``spans`` gives,
         per offset d, the rows lo..hi whose column i + d is in range, with that
-        slice of the band.  Every other row gathers: slot k holds its k-th
-        stored entry, as (K, len(gather)) columns and values, for the K slots
-        that at least half of the gather rows reach, and a gather row's entries
-        past slot K form a tail of (rows, columns, values) in storage order.
-        A shorter gather row is padded with value 0 at its own last stored
-        column.  A row that reads a column it does not store through a zero is
-        *padded*: a banded row that lacks an offset whose column is in range,
-        and an empty gather row.  ``zero_cols`` holds a superset of the
-        columns that a padding zero multiplies: the band's reach from padded
-        and gather rows, and the slots past a gather row's end.
+        slice of the band.  Every other row gathers: ``entry_rows``,
+        ``entry_cols`` and ``entry_vals`` hold the gather rows' stored entries
+        in storage order, each row named by its place in ``gather``.  A banded
+        row that lacks an offset whose column is in range reads that column
+        through a zero and is *padded*.  ``zero_cols`` holds the columns that
+        a band zero multiplies: the band's reach from padded and gather rows.
         """
         cache = getattr(self, "_slot_cache", None)
         if cache is not None:
             return cache
-        n, ptr = self.nrows, self.row_ptr
-        lengths = np.diff(ptr)
+        n = self.nrows
+        lengths = np.diff(self.row_ptr)
         rows = np.repeat(np.arange(n), lengths)
         key = self.col_idx - rows
         key += n - 1  # the offset, counted from 1 - n
@@ -200,34 +193,22 @@ class CsrMatrix:
         band = band[:nD].reshape(len(D), n)
         band[:, gather] = 0
         # rows i with 0 <= i + d < ncols, per offset d; a banded row with
-        # fewer entries than such offsets is padded, a gather row if empty
+        # fewer entries than such offsets is padded
         d = D - (n - 1)
         lo, hi = np.maximum(-d, 0), np.minimum(self.ncols - d, n)
         need = np.cumsum(np.bincount(lo, minlength=n + 1)
                          - np.bincount(hi, minlength=n + 1))[:n]
-        glen = lengths[gather]
-        K = int(np.sort(glen)[len(gather) // 2]) if len(gather) else 0
-        need[gather] = min(K, 1)
-        padded = np.flatnonzero(lengths < need)
+        padded = np.flatnonzero(banded & (lengths < need))
         # a band zero meets v in the columns of padded and gather rows
         i = np.concatenate((padded, gather))
         reach = np.minimum(np.maximum(i[:, None] + d, 0), self.ncols - 1)
-        zero_cols, tail = reach[band[:, i].T == 0], off
-        at = short = np.zeros((0, 0), dtype=int)
-        if len(gather):
-            k = np.arange(K)[:, None]
-            # entry k of each row, clamped to its last; an empty row reads the
-            # entry before it, or entry 0, which K > 0 ensures is stored
-            at = (ptr[gather] + np.minimum(k, glen - 1)).clip(0)
-            short = k >= glen
-            zero_cols = np.concatenate((zero_cols, self.col_idx[at[short]]))
-            past = np.arange(self.nnz) - ptr[rows] >= K
-            tail = np.flatnonzero(past & ~banded[rows])
+        zero_cols = reach[band[:, i].T == 0]
         spans = tuple((vals[a:b], dk, a, b) for vals, dk, a, b
                       in zip(band, d.tolist(), lo.tolist(), hi.tolist()))
-        cache = _Layout(band, spans, padded, zero_cols, gather, self.col_idx[at],
-                        np.where(short, 0, self.values[at]),
-                        rows[tail], self.col_idx[tail], self.values[tail])
+        mine = ~banded[rows]
+        cache = _Layout(band, spans, padded, zero_cols, gather,
+                        np.repeat(np.arange(len(gather)), lengths[gather]),
+                        self.col_idx[mine], self.values[mine])
         object.__setattr__(self, "_slot_cache", cache)
         return cache
 
@@ -240,12 +221,12 @@ class CsrMatrix:
         dtype = np.result_type(v, self.values)
         if dtype.kind not in "biuf":
             raise TypeError(f"cannot sum {dtype} products in binary64")
-        # each row sums its products left to right in binary64 from +0.0:
-        # a banded row a diagonal at a time, a gather row a slot at a time
-        # and then along the tail.  A padded entry adds an exact zero
-        # for finite v, so the bits are those of a per-row sequential sum
-        # over the stored entries in storage order.  A padding zero times inf
-        # or NaN is an invalid operation, so such a v gets that sum directly
+        # each row sums its products left to right in binary64 from +0.0: a
+        # banded row a diagonal at a time, every other row along its stored
+        # entries through np.bincount.  A padded entry adds an exact zero for
+        # finite v, so the bits are those of a per-row sequential sum over
+        # the stored entries in storage order.  A band zero times inf or NaN
+        # is an invalid operation, so such a v takes bincount for every row
         z = L.zero_cols
         if len(z) and np.count_nonzero(np.isfinite(v[z])) < len(z):
             return np.bincount(self._nnz_rows(), weights=self.values * v[self.col_idx],
@@ -256,16 +237,9 @@ class CsrMatrix:
             np.multiply(vals, v[lo + d:hi + d], out=p)
             np.add(o, p, out=o)
         if len(L.gather):
-            g = np.take(v, L.cols).astype(dtype, copy=False)
-            np.multiply(g, L.vals, out=g)
-            # without a band the gather rows are all the rows
-            acc = np.zeros(len(L.gather)) if L.spans else out
-            for row in g:
-                acc += row
-            if L.spans:
-                out[L.gather] = acc
-        if len(L.tail_rows):
-            np.add.at(out, L.tail_rows, L.tail_vals * v[L.tail_cols])
+            # written into out, which is binary64 also when nnz = 0
+            out[L.gather] = np.bincount(L.entry_rows, weights=L.entry_vals * v[L.entry_cols],
+                                        minlength=len(L.gather))
         return out
 
     def diagonal(self):
@@ -416,10 +390,11 @@ _BAD_ENTRY_LINE = re.compile(
 def mm_read(path) -> CsrMatrix:
     """Read a Matrix Market coordinate file into CSR form.
 
-    Symmetric storage (lower triangle on disk) is expanded to full.
-    Duplicate entries are rejected rather than summed so that corpus errors
-    surface instead of silently changing the operator.  The first offending
-    entry in file order is named (out of range, above the diagonal, repeated).
+    Symmetric storage (lower triangle on disk) is expanded to full, and a
+    symmetric file whose size line is not square is refused.  Duplicate
+    entries are rejected rather than summed so that corpus errors surface
+    instead of silently changing the operator.  The first offending entry in
+    file order is named (out of range, above the diagonal, repeated).
 
     ``np.loadtxt`` reads the entries from the path itself, past the lines
     the header and size line used, so numpy parses the body in chunks.  When
@@ -455,6 +430,8 @@ def mm_read(path) -> CsrMatrix:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
         if min(nrows, ncols, nnz) < 0:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
+        if symmetry == "symmetric" and nrows != ncols:
+            raise MatrixMarketError(f"symmetric matrix must be square: {line.strip()!r}")
         entries = _loadtxt_path(path, skip, nnz)
         if entries is None:
             entries = _parse_body(fh.read())

@@ -136,7 +136,7 @@ class LowLU:
     moves, (destination rows, source rows); a panel moves the columns from
     its lead on (_limits), so in band storage the multipliers left of it
     stay where it found them, as in LAPACK's gbtrf, and solve and L apply
-    the moves their columns lack.  None stands for perm's moves.
+    the moves their columns lack.
 
     The L and U properties build fresh full-size arrays on each access;
     writing into them leaves the factors unchanged.
@@ -145,8 +145,8 @@ class LowLU:
     LU: np.ndarray
     perm: np.ndarray
     growth: float
-    kd: int | None = None
-    swaps: list | None = None
+    kd: int | None
+    swaps: list
 
     def __post_init__(self):
         n = len(self.perm)
@@ -157,9 +157,8 @@ class LowLU:
         # and substitution step: the step's column of the block as a
         # contiguous row of the transposed block (and U's pivot); per block
         # column, its stored GEMV blocks below and above the diagonal block
-        swaps = self.swaps if self.swaps is not None else [(np.arange(n), self.perm)]
         self._moves = [[] for _ in range(0, n, _BLOCK)]
-        for k0, move in zip(range(0, n, _BLOCK), swaps):
+        for k0, move in zip(range(0, n, _BLOCK), self.swaps):
             if len(move[0]):
                 self._moves[self._limits(k0)[3] // _BLOCK].append(move)
         self._lower, self._upper, self._gemvs = [], [], []

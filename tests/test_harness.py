@@ -155,6 +155,22 @@ class TestConfig:
                 "rhs": {"kind": "ones"},
                 "variants": [{"name": "a", "solver": "nope"}]})
 
+    # each value of the wrong JSON type is a ConfigError naming its key
+    @pytest.mark.parametrize("change, key", [
+        ({"problem": 3}, "problem"), ({"problem": None}, "problem"),
+        ({"rhs": "ones"}, "rhs"), ({"inexact": 3}, "inexact"),
+        ({"inexact": []}, "inexact"),
+        ({"variants": [3]}, r"variants\[0\]"),
+        ({"variants": [{"name": "a", "solver": "gmres"}, ["b", "gmres"]]},
+         r"variants\[1\]"),
+        ({"variants": [{"name": "a", "solver": ["gmres"]}]}, r"variants\[0\]\.solver"),
+        ({"variants": [{"name": 1, "solver": "gmres"}]}, r"variants\[0\]\.name"),
+    ])
+    def test_rejects_values_of_the_wrong_type(self, change, key):
+        doc = dict(config_doc("out"), **change)
+        with pytest.raises(ConfigError, match=rf"^{key}: need a "):
+            ExperimentConfig.from_dict(doc)
+
     def test_parse_error_carries_line(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{\n  "problem": }\n')
@@ -356,6 +372,24 @@ class TestCli:
         cfg.write_text("{}")
         assert main(["run", str(cfg)]) == 1
 
+    def test_wrong_type_exit_code(self, tmp_path, capsys):
+        from gmreskit.cli import main
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(config_doc(str(tmp_path / "out")), rhs="ones")))
+        assert main(["run", str(cfg)]) == 1
+        assert "error: rhs: need a JSON object" in capsys.readouterr().err
+
+    def test_seed_override_needs_a_random_rhs(self, tmp_path, capsys):
+        from gmreskit.cli import main
+        cfg = tmp_path / "exp.json"
+        doc = config_doc(str(tmp_path / "out"))
+        cfg.write_text(json.dumps(dict(doc, rhs={"kind": "ones"})))
+        assert main(["compare", str(cfg), "--seed", "4"]) == 1
+        assert "error: rhs.seed: rhs kind 'ones' does not read a seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--seed", "4"]) == 0
+
     def test_missing_file_exit_code(self, capsys):
         from gmreskit.cli import main
         assert main(["info", "/nonexistent/m.mtx"]) == 1
@@ -488,3 +522,10 @@ class TestCliInfo:
         path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n")
         assert main(["info", str(path)]) == 1
         assert f"error: malformed size line: '{size}'" in capsys.readouterr().err
+
+    def test_rectangular_symmetric_exit_code(self, tmp_path, capsys):
+        from gmreskit.cli import main
+        path = tmp_path / "rect.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n5 3 1\n5 2 1.0\n")
+        assert main(["info", str(path)]) == 1
+        assert "error: symmetric matrix must be square: '5 3 1'" in capsys.readouterr().err

@@ -79,7 +79,7 @@ class TestSpmv:
 
 def bincount_matvec(A, v):
     """The product as a bincount over the stored entries' row indices: the
-    kernel CsrMatrix.matvec had before its slot-major layout."""
+    kernel CsrMatrix.matvec runs for every row outside its band."""
     v = np.asarray(v)
     rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
     return np.bincount(rows, weights=A.values * v[A.col_idx], minlength=A.nrows)
@@ -139,16 +139,16 @@ class TestSlotMajorProduct:
         v = rng.standard_normal(n)
         assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
         # no row stores only the diagonal, so there is no band: every row
-        # gathers two slots and the dense row's other entries are the tail
+        # gathers, and its entries are cached in storage order
         layout = A._slots()
         assert not layout.spans
         assert layout.gather.tolist() == list(range(n))
-        assert layout.cols.shape == layout.vals.shape == (2, n)
-        assert layout.tail_rows.tolist() == [0] * (n - 2)
+        assert layout.entry_rows.tolist() == A._nnz_rows().tolist()
+        assert layout.entry_cols.tolist() == A.col_idx.tolist()
         cached = sum(part.nbytes for part in layout if isinstance(part, np.ndarray))
         assert cached <= 2 * (A.values.nbytes + A.col_idx.nbytes)
 
-    # one full row of four: no slots, all of it tail; three: four slots
+    # one full row of four: no band; three: a band and two gather rows
     @pytest.mark.parametrize("dense_rows", [1, 3])
     def test_complex_vector_raises(self, dense_rows):
         dense = np.zeros((4, 4))
@@ -219,7 +219,7 @@ class TestBandedProduct:
         A = gen_convdiff(6, 5, peclet=3.0)
         layout = A._slots()
         assert [d for _, d, _, _ in layout.spans] == [-6, -1, 0, 1, 6]
-        assert len(layout.gather) == len(layout.tail_rows) == 0
+        assert len(layout.gather) == len(layout.entry_rows) == 0
         # inner rows at the right and left edges lack 1 or -1 in range
         assert layout.padded.tolist() == [5, 6, 11, 12, 17, 18, 23, 24]
         v = np.arange(30.0)
@@ -255,7 +255,7 @@ class TestOneClassPerRow:
         layout = A._slots()
         assert not layout.spans and layout.band.shape == (0, 60)
         assert layout.gather.tolist() == list(range(60))
-        assert len(layout.tail_rows) == 0
+        assert layout.entry_vals.tobytes() == A.values.tobytes()
         v = np.random.default_rng(61).standard_normal(60)
         assert A.matvec(v).tobytes() == bincount_matvec(A, v).tobytes()
 
@@ -292,7 +292,11 @@ class TestOneClassPerRow:
         A = CsrMatrix.from_coo(n, n, rows, cols, rng.standard_normal(len(rows)))
         layout = A._slots()
         assert bool(layout.spans) == band
-        assert {0, 4, 9} <= set(layout.padded.tolist())
+        if band:
+            assert {0, 4, 9} <= set(layout.padded.tolist())
+        else:
+            # bincount sums every row, so no row reads a column through a zero
+            assert not len(layout.padded) and not len(layout.zero_cols)
         base = rng.standard_normal(n)
         assert A.matvec(base).tobytes() == bincount_matvec(A, base).tobytes()
         for c in range(n):
@@ -728,6 +732,7 @@ class TestDiagonal:
 
 
 GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric\n"
 
 
 class TestMatrixMarketInput:
@@ -750,6 +755,15 @@ class TestMatrixMarketInput:
         path.write_text(GENERAL + f"{size}\n")
         with pytest.raises(MatrixMarketError,
                            match=rf"^malformed size line: '{size}'$"):
+            mm_read(path)
+
+    @pytest.mark.parametrize("body", ["5 2 1.0\n", "2 2 1.0\n", "2 9 1.0\n"])
+    def test_symmetric_file_must_be_square(self, tmp_path, body):
+        # the mirror of (5,2) would be column 5 of 3; the check comes first
+        path = tmp_path / "rect.mtx"
+        path.write_text(SYMMETRIC + "5 3 1\n" + body)
+        with pytest.raises(MatrixMarketError,
+                           match=r"^symmetric matrix must be square: '5 3 1'$"):
             mm_read(path)
 
     def test_empty_body_loads_without_warning(self, tmp_path):
@@ -866,6 +880,9 @@ def reference_mm_read(path):
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
         if min(nrows, ncols, nnz) < 0:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
+        # (added since: a symmetric file must declare a square matrix)
+        if symmetry == "symmetric" and nrows != ncols:
+            raise MatrixMarketError(f"symmetric matrix must be square: {line.strip()!r}")
         body = fh.read()
     if "%" in body:
         # whole comment lines only: an inline % leaves too many fields

@@ -44,8 +44,10 @@ that stores its lower triangle column by column,
 of gen_convdiff(128, 128, 10.0), of a 64x64 arrow matrix with ten empty
 rows, of convdiff 32x32 (Peclet 10) with a seeded tenth of its entries
 removed, of a 48x80 matrix with six diagonals, of a seeded Gaussian
-60x60 matrix (from_dense) and of a seeded uniform random 64x64 pattern
-with five empty rows, the last two without a band, together with the
+60x60 matrix (from_dense), of a seeded uniform random 64x64 pattern
+with five empty rows and of a seeded 2000x2000 pattern with 1 to 30
+entries at random columns in most rows and about a twentieth of its rows
+empty, the last three without a band, together with the
 bytes of A.matvec(v) for each of them on two seeded vectors, the second
 holding zeros of both signs.  And it stores the binary32
 LU factors (L, U, perm, growth) that lu_low computes, and their solves of
@@ -240,7 +242,7 @@ def operators():
     i, j = i[on], j[on]
     values = np.random.default_rng(13).standard_normal(len(i))
     yield "csr banded 48x80", CsrMatrix.from_coo(48, 80, i, j, values)
-    # two patterns without a band, where every row gathers
+    # three patterns without a band, where every row gathers
     yield "csr gaussian 60^2", CsrMatrix.from_dense(
         np.random.default_rng(14).standard_normal((60, 60)))
     rng = np.random.default_rng(15)
@@ -249,6 +251,15 @@ def operators():
     i, j = np.nonzero(stored)
     yield "csr random 64^2 with empty rows", CsrMatrix.from_coo(
         64, 64, i, j, rng.standard_normal(len(i)))
+    # a general pattern at scale: 1 to 30 entries in most rows, one in
+    # twenty rows empty, columns drawn at random, so no offset is held by
+    # half the rows
+    rng = np.random.default_rng(16)
+    n = 2000
+    lengths = np.where(rng.random(n) < 0.05, 0, rng.integers(1, 31, n))
+    cols = np.concatenate([rng.choice(n, k, replace=False) for k in lengths])
+    yield "csr general 2000^2 with empty rows", CsrMatrix.from_coo(
+        n, n, np.repeat(np.arange(n), lengths), cols, rng.standard_normal(len(cols)))
 
 
 def factored():
