@@ -47,12 +47,15 @@ class SstepBlockError(RuntimeError):
 
 
 _TSQR_BLOCKS = 4  # row partition of the s-step TSQR trees
-_BASIS_NAMES = ("monomial", "newton", "chebyshev")  # the bases sstep_gmres builds by name
 
 
 @dataclass(frozen=True)
 class MonomialBasis:
     """phi_j(z) = z^j."""
+
+    def conversion(self, s):
+        """The (s+1) x s conversion matrix Bbar, A W_s = W_{s+1} Bbar."""
+        return np.eye(s + 1, s, -1)
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,21 @@ class NewtonBasis:
         shifts = tuple(complex(s) for s in self.shifts)
         object.__setattr__(self, "shifts", shifts)
         _check_conjugate_pairs(shifts, "shifts")
+
+    def conversion(self, s):
+        """Bbar of the first s shifts; a pair cut by the end keeps its real part."""
+        if len(self.shifts) < s:
+            raise ValueError(f"need at least {s} shifts, got {len(self.shifts)}")
+        B = np.eye(s + 1, s, -1)
+        k = 0
+        while k < s:
+            a, bb = self.shifts[k].real, self.shifts[k].imag
+            B[k, k] = a
+            pair = bb != 0.0 and k < s - 1  # realized by its real quadratic factor
+            if pair:
+                B[k:k + 2, k + 1] = -bb * bb, a
+            k += 1 + pair
+        return B
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,15 @@ class ChebyshevBasis:
     def tau_sq(self):
         return self.xi1 ** 2 - self.xi2 ** 2
 
+    def conversion(self, s):
+        """Bbar of the scaled three-term recurrence."""
+        B = np.zeros((s + 1, s))
+        np.fill_diagonal(B, self.center)
+        np.fill_diagonal(B[1:], self.gamma)
+        np.fill_diagonal(B[:, 1:], self.tau_sq / (4.0 * self.gamma))
+        B[1, 0] = 2.0 * self.gamma
+        return B
+
 
 def _check_column(w, prev_mag, scale):
     # max-magnitude detector: squared 2-norms underflow long before entries do
@@ -112,8 +139,12 @@ def _check_column(w, prev_mag, scale):
 def build_basis(A, start, s, spec=None):
     """Generate s+1 polynomial-basis vectors and the conversion matrix.
 
-    Columns follow the monomial / Newton / Chebyshev recurrences; the
-    returned pair (W, Bbar) satisfies A W[:, :s] = W Bbar, with Bbar banded.
+    The pair (W, Bbar = spec.conversion(s)) satisfies A W[:, :s] = W Bbar, by
+    w_{k+1} = (A w_k - Bbar[k, k] w_k - Bbar[k-1, k] w_{k-1}) / Bbar[k+1, k].
+    A term whose coefficient is exactly 0, and a division by exactly 1, is
+    skipped, so each basis performs the numpy operations of its own recurrence
+    and keeps its bytes: x - 0 w and x / 1 are x for finite w and a product x
+    that is not -0.0 (CSR sums from +0.0).
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -121,57 +152,18 @@ def build_basis(A, start, s, spec=None):
     matvec, N = as_matvec(A, n=len(start))
     W = basis(N, s + 1)
     W[:, 0] = np.asarray(start, dtype=np.float64)
-    B = np.zeros((s + 1, s))
-    scale = float(np.linalg.norm(W[:, 0]))
-    prev = scale
-    if isinstance(spec, MonomialBasis):
-        for k in range(s):
-            W[:, k + 1] = matvec(W[:, k])
-            B[k + 1, k] = 1.0
-            prev = _check_column(W[:, k + 1], prev, scale)
-    elif isinstance(spec, NewtonBasis):
-        shifts = list(spec.shifts)
-        if len(shifts) < s:
-            raise ValueError(f"need at least {s} shifts, got {len(shifts)}")
-        k = 0
-        while k < s:
-            th = shifts[k]
-            if th.imag == 0.0 or k == s - 1:
-                # a pair straddling the end degrades to its real part
-                a = th.real
-                W[:, k + 1] = matvec(W[:, k]) - a * W[:, k]
-                B[k, k] = a
-                B[k + 1, k] = 1.0
-                prev = _check_column(W[:, k + 1], prev, scale)
-                k += 1
-            else:
-                a, bb = th.real, th.imag
-                W[:, k + 1] = matvec(W[:, k]) - a * W[:, k]
-                prev = _check_column(W[:, k + 1], prev, scale)
-                W[:, k + 2] = (matvec(W[:, k + 1]) - a * W[:, k + 1]) + (bb * bb) * W[:, k]
-                prev = _check_column(W[:, k + 2], prev, scale)
-                B[k, k] = a
-                B[k + 1, k] = 1.0
-                B[k, k + 1] = -bb * bb
-                B[k + 1, k + 1] = a
-                B[k + 2, k + 1] = 1.0
-                k += 2
-    elif isinstance(spec, ChebyshevBasis):
-        zeta, gamma, tau_sq = spec.center, spec.gamma, spec.tau_sq
-        for k in range(s):
-            t = matvec(W[:, k]) - zeta * W[:, k]
-            if k == 0:
-                W[:, 1] = t / (2.0 * gamma)
-                B[0, 0] = zeta
-                B[1, 0] = 2.0 * gamma
-            else:
-                W[:, k + 1] = (t - (tau_sq / (4.0 * gamma)) * W[:, k - 1]) / gamma
-                B[k - 1, k] = tau_sq / (4.0 * gamma)
-                B[k, k] = zeta
-                B[k + 1, k] = gamma
-            prev = _check_column(W[:, k + 1], prev, scale)
-    else:
+    if not isinstance(spec, (MonomialBasis, NewtonBasis, ChebyshevBasis)):
         raise TypeError(f"unknown basis spec {type(spec).__name__}")
+    B = spec.conversion(s)
+    scale = prev = float(np.linalg.norm(W[:, 0]))
+    for k in range(s):
+        w = matvec(W[:, k])
+        if B[k, k]:
+            w = w - B[k, k] * W[:, k]
+        if k and B[k - 1, k]:
+            w = w - B[k - 1, k] * W[:, k - 1]
+        W[:, k + 1] = w if B[k + 1, k] == 1.0 else w / B[k + 1, k]
+        prev = _check_column(W[:, k + 1], prev, scale)
     return W, B
 
 
@@ -275,10 +267,12 @@ def warmup_ritz_values(A, b, steps):
 
 def newton_basis_from_warmup(A, b, s):
     """Newton shifts = Leja-ordered Ritz values of s warmup Arnoldi steps."""
-    ritz = warmup_ritz_values(A, b, s)
-    vals = list(ritz)
+    vals = list(warmup_ritz_values(A, b, s))
+    pads = s - len(vals)
     while len(vals) < s:
         vals.append(vals[-1].conjugate() if vals[-1].imag else vals[-1])
+    if pads % 2 and vals[-1].imag:  # an unpaired last pad keeps its real part
+        vals[-1] = complex(vals[-1].real)
     return NewtonBasis(shifts=tuple(leja_order(vals)))
 
 
@@ -290,6 +284,12 @@ def chebyshev_basis_from_warmup(A, b, s):
     xi1 = max(float((re.max() - re.min()) / 2.0), 1e-8)
     xi2 = max(float(np.abs(im).max()), 0.0)
     return ChebyshevBasis(center=center, xi1=xi1, xi2=xi2)
+
+
+# name -> builder(A, b, s); late-bound, so wrappers installed on the functions see calls
+_BASIS_BUILDERS = {"monomial": lambda A, b, s: MonomialBasis(),
+                   "newton": lambda A, b, s: newton_basis_from_warmup(A, b, s),
+                   "chebyshev": lambda A, b, s: chebyshev_basis_from_warmup(A, b, s)}
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +329,13 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
     _check_count("t", t, 1)
     if spec is None:
         spec = "newton" if s > 1 else "monomial"
-    if isinstance(spec, str) and spec not in _BASIS_NAMES:
+    if isinstance(spec, str) and spec not in _BASIS_BUILDERS:
         raise ValueError(f"spec: unknown basis {spec!r}; "
-                         f"use one of {', '.join(_BASIS_NAMES)} or a basis object")
+                         f"use one of {', '.join(_BASIS_BUILDERS)} or a basis object")
     diagnostics = {"basis": None, "s": s, "t": t}
 
     def make_cycle(run):
-        basis = spec
-        if spec == "monomial":
-            basis = MonomialBasis()
-        elif spec == "newton":
-            basis = newton_basis_from_warmup(A, b, s)
-        elif spec == "chebyshev":
-            basis = chebyshev_basis_from_warmup(A, b, s)
+        basis = _BASIS_BUILDERS[spec](A, b, s) if isinstance(spec, str) else spec
         diagnostics["basis"] = type(basis).__name__
         return lambda r, budget: _sstep_cycle(run, r, s, t, basis, budget)
 

@@ -10,6 +10,7 @@ separate file excluded from that guarantee.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from .commavoid import _BASIS_NAMES, lowsync_gmres, pipelined_gmres, sstep_gmres
+from .commavoid import _BASIS_BUILDERS, lowsync_gmres, pipelined_gmres, sstep_gmres
 from .deflation import build_poly_preconditioner, gmres_e, polynomial_preconditioner
 from .linalg import CsrMatrix, as_matvec, mm_read, operator_norm_estimate
 from .mixedprec import gmres_ir, gmres_two_precision
@@ -153,6 +154,42 @@ def inexact_operator(A, schedule: PerturbationSchedule, history_hook=None, seed=
 # Experiment configuration
 
 
+def _integer(least):
+    """(phrase, test) of a JSON integer of at least `least`; a bool is none."""
+    return (f"a JSON integer of at least {least}", lambda v: isinstance(v, numbers.Integral)
+            and not isinstance(v, bool) and v >= least)
+
+
+def _real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+# the keys run() reads, by the kind of their part, each with the (phrase of its
+# ConfigError, test of a value) it needs; those in _OPTIONAL have a default
+_DOC_KEYS = {"outputs": _STRING, "bound_checks": ("a boolean", lambda v: isinstance(v, bool))}
+_PROBLEM_KEYS = {
+    "convdiff": {"nx": _integer(2), "ny": _integer(2), "peclet": ("a number", _real)},
+    "spectrum": {"eigs": ("a nonempty list of numbers",
+                          lambda v: isinstance(v, list) and v and all(map(_real, v))),
+                 "seed": _integer(0)},
+    "matrix_market": {"path": _STRING}}
+_RHS_KEYS = {"random": {"seed": _integer(0)}, "file": {"path": _STRING}}
+_INEXACT_KEYS = {"mode": ("fixed or relaxed", lambda v: v in ("fixed", "relaxed")),
+                 "eta": ("a number of at least 0", lambda v: _real(v) and v >= 0),
+                 "seed": _integer(0)}
+_OPTIONAL = {"outputs", "bound_checks", "peclet", "mode", "eta"}
+
+
+def _check_keys(part, where, keys):
+    """A ConfigError naming the key unless each of keys in part passes its
+    test; one that is not in _OPTIONAL must be there."""
+    for key, (phrase, test) in keys.items():
+        if (key in part and not test(part[key])) or (key not in part and key not in _OPTIONAL):
+            got = f", got {part[key]!r}" if key in part else ""
+            raise ConfigError(f"{where}{key}: need {phrase}{got}")
+
+
 @dataclass
 class ExperimentConfig:
     problem: dict
@@ -196,9 +233,10 @@ class ExperimentConfig:
             if unread:
                 raise ConfigError(f"variants[{i}].options.{unread[0]}: {v['solver']} "
                                   f"does not read this key")
-            if "basis" in options and options["basis"] not in _BASIS_NAMES:
+            if "basis" in options and (not isinstance(options["basis"], str)
+                                       or options["basis"] not in _BASIS_BUILDERS):
                 raise ConfigError(f"variants[{i}].options.basis: unknown basis "
-                                  f"{options['basis']!r}; use one of {', '.join(_BASIS_NAMES)}")
+                                  f"{options['basis']!r}; use one of {', '.join(_BASIS_BUILDERS)}")
             if options.get("preconditioner") is not None:
                 _check_preconditioner(options["preconditioner"],
                                       f"variants[{i}].options.preconditioner")
@@ -213,9 +251,15 @@ class ExperimentConfig:
             raise ConfigError("problem.seed: seeds are mandatory for randomized choices")
         if inexact is not None and "seed" not in inexact:
             raise ConfigError("inexact.seed: seeds are mandatory for randomized choices")
+        _check_keys(doc, "", _DOC_KEYS)
+        # str(): a kind that is no string is run()'s unknown-kind ConfigError
+        _check_keys(prob, "problem.", _PROBLEM_KEYS.get(str(prob.get("kind")), {}))
+        _check_keys(rhs, "rhs.", _RHS_KEYS.get(str(rhs.get("kind", "ones")), {}))
+        if inexact is not None:
+            _check_keys(inexact, "inexact.", _INEXACT_KEYS)
         return cls(problem=prob, rhs=rhs, variants=variants,
                    outputs=doc.get("outputs", "out"),
-                   bound_checks=bool(doc.get("bound_checks", False)),
+                   bound_checks=doc.get("bound_checks", False),
                    inexact=inexact)
 
     @classmethod

@@ -676,7 +676,10 @@ def simpler_gmres(A, b, x0=None, opts=None, variant="adaptive"):
                 if run.emit(rho):
                     status = "converged"
                     break
-            run.diagnostics["kappa_z"] = float(np.linalg.cond(Z[:, :n])) if n else 1.0
+            # the SVD behind cond does not converge on an inf or NaN
+            finite = np.isfinite(Z[:, :n]).all()
+            run.diagnostics["kappa_z"] = (float(np.linalg.cond(Z[:, :n])) if finite
+                                          else np.nan) if n else 1.0
             update = Z[:, :n] @ back_substitute(T[:n, :n], alpha[:n])
             return update, rhos, status
 

@@ -316,6 +316,36 @@ class TestSstepCoefficientIdentity:
             assert dev <= 1e-8 * np.linalg.norm(A), s
 
 
+class TestNewtonWarmupPadding:
+    # Krylov spaces of dimension 3 and 2 give fewer Ritz values than s shifts
+    @staticmethod
+    def _operator(block, rest=(5.0, 6.0, 7.0)):
+        n = len(block) + len(rest)
+        A = np.diag(np.concatenate([np.zeros(len(block)), rest]))
+        A[:len(block), :len(block)] = block
+        return A, np.concatenate([np.ones(len(block)), np.zeros(n - len(block))])
+
+    def test_odd_padding_after_a_complex_pair_converges(self):
+        A, b = self._operator([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, -1.0, 2.0]])
+        rep = sstep_gmres(A, b, s=4, t=2)
+        assert rep.termination == "converged"
+        assert rep.iterations == 3
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_odd_padding_ends_in_the_real_part(self, s):
+        A, b = self._operator([[2.0, 1.0], [-1.0, 2.0]])
+        ritz = warmup_ritz_values(A, b, s)
+        shifts = newton_basis_from_warmup(A, b, s).shifts
+        assert len(shifts) == s
+        assert [z for z in shifts if not z.imag] == [ritz[-1].real]
+        assert {z for z in shifts if z.imag} == set(ritz)
+
+    def test_even_padding_is_unchanged(self):
+        A, b = self._operator([[2.0, 1.0], [-1.0, 2.0]])
+        ritz = warmup_ritz_values(A, b, 4)
+        assert newton_basis_from_warmup(A, b, 4).shifts == (ritz[0], ritz[1]) * 2
+
+
 class TestNamedBasis:
     @staticmethod
     def _report_bytes(rep):

@@ -165,6 +165,13 @@ class TestConfig:
          r"variants\[1\]"),
         ({"variants": [{"name": "a", "solver": ["gmres"]}]}, r"variants\[0\]\.solver"),
         ({"variants": [{"name": 1, "solver": "gmres"}]}, r"variants\[0\]\.name"),
+        ({"outputs": 3}, "outputs"), ({"bound_checks": "no"}, "bound_checks"),
+        ({"problem": {"kind": "convdiff", "nx": "6", "ny": 6}}, r"problem\.nx"),
+        ({"problem": {"kind": "convdiff", "ny": 6}}, r"problem\.nx"),
+        ({"problem": {"kind": "convdiff", "nx": True, "ny": 6}}, r"problem\.nx"),
+        ({"rhs": {"kind": "file"}}, r"rhs\.path"),
+        ({"rhs": {"kind": "random", "seed": "x"}}, r"rhs\.seed"),
+        ({"inexact": {"eta": "1e-6", "seed": 1}}, r"inexact\.eta"),
     ])
     def test_rejects_values_of_the_wrong_type(self, change, key):
         doc = dict(config_doc("out"), **change)
@@ -378,6 +385,15 @@ class TestCli:
         cfg.write_text(json.dumps(dict(config_doc(str(tmp_path / "out")), rhs="ones")))
         assert main(["run", str(cfg)]) == 1
         assert "error: rhs: need a JSON object" in capsys.readouterr().err
+
+    def test_missing_key_exit_code(self, tmp_path, capsys):
+        from gmreskit.cli import main
+        cfg = tmp_path / "bad.json"
+        doc = dict(config_doc(str(tmp_path / "out")), problem={"kind": "convdiff", "ny": 6})
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 1
+        assert "error: problem.nx: need a JSON integer of at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_needs_a_random_rhs(self, tmp_path, capsys):
         from gmreskit.cli import main

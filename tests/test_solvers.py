@@ -243,6 +243,24 @@ class TestSimplerGmres:
         rep = simpler_gmres(A, b, variant="rb")
         assert rep.diagnostics["kappa_z"] >= 1.0
 
+    @pytest.mark.parametrize("variant", ["sgmres", "rb", "adaptive"])
+    def test_kappa_z_of_a_nonfinite_product_is_nan(self, variant):
+        # the SVD behind np.linalg.cond raised LinAlgError on the NaN in Z
+        A = gen_convdiff(6, 6)
+        products = []
+
+        def op(v):
+            products.append(A.matvec(v))
+            if len(products) == 4:
+                products[-1][3] = np.nan
+            return products[-1]
+
+        rep = simpler_gmres(op, np.ones(36), opts=GmresOptions(rtol=1e-8, max_iter=20),
+                            variant=variant)
+        assert rep.termination == "maxiter"
+        assert np.isnan(rep.x).any()
+        assert np.isnan(rep.diagnostics["kappa_z"])
+
 
 class TestGcrOrthodir:
     def test_identity_instant(self, rng):

@@ -18,7 +18,10 @@ It also runs each SOLVER_DISPATCH name through harness._run_variant, as the
 CLI does, with options rtol 1e-8 and max_iter 60, on each problem: 85 more
 cases, keyed "harness:<name>", and gmres and gmres-restarted with scheme
 householder as well: 10 more, keyed "harness:<name>+householder", 920
-cases in all.  The problems are convdiff 10x10 and 32x32 (Peclet 10);
+cases.  And it runs sstep-gmres over each basis recurrence, with spec
+"monomial", spec "chebyshev" and an explicit NewtonBasis whose shifts hold
+a conjugate pair, max_iter 60 and x0 zero on each problem: 15 more, keyed
+"sstep-gmres+<basis>", 935 cases in all.  The problems are convdiff 10x10 and 32x32 (Peclet 10);
 convdiff 4x4, whose grade the budgets reach; a singular operator with
 eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues geometrically
 spaced over [1e-6, 1] (condition number 1e6).  The last three drive the
@@ -116,6 +119,7 @@ import numpy as np
 from gmreskit import (GmresOptions, fgmres, gcr, gmres, gmres_e, gmres_ir, gmres_restarted,
                       gmres_two_precision, hh_gmres, lgmres, lowsync_gmres, lu_low, orthodir,
                       pipelined_gmres, simpler_gmres, sstep_gmres, weighted_gmres)
+from gmreskit.commavoid import NewtonBasis
 from gmreskit.harness import SOLVER_DISPATCH, _run_variant, gen_convdiff, gen_spectrum
 from gmreskit.linalg import CsrMatrix, mm_read, mm_write
 
@@ -194,6 +198,12 @@ def cases():
                      "weighted-gmres"):
             yield (f"{name}+weight {label} max_iter=60 restart=8 x0=zero",
                    partial(SOLVE[name], A, b, None, opts))
+        # the default spec is the Newton basis from warm-up shifts
+        opts = GmresOptions(rtol=1e-8, max_iter=60)
+        for basis, spec in (("monomial", "monomial"), ("chebyshev", "chebyshev"),
+                            ("newton-pair", NewtonBasis((1 + 1j, 1 - 1j, 0.5, 2.0)))):
+            yield (f"sstep-gmres+{basis} {label} max_iter=60 x0=zero",
+                   partial(sstep_gmres, A, b, None, spec=spec, opts=opts))
 
 
 def operators():
