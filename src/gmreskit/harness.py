@@ -154,20 +154,21 @@ def inexact_operator(A, schedule: PerturbationSchedule, history_hook=None, seed=
 # Experiment configuration
 
 
-def _integer(least):
-    """(phrase, test) of a JSON integer of at least `least`; a bool is none."""
-    return (f"a JSON integer of at least {least}", lambda v: isinstance(v, numbers.Integral)
-            and not isinstance(v, bool) and v >= least)
-
-
 def _real(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _integer(least):
+    """(phrase, test) of a JSON integer of at least `least`; a bool is none."""
+    return (f"a JSON integer of at least {least}",
+            lambda v: _real(v) and isinstance(v, numbers.Integral) and v >= least)
 
 
 _STRING = ("a string", lambda v: isinstance(v, str))
 # the keys run() reads, by the kind of their part, each with the (phrase of its
 # ConfigError, test of a value) it needs; those in _OPTIONAL have a default
-_DOC_KEYS = {"outputs": _STRING, "bound_checks": ("a boolean", lambda v: isinstance(v, bool))}
+_DOC_KEYS = {"outputs": _STRING,
+             "bound_checks": ("a boolean", lambda v: isinstance(v, bool))}
 _PROBLEM_KEYS = {
     "convdiff": {"nx": _integer(2), "ny": _integer(2), "peclet": ("a number", _real)},
     "spectrum": {"eigs": ("a nonempty list of numbers",
@@ -185,9 +186,11 @@ def _check_keys(part, where, keys):
     """A ConfigError naming the key unless each of keys in part passes its
     test; one that is not in _OPTIONAL must be there."""
     for key, (phrase, test) in keys.items():
-        if (key in part and not test(part[key])) or (key not in part and key not in _OPTIONAL):
-            got = f", got {part[key]!r}" if key in part else ""
-            raise ConfigError(f"{where}{key}: need {phrase}{got}")
+        if key not in part:
+            if key not in _OPTIONAL:
+                raise ConfigError(f"{where}{key}: need {phrase}")
+        elif not test(part[key]):
+            raise ConfigError(f"{where}{key}: need {phrase}, got {part[key]!r}")
 
 
 @dataclass

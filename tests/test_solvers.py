@@ -245,7 +245,7 @@ class TestSimplerGmres:
 
     @pytest.mark.parametrize("variant", ["sgmres", "rb", "adaptive"])
     def test_kappa_z_of_a_nonfinite_product_is_nan(self, variant):
-        # the SVD behind np.linalg.cond raised LinAlgError on the NaN in Z
+        # the 4th product puts a NaN into Z, on which np.linalg.cond's SVD fails
         A = gen_convdiff(6, 6)
         products = []
 

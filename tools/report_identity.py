@@ -21,10 +21,10 @@ householder as well: 10 more, keyed "harness:<name>+householder", 920
 cases.  And it runs sstep-gmres over each basis recurrence, with spec
 "monomial", spec "chebyshev" and an explicit NewtonBasis whose shifts hold
 a conjugate pair, max_iter 60 and x0 zero on each problem: 15 more, keyed
-"sstep-gmres+<basis>", 935 cases in all.  The problems are convdiff 10x10 and 32x32 (Peclet 10);
-convdiff 4x4, whose grade the budgets reach; a singular operator with
-eigenvalues 0, 0, 1, ..., 6; and one with 40 eigenvalues geometrically
-spaced over [1e-6, 1] (condition number 1e6).  The last three drive the
+"sstep-gmres+<basis>", 935 cases in all.  The problems are convdiff 10x10
+and 32x32 (Peclet 10); convdiff 4x4, whose grade the budgets reach; a
+singular operator with eigenvalues 0, 0, 1, ..., 6; and one with 40
+eigenvalues geometrically spaced over [1e-6, 1] (condition number 1e6).  The last three drive the
 solvers into their breakdown, stagnation and exception exits.
 It writes each report's counts, termination, x, residual history,
 true-residual checkpoints, reduction log and marks, and the diagnostics
