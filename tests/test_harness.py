@@ -101,6 +101,12 @@ class TestInexactOperator:
         true_res = np.linalg.norm(rhs100 - convdiff100.matvec(rep.x))
         assert true_res <= 1e-7 * np.linalg.norm(rhs100)
 
+    @pytest.mark.parametrize("mode, eta, name", [("exact", 0.0, "mode"),
+                                                 ("fixed", -1e-9, "eta")])
+    def test_schedule_names_a_refused_argument(self, mode, eta, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            PerturbationSchedule(mode, eta)
+
     def test_relaxed_beats_fixed_at_same_eta(self, convdiff100, rhs100):
         # early products must be accurate: a fixed eta=1e-8 floor blocks deep
         # convergence while the relaxed schedule reaches the target
@@ -177,6 +183,29 @@ class TestConfig:
         doc = dict(config_doc("out"), **change)
         with pytest.raises(ConfigError, match=rf"^{key}: need a "):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "problem", 3, None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ConfigError, match="experiment document"):
+            ExperimentConfig.from_dict(doc)
+
+    # each refused document is a ConfigError naming its key, whether the
+    # parser or run() finds it
+    @pytest.mark.parametrize("change, key", [
+        ({"variants": [{"name": "a"}]}, r"variants\[0\]"),
+        ({"variants": [{"solver": "gmres"}]}, r"variants\[0\]"),
+        ({"variants": [{"name": "a", "solver": "gmres"}, {"name": "a", "solver": "gcr"}]},
+         r"variants\[1\]\.name"),
+        ({"problem": {"kind": "spectrum", "eigs": [1.0, 2.0]}}, r"problem\.seed"),
+        ({"inexact": {"mode": "fixed", "eta": 1e-6}}, r"inexact\.seed"),
+        ({"problem": {"kind": "banana", "nx": 6, "ny": 6}}, r"problem\.kind"),
+        ({"problem": {"nx": 6, "ny": 6}}, r"problem\.kind"),
+        ({"rhs": {"kind": "banana"}}, r"rhs\.kind"),
+    ])
+    def test_refused_document_names_the_key(self, tmp_path, change, key):
+        doc = dict(config_doc(str(tmp_path / "out")), **change)
+        with pytest.raises(ConfigError, match=rf"^{key}"):
+            run(ExperimentConfig.from_dict(doc))
 
     def test_parse_error_carries_line(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -405,6 +434,23 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "--seed", "4"]) == 0
+
+    def test_scheme_override_reaches_every_variant(self, tmp_path, capsys):
+        from gmreskit.cli import main
+        cfg = tmp_path / "exp.json"
+        doc = config_doc(str(tmp_path / "out"))
+        cfg.write_text(json.dumps(doc))
+        # pipelined-gmres reads no scheme
+        assert main(["run", str(cfg), "--scheme", "cgs2"]) == 1
+        assert "error: variants[1].options.scheme: pipelined-gmres" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        doc["variants"] = doc["variants"][:1]
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--scheme", "cgs2", "-o", str(tmp_path / "cli")]) == 0
+        doc["variants"][0]["options"]["scheme"] = "cgs2"
+        run(ExperimentConfig.from_dict(doc), output_dir=str(tmp_path / "lib"))
+        for name in ("mgs.csv", "summary.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
     def test_missing_file_exit_code(self, capsys):
         from gmreskit.cli import main
