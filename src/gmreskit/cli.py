@@ -15,7 +15,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .harness import ConfigError, ExperimentConfig, compare, gen_convdiff, gen_spectrum, run
+from .harness import (_RHS, ConfigError, ExperimentConfig, compare, gen_convdiff, gen_spectrum,
+                      run)
 from .linalg import CsrMatrix, MatrixMarketError, mm_read, mm_write
 
 
@@ -42,8 +43,8 @@ def _apply_overrides(config: ExperimentConfig, args):
     for variant in config.variants:
         variant.setdefault("options", {}).update(overrides)
     if args.seed is not None:
-        kind = config.rhs.get("kind", "ones")
-        if kind != "random":
+        kind = _RHS.kind(config.rhs, "rhs")
+        if "seed" not in _RHS.table[kind][0]:
             raise ConfigError(f"rhs.seed: rhs kind {kind!r} does not read a seed")
         config.rhs["seed"] = args.seed
     # parsed again: an override the entry does not read is the ConfigError

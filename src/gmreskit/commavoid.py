@@ -334,7 +334,9 @@ def sstep_gmres(A, b, x0=None, s=4, t=5, spec=None, opts=None):
                          f"use one of {', '.join(_BASIS_BUILDERS)} or a basis object")
     diagnostics = {"basis": None, "s": s, "t": t}
 
-    def make_cycle(run):
+    def make_cycle(run):  # b is nonzero here, and no product is made yet
+        if s >= len(b):
+            raise ValueError(f"s must be less than the operator's order {len(b)}, got {s}")
         basis = _BASIS_BUILDERS[spec](A, b, s) if isinstance(spec, str) else spec
         diagnostics["basis"] = type(basis).__name__
         return lambda r, budget: _sstep_cycle(run, r, s, t, basis, budget)

@@ -9,6 +9,7 @@ separate file excluded from that guarantee.
 
 from __future__ import annotations
 
+import inspect
 import json
 import numbers
 import os
@@ -164,33 +165,120 @@ def _integer(least):
             lambda v: _real(v) and isinstance(v, numbers.Integral) and v >= least)
 
 
-_STRING = ("a string", lambda v: isinstance(v, str))
-# the keys run() reads, by the kind of their part, each with the (phrase of its
-# ConfigError, test of a value) it needs; those in _OPTIONAL have a default
-_DOC_KEYS = {"outputs": _STRING,
-             "bound_checks": ("a boolean", lambda v: isinstance(v, bool))}
-_PROBLEM_KEYS = {
-    "convdiff": {"nx": _integer(2), "ny": _integer(2), "peclet": ("a number", _real)},
-    "spectrum": {"eigs": ("a nonempty list of numbers",
-                          lambda v: isinstance(v, list) and v and all(map(_real, v))),
-                 "seed": _integer(0)},
-    "matrix_market": {"path": _STRING}}
-_RHS_KEYS = {"random": {"seed": _integer(0)}, "file": {"path": _STRING}}
-_INEXACT_KEYS = {"mode": ("fixed or relaxed", lambda v: v in ("fixed", "relaxed")),
-                 "eta": ("a number of at least 0", lambda v: _real(v) and v >= 0),
-                 "seed": _integer(0)}
-_OPTIONAL = {"outputs", "bound_checks", "peclet", "mode", "eta"}
+def _either(names):
+    names = list(names)
+    return " or ".join(filter(None, (", ".join(names[:-1]), names[-1])))
 
 
-def _check_keys(part, where, keys):
-    """A ConfigError naming the key unless each of keys in part passes its
-    test; one that is not in _OPTIONAL must be there."""
+def _needs(build):
+    """The parameters of build without a default: the keys a part must set."""
+    return {k for k, p in inspect.signature(build).parameters.items() if p.default is p.empty}
+
+
+def _check(part, where, keys, needs=(), unknown="unknown key"):
+    """A ConfigError naming the key unless part is a JSON object that sets
+    those of `keys` in needs, each of its keys to a value that passes its
+    (phrase, test), and no other key."""
+    if not isinstance(part, dict):
+        raise ConfigError(f"{where}: need a JSON object")
+    at = lambda key: f"{where}.{key}" if where else key
     for key, (phrase, test) in keys.items():
         if key not in part:
-            if key not in _OPTIONAL:
-                raise ConfigError(f"{where}{key}: need {phrase}")
+            if key in needs:
+                raise ConfigError(f"{at(key)}: need {phrase}")
         elif not test(part[key]):
-            raise ConfigError(f"{where}{key}: need {phrase}, got {part[key]!r}")
+            raise ConfigError(f"{at(key)}: need {phrase}, got {part[key]!r}")
+    stray = sorted(set(part) - set(keys))
+    if stray:
+        raise ConfigError(f"{at(stray[0])}: {unknown}; use {_either(keys)}")
+
+
+def _known(name, table, at):
+    """A ConfigError naming the key at unless name is one of table's."""
+    if not (isinstance(name, str) and name in table):
+        raise ConfigError(f"{at}: unknown {at.rsplit('.', 1)[-1]} {name!r}; use {_either(table)}")
+
+
+@dataclass(frozen=True)
+class _Kinds:
+    """A part whose "kind" picks the (phrase, test) of each of its other keys
+    and the builder they are passed to: table maps kind -> (keys, builder).
+    A part that sets no kind is of kind default."""
+
+    table: dict
+    default: str | None = None
+
+    def kind(self, part, where):
+        kind = part.get("kind", self.default)
+        _known(kind, self.table, f"{where}.kind")
+        return kind
+
+    def check(self, part, where):
+        keys, build = self.table[self.kind(part, where)]
+        _check(part, where, {"kind": _ANY, **keys}, _needs(build))
+
+    def build(self, part, where, *context):
+        """The builder's value on context and the keys the part sets."""
+        _, build = self.table[self.kind(part, where)]
+        return build(*context, **{k: v for k, v in part.items() if k != "kind"})
+
+
+def _jacobi(A, b, side="right"):
+    return side, DiagonalPreconditioner(_operator_diagonal(A))
+
+
+def _poly(A, b, side="right", degree=5):
+    return side, polynomial_preconditioner(A, build_poly_preconditioner(A, b, degree))
+
+
+def _perturbed(A, rtol, history_hook, seed, **schedule):
+    return inexact_operator(A, PerturbationSchedule(rtol=rtol, **schedule), history_hook, seed)
+
+
+_ANY = ("any value", lambda v: True)
+_STRING = ("a string", lambda v: isinstance(v, str))
+_OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
+_OBJECT_OR_NULL = ("a JSON object or null", lambda v: v is None or isinstance(v, dict))
+# each part of the document: the (phrase, test) of every key it may set, and
+# the builder whose signature holds each default
+_DOCUMENT = {"problem": _OBJECT, "rhs": _OBJECT,
+             "variants": ("a nonempty list", lambda v: isinstance(v, list) and v != []),
+             "outputs": _STRING, "bound_checks": ("a boolean", lambda v: isinstance(v, bool)),
+             "inexact": _OBJECT_OR_NULL}
+_PROBLEMS = _Kinds({
+    "convdiff": ({"nx": _integer(2), "ny": _integer(2), "peclet": ("a number", _real)},
+                 gen_convdiff),
+    "spectrum": ({"seed": _integer(0), "eigs": ("a nonempty list of numbers",
+                  lambda v: isinstance(v, list) and v and all(map(_real, v)))}, gen_spectrum),
+    "matrix_market": ({"path": _STRING}, mm_read)})
+_RHS = _Kinds({
+    "ones": ({}, lambda n: np.ones(n)),
+    "random": ({"seed": _integer(0)},
+               lambda n, seed: np.random.default_rng(seed).standard_normal(n)),
+    "file": ({"path": _STRING}, lambda n, path: np.loadtxt(path).reshape(-1))},
+    default="ones")
+_INEXACT = {"mode": ("fixed or relaxed", lambda v: v in ("fixed", "relaxed")),
+            "eta": ("a number of at least 0", lambda v: _real(v) and v >= 0),
+            "seed": _integer(0)}
+_VARIANT = {"name": _STRING, "solver": _STRING, "options": _OBJECT}
+_SIDE = ("left or right", lambda v: v in ("left", "right"))
+_PRECONDITIONERS = _Kinds({"jacobi": ({"side": _SIDE}, _jacobi),
+                           "poly": ({"side": _SIDE, "degree": _integer(1)}, _poly)})
+
+
+def _check_variant(variant, where):
+    _check(variant, where, _VARIANT, {"name", "solver"})
+    solver = variant["solver"]
+    _known(solver, SOLVER_DISPATCH, f"{where}.solver")
+    options = variant.get("options", {})
+    keys = dict.fromkeys(sorted(_option_keys(solver)), _ANY)
+    if "preconditioner" in keys:
+        keys["preconditioner"] = _OBJECT_OR_NULL
+    _check(options, f"{where}.options", keys, unknown=f"{solver} does not read this key")
+    if "basis" in options:
+        _known(options["basis"], _BASIS_BUILDERS, f"{where}.options.basis")
+    if options.get("preconditioner") is not None:
+        _PRECONDITIONERS.check(options["preconditioner"], f"{where}.options.preconditioner")
 
 
 @dataclass
@@ -206,64 +294,18 @@ class ExperimentConfig:
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ConfigError("experiment document must be a JSON object")
-        missing = [k for k in ("problem", "rhs", "variants") if k not in doc]
-        if missing:
-            raise ConfigError(f"missing required keys: {', '.join(missing)}")
-        inexact = doc.get("inexact")
-        for key, part in (("problem", doc["problem"]), ("rhs", doc["rhs"]),
-                          ("inexact", {} if inexact is None else inexact)):
-            if not isinstance(part, dict):
-                raise ConfigError(f"{key}: need a JSON object")
-        variants = doc["variants"]
-        if not isinstance(variants, list) or not variants:
-            raise ConfigError("variants: need a nonempty list")
+        _check(doc, "", _DOCUMENT, _needs(cls))
+        _PROBLEMS.check(doc["problem"], "problem")
+        _RHS.check(doc["rhs"], "rhs")
+        if doc.get("inexact") is not None:
+            _check(doc["inexact"], "inexact", _INEXACT, _needs(_perturbed))
         names = set()
-        for i, v in enumerate(variants):
-            if not isinstance(v, dict):
-                raise ConfigError(f"variants[{i}]: need a JSON object")
-            if "name" not in v or "solver" not in v:
-                raise ConfigError(f"variants[{i}]: need name and solver")
-            for key in ("name", "solver"):
-                if not isinstance(v[key], str):
-                    raise ConfigError(f"variants[{i}].{key}: need a string")
-            if v["solver"] not in SOLVER_DISPATCH:
-                raise ConfigError(f"variants[{i}].solver: unknown solver "
-                                  f"{v['solver']!r}")
-            options = v.get("options", {})
-            if not isinstance(options, dict):
-                raise ConfigError(f"variants[{i}].options: need a JSON object")
-            unread = sorted(set(options) - _option_keys(v["solver"]))
-            if unread:
-                raise ConfigError(f"variants[{i}].options.{unread[0]}: {v['solver']} "
-                                  f"does not read this key")
-            if "basis" in options and (not isinstance(options["basis"], str)
-                                       or options["basis"] not in _BASIS_BUILDERS):
-                raise ConfigError(f"variants[{i}].options.basis: unknown basis "
-                                  f"{options['basis']!r}; use one of {', '.join(_BASIS_BUILDERS)}")
-            if options.get("preconditioner") is not None:
-                _check_preconditioner(options["preconditioner"],
-                                      f"variants[{i}].options.preconditioner")
-            if v["name"] in names:
-                raise ConfigError(f"variants[{i}].name: duplicate {v['name']!r}")
-            names.add(v["name"])
-        rhs = doc["rhs"]
-        if rhs.get("kind") == "random" and "seed" not in rhs:
-            raise ConfigError("rhs.seed: seeds are mandatory for randomized choices")
-        prob = doc["problem"]
-        if prob.get("kind") == "spectrum" and "seed" not in prob:
-            raise ConfigError("problem.seed: seeds are mandatory for randomized choices")
-        if inexact is not None and "seed" not in inexact:
-            raise ConfigError("inexact.seed: seeds are mandatory for randomized choices")
-        _check_keys(doc, "", _DOC_KEYS)
-        # str(): a kind that is no string is run()'s unknown-kind ConfigError
-        _check_keys(prob, "problem.", _PROBLEM_KEYS.get(str(prob.get("kind")), {}))
-        _check_keys(rhs, "rhs.", _RHS_KEYS.get(str(rhs.get("kind", "ones")), {}))
-        if inexact is not None:
-            _check_keys(inexact, "inexact.", _INEXACT_KEYS)
-        return cls(problem=prob, rhs=rhs, variants=variants,
-                   outputs=doc.get("outputs", "out"),
-                   bound_checks=doc.get("bound_checks", False),
-                   inexact=inexact)
+        for i, variant in enumerate(doc["variants"]):
+            _check_variant(variant, f"variants[{i}]")
+            if variant["name"] in names:
+                raise ConfigError(f"variants[{i}].name: duplicate {variant['name']!r}")
+            names.add(variant["name"])
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, path):
@@ -275,29 +317,6 @@ class ExperimentConfig:
                     f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
                 ) from exc
         return cls.from_dict(doc)
-
-
-def _build_problem(cfg):
-    kind = cfg.problem.get("kind")
-    if kind == "convdiff":
-        return gen_convdiff(cfg.problem["nx"], cfg.problem["ny"],
-                            cfg.problem.get("peclet", 0.0))
-    if kind == "spectrum":
-        return gen_spectrum(cfg.problem["eigs"], cfg.problem["seed"])
-    if kind == "matrix_market":
-        return mm_read(cfg.problem["path"])
-    raise ConfigError(f"problem.kind: unknown kind {kind!r}")
-
-
-def _build_rhs(cfg, n):
-    kind = cfg.rhs.get("kind", "ones")
-    if kind == "ones":
-        return np.ones(n)
-    if kind == "random":
-        return np.random.default_rng(cfg.rhs["seed"]).standard_normal(n)
-    if kind == "file":
-        return np.loadtxt(cfg.rhs["path"]).reshape(-1)
-    raise ConfigError(f"rhs.kind: unknown kind {kind!r}")
 
 
 # name -> (solver, the keywords the name fixes, the option keys passed on as
@@ -342,27 +361,6 @@ def _option_keys(name):
     return keys
 
 
-def _check_preconditioner(pc, where):
-    """A ConfigError naming the key unless pc is a preconditioner object
-    {"kind": "jacobi" | "poly", "side": "left" | "right", "degree": int >= 1}
-    of which only kind is required and only poly takes a degree."""
-    if not isinstance(pc, dict):
-        raise ConfigError(f"{where}: need a JSON object or null")
-    unknown = sorted(set(pc) - {"kind", "side", "degree"})
-    if unknown:
-        raise ConfigError(f"{where}.{unknown[0]}: unknown key; use kind, side or degree")
-    if pc.get("kind") not in ("jacobi", "poly"):
-        raise ConfigError(f"{where}.kind: need jacobi or poly, got {pc.get('kind')!r}")
-    if pc.get("side", "right") not in ("left", "right"):
-        raise ConfigError(f"{where}.side: need left or right, got {pc['side']!r}")
-    if "degree" in pc:
-        degree = pc["degree"]
-        if pc["kind"] != "poly":
-            raise ConfigError(f"{where}.degree: only a poly preconditioner has a degree")
-        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-            raise ConfigError(f"{where}.degree: need an integer of at least 1, got {degree!r}")
-
-
 def _gmres_options(A, b, options, callback=None):
     """GmresOptions holding only the keys the variant sets."""
     fields = {_OPTION_FIELDS[k]: v for k, v in options.items() if k in _OPTION_FIELDS}
@@ -370,12 +368,8 @@ def _gmres_options(A, b, options, callback=None):
     opts = GmresOptions(iteration_callback=callback, **fields)
     if pc is None:
         return opts
-    if pc["kind"] == "jacobi":
-        M = DiagonalPreconditioner(_operator_diagonal(A))
-    else:
-        poly = build_poly_preconditioner(A, b, pc.get("degree", 5))
-        M = polynomial_preconditioner(A, poly)
-    return replace(opts, precond_side=pc.get("side", "right"), preconditioner=M)
+    side, M = _PRECONDITIONERS.build(pc, "preconditioner", A, b)
+    return replace(opts, precond_side=side, preconditioner=M)
 
 
 def _operator_diagonal(A):
@@ -453,9 +447,9 @@ def run(config, output_dir=None, log=None):
         config = ExperimentConfig.from_json(config)
     outdir = output_dir if output_dir is not None else config.outputs
     os.makedirs(outdir, exist_ok=True)
-    A = _build_problem(config)
+    A = _PROBLEMS.build(config.problem, "problem")
     matvec, n = as_matvec(A)
-    b = _build_rhs(config, n)
+    b = _RHS.build(config.rhs, "rhs", n)
     summary = {"variants": {}}
     timings = {}
     for variant in config.variants:
@@ -465,15 +459,10 @@ def run(config, output_dir=None, log=None):
         operator = A
         callback = None
         if config.inexact is not None:
-            sched = PerturbationSchedule(
-                mode=config.inexact.get("mode", "fixed"),
-                eta=config.inexact.get("eta", 0.0),
-                rtol=variant.get("options", {}).get("rtol", GmresOptions.rtol))
             cell = {"rho": None}
             callback = lambda k, rho_rel, cell=cell: cell.__setitem__("rho", rho_rel)
-            operator = inexact_operator(A, sched,
-                                        history_hook=lambda cell=cell: cell["rho"],
-                                        seed=config.inexact["seed"])
+            operator = _perturbed(A, variant.get("options", {}).get("rtol", GmresOptions.rtol),
+                                  lambda cell=cell: cell["rho"], **config.inexact)
         t0 = time.perf_counter()
         try:
             report = _run_variant(operator, b, variant, callback)

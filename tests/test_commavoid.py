@@ -210,6 +210,21 @@ class TestSstepGmres:
             assert rep.iterations == 7
 
 
+    @pytest.mark.parametrize("spec", [None, "monomial"])
+    @pytest.mark.parametrize("s", [5, 6])
+    def test_s_of_at_least_the_order_is_named_before_any_product(self, s, spec):
+        A = np.diag([1.0, 2, 3, 4, 5])
+        products = []
+        op = lambda v: products.append(1) or A @ v
+        with pytest.raises(ValueError, match=f"^s must be less than the operator's order 5, got {s}"):
+            sstep_gmres(op, np.ones(5), s=s, t=1, spec=spec)
+        assert products == []  # no warm-up and no residual product
+        assert gmres(A, np.ones(5)).converged
+        # a zero b keeps its early report
+        rep = sstep_gmres(A, np.zeros(5), s=s, t=1, spec=spec)
+        assert (rep.termination, rep.iterations, rep.matvecs) == ("converged", 0, 0)
+
+
 class TestPipelinedGmres:
     def test_identity_one_iteration(self, rng):
         b = rng.standard_normal(6)

@@ -201,11 +201,25 @@ class TestConfig:
         ({"problem": {"kind": "banana", "nx": 6, "ny": 6}}, r"problem\.kind"),
         ({"problem": {"nx": 6, "ny": 6}}, r"problem\.kind"),
         ({"rhs": {"kind": "banana"}}, r"rhs\.kind"),
+        # a stray key is refused, not read as its default
+        ({"problem": {"kind": "convdiff", "nx": 6, "ny": 6, "pecelt": 10}}, r"problem\.pecelt"),
+        ({"inexact": {"seed": 3, "etaa": 1e-3}}, r"inexact\.etaa"),
+        ({"bound_check": True}, "bound_check"),
+        ({"rhs": {"kind": "random", "seed": 3, "sed": 4}}, r"rhs\.sed"),
+        ({"variants": [{"name": "a", "solver": "gmres", "option": {"rtol": 1e-2, "restart": 3}}]},
+         r"variants\[0\]\.option"),
     ])
     def test_refused_document_names_the_key(self, tmp_path, change, key):
         doc = dict(config_doc(str(tmp_path / "out")), **change)
         with pytest.raises(ConfigError, match=rf"^{key}"):
             run(ExperimentConfig.from_dict(doc))
+
+    @pytest.mark.parametrize("part", ["problem", "rhs"])
+    def test_unknown_kind_is_refused_when_parsed(self, part):
+        doc = config_doc("out")
+        doc[part] = dict(doc[part], kind="banana")
+        with pytest.raises(ConfigError, match=rf"^{part}\.kind: unknown kind 'banana'"):
+            ExperimentConfig.from_dict(doc)
 
     def test_parse_error_carries_line(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -422,6 +436,19 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg)]) == 1
         assert "error: problem.nx: need a JSON integer of at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, error", [
+        ({"problem": {"kind": "convdiff", "nx": 6, "ny": 6, "pecelt": 10}},
+         "error: problem.pecelt: unknown key; use kind, nx, ny or peclet"),
+        ({"rhs": {"kind": "banana"}}, "error: rhs.kind: unknown kind 'banana'"),
+    ], ids=["stray-key", "unknown-kind"])
+    def test_refused_document_writes_nothing(self, tmp_path, capsys, change, error):
+        from gmreskit.cli import main
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(config_doc(str(tmp_path / "out")), **change)))
+        assert main(["run", str(cfg)]) == 1
+        assert error in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_needs_a_random_rhs(self, tmp_path, capsys):
