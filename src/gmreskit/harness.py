@@ -166,8 +166,8 @@ def _integer(least):
 
 
 def _either(names):
-    names = list(names)
-    return " or ".join(filter(None, (", ".join(names[:-1]), names[-1])))
+    *rest, last = names
+    return f"{', '.join(rest)} or {last}" if rest else last
 
 
 def _needs(build):
@@ -177,8 +177,8 @@ def _needs(build):
 
 def _check(part, where, keys, needs=(), unknown="unknown key"):
     """A ConfigError naming the key unless part is a JSON object that sets
-    those of `keys` in needs, each of its keys to a value that passes its
-    (phrase, test), and no other key."""
+    every key of needs that `keys` declares, sets each key to a value that
+    passes its (phrase, test) in keys, and sets no key that keys lacks."""
     if not isinstance(part, dict):
         raise ConfigError(f"{where}: need a JSON object")
     at = lambda key: f"{where}.{key}" if where else key
@@ -223,6 +223,7 @@ class _Kinds:
         return build(*context, **{k: v for k, v in part.items() if k != "kind"})
 
 
+# the preconditioner and inexact builders: their signatures hold those keys' defaults
 def _jacobi(A, b, side="right"):
     return side, DiagonalPreconditioner(_operator_diagonal(A))
 
@@ -271,9 +272,8 @@ def _check_variant(variant, where):
     solver = variant["solver"]
     _known(solver, SOLVER_DISPATCH, f"{where}.solver")
     options = variant.get("options", {})
-    keys = dict.fromkeys(sorted(_option_keys(solver)), _ANY)
-    if "preconditioner" in keys:
-        keys["preconditioner"] = _OBJECT_OR_NULL
+    keys = {k: _OBJECT_OR_NULL if k == "preconditioner" else _ANY
+            for k in sorted(_option_keys(solver))}
     _check(options, f"{where}.options", keys, unknown=f"{solver} does not read this key")
     if "basis" in options:
         _known(options["basis"], _BASIS_BUILDERS, f"{where}.options.basis")
@@ -445,11 +445,11 @@ def run(config, output_dir=None, log=None):
     """
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_json(config)
-    outdir = output_dir if output_dir is not None else config.outputs
-    os.makedirs(outdir, exist_ok=True)
     A = _PROBLEMS.build(config.problem, "problem")
     matvec, n = as_matvec(A)
     b = _RHS.build(config.rhs, "rhs", n)
+    outdir = output_dir if output_dir is not None else config.outputs
+    os.makedirs(outdir, exist_ok=True)
     summary = {"variants": {}}
     timings = {}
     for variant in config.variants:

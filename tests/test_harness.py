@@ -451,6 +451,17 @@ class TestCli:
         assert error in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("part", ["problem", "rhs"])
+    def test_missing_input_file_writes_nothing(self, tmp_path, capsys, part):
+        from gmreskit.cli import main
+        cfg = tmp_path / "exp.json"
+        missing = {"problem": {"kind": "matrix_market", "path": str(tmp_path / "A.mtx")},
+                   "rhs": {"kind": "file", "path": str(tmp_path / "b.txt")}}
+        cfg.write_text(json.dumps(dict(config_doc(str(tmp_path / "out")), **{part: missing[part]})))
+        assert main(["run", str(cfg)]) == 1
+        assert missing[part]["path"] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_needs_a_random_rhs(self, tmp_path, capsys):
         from gmreskit.cli import main
         cfg = tmp_path / "exp.json"
